@@ -20,6 +20,7 @@ def main():
         suite = harness.generate_suite(seed=seed)
         coll = harness.finetune_all(suite, seed=seed)
         weights = mergers.merge_ta(coll, 0.3)
+        basis_b = tara.build_variant_b(coll)
         for layer in coll.layer_ids:
             rep = diagnostics.coverage_stacks(coll.adapters[layer])
             xi = diagnostics.xi_protocol(coll, suite, layer)
@@ -29,7 +30,7 @@ def main():
             ]
             raw = diagnostics.layer_directions(coll, layer)
             _, kappa_raw = diagnostics.anisotropy(diagnostics.jacobian(raw, grads))
-            shared = tara.build_variant_b(coll).layers[layer].directions
+            shared = basis_b.layers[layer]
             _, kappa_b = diagnostics.anisotropy(diagnostics.jacobian(shared, grads))
             print(
                 f"seed {seed} {layer}: per-task-sum {rep.per_task_sum:.2f} "

@@ -81,18 +81,45 @@ def delta_weight(ad: LoraAdapter) -> np.ndarray:
     return ad.scale * (ad.b @ ad.a.T)
 
 
-def rank1_directions(ad: LoraAdapter) -> list[Rank1Direction]:
-    """Unscaled rank-1 components b_j a_j^T; scale * sum equals delta_weight."""
-    return [
-        Rank1Direction(
-            owner_task=0,
-            owner_rank=j,
-            left=ad.b[:, j].copy(),
-            right=ad.a[:, j].copy(),
-            sigma=1.0,
-        )
-        for j in range(ad.rank)
-    ]
+@dataclass(frozen=True)
+class FactorStack:
+    """Rank-1 columns sigma_k * left[:, k] @ right[:, k]^T of one layer, grouped
+    by owning task in ascending order."""
+
+    left: np.ndarray    # (d, K)
+    right: np.ndarray   # (m, K)
+    sigma: np.ndarray   # (K,)
+    owner: np.ndarray   # (K,) owning task of each column
+
+    @property
+    def owner_rank(self) -> np.ndarray:
+        """Index of each column within its owner's columns."""
+        return np.arange(self.owner.size) - np.searchsorted(self.owner, self.owner)
+
+    @property
+    def directions(self) -> list[Rank1Direction]:
+        """Read-only per-column view of the stack."""
+        return [
+            Rank1Direction(int(o), int(j), self.left[:, k], self.right[:, k], float(s))
+            for k, (o, j, s) in enumerate(zip(self.owner, self.owner_rank, self.sigma))
+        ]
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """<G, sigma_k left_k right_k^T>_F = sigma_k * left_k^T G right_k per column."""
+        return self.sigma * np.sum(self.left * (g @ self.right), axis=0)
+
+
+def rank1_stack(adapters: list[LoraAdapter], scaled: bool = False) -> FactorStack:
+    """Columns b_j a_j^T of every adapter, task-major. With scaled=True each
+    column carries its adapter's scale, so the columns sum to the updates."""
+    return FactorStack(
+        left=np.hstack([ad.b for ad in adapters]),
+        right=np.hstack([ad.a for ad in adapters]),
+        sigma=np.concatenate(
+            [np.full(ad.rank, ad.scale if scaled else 1.0) for ad in adapters]
+        ),
+        owner=np.repeat(np.arange(len(adapters)), [ad.rank for ad in adapters]),
+    )
 
 
 @dataclass
@@ -264,31 +291,3 @@ def load_collection(path) -> AdapterCollection:
         layer_ids=layer_ids, task_ids=task_ids, base=base, adapters=adapters
     )
 
-
-def export_debug_json(coll: AdapterCollection, path):
-    """Human-readable JSON dump, lossy to 9 significant digits. Not for round trips."""
-
-    def fmt(arr):
-        return [[float(f"{v:.9g}") for v in row] for row in np.asarray(arr)]
-
-    doc = {
-        "layer_order": coll.layer_ids,
-        "task_order": coll.task_ids,
-        "base": {l: fmt(coll.base[l]) for l in coll.layer_ids},
-        "adapters": {
-            l: [
-                {
-                    "task_id": ad.task_id,
-                    "rank": ad.rank,
-                    "lora_alpha": ad.lora_alpha,
-                    "dropout": ad.dropout_meta,
-                    "B": fmt(ad.b),
-                    "A": fmt(ad.a),
-                }
-                for ad in coll.adapters[l]
-            ]
-            for l in coll.layer_ids
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -88,11 +89,6 @@ def _parse_preference(text: str, n: int) -> np.ndarray:
     return rho
 
 
-def _load_suite(args):
-    suite, coll = harness.load_suite(args.container, args.sidecar)
-    return suite, coll
-
-
 def _write_report(run: Path, name: str, report: harness.EvalReport):
     (run / name).write_text(json.dumps(report.to_json(), indent=1))
 
@@ -132,7 +128,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    suite, coll = _load_suite(args)
+    suite, coll = harness.load_suite(args.container, args.sidecar)
     run = _run_dir(args.out, suite.config.seed)
     wrote = False
     if args.stacks:
@@ -158,6 +154,7 @@ def cmd_diagnose(args) -> int:
         wrote = True
         doc = {}
         weights = mergers.merge_ta(coll, args.lam)
+        basis_b = tara.build_variant_b(coll)
         for layer in coll.layer_ids:
             grads = [
                 suite.task_loss_gradients(i, weights)[layer]
@@ -165,8 +162,7 @@ def cmd_diagnose(args) -> int:
             ]
             raw_dirs = diagnostics.layer_directions(coll, layer)
             _, kappa_raw = diagnostics.anisotropy(diagnostics.jacobian(raw_dirs, grads))
-            basis_b = tara.build_variant_b(coll)
-            shared = basis_b.layers[layer].directions
+            shared = basis_b.layers[layer]
             _, kappa_shared = diagnostics.anisotropy(diagnostics.jacobian(shared, grads))
             doc[layer] = {"raw": kappa_raw, "shared_svd": kappa_shared}
         (run / "kappa.json").write_text(json.dumps(doc, indent=1))
@@ -205,7 +201,7 @@ def _merge_with_method(coll, suite, method, rho, config):
     )
     if method == "adamerging":
         weights, _, trace = tara.adamerging_baseline(
-            coll, suite, tara.OptimConfig(**{**optim.__dict__, "phi_init": 0.3})
+            coll, suite, dataclasses.replace(optim, phi_init=0.3)
         )
         return weights, trace
     if method in ("tara-a", "tara-b"):
@@ -233,7 +229,7 @@ def cmd_merge(args) -> int:
         raise UsageError("merge requires --method")
     if method not in ALL_METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-    suite, coll = _load_suite(args)
+    suite, coll = harness.load_suite(args.container, args.sidecar)
     rho = (
         _parse_preference(config.pop("preference"), suite.n_tasks)
         if "preference" in config
@@ -299,7 +295,7 @@ def _sweep_preferences(args, n_tasks: int) -> list[np.ndarray]:
 
 
 def cmd_sweep(args) -> int:
-    suite, coll = _load_suite(args)
+    suite, coll = harness.load_suite(args.container, args.sidecar)
     method = args.method or "tara-b"
     if method not in ALL_METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
@@ -330,7 +326,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    suite, _ = _load_suite(args)
+    suite, _ = harness.load_suite(args.container, args.sidecar)
     merged = load_collection(args.weights)
     weights = {l: merged.base[l] for l in merged.layer_ids}
     run = _run_dir(args.out, suite.config.seed)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .adapters import AdapterCollection, LoraAdapter, Rank1Direction, delta_weight
+from . import linalg, mergers
+from .adapters import AdapterCollection, FactorStack, LoraAdapter, rank1_stack
 
 SIMPLEX_TOL = 1e-9
 PROFILE_ZERO_TOL = 1e-12
@@ -49,26 +49,17 @@ class SensitivityProfile:
     preference: np.ndarray
 
 
-def _rank1_gram(dirs: list[Rank1Direction]) -> np.ndarray:
+def _rank1_gram(stack: FactorStack) -> np.ndarray:
     """Gram of vectorized rank-1 rows: <s u v^T, s' u' v'^T> = s s' (u.u')(v.v')."""
-    k = len(dirs)
-    lefts = np.stack([d.sigma * d.left for d in dirs])
-    rights = np.stack([d.right for d in dirs])
-    return (lefts @ lefts.T) * (rights @ rights.T)
+    lefts = stack.left * stack.sigma
+    return (lefts.T @ lefts) * (stack.right.T @ stack.right)
 
 
 def _delta_gram(adapters: list[LoraAdapter]) -> np.ndarray:
-    """Gram of vectorized updates via factor products, no d*m temporaries."""
-    n = len(adapters)
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ai, aj = adapters[i], adapters[j]
-            val = ai.scale * aj.scale * float(
-                np.sum((ai.b.T @ aj.b) * (ai.a.T @ aj.a))
-            )
-            g[i, j] = g[j, i] = val
-    return g
+    """Gram of vectorized updates: the scaled column Gram summed over owner blocks."""
+    stack = rank1_stack(adapters, scaled=True)
+    owners = np.equal.outer(np.arange(len(adapters)), stack.owner).astype(np.float64)
+    return owners @ _rank1_gram(stack) @ owners.T
 
 
 def _stack_erank(gram: np.ndarray) -> float | None:
@@ -84,20 +75,18 @@ def coverage_stacks(layer_adapters: list[LoraAdapter]) -> CoverageReport:
         raise DiagnosticsError("coverage needs at least one adapter")
     warnings = []
     per_task = []
-    all_dirs: list[Rank1Direction] = []
+    stack = rank1_stack(layer_adapters)
+    gram = _rank1_gram(stack)
     for i, ad in enumerate(layer_adapters):
-        dirs = [
-            Rank1Direction(i, j, ad.b[:, j], ad.a[:, j], 1.0) for j in range(ad.rank)
-        ]
-        all_dirs.extend(dirs)
-        er = _stack_erank(_rank1_gram(dirs))
+        cols = stack.owner == i
+        er = _stack_erank(gram[np.ix_(cols, cols)])
         if er is None:
             warnings.append(f"task {ad.task_id}: all-zero direction stack")
             per_task.append(0.0)
         else:
             per_task.append(er)
 
-    aware = _stack_erank(_rank1_gram(all_dirs))
+    aware = _stack_erank(gram)
     if aware is None:
         warnings.append("aware stack is all-zero")
     agnostic = _stack_erank(_delta_gram(layer_adapters))
@@ -117,21 +106,20 @@ def coverage_report(coll: AdapterCollection) -> dict[str, CoverageReport]:
     return {layer: coverage_stacks(coll.adapters[layer]) for layer in coll.layer_ids}
 
 
-def jacobian(directions: list[Rank1Direction], grads: list[np.ndarray]) -> Jacobian:
+def jacobian(directions: FactorStack, grads: list[np.ndarray]) -> Jacobian:
     """J[i, k] = <grad_i, S_k>_F, using <G, s u v^T> = s * u^T G v."""
-    if not directions or not grads:
+    if directions.sigma.size == 0 or not grads:
         raise DiagnosticsError("need at least one direction and one gradient")
     shape = np.asarray(grads[0]).shape
-    entries = np.zeros((len(grads), len(directions)))
+    entries = np.zeros((len(grads), directions.sigma.size))
     for i, g in enumerate(grads):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != shape:
             raise DiagnosticsError(f"gradient {i} shape {g.shape} != {shape}")
-        for k, s in enumerate(directions):
-            entries[i, k] = s.sigma * float(s.left @ g @ s.right)
+        entries[i] = directions.project(g)
     return Jacobian(
         entries=entries,
-        direction_ids=[(d.owner_task, d.owner_rank) for d in directions],
+        direction_ids=list(zip(directions.owner.tolist(), directions.owner_rank.tolist())),
     )
 
 
@@ -161,7 +149,7 @@ def _check_simplex(rho, n: int) -> np.ndarray:
 
 
 def sensitivity_profile(
-    directions: list[Rank1Direction], grads: list[np.ndarray], rho
+    directions: FactorStack, grads: list[np.ndarray], rho
 ) -> SensitivityProfile:
     """h = J^T rho: projection of the preference-scalarized gradient."""
     rho = _check_simplex(rho, len(grads))
@@ -182,13 +170,9 @@ def misalignment_xi(h1: SensitivityProfile, h2: SensitivityProfile) -> float:
     return float(min(max(xi, 0.0), 1.0))
 
 
-def layer_directions(coll: AdapterCollection, layer_id: str) -> list[Rank1Direction]:
+def layer_directions(coll: AdapterCollection, layer_id: str) -> FactorStack:
     """Raw rank-1 directions of all tasks' adapters at one layer."""
-    dirs = []
-    for i, ad in enumerate(coll.adapters[layer_id]):
-        for j in range(ad.rank):
-            dirs.append(Rank1Direction(i, j, ad.b[:, j], ad.a[:, j], 1.0))
-    return dirs
+    return rank1_stack(coll.adapters[layer_id])
 
 
 def xi_protocol(coll: AdapterCollection, suite, layer_id: str, lam: float = 0.3) -> float:
@@ -198,11 +182,7 @@ def xi_protocol(coll: AdapterCollection, suite, layer_id: str, lam: float = 0.3)
     mean xi(uniform, e_i) over tasks; exactly 0 for a single task.
     """
     n = coll.n_tasks
-    weights = {
-        layer: coll.base[layer]
-        + lam * sum(delta_weight(ad) for ad in coll.adapters[layer])
-        for layer in coll.layer_ids
-    }
+    weights = mergers.merge_ta(coll, lam)
     grads = [suite.task_loss_gradients(i, weights)[layer_id] for i in range(n)]
     dirs = layer_directions(coll, layer_id)
     uniform = np.full(n, 1.0 / n)

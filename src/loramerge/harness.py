@@ -19,6 +19,7 @@ import numpy as np
 
 from .adapters import AdapterCollection, LoraAdapter, save_collection, load_collection
 from .rng import substream
+from .tara import OptimConfig, adamw_step
 
 LAYER_ID = "layer0"
 
@@ -174,17 +175,6 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
     )
 
 
-def _adamw_step(params, grads, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8):
-    b1, b2 = betas
-    for key in params:
-        g = grads[key]
-        m[key] = b1 * m[key] + (1 - b1) * g
-        v[key] = b2 * v[key] + (1 - b2) * g * g
-        params[key] = params[key] - lr * (
-            (m[key] / (1 - b1**t)) / (np.sqrt(v[key] / (1 - b2**t)) + eps)
-        )
-
-
 def finetune_lora(
     suite: TaskSuite,
     task: int,
@@ -210,6 +200,7 @@ def finetune_lora(
     }
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
+    adam = OptimConfig(lr=lr)  # no weight decay
     td = suite.tasks[task]
     initial_loss = None
     for t in range(steps):
@@ -237,7 +228,7 @@ def finetune_lora(
             "a": scale * dw.T @ params["b"],
             "h": dl.T @ z,
         }
-        _adamw_step(params, grads, m, v, t + 1, lr)
+        adamw_step(params, grads, m, v, t + 1, adam)
 
     suite.heads[task] = params["h"]
     adapter = LoraAdapter(

@@ -7,6 +7,11 @@ SVD of horizontally concatenated task updates and assigns one weight per
 learns one coefficient per (task, layer) on whole updates, minimizing the
 uniform mean of per-task entropies without anchors.
 
+All three are one linear map: per layer, a stack of rank-1 columns and a group
+index mapping each column to its phi entry. Variants A and B give every column
+its own entry; AdaMerging is the variant-A stack with each column grouped by
+its owning task.
+
 The learned objective is a smoothed worst-case scalarization over per-task
 predictive-entropy residuals against per-task anchors.
 """
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .adapters import AdapterCollection, Rank1Direction, delta_weight
+from .adapters import AdapterCollection, FactorStack, delta_weight, rank1_stack
 from .diagnostics import _check_simplex
 from .rng import substream
 
@@ -30,23 +35,17 @@ class TaraError(ValueError):
 
 
 @dataclass
-class LayerBasis:
-    directions: list[Rank1Direction]      # rank-1 components (A/B)
-    deltas: list[np.ndarray] | None = None  # whole per-task updates (adamerging)
-
-
-@dataclass
 class DirectionBasis:
     variant: str                          # "a", "b", or "adamerging"
     layer_ids: list[str]
     base: dict[str, np.ndarray]
-    layers: dict[str, LayerBasis]
+    layers: dict[str, FactorStack]        # rank-1 columns per layer
+    groups: dict[str, np.ndarray]         # phi entry of each column per layer
     n_tasks: int
     shared_rank: int | None = None        # R for variant B
 
     def k(self, layer: str) -> int:
-        lb = self.layers[layer]
-        return len(lb.deltas) if lb.deltas is not None else len(lb.directions)
+        return int(self.groups[layer].max()) + 1
 
     def init_phi(self, value: float) -> dict[str, np.ndarray]:
         return {layer: np.full(self.k(layer), value) for layer in self.layer_ids}
@@ -86,23 +85,32 @@ class OptimTrace:
         self.per_task.append(np.array(f))
 
 
-def build_variant_a(coll: AdapterCollection) -> DirectionBasis:
-    """One direction per adapter column; the training scale folds into sigma so
-    phi == lam reproduces the scaled-sum merge."""
-    layers = {}
-    for layer in coll.layer_ids:
-        dirs = []
-        for i, ad in enumerate(coll.adapters[layer]):
-            for j in range(ad.rank):
-                dirs.append(Rank1Direction(i, j, ad.b[:, j], ad.a[:, j], ad.scale))
-        layers[layer] = LayerBasis(directions=dirs)
+def _basis(coll: AdapterCollection, variant: str, layers: dict[str, FactorStack],
+           shared_rank: int | None = None) -> DirectionBasis:
+    """Basis over the given stacks; AdaMerging groups columns by owning task."""
     return DirectionBasis(
-        variant="a",
+        variant=variant,
         layer_ids=list(coll.layer_ids),
         base={l: coll.base[l] for l in coll.layer_ids},
         layers=layers,
+        groups={
+            l: s.owner if variant == "adamerging" else np.arange(s.sigma.size)
+            for l, s in layers.items()
+        },
         n_tasks=coll.n_tasks,
+        shared_rank=shared_rank,
     )
+
+
+def _adapter_stacks(coll: AdapterCollection) -> dict[str, FactorStack]:
+    """Scaled adapter columns per layer, so phi == lam reproduces the scaled sum."""
+    return {l: rank1_stack(coll.adapters[l], scaled=True) for l in coll.layer_ids}
+
+
+def build_variant_a(coll: AdapterCollection) -> DirectionBasis:
+    """One direction per adapter column; the training scale folds into sigma so
+    phi == lam reproduces the scaled-sum merge."""
+    return _basis(coll, "a", _adapter_stacks(coll))
 
 
 def default_shared_rank(coll: AdapterCollection) -> int:
@@ -133,56 +141,32 @@ def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> 
                 f"shared rank {r} exceeds available spectrum min{d, m * n} at {layer}"
             )
         res = linalg.svd(np.hstack(deltas))  # (d, m*N)
-        dirs = []
-        for i in range(n):
-            for k in range(r):
-                v_ki = res.v[i * m : (i + 1) * m, k]
-                dirs.append(Rank1Direction(i, k, res.u[:, k], v_ki, float(res.sigma[k])))
-        layers[layer] = LayerBasis(directions=dirs)
-    return DirectionBasis(
-        variant="b",
-        layer_ids=list(coll.layer_ids),
-        base={l: coll.base[l] for l in coll.layer_ids},
-        layers=layers,
-        n_tasks=n,
-        shared_rank=r,
-    )
+        layers[layer] = FactorStack(
+            left=np.tile(res.u[:, :r], n),
+            right=np.hstack([res.v[i * m : (i + 1) * m, :r] for i in range(n)]),
+            sigma=np.tile(res.sigma[:r], n),
+            owner=np.repeat(np.arange(n), r),
+        )
+    return _basis(coll, "b", layers, shared_rank=r)
 
 
 def build_adamerging(coll: AdapterCollection) -> DirectionBasis:
-    layers = {
-        layer: LayerBasis(
-            directions=[], deltas=[delta_weight(ad) for ad in coll.adapters[layer]]
-        )
-        for layer in coll.layer_ids
-    }
-    return DirectionBasis(
-        variant="adamerging",
-        layer_ids=list(coll.layer_ids),
-        base={l: coll.base[l] for l in coll.layer_ids},
-        layers=layers,
-        n_tasks=coll.n_tasks,
-    )
+    """Variant-A columns sharing one coefficient per (task, layer)."""
+    return _basis(coll, "adamerging", _adapter_stacks(coll))
 
 
 def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """W0 + sum_k phi_k sigma_k left_k right_k^T per layer; linear in phi."""
+    """W0 + sum_k phi_{group_k} sigma_k left_k right_k^T per layer; linear in phi."""
     weights = {}
     for layer in basis.layer_ids:
-        lb = basis.layers[layer]
+        s = basis.layers[layer]
         p = np.asarray(phi[layer], dtype=np.float64)
         if p.size != basis.k(layer):
             raise TaraError(
                 f"phi length {p.size} != {basis.k(layer)} components at {layer}"
             )
-        w = basis.base[layer].copy()
-        if lb.deltas is not None:
-            for coef, dlt in zip(p, lb.deltas):
-                w += coef * dlt
-        else:
-            for coef, s in zip(p, lb.directions):
-                w += (coef * s.sigma) * np.outer(s.left, s.right)
-        weights[layer] = w
+        coef = s.sigma * p[basis.groups[layer]]
+        weights[layer] = basis.base[layer] + (s.left * coef) @ s.right.T
     return weights
 
 
@@ -240,22 +224,16 @@ def _objective_weights(f, z, rho, alpha) -> np.ndarray:
 def _phi_gradient_from_weight_grads(
     basis: DirectionBasis, weight_grads: list[dict[str, np.ndarray]], dpsi_df: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Project d/dW gradients onto basis components: g_k = sum_i c_i <G_i, C_k>."""
+    """Project d/dW gradients onto basis components: g_k = <sum_i c_i G_i, C_k>,
+    summed over the columns that share each phi entry."""
     grad = {}
     for layer in basis.layer_ids:
-        lb = basis.layers[layer]
-        g = np.zeros(basis.k(layer))
-        for i, coef in enumerate(dpsi_df):
-            if coef == 0.0:
-                continue
-            gw = weight_grads[i][layer]
-            if lb.deltas is not None:
-                for k, dlt in enumerate(lb.deltas):
-                    g[k] += coef * float(np.sum(gw * dlt))
-            else:
-                for k, s in enumerate(lb.directions):
-                    g[k] += coef * s.sigma * float(s.left @ gw @ s.right)
-        grad[layer] = g
+        g = sum(c * wg[layer] for c, wg in zip(dpsi_df, weight_grads))
+        grad[layer] = np.bincount(
+            basis.groups[layer],
+            weights=basis.layers[layer].project(g),
+            minlength=basis.k(layer),
+        )
     return grad
 
 
@@ -268,6 +246,8 @@ def _evaluate(basis, phi, suite, batches):
         fi, gw = suite.entropy_and_grad(i, weights, batches[i])
         f[i] = fi
         weight_grads.append(gw)
+    if not np.all(np.isfinite(f)):
+        raise TaraError("non-finite entropy encountered")
     return f, weight_grads
 
 
@@ -284,8 +264,6 @@ def stch_value_and_grad(
     if cfg.anchors is None:
         raise TaraError("anchors must be computed before optimization")
     f, weight_grads = _evaluate(basis, phi, suite, batches)
-    if not np.all(np.isfinite(f)):
-        raise TaraError("non-finite entropy encountered")
     psi = stch_objective(f, cfg.anchors, rho, cfg.alpha)
     dpsi_df = _objective_weights(f, cfg.anchors, rho, cfg.alpha)
     return psi, _phi_gradient_from_weight_grads(basis, weight_grads, dpsi_df), f
@@ -299,19 +277,17 @@ def mean_entropy_value_and_grad(basis, phi, suite, batches):
     return value, _phi_gradient_from_weight_grads(basis, weight_grads, dpsi_df), f
 
 
-gradient_phi = stch_value_and_grad  # gradient entry point; returns (psi, grad, f)
-
-
-def _adamw_step(phi, grad, m, v, t, cfg: OptimConfig):
+def adamw_step(params, grads, m, v, t, cfg: OptimConfig):
+    """One in-place AdamW update of every array in params at step t >= 1."""
     b1, b2 = cfg.betas
-    for layer in phi:
-        g = grad[layer]
-        m[layer] = b1 * m[layer] + (1 - b1) * g
-        v[layer] = b2 * v[layer] + (1 - b2) * g * g
-        mhat = m[layer] / (1 - b1**t)
-        vhat = v[layer] / (1 - b2**t)
-        phi[layer] = phi[layer] - cfg.lr * (
-            mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * phi[layer]
+    for key in params:
+        g = grads[key]
+        m[key] = b1 * m[key] + (1 - b1) * g
+        v[key] = b2 * v[key] + (1 - b2) * g * g
+        mhat = m[key] / (1 - b1**t)
+        vhat = v[key] / (1 - b2**t)
+        params[key] = params[key] - cfg.lr * (
+            mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * params[key]
         )
 
 
@@ -336,7 +312,7 @@ def optimize(
 
     objective 'stch' uses the anchored scalarization under rho; 'mean_entropy'
     ignores rho/anchors (AdaMerging). Aborts if the objective exceeds 10x its
-    initial value. Returns (phi, trace).
+    initial value or is NaN. Returns (phi, trace).
     """
     if objective not in ("stch", "mean_entropy"):
         raise TaraError(f"unknown objective {objective!r}")
@@ -354,12 +330,12 @@ def optimize(
         trace.append(step, value, f)
         if initial is None:
             initial = value
-        elif value > 10.0 * initial:
+        elif not value <= 10.0 * initial:
             raise TaraError(
                 f"divergence guard: objective {value:.4g} exceeds 10x initial "
                 f"{initial:.4g} at step {step}"
             )
-        _adamw_step(phi, grad, m, v, step + 1, cfg)
+        adamw_step(phi, grad, m, v, step + 1, cfg)
     return phi, trace
 
 
@@ -388,10 +364,9 @@ def merge_tara(
 def adamerging_baseline(
     coll: AdapterCollection, suite, cfg: OptimConfig | None = None
 ):
-    """Per-(task, layer) coefficients on whole updates, init 0.3, mean entropy."""
+    """Per-(task, layer) coefficients on whole updates, mean entropy; phi starts
+    at cfg.phi_init, 0.3 when no cfg is given."""
     cfg = cfg or OptimConfig(phi_init=0.3)
-    if cfg.phi_init != 0.3:
-        cfg = OptimConfig(**{**cfg.__dict__, "phi_init": 0.3})
     basis = build_adamerging(coll)
     phi, trace = optimize(basis, suite, None, cfg, objective="mean_entropy")
     return assemble(basis, phi), phi, trace

@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 
 from conftest import random_collection
 from loramerge import diagnostics, harness, linalg, mergers, tara
-from loramerge.adapters import delta_weight
+from loramerge.adapters import FactorStack, delta_weight
 from loramerge.rng import substream
 from test_mergers import knots_oracle, lego_oracle, ties_oracle_1d
 
@@ -225,15 +225,16 @@ def test_effective_rank_properties():
     worst_gram = 0.0
     for seed in range(10):
         gen = substream(seed, "accept-gram")
-        dirs = [
-            tara.Rank1Direction(0, j, gen.standard_normal(5), gen.standard_normal(4),
-                                float(gen.uniform(0.5, 2.0)))
+        draws = [
+            (gen.standard_normal(5), gen.standard_normal(4), float(gen.uniform(0.5, 2.0)))
             for j in range(4)
         ]
+        left, right, sigma = (np.array(x) for x in zip(*draws))
+        dirs = FactorStack(left.T, right.T, sigma, np.zeros(4, dtype=int))
         via_gram = linalg.effective_rank(
             linalg.singular_values_from_gram(diagnostics._rank1_gram(dirs))
         )
-        stack = np.stack([s.matrix().ravel() for s in dirs])
+        stack = np.stack([s.matrix().ravel() for s in dirs.directions])
         explicit = linalg.effective_rank(np.linalg.svd(stack, compute_uv=False))
         worst_gram = max(worst_gram, abs(via_gram - explicit))
     _report(

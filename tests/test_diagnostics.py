@@ -4,17 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_collection
 from loramerge import diagnostics, linalg
-from loramerge.adapters import Rank1Direction, delta_weight
+from loramerge.adapters import FactorStack, delta_weight
 from loramerge.diagnostics import DiagnosticsError
 from loramerge.rng import substream
 
 
 def _random_directions(gen, k, d, m):
-    return [
-        Rank1Direction(0, j, gen.standard_normal(d), gen.standard_normal(m),
-                       float(gen.uniform(0.5, 2.0)))
-        for j in range(k)
+    draws = [
+        (gen.standard_normal(d), gen.standard_normal(m), float(gen.uniform(0.5, 2.0)))
+        for _ in range(k)
     ]
+    left, right, sigma = (np.array(x) for x in zip(*draws))
+    return FactorStack(left.T, right.T, sigma, np.zeros(k, dtype=int))
 
 
 class TestCoverage:
@@ -24,7 +25,7 @@ class TestCoverage:
         gen = substream(0, "cov")
         dirs = _random_directions(gen, 4, 5, 3)
         gram = diagnostics._rank1_gram(dirs)
-        stack = np.stack([d.matrix().ravel() for d in dirs])
+        stack = np.stack([d.matrix().ravel() for d in dirs.directions])
         want = np.linalg.svd(stack, compute_uv=False)
         got = np.sort(linalg.singular_values_from_gram(gram))[::-1]
         assert np.allclose(got, want, atol=1e-9 * want[0])
@@ -70,7 +71,7 @@ class TestJacobian:
         grads = [gen.standard_normal((6, 4)) for _ in range(2)]
         j = diagnostics.jacobian(dirs, grads)
         for i in range(2):
-            for k, s in enumerate(dirs):
+            for k, s in enumerate(dirs.directions):
                 want = linalg.frobenius_inner(grads[i], s.matrix())
                 assert j.entries[i, k] == pytest.approx(want, rel=1e-12)
 

@@ -16,6 +16,7 @@ from loramerge.tara import (
     build_variant_b,
     compute_anchors,
     entropy_loss,
+    mean_entropy_value_and_grad,
     optimize,
     stch_objective,
     stch_value_and_grad,
@@ -186,34 +187,43 @@ class TestStch:
             StchConfig(alpha=-1.0)
 
 
-def _fd_gradient(basis, phi, suite, rho, stch, batches, layer, k, h=1e-5):
+def _fd_gradient(value_and_grad, phi, layer, k, h=1e-5):
     pp = {l: v.copy() for l, v in phi.items()}
     pm = {l: v.copy() for l, v in phi.items()}
     pp[layer][k] += h
     pm[layer][k] -= h
-    vp, _, _ = stch_value_and_grad(basis, pp, suite, rho, stch, batches)
-    vm, _, _ = stch_value_and_grad(basis, pm, suite, rho, stch, batches)
+    vp, _, _ = value_and_grad(pp)
+    vm, _, _ = value_and_grad(pm)
     return (vp - vm) / (2 * h)
 
 
 class TestGradient:
-    @pytest.mark.parametrize("variant", ["a", "b"])
+    @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
     def test_matches_finite_differences(self, variant, small_suite):
         suite, coll = small_suite
-        basis = (
-            build_variant_a(coll) if variant == "a" else build_variant_b(coll, 4)
-        )
-        stch = StchConfig(anchors=compute_anchors(coll, suite))
-        rho = np.array([0.3, 0.7])
         batches = {i: suite.adaptation_pool(i)[:16] for i in range(2)}
+        if variant == "adamerging":
+            basis = tara.build_adamerging(coll)
+
+            def value_and_grad(phi):
+                return mean_entropy_value_and_grad(basis, phi, suite, batches)
+        else:
+            basis = (
+                build_variant_a(coll) if variant == "a" else build_variant_b(coll, 4)
+            )
+            stch = StchConfig(anchors=compute_anchors(coll, suite))
+            rho = np.array([0.3, 0.7])
+
+            def value_and_grad(phi):
+                return stch_value_and_grad(basis, phi, suite, rho, stch, batches)
         worst = 0.0
         for trial in range(10):
             gen = substream(50 + trial, variant)
             phi = {l: gen.normal(0.4, 0.3, basis.k(l)) for l in basis.layer_ids}
-            _, grad, _ = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
+            _, grad, _ = value_and_grad(phi)
             layer = basis.layer_ids[0]
             for k in range(basis.k(layer)):
-                fd = _fd_gradient(basis, phi, suite, rho, stch, batches, layer, k)
+                fd = _fd_gradient(value_and_grad, phi, layer, k)
                 denom = max(abs(fd), 1e-8)
                 worst = max(worst, abs(grad[layer][k] - fd) / denom)
         assert worst <= 1e-4
@@ -276,7 +286,7 @@ class TestOptimize:
         m = {"l": np.zeros(2)}
         v = {"l": np.zeros(2)}
         cfg = OptimConfig(lr=0.001)
-        tara._adamw_step(phi, g, m, v, 1, cfg)
+        tara.adamw_step(phi, g, m, v, 1, cfg)
         want = 0.4 - 0.001 * g["l"] / (np.abs(g["l"]) + cfg.eps)
         assert np.allclose(phi["l"], want, atol=1e-12)
 
@@ -317,6 +327,34 @@ class TestOptimize:
         with pytest.raises(TaraError):
             optimize(basis, suite, None, OptimConfig(), objective="nope")
 
+    @pytest.mark.parametrize("objective", ["stch", "mean_entropy"])
+    def test_nan_entropy_aborts(self, objective):
+        basis = build_variant_a(random_collection(seed=21, n_tasks=2))
+        stch = StchConfig(anchors=np.zeros(2))
+        with pytest.raises(TaraError, match="non-finite entropy"):
+            optimize(basis, _ConstantSuite(np.nan), [0.5, 0.5],
+                     OptimConfig(max_iters=3), stch, objective=objective)
+
+    def test_nan_objective_trips_divergence_guard(self):
+        basis = build_variant_a(random_collection(seed=22, n_tasks=2))
+        stch = StchConfig(anchors=np.full(2, np.nan))
+        with pytest.raises(TaraError, match="divergence guard"):
+            optimize(basis, _ConstantSuite(1.0), [0.5, 0.5], OptimConfig(max_iters=3),
+                     stch)
+
+
+class _ConstantSuite:
+    """Suite stand-in with a fixed entropy and a zero weight gradient."""
+
+    def __init__(self, entropy):
+        self.entropy = entropy
+
+    def adaptation_pool(self, task):
+        return np.zeros((4, 6))
+
+    def entropy_and_grad(self, task, weights, batch):
+        return self.entropy, {l: np.zeros_like(w) for l, w in weights.items()}
+
 
 class TestAdamerging:
     def test_init_point_is_scaled_sum(self, small_suite):
@@ -324,6 +362,12 @@ class TestAdamerging:
         basis = tara.build_adamerging(coll)
         got = assemble(basis, basis.init_phi(0.3))
         assert_weights_close(got, mergers.merge_ta(coll, 0.3), tol=1e-12)
+
+    def test_keeps_caller_phi_init(self, small_suite):
+        suite, coll = small_suite
+        _, phi, _ = adamerging_baseline(coll, suite, OptimConfig(max_iters=0, phi_init=0.7))
+        for layer in phi:
+            assert np.all(phi[layer] == 0.7)
 
     def test_mean_entropy_descends(self, small_suite):
         suite, coll = small_suite
