@@ -13,6 +13,7 @@ float32 payloads. Round trips are bit-exact on the 32-bit payload.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -225,6 +226,57 @@ def save_collection(coll: AdapterCollection, path):
         fh.write(bytes(payload))
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _check_header(header, payload_len: int) -> None:
+    """Validate the whole LMK1 header before any tensor is read."""
+    if not isinstance(header, dict):
+        raise ContainerError("bad_header", "header must be a JSON object")
+    for name, kind in (("version", int), ("layer_order", list), ("task_order", list),
+                       ("tensors", list), ("adapters", dict)):
+        if name not in header:
+            raise ContainerError("missing_field", f"header has no {name!r}")
+        if type(header[name]) is not kind:
+            raise ContainerError("bad_header", f"{name!r} must be {kind.__name__}")
+    if header["version"] != FORMAT_VERSION:
+        raise ContainerError("bad_version", f"unsupported version {header['version']}")
+    if not all(isinstance(i, str) for i in header["layer_order"] + header["task_order"]):
+        raise ContainerError("bad_header", "layer and task ids must be strings")
+    spans: dict[str, tuple[int, int]] = {}
+    for rec in header["tensors"]:
+        if not (isinstance(rec, dict) and isinstance(rec.get("key"), str)
+                and isinstance(rec.get("shape"), list)
+                and all(map(_is_count, rec["shape"]))
+                and _is_count(rec.get("offset")) and _is_count(rec.get("length"))):
+            raise ContainerError("bad_tensor", f"malformed tensor record {rec!r}")
+        key = rec["key"]
+        if key in spans:
+            raise ContainerError("duplicate_key", key)
+        if rec.get("dtype") != "f32":
+            raise ContainerError("bad_dtype", f"{key}: unsupported dtype {rec.get('dtype')!r}")
+        if rec["length"] != 4 * math.prod(rec["shape"]):
+            raise ContainerError(
+                "size_mismatch",
+                f"{key}: header declares shape {rec['shape']} but payload holds "
+                f"{rec['length'] // 4} floats",
+            )
+        if rec["offset"] + rec["length"] > payload_len:
+            raise ContainerError("truncated", f"{key}: payload extends past end of file")
+        spans[key] = (rec["offset"], rec["offset"] + rec["length"])
+    ordered = sorted((start, end, key) for key, (start, end) in spans.items())
+    for (_, end, prev), (start, _, key) in zip(ordered, ordered[1:]):
+        if start < end:
+            raise ContainerError("overlap", f"{key} overlaps {prev}")
+    meta = header["adapters"]
+    for task in header["task_order"]:
+        for layer in header["layer_order"]:
+            m = meta[task].get(layer) if isinstance(meta.get(task), dict) else None
+            if not (isinstance(m, dict) and {"rank", "lora_alpha", "dropout"} <= m.keys()):
+                raise ContainerError("missing_field", f"no adapter metadata for {task}/{layer}")
+
+
 def load_collection(path) -> AdapterCollection:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -240,23 +292,12 @@ def load_collection(path) -> AdapterCollection:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError("bad_header", str(exc)) from exc
     payload = blob[8 + hdr_len :]
+    _check_header(header, len(payload))
 
     arrays: dict[str, np.ndarray] = {}
     for rec in header["tensors"]:
-        key = rec["key"]
-        if key in arrays:
-            raise ContainerError("duplicate_key", key)
-        n = int(np.prod(rec["shape"])) if rec["shape"] else 1
-        if rec["length"] != 4 * n:
-            raise ContainerError(
-                "size_mismatch",
-                f"{key}: header declares shape {rec['shape']} but payload holds "
-                f"{rec['length'] // 4} floats",
-            )
-        if rec["offset"] + rec["length"] > len(payload):
-            raise ContainerError("truncated", f"{key}: payload extends past end of file")
         raw = payload[rec["offset"] : rec["offset"] + rec["length"]]
-        arrays[key] = (
+        arrays[rec["key"]] = (
             np.frombuffer(raw, dtype="<f4").reshape(rec["shape"]).astype(np.float64)
         )
 

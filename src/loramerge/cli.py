@@ -412,10 +412,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, mergers.MergeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError, MergeError and the other coded errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures (IO, numeric aborts)

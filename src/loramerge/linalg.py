@@ -1,9 +1,8 @@
 """Deterministic dense linear algebra: SVD, Frobenius products, effective rank.
 
-All computations are in float64. The SVD is a one-sided Jacobi iteration on
-the smaller dimension, which is bitwise deterministic for identical input and
-accurate for small singular values. A fixed sign convention makes singular
-vectors reproducible across runs.
+All computations are in float64. The SVD is LAPACK's thin SVD with a fixed
+sign convention on the singular vectors, so results are bit-reproducible for
+identical input on one machine, BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ import numpy as np
 
 # Relative threshold below which singular values are treated as zero.
 EPS_ZERO = 1e-12
-
-_MAX_SWEEPS = 60
-_CONV_REL = 1e-14
 
 
 class LinalgError(ValueError):
@@ -46,114 +42,21 @@ def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _jacobi_orthogonalize(w: np.ndarray, off_tol: float):
-    """One-sided Jacobi: rotate column pairs of w until columns are orthogonal.
-
-    Returns (w, v) with w = original @ v and v orthogonal. Converged when the
-    off-diagonal mass of w^T w drops below off_tol (absolute, in squared-norm
-    units) or no pair needed rotation in a full sweep.
-    """
-    n = w.shape[1]
-    v = np.eye(n)
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                app = float(wp @ wp)
-                aqq = float(wq @ wq)
-                apq = float(wp @ wq)
-                off += apq * apq
-                # compare |cos| without squaring, which underflows for tiny columns
-                if apq == 0.0 or abs(apq) <= 1e-15 * np.sqrt(app) * np.sqrt(aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wp_new = c * wp - s * wq
-                wq_new = s * wp + c * wq
-                w[:, p] = wp_new
-                w[:, q] = wq_new
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if not rotated or np.sqrt(off) <= off_tol:
-            break
-    return w, v
-
-
-def _complete_orthonormal(u: np.ndarray, filled: int) -> np.ndarray:
-    """Deterministically fill columns filled..q-1 of u with an orthonormal complement."""
-    d, q = u.shape
-    col = filled
-    for j in range(d):
-        if col >= q:
-            break
-        cand = np.zeros(d)
-        cand[j] = 1.0
-        cand -= u[:, :col] @ (u[:, :col].T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 0.5:
-            u[:, col] = cand / nrm
-            col += 1
-    if col < q:
-        raise LinalgError("failed to complete orthonormal basis")
-    return u
-
-
 def svd(x) -> SvdResult:
-    """Thin SVD by one-sided Jacobi on the smaller dimension.
+    """Thin SVD by LAPACK (numpy's gesdd driver), sign-normalized.
 
     Singular values are sorted descending. Sign convention: the entry of
     largest magnitude in each left singular vector is positive (ties broken
     by lowest index); the right vector is flipped to match.
     """
     a = _as_matrix(x)
-    d, m = a.shape
-    transposed = m > d
-    b = a.T.copy() if transposed else a.copy()   # (big, small)
-    n = b.shape[1]
-    # prescale to unit Frobenius norm so squared quantities inside the
-    # iteration cannot underflow for very small inputs
-    fro = np.sqrt(float(np.sum(b * b)))
-    if fro > 0.0:
-        b = b / fro
-    # off-diagonal entries of w^T w scale like ||X||_F^2 = 1 after prescaling
-    off_tol = _CONV_REL
-
-    w, v = _jacobi_orthogonalize(b, off_tol)
-    norms = np.sqrt(np.sum(w * w, axis=0))    # in prescaled units
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    v = v[:, order]
-    w = w[:, order]
-    sigma = fro * norms
-
-    cutoff = EPS_ZERO * norms[0] if norms[0] > 0 else 0.0
-    u = np.zeros((b.shape[0], n))
-    rank = 0
-    for k in range(n):
-        if norms[k] > cutoff:
-            u[:, k] = w[:, k] / norms[k]
-            rank = k + 1
-    # columns below the cutoff get a deterministic orthonormal completion
-    u = _complete_orthonormal(u, rank)
-
-    if transposed:
-        u, v = v, u
-
-    # sign convention on the left vectors
-    for k in range(n):
-        i = int(np.argmax(np.abs(u[:, k])))
-        if u[i, k] < 0:
-            u[:, k] = -u[:, k]
-            v[:, k] = -v[:, k]
-
-    return SvdResult(u=u, sigma=sigma, v=v)
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"SVD did not converge: {exc}") from exc
+    q = sigma.size
+    flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(q)] < 0, -1.0, 1.0)
+    return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)
 
 
 def singular_values_from_gram(gram: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -126,6 +127,35 @@ class TestContainer:
         with pytest.raises(ContainerError) as exc:
             load_collection(p)
         assert exc.value.code == "size_mismatch"
+
+    @pytest.mark.parametrize(
+        "mutate,code",
+        [
+            (lambda h: {k: v for k, v in h.items() if k != "tensors"}, "missing_field"),
+            (lambda h: [h], "bad_header"),
+            (lambda h: {**h, "version": 99}, "bad_version"),
+            (lambda h: {**h, "tensors": [{**h["tensors"][0], "offset": -4}]
+                        + h["tensors"][1:]}, "bad_tensor"),
+            (lambda h: {**h, "tensors": [{**h["tensors"][0], "dtype": "f16"}]
+                        + h["tensors"][1:]}, "bad_dtype"),
+            (lambda h: {**h, "tensors": h["tensors"][:1] + [{**h["tensors"][1], "offset": 0}]
+                        + h["tensors"][2:]}, "overlap"),
+            (lambda h: {**h, "adapters": {}}, "missing_field"),
+        ],
+        ids=["no_tensors", "list", "version", "negative_offset", "dtype", "overlap",
+             "no_adapter_meta"],
+    )
+    def test_header_errors_are_coded(self, tmp_path, mutate, code):
+        p = tmp_path / "x.lmk"
+        save_collection(random_collection(seed=12), p)
+        blob = p.read_bytes()
+        (hdr_len,) = struct.unpack("<I", blob[4:8])
+        header = json.dumps(mutate(json.loads(blob[8 : 8 + hdr_len]))).encode()
+        p.write_bytes(b"LMK1" + struct.pack("<I", len(header)) + header
+                      + blob[8 + hdr_len:])
+        with pytest.raises(ContainerError) as exc:
+            load_collection(p)
+        assert exc.value.code == code
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -41,15 +41,20 @@ class TestSvd:
             want = np.linalg.svd(x, compute_uv=False)
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
-    def test_rank_deficient(self):
+    @pytest.mark.parametrize(
+        "shape,rank", [((8, 5), 2), ((24, 24), 12)], ids=["8x5-rank2", "24x24-rank12"]
+    )
+    def test_rank_deficient(self, shape, rank):
         gen = substream(2, "svd")
-        u = gen.standard_normal((8, 2))
-        v = gen.standard_normal((5, 2))
+        u = gen.standard_normal((shape[0], rank))
+        v = gen.standard_normal((shape[1], rank))
         x = u @ v.T
         res = linalg.svd(x)
-        assert np.sum(res.sigma > 1e-10 * res.sigma[0]) == 2
-        # completed null columns stay orthonormal
-        assert np.allclose(res.u.T @ res.u, np.eye(5), atol=1e-10)
+        assert np.sum(res.sigma > 1e-10 * res.sigma[0]) == rank
+        # null columns stay orthonormal
+        q = min(shape)
+        assert np.allclose(res.u.T @ res.u, np.eye(q), atol=1e-10)
+        assert np.allclose(res.v.T @ res.v, np.eye(q), atol=1e-10)
 
     def test_sign_convention(self):
         x = np.array([[2.0, 0.0], [0.0, -3.0]])
@@ -70,6 +75,14 @@ class TestSvd:
             linalg.svd(np.array([1.0, 2.0]))
         with pytest.raises(linalg.LinalgError):
             linalg.svd(np.array([[np.nan]]))
+
+    def test_non_convergence_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(linalg.LinalgError):
+            linalg.svd(np.eye(3))
 
 
 class TestGramPath:

@@ -171,9 +171,17 @@ class TestSvdMerge:
         tail = float(np.sqrt(np.sum(sigma[r:] ** 2)))
         assert residual == pytest.approx(tail, abs=1e-9 * max(sigma[0], 1.0))
 
-    def test_full_rank_exact(self):
-        coll = random_collection(seed=9, layers=("l0",), d=6, m=5, rank=2)
-        merged = mergers.merge_svd(coll, lam=0.3, target_rank=5)["l0"]
+    @pytest.mark.parametrize(
+        "kwargs,target_rank",
+        [
+            (dict(seed=9, layers=("l0",), d=6, m=5, rank=2), 5),
+            (dict(seed=0, n_tasks=2, d=24, m=24, rank=8), 24),
+        ],
+        ids=["6x5", "24x24-rank16"],
+    )
+    def test_full_rank_exact(self, kwargs, target_rank):
+        coll = random_collection(**kwargs)
+        merged = mergers.merge_svd(coll, lam=0.3, target_rank=target_rank)["l0"]
         total = 0.3 * sum(delta_weight(ad) for ad in coll.adapters["l0"])
         assert np.allclose(delta_weight(merged), total, atol=1e-10)
 
