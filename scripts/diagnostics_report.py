@@ -19,19 +19,15 @@ def main():
     for seed in range(args.seeds):
         suite = harness.generate_suite(seed=seed)
         coll = harness.finetune_all(suite, seed=seed)
-        weights = mergers.merge_ta(coll, 0.3)
+        grads = suite.task_loss_gradients(mergers.merge_ta(coll, 0.3))
         basis_b = tara.build_variant_b(coll)
         for layer in coll.layer_ids:
             rep = diagnostics.coverage_stacks(coll.adapters[layer])
             xi = diagnostics.xi_protocol(coll, suite, layer)
-            grads = [
-                suite.task_loss_gradients(i, weights)[layer]
-                for i in range(coll.n_tasks)
-            ]
             raw = diagnostics.layer_directions(coll, layer)
-            _, kappa_raw = diagnostics.anisotropy(diagnostics.jacobian(raw, grads))
+            _, kappa_raw = diagnostics.anisotropy(diagnostics.jacobian(raw, grads[layer]))
             shared = basis_b.layers[layer]
-            _, kappa_b = diagnostics.anisotropy(diagnostics.jacobian(shared, grads))
+            _, kappa_b = diagnostics.anisotropy(diagnostics.jacobian(shared, grads[layer]))
             print(
                 f"seed {seed} {layer}: per-task-sum {rep.per_task_sum:.2f} "
                 f">= aware {rep.aware_erank:.2f} >= agnostic {rep.agnostic_erank:.2f} | "

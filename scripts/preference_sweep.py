@@ -22,15 +22,15 @@ def main():
 
     suite = harness.generate_suite(seed=args.seed, n_tasks=2)
     coll = harness.finetune_all(suite, seed=args.seed)
+    r0s = np.linspace(0.02, 0.98, args.points)
+    points = tara.sweep_tara(
+        coll, suite, [np.array([r0, 1.0 - r0]) for r0 in r0s], variant=args.variant,
+        optim=tara.OptimConfig(seed=args.seed),
+    )
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho0", "rho1", "acc0", "acc1"])
-        for r0 in np.linspace(0.02, 0.98, args.points):
-            rho = np.array([r0, 1.0 - r0])
-            w, _, _ = tara.merge_tara(
-                coll, suite, rho, variant=args.variant,
-                optim=tara.OptimConfig(seed=args.seed),
-            )
+        for r0, (w, _, _) in zip(r0s, points):
             rep = harness.evaluate(w, suite)
             writer.writerow([f"{r0:.4f}", f"{1 - r0:.4f}",
                              f"{rep.normalized[0]:.4f}", f"{rep.normalized[1]:.4f}"])

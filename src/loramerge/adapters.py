@@ -144,6 +144,8 @@ class AdapterCollection:
             if layer not in self.base:
                 raise ValueError(f"missing base weight for layer {layer!r}")
             w0 = np.asarray(self.base[layer], dtype=np.float64)
+            if w0.ndim != 2:
+                raise ValueError(f"base weight of layer {layer!r} has shape {w0.shape}")
             self.base[layer] = w0
             ads = self.adapters.get(layer, [])
             if [ad.task_id for ad in ads] != self.task_ids:
@@ -230,6 +232,11 @@ def _is_count(v) -> bool:
     return type(v) is int and v >= 0
 
 
+def _is_number(v) -> bool:
+    """A JSON number that converts to a finite float (False for NaN and inf)."""
+    return type(v) in (int, float) and abs(v) < 1e308
+
+
 def _check_header(header, payload_len: int) -> None:
     """Validate the whole LMK1 header before any tensor is read."""
     if not isinstance(header, dict):
@@ -275,6 +282,12 @@ def _check_header(header, payload_len: int) -> None:
             m = meta[task].get(layer) if isinstance(meta.get(task), dict) else None
             if not (isinstance(m, dict) and {"rank", "lora_alpha", "dropout"} <= m.keys()):
                 raise ContainerError("missing_field", f"no adapter metadata for {task}/{layer}")
+            if not (type(m["rank"]) is int and _is_number(m["lora_alpha"])
+                    and _is_number(m["dropout"])):
+                raise ContainerError(
+                    "bad_metadata", f"{task}/{layer}: rank must be an integer, lora_alpha "
+                    f"and dropout finite numbers, got {m!r}"
+                )
 
 
 def load_collection(path) -> AdapterCollection:
@@ -297,9 +310,10 @@ def load_collection(path) -> AdapterCollection:
     arrays: dict[str, np.ndarray] = {}
     for rec in header["tensors"]:
         raw = payload[rec["offset"] : rec["offset"] + rec["length"]]
-        arrays[rec["key"]] = (
-            np.frombuffer(raw, dtype="<f4").reshape(rec["shape"]).astype(np.float64)
-        )
+        arr = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"])
+        if not np.all(np.isfinite(arr)):
+            raise ContainerError("non_finite", f"{rec['key']} holds NaN or infinite values")
+        arrays[rec["key"]] = arr.astype(np.float64)
 
     layer_ids = header["layer_order"]
     task_ids = header["task_order"]
@@ -317,18 +331,23 @@ def load_collection(path) -> AdapterCollection:
             except KeyError as exc:
                 raise ContainerError("size_mismatch", f"missing tensor {exc}") from exc
             m = header["adapters"][task][layer]
-            adapters[layer].append(
-                LoraAdapter(
-                    task_id=task,
-                    layer_id=layer,
-                    b=b,
-                    a=a,
-                    rank=int(m["rank"]),
-                    lora_alpha=float(m["lora_alpha"]),
-                    dropout_meta=float(m["dropout"]),
+            try:
+                adapters[layer].append(
+                    LoraAdapter(
+                        task_id=task,
+                        layer_id=layer,
+                        b=b,
+                        a=a,
+                        rank=m["rank"],
+                        lora_alpha=float(m["lora_alpha"]),
+                        dropout_meta=float(m["dropout"]),
+                    )
                 )
-            )
-    return AdapterCollection(
-        layer_ids=layer_ids, task_ids=task_ids, base=base, adapters=adapters
-    )
-
+            except ValueError as exc:  # rank or factor shapes that do not fit
+                raise ContainerError("bad_adapter", f"{task}/{layer}: {exc}") from exc
+    try:
+        return AdapterCollection(
+            layer_ids=layer_ids, task_ids=task_ids, base=base, adapters=adapters
+        )
+    except ValueError as exc:  # duplicate ids, factors that do not fit the base
+        raise ContainerError("bad_collection", str(exc)) from exc

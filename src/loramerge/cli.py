@@ -5,7 +5,11 @@ configuration (JSON file + flag overrides, flags win), creates a fresh
 directory named by timestamp and seed, and writes a manifest with the resolved
 config and sha256 of every artifact so the run can be reproduced bit-exactly.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Exit codes: 0 success; 1 runtime failure: an I/O error, or a numerical abort
+(linalg.NumericalAbort: optimizer or fine-tuning divergence, a non-finite
+entropy, SVD non-convergence); 2 usage or validation error: bad flags,
+config, preference or method parameters, or a malformed container
+(ContainerError).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import diagnostics, harness, mergers, tara
 from .adapters import AdapterCollection, load_collection, save_collection
+from .linalg import NumericalAbort
 from .rng import substream
 
 TARA_METHODS = ("tara-a", "tara-b", "adamerging")
@@ -153,17 +158,17 @@ def cmd_diagnose(args) -> int:
     if args.kappa:
         wrote = True
         doc = {}
-        weights = mergers.merge_ta(coll, args.lam)
+        grads = suite.task_loss_gradients(mergers.merge_ta(coll, args.lam))
         basis_b = tara.build_variant_b(coll)
         for layer in coll.layer_ids:
-            grads = [
-                suite.task_loss_gradients(i, weights)[layer]
-                for i in range(coll.n_tasks)
-            ]
             raw_dirs = diagnostics.layer_directions(coll, layer)
-            _, kappa_raw = diagnostics.anisotropy(diagnostics.jacobian(raw_dirs, grads))
+            _, kappa_raw = diagnostics.anisotropy(
+                diagnostics.jacobian(raw_dirs, grads[layer])
+            )
             shared = basis_b.layers[layer]
-            _, kappa_shared = diagnostics.anisotropy(diagnostics.jacobian(shared, grads))
+            _, kappa_shared = diagnostics.anisotropy(
+                diagnostics.jacobian(shared, grads[layer])
+            )
             doc[layer] = {"raw": kappa_raw, "shared_svd": kappa_shared}
         (run / "kappa.json").write_text(json.dumps(doc, indent=1))
     if not wrote:
@@ -187,32 +192,41 @@ def _save_weights(weights: dict, layer_ids: list[str], path):
     save_collection(shell, path)
 
 
+def _optim_config(config: dict) -> tara.OptimConfig:
+    return tara.OptimConfig(
+        seed=int(config.get("seed", 0)),
+        max_iters=int(config.get("iters", 500)),
+        lr=float(config.get("lr", 0.001)),
+        batch_size=int(config.get("batch_size", 16)),
+    )
+
+
+def _tara_points(coll, suite, method, prefs, config):
+    """tara-a/tara-b merges at every preference, sharing basis, anchors and
+    batch schedule; yields one (weights, phi, trace) per preference."""
+    return tara.sweep_tara(
+        coll,
+        suite,
+        prefs,
+        variant=method[-1],
+        optim=_optim_config(config),
+        alpha=float(config.get("alpha", 1.0)),
+    )
+
+
 def _merge_with_method(coll, suite, method, rho, config):
     """Dispatch any method name to merged weights; returns (weights, trace|None)."""
     if method in mergers.METHODS:
         payload = {k: v for k, v in config.items() if k != "seed"}
         cfg = mergers.MergeConfig.from_dict({"method": method, **payload})
         return mergers.run_merge(coll, cfg), None
-    optim = tara.OptimConfig(
-        seed=int(config.get("seed", 0)),
-        max_iters=int(config.get("iters", 500)),
-        lr=float(config.get("lr", 0.001)),
-        batch_size=int(config.get("batch_size", 16)),
-    )
     if method == "adamerging":
         weights, _, trace = tara.adamerging_baseline(
-            coll, suite, dataclasses.replace(optim, phi_init=0.3)
+            coll, suite, dataclasses.replace(_optim_config(config), phi_init=0.3)
         )
         return weights, trace
     if method in ("tara-a", "tara-b"):
-        weights, _, trace = tara.merge_tara(
-            coll,
-            suite,
-            rho,
-            variant=method[-1],
-            optim=optim,
-            alpha=float(config.get("alpha", 1.0)),
-        )
+        weights, _, trace = next(_tara_points(coll, suite, method, [rho], config))
         return weights, trace
     raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
 
@@ -303,12 +317,11 @@ def cmd_sweep(args) -> int:
     seed = args.seed or 0
     run = _run_dir(args.out, seed)
     config = {"seed": seed, "iters": args.iters} if args.iters else {"seed": seed}
-
-    def merge_fn(c, s, rho):
-        weights, _ = _merge_with_method(c, s, method, rho, config)
-        return weights
-
-    results = harness.sweep_preferences(coll, suite, prefs, merge_fn)
+    if method in ("tara-a", "tara-b"):
+        merged = (w for w, _, _ in _tara_points(coll, suite, method, prefs, config))
+    else:
+        merged = (_merge_with_method(coll, suite, method, rho, config)[0] for rho in prefs)
+    results = harness.sweep_preferences(suite, zip(prefs, merged))
     with open(run / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -412,10 +425,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except NumericalAbort as exc:  # before ValueError: each abort also subclasses it
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:  # UsageError, MergeError and the other coded errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failures (IO, numeric aborts)
+    except Exception as exc:  # other runtime failures (IO)
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
 

@@ -106,9 +106,11 @@ def coverage_report(coll: AdapterCollection) -> dict[str, CoverageReport]:
     return {layer: coverage_stacks(coll.adapters[layer]) for layer in coll.layer_ids}
 
 
-def jacobian(directions: FactorStack, grads: list[np.ndarray]) -> Jacobian:
-    """J[i, k] = <grad_i, S_k>_F, using <G, s u v^T> = s * u^T G v."""
-    if directions.sigma.size == 0 or not grads:
+def jacobian(directions: FactorStack, grads) -> Jacobian:
+    """J[i, k] = <grad_i, S_k>_F, using <G, s u v^T> = s * u^T G v.
+
+    grads is a list of (d, m) gradients or an (N, d, m) stack."""
+    if directions.sigma.size == 0 or len(grads) == 0:
         raise DiagnosticsError("need at least one direction and one gradient")
     shape = np.asarray(grads[0]).shape
     entries = np.zeros((len(grads), directions.sigma.size))
@@ -148,9 +150,7 @@ def _check_simplex(rho, n: int) -> np.ndarray:
     return rho
 
 
-def sensitivity_profile(
-    directions: FactorStack, grads: list[np.ndarray], rho
-) -> SensitivityProfile:
+def sensitivity_profile(directions: FactorStack, grads, rho) -> SensitivityProfile:
     """h = J^T rho: projection of the preference-scalarized gradient."""
     rho = _check_simplex(rho, len(grads))
     j = jacobian(directions, grads)
@@ -183,7 +183,7 @@ def xi_protocol(coll: AdapterCollection, suite, layer_id: str, lam: float = 0.3)
     """
     n = coll.n_tasks
     weights = mergers.merge_ta(coll, lam)
-    grads = [suite.task_loss_gradients(i, weights)[layer_id] for i in range(n)]
+    grads = suite.task_loss_gradients(weights)[layer_id][:n]  # task i of coll is suite task i
     dirs = layer_directions(coll, layer_id)
     uniform = np.full(n, 1.0 / n)
     h_uniform = sensitivity_profile(dirs, grads, uniform)

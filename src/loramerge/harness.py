@@ -18,14 +18,19 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .adapters import AdapterCollection, LoraAdapter, save_collection, load_collection
+from .linalg import NumericalAbort
 from .rng import substream
-from .tara import OptimConfig, adamw_step
+from .tara import OptimConfig, adamw_step, adaptation_pools
 
 LAYER_ID = "layer0"
 
 
 class HarnessError(ValueError):
     pass
+
+
+class HarnessAbort(HarnessError, NumericalAbort):
+    """Fine-tuning diverged."""
 
 
 @dataclass(frozen=True)
@@ -94,24 +99,44 @@ class TaskSuite:
             raise HarnessError(f"task {task} has no trained head")
         return x @ weights[LAYER_ID].T @ self.heads[task].T
 
-    def entropy_and_grad(self, task: int, weights: dict, batch: np.ndarray):
-        """Mean predictive entropy on a batch and its gradient w.r.t. W."""
+    def _stacked_heads(self, n: int) -> np.ndarray:
+        """(n, C, d) stack of the first n tasks' heads."""
+        if n > self.n_tasks:
+            raise HarnessError(f"{n} batches for a suite of {self.n_tasks} tasks")
+        missing = [i for i, h in enumerate(self.heads[:n]) if h is None]
+        if missing:
+            raise HarnessError(f"tasks {missing} have no trained head")
+        return np.stack(self.heads[:n])
+
+    def entropy_and_grad(self, weights: dict, batches: np.ndarray):
+        """Mean predictive entropy of tasks 0..n-1, each on its own batch, and
+        its gradient w.r.t. W, in one call.
+
+        batches is (n, B, m), row i scored by head i; n may be below n_tasks
+        when a merge covers only the first n tasks. weights[LAYER_ID] is one
+        (d, m) matrix shared by those tasks or an (n, d, m) stack, one per task.
+        Returns f (n,) and {LAYER_ID: (n, d, m)}.
+        """
         w = weights[LAYER_ID]
-        h = self.heads[task]
-        z = batch @ w.T                  # (B, d)
-        p = _softmax(z @ h.T)            # (B, C)
+        if w.ndim == 3 and w.shape[0] != batches.shape[0]:
+            raise HarnessError(
+                f"{w.shape[0]} per-task weights for {batches.shape[0]} batches"
+            )
+        h = self._stacked_heads(batches.shape[0])
+        z = batches @ np.swapaxes(w, -1, -2)            # (n, B, d)
+        p = _softmax(z @ np.swapaxes(h, -1, -2))         # (n, B, C)
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = np.where(p > 0, np.log(p), 0.0)
-        ent = -np.sum(p * logp, axis=1)  # (B,)
-        value = float(np.mean(ent))
+        ent = -np.sum(p * logp, axis=-1)                 # (n, B)
         # dE/dlogit_j = -p_j (log p_j + E) per sample
-        dl = -p * (logp + ent[:, None]) / batch.shape[0]
-        dz = dl @ h                      # (B, d)
-        return value, {LAYER_ID: dz.T @ batch}
+        dl = -p * (logp + ent[..., None]) / batches.shape[1]
+        dz = dl @ h                                      # (n, B, d)
+        return np.mean(ent, axis=-1), {LAYER_ID: np.swapaxes(dz, -1, -2) @ batches}
 
-    def task_loss_gradients(self, task: int, weights: dict) -> dict:
-        """Gradient of task's label-free loss at the given weights."""
-        _, grad = self.entropy_and_grad(task, weights, self.adaptation_pool(task))
+    def task_loss_gradients(self, weights: dict) -> dict:
+        """Gradient of every task's label-free loss on its whole adaptation pool,
+        {LAYER_ID: (N, d, m)}."""
+        _, grad = self.entropy_and_grad(weights, adaptation_pools(self, self.n_tasks))
         return grad
 
     def accuracy(self, task: int, weights: dict, split: str = "eval") -> float:
@@ -122,9 +147,9 @@ class TaskSuite:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=1, keepdims=True)
+    z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
@@ -215,7 +240,7 @@ def finetune_lora(
         if initial_loss is None:
             initial_loss = max(loss, 1e-12)
         elif loss > 10.0 * initial_loss:
-            raise HarnessError(
+            raise HarnessAbort(
                 f"divergence guard: loss {loss:.4g} exceeds 10x initial at step {t}"
             )
         dl = p.copy()
@@ -310,18 +335,15 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks=(1, 3, 5)) -> dict[int, f
     return {k: hits[k] / total for k in ks}
 
 
-def sweep_preferences(coll, suite, preferences, merge_fn):
-    """One merge + evaluation per preference vector.
-
-    merge_fn(coll, suite, rho) -> merged weights dict; results keep the input
-    preference order.
-    """
-    if not preferences:
+def sweep_preferences(suite, points):
+    """Evaluate merged points (rho, weights) in the order given, each as it
+    arrives, so a lazy iterable keeps one merge in memory at a time."""
+    results = [
+        (np.asarray(rho, dtype=np.float64), evaluate(weights, suite))
+        for rho, weights in points
+    ]
+    if not results:
         raise HarnessError("preference list is empty")
-    results = []
-    for rho in preferences:
-        weights = merge_fn(coll, suite, np.asarray(rho, dtype=np.float64))
-        results.append((np.asarray(rho, dtype=np.float64), evaluate(weights, suite)))
     return results
 
 

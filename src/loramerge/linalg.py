@@ -15,8 +15,19 @@ import numpy as np
 EPS_ZERO = 1e-12
 
 
+class NumericalAbort(Exception):
+    """A computation on valid input that failed numerically: divergence,
+    non-finite values or non-convergence. The CLI reports it as a runtime
+    failure (exit 1), although each module's abort also subclasses that
+    module's ValueError-based error."""
+
+
 class LinalgError(ValueError):
     pass
+
+
+class LinalgAbort(LinalgError, NumericalAbort):
+    """LAPACK did not converge."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +64,7 @@ def svd(x) -> SvdResult:
     try:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise LinalgError(f"SVD did not converge: {exc}") from exc
+        raise LinalgAbort(f"SVD did not converge: {exc}") from exc
     q = sigma.size
     flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(q)] < 0, -1.0, 1.0)
     return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)

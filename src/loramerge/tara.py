@@ -25,6 +25,7 @@ import numpy as np
 from . import linalg
 from .adapters import AdapterCollection, FactorStack, delta_weight, rank1_stack
 from .diagnostics import _check_simplex
+from .linalg import NumericalAbort
 from .rng import substream
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
@@ -32,6 +33,10 @@ RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
 
 class TaraError(ValueError):
     pass
+
+
+class TaraAbort(TaraError, NumericalAbort):
+    """The optimizer diverged or met a non-finite entropy."""
 
 
 @dataclass
@@ -182,18 +187,26 @@ def entropy_loss(probs) -> float:
     return float(np.mean(-np.sum(terms, axis=1)))
 
 
+def adaptation_pools(suite, n_tasks: int) -> np.ndarray:
+    """(n, P, m) stack of the first n_tasks adaptation pools of the suite.
+    Every pool must be nonempty and all of one size P."""
+    pools = [suite.adaptation_pool(i) for i in range(n_tasks)]
+    sizes = [pool.shape[0] for pool in pools]
+    if 0 in sizes:
+        raise TaraError(f"task {sizes.index(0)} has no adaptation batches")
+    if len(set(sizes)) > 1:
+        raise TaraError(f"adaptation pools differ in size, rows per task: {sizes}")
+    return np.stack(pools)
+
+
 def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
-    """z_i: mean entropy on task i's adaptation pool with only adapter i applied."""
-    z = np.zeros(coll.n_tasks)
-    for i in range(coll.n_tasks):
-        weights = {
-            layer: coll.base[layer] + delta_weight(coll.adapters[layer][i])
-            for layer in coll.layer_ids
-        }
-        pool = suite.adaptation_pool(i)
-        if pool.shape[0] == 0:
-            raise TaraError(f"task {i} has no adaptation batches")
-        z[i], _ = suite.entropy_and_grad(i, weights, pool)
+    """z_i: mean entropy on task i's adaptation pool with only adapter i applied,
+    for all tasks in one suite call."""
+    weights = {
+        layer: np.stack([coll.base[layer] + delta_weight(ad) for ad in coll.adapters[layer]])
+        for layer in coll.layer_ids
+    }
+    z, _ = suite.entropy_and_grad(weights, adaptation_pools(suite, coll.n_tasks))
     return z
 
 
@@ -204,50 +217,40 @@ def stch_objective(f, z, rho, alpha: float = 1.0) -> float:
     rho = _check_simplex(rho, f.size)
     if alpha <= 0:
         raise TaraError("alpha must be positive")
-    t = rho * np.abs(f - z) / alpha
-    tmax = float(np.max(t))
-    return float(alpha * (tmax + np.log(np.sum(np.exp(t - tmax)))))
+    return _stch(f, z, rho, alpha)[0]
 
 
-def _objective_weights(f, z, rho, alpha) -> np.ndarray:
-    """dPsi/df_i for the smoothed scalarization, with a deadband at the anchor."""
-    r = np.asarray(f) - np.asarray(z)
+def _stch(f, z, rho, alpha):
+    """The smoothed scalarization and dPsi/df_i, with a deadband at the anchor."""
+    r = f - z
     t = rho * np.abs(r) / alpha
-    t = t - np.max(t)
-    w = np.exp(t)
-    w = w / np.sum(w)
-    grad = w * rho * np.sign(r)
+    tmax = np.max(t)
+    e = np.exp(t - tmax)
+    total = np.sum(e)
+    grad = e / total * rho * np.sign(r)
     grad[np.abs(r) < RESIDUAL_DEADBAND] = 0.0
-    return grad
+    return float(alpha * (tmax + np.log(total))), grad
 
 
-def _phi_gradient_from_weight_grads(
-    basis: DirectionBasis, weight_grads: list[dict[str, np.ndarray]], dpsi_df: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Project d/dW gradients onto basis components: g_k = <sum_i c_i G_i, C_k>,
-    summed over the columns that share each phi entry."""
-    grad = {}
-    for layer in basis.layer_ids:
-        g = sum(c * wg[layer] for c, wg in zip(dpsi_df, weight_grads))
-        grad[layer] = np.bincount(
+def _phi_gradient(basis: DirectionBasis, weight_grads: dict, dpsi_df: np.ndarray):
+    """g_k = <sum_i c_i G_i, C_k> for every basis component, summed over the
+    columns that share each phi entry."""
+    return {
+        layer: np.bincount(
             basis.groups[layer],
-            weights=basis.layers[layer].project(g),
+            weights=basis.layers[layer].project(np.tensordot(dpsi_df, weight_grads[layer], 1)),
             minlength=basis.k(layer),
         )
-    return grad
+        for layer in basis.layer_ids
+    }
 
 
 def _evaluate(basis, phi, suite, batches):
-    """Per-task entropies and weight gradients at W(phi) on the given batches."""
-    weights = assemble(basis, phi)
-    f = np.zeros(basis.n_tasks)
-    weight_grads = []
-    for i in range(basis.n_tasks):
-        fi, gw = suite.entropy_and_grad(i, weights, batches[i])
-        f[i] = fi
-        weight_grads.append(gw)
+    """Per-task entropies f (N,) and weight gradients {layer: (N, d, m)} at W(phi)
+    on (N, B, m) batches, in one suite call."""
+    f, weight_grads = suite.entropy_and_grad(assemble(basis, phi), batches)
     if not np.all(np.isfinite(f)):
-        raise TaraError("non-finite entropy encountered")
+        raise TaraAbort("non-finite entropy encountered")
     return f, weight_grads
 
 
@@ -255,18 +258,19 @@ def stch_value_and_grad(
     basis: DirectionBasis,
     phi: dict[str, np.ndarray],
     suite,
-    rho,
+    rho: np.ndarray,
     cfg: StchConfig,
-    batches: dict[int, np.ndarray],
+    batches: np.ndarray,
 ):
-    """Objective value, d/dphi, and per-task entropies on fixed batches."""
-    rho = _check_simplex(rho, basis.n_tasks)
-    if cfg.anchors is None:
+    """Objective value, d/dphi, and per-task entropies on (N, B, m) batches.
+
+    rho must be a simplex vector of length N; optimize checks it once per run.
+    """
+    if cfg is None or cfg.anchors is None:
         raise TaraError("anchors must be computed before optimization")
     f, weight_grads = _evaluate(basis, phi, suite, batches)
-    psi = stch_objective(f, cfg.anchors, rho, cfg.alpha)
-    dpsi_df = _objective_weights(f, cfg.anchors, rho, cfg.alpha)
-    return psi, _phi_gradient_from_weight_grads(basis, weight_grads, dpsi_df), f
+    psi, dpsi_df = _stch(f, cfg.anchors, rho, cfg.alpha)
+    return psi, _phi_gradient(basis, weight_grads, dpsi_df), f
 
 
 def mean_entropy_value_and_grad(basis, phi, suite, batches):
@@ -274,7 +278,7 @@ def mean_entropy_value_and_grad(basis, phi, suite, batches):
     f, weight_grads = _evaluate(basis, phi, suite, batches)
     dpsi_df = np.full(basis.n_tasks, 1.0 / basis.n_tasks)
     value = float(np.mean(f))
-    return value, _phi_gradient_from_weight_grads(basis, weight_grads, dpsi_df), f
+    return value, _phi_gradient(basis, weight_grads, dpsi_df), f
 
 
 def adamw_step(params, grads, m, v, t, cfg: OptimConfig):
@@ -291,13 +295,20 @@ def adamw_step(params, grads, m, v, t, cfg: OptimConfig):
         )
 
 
-def _sample_batches(suite, n_tasks, step, cfg: OptimConfig) -> dict[int, np.ndarray]:
-    batches = {}
-    for i in range(n_tasks):
-        pool = suite.adaptation_pool(i)
-        idx = substream(cfg.seed, "batch", step, i).integers(0, pool.shape[0], cfg.batch_size)
-        batches[i] = pool[idx]
-    return batches
+def batch_schedule(suite, n_tasks: int, cfg: OptimConfig) -> np.ndarray:
+    """(max_iters, N, B) pool indices of every step's batches, drawn up front.
+
+    Step t's batch for task i comes from the (seed, "batch", t, i) stream, so the
+    schedule does not depend on the preference and a sweep can share it.
+    """
+    pool = adaptation_pools(suite, n_tasks).shape[1]
+    idx = np.empty((cfg.max_iters, n_tasks, cfg.batch_size), dtype=np.int64)
+    for step in range(cfg.max_iters):
+        for i in range(n_tasks):
+            idx[step, i] = substream(cfg.seed, "batch", step, i).integers(
+                0, pool, cfg.batch_size
+            )
+    return idx
 
 
 def optimize(
@@ -307,22 +318,33 @@ def optimize(
     cfg: OptimConfig,
     stch: StchConfig | None = None,
     objective: str = "stch",
+    schedule: np.ndarray | None = None,
 ):
-    """AdamW loop over phi with fresh per-task batches each step.
+    """AdamW loop over phi; each step scores all tasks on fresh batches in one
+    suite call.
 
     objective 'stch' uses the anchored scalarization under rho; 'mean_entropy'
-    ignores rho/anchors (AdaMerging). Aborts if the objective exceeds 10x its
-    initial value or is NaN. Returns (phi, trace).
+    ignores rho/anchors (AdaMerging). schedule is the batch_schedule to follow;
+    None draws it. Aborts if the objective exceeds 10x its initial value or is
+    NaN. Returns (phi, trace).
     """
     if objective not in ("stch", "mean_entropy"):
         raise TaraError(f"unknown objective {objective!r}")
+    if objective == "stch":
+        rho = _check_simplex(rho, basis.n_tasks)
+    pools = adaptation_pools(suite, basis.n_tasks)
+    if schedule is None:
+        schedule = batch_schedule(suite, basis.n_tasks, cfg)
+    if schedule.shape != (cfg.max_iters, basis.n_tasks, cfg.batch_size):
+        raise TaraError(f"batch schedule of shape {schedule.shape} does not fit cfg")
+    tasks = np.arange(basis.n_tasks)[:, None]
     phi = basis.init_phi(cfg.phi_init)
     m = {l: np.zeros_like(phi[l]) for l in phi}
     v = {l: np.zeros_like(phi[l]) for l in phi}
     trace = OptimTrace()
     initial = None
     for step in range(cfg.max_iters):
-        batches = _sample_batches(suite, basis.n_tasks, step, cfg)
+        batches = pools[tasks, schedule[step]]
         if objective == "stch":
             value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
         else:
@@ -331,12 +353,39 @@ def optimize(
         if initial is None:
             initial = value
         elif not value <= 10.0 * initial:
-            raise TaraError(
+            raise TaraAbort(
                 f"divergence guard: objective {value:.4g} exceeds 10x initial "
                 f"{initial:.4g} at step {step}"
             )
         adamw_step(phi, grad, m, v, step + 1, cfg)
     return phi, trace
+
+
+def sweep_tara(
+    coll: AdapterCollection,
+    suite,
+    rhos,
+    variant: str = "b",
+    optim: OptimConfig | None = None,
+    alpha: float = 1.0,
+    shared_rank: int | None = None,
+):
+    """TARA merges at each preference in rhos. The basis, the anchors and the
+    batch schedule do not depend on the preference, so they are built once and
+    shared by every point. Yields one (weights, phi, trace) per preference as
+    it is finished, so a caller that consumes each point holds one at a time."""
+    optim = optim or OptimConfig()
+    if variant == "a":
+        basis = build_variant_a(coll)
+    elif variant == "b":
+        basis = build_variant_b(coll, shared_rank)
+    else:
+        raise TaraError(f"unknown variant {variant!r}")
+    stch = StchConfig(alpha=alpha, anchors=compute_anchors(coll, suite))
+    schedule = batch_schedule(suite, coll.n_tasks, optim)
+    for rho in rhos:
+        phi, trace = optimize(basis, suite, rho, optim, stch, schedule=schedule)
+        yield assemble(basis, phi), phi, trace
 
 
 def merge_tara(
@@ -348,17 +397,9 @@ def merge_tara(
     alpha: float = 1.0,
     shared_rank: int | None = None,
 ):
-    """End-to-end merge: build basis, compute anchors, optimize, assemble."""
-    optim = optim or OptimConfig()
-    if variant == "a":
-        basis = build_variant_a(coll)
-    elif variant == "b":
-        basis = build_variant_b(coll, shared_rank)
-    else:
-        raise TaraError(f"unknown variant {variant!r}")
-    stch = StchConfig(alpha=alpha, anchors=compute_anchors(coll, suite))
-    phi, trace = optimize(basis, suite, rho, optim, stch)
-    return assemble(basis, phi), phi, trace
+    """End-to-end merge at one preference: build basis, compute anchors,
+    optimize, assemble."""
+    return next(sweep_tara(coll, suite, [rho], variant, optim, alpha, shared_rank))
 
 
 def adamerging_baseline(

@@ -140,7 +140,7 @@ def test_gradient_correctness():
     coll = harness.finetune_all(suite, rank=4, steps=200, seed=0)
     stch = tara.StchConfig(anchors=tara.compute_anchors(coll, suite))
     rho = np.array([0.3, 0.7])
-    batches = {i: suite.adaptation_pool(i)[:16] for i in range(2)}
+    batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(2)])
     worst = {"a": 0.0, "b": 0.0}
     for variant in ("a", "b"):
         basis = (

@@ -16,6 +16,12 @@ from loramerge.adapters import (
 from loramerge.rng import substream
 
 
+def _meta(header, **fields):
+    """The header with fields replaced in task0/l0's adapter metadata."""
+    header["adapters"]["task0"]["l0"].update(fields)
+    return header
+
+
 class TestLoraAdapter:
     def test_scale(self):
         ad = LoraAdapter("t", "l", np.zeros((4, 2)), np.zeros((3, 2)), rank=2,
@@ -141,9 +147,16 @@ class TestContainer:
             (lambda h: {**h, "tensors": h["tensors"][:1] + [{**h["tensors"][1], "offset": 0}]
                         + h["tensors"][2:]}, "overlap"),
             (lambda h: {**h, "adapters": {}}, "missing_field"),
+            (lambda h: _meta(h, rank=3), "bad_adapter"),
+            (lambda h: _meta(h, rank="2"), "bad_metadata"),
+            (lambda h: _meta(h, lora_alpha="16"), "bad_metadata"),
+            (lambda h: {**h, "tensors": [{**h["tensors"][0], "shape": [6, 8]}]
+                        + h["tensors"][1:]}, "bad_collection"),
+            (lambda h: {**h, "task_order": ["task0", "task0", "task2"]}, "bad_collection"),
         ],
         ids=["no_tensors", "list", "version", "negative_offset", "dtype", "overlap",
-             "no_adapter_meta"],
+             "no_adapter_meta", "rank", "rank_string", "alpha_string", "base_shape",
+             "duplicate_task"],
     )
     def test_header_errors_are_coded(self, tmp_path, mutate, code):
         p = tmp_path / "x.lmk"
@@ -156,6 +169,43 @@ class TestContainer:
         with pytest.raises(ContainerError) as exc:
             load_collection(p)
         assert exc.value.code == code
+
+    @pytest.mark.parametrize("key", ["__base__/l0/W", "task1/l1/A"], ids=["base", "adapter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_payload_is_coded(self, tmp_path, key, value):
+        p = tmp_path / "x.lmk"
+        save_collection(random_collection(seed=12), p)
+        blob = bytearray(p.read_bytes())
+        (hdr_len,) = struct.unpack("<I", blob[4:8])
+        (rec,) = [r for r in json.loads(blob[8 : 8 + hdr_len])["tensors"] if r["key"] == key]
+        at = 8 + hdr_len + rec["offset"] + 4
+        blob[at : at + 4] = struct.pack("<f", value)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError) as exc:
+            load_collection(p)
+        assert exc.value.code == "non_finite"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_mutation_loads_or_raises_container_error(self, data):
+        """Any one-byte replacement, insertion or deletion of a valid container
+        either loads or raises ContainerError, and nothing else."""
+        import tempfile
+        from pathlib import Path
+
+        coll = random_collection(seed=13, n_tasks=2, layers=("l0",), d=6, m=5, rank=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "c.lmk"
+            save_collection(coll, p)
+            blob = p.read_bytes()
+            pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+            kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="kind")
+            byte = b"" if kind == "delete" else bytes([data.draw(st.integers(0, 255))])
+            p.write_bytes(blob[:pos] + byte + blob[pos + (kind != "insert"):])
+            try:
+                load_collection(p)
+            except ContainerError:
+                pass
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loramerge import harness
 from loramerge.cli import main
 
 FAST_TRAIN = [
@@ -119,6 +120,55 @@ class TestMerge:
             str(tmp_path / "missing.json"), "--method", "ta",
             "--out", str(tmp_path / "runs"),
         ]) == 1
+
+
+class TestExitCodes:
+    """0 success, 1 runtime failure (numerical aborts included), 2 usage or
+    validation error."""
+
+    def test_success_exits_0(self, tmp_path):
+        container, sidecar, out = _train(tmp_path)
+        assert main([
+            "sweep", str(container), "--sidecar", str(sidecar), "--method", "tara-a",
+            "--random", "2", "--iters", "10", "--out", str(out / "sweep"),
+        ]) == 0
+        (run,) = (out / "sweep").iterdir()
+        assert len((run / "sweep.csv").read_text().splitlines()) == 3  # header + 2 points
+
+    @pytest.mark.parametrize("abort", ["svd", "entropy", "finetune"])
+    def test_numerical_abort_exits_1(self, tmp_path, monkeypatch, capsys, abort):
+        container, sidecar, out = _train(tmp_path)
+        src = [str(container), "--sidecar", str(sidecar), "--out", str(out)]
+        if abort == "svd":
+            def no_convergence(*args, **kwargs):
+                raise np.linalg.LinAlgError("SVD did not converge")
+
+            monkeypatch.setattr(np.linalg, "svd", no_convergence)
+            argv = ["merge", *src, "--method", "tara-b", "--iters", "3"]
+        elif abort == "entropy":
+            real = harness.TaskSuite.entropy_and_grad
+
+            def nan_entropy(self, *args):
+                f, grads = real(self, *args)
+                return np.full_like(f, np.nan), grads
+
+            monkeypatch.setattr(harness.TaskSuite, "entropy_and_grad", nan_entropy)
+            argv = ["merge", *src, "--method", "tara-a", "--iters", "3"]
+        else:  # a learning rate this large trips the fine-tuning divergence guard
+            argv = ["train-toy", "--out", str(tmp_path / "diverged"), *FAST_TRAIN,
+                    "--lr", "100"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("runtime failure:")
+
+    def test_validation_error_exits_2(self, tmp_path, capsys):
+        container, sidecar, out = _train(tmp_path)
+        capsys.readouterr()
+        assert main([
+            "merge", str(container), "--sidecar", str(sidecar), "--method", "tara-b",
+            "--alpha", "-1", "--iters", "3", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha must be positive")
 
 
 class TestSweep:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from loramerge import harness, mergers
+from loramerge import harness, mergers, tara
 from loramerge.harness import HarnessError, SuiteConfig
+from loramerge.rng import substream
 
 
 class TestGeneration:
@@ -149,6 +150,83 @@ class TestJointEval:
         assert hits[5] == 1.0  # union has exactly 5 labels
 
 
+def _per_task_entropy_and_grad(head, w, batch):
+    """Per-task reference for the batched suite call: one task, one (d, m) W."""
+    logits = batch @ w.T @ head.T
+    e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    p = e / np.sum(e, axis=1, keepdims=True)
+    logp = np.log(p)
+    ent = -np.sum(p * logp, axis=1)
+    dl = -p * (logp + ent[:, None]) / batch.shape[0]
+    return float(np.mean(ent)), (dl @ head).T @ batch
+
+
+class _PerTaskSuite:
+    """The suite scored one task per call by the per-task reference."""
+
+    def __init__(self, suite):
+        self.suite = suite
+
+    def adaptation_pool(self, task):
+        return self.suite.adaptation_pool(task)
+
+    def entropy_and_grad(self, weights, batches):
+        w = weights["layer0"]
+        out = [
+            _per_task_entropy_and_grad(self.suite.heads[i], w[i] if w.ndim == 3 else w, b)
+            for i, b in enumerate(batches)
+        ]
+        return np.array([f for f, _ in out]), {"layer0": np.stack([g for _, g in out])}
+
+
+class TestEntropyAndGrad:
+    @pytest.mark.parametrize("per_task", [False, True], ids=["shared", "per_task"])
+    def test_matches_per_task_loop(self, default_suite, per_task):
+        suite, _ = default_suite
+        n, w0 = suite.n_tasks, suite.base["layer0"]
+        gen = substream(31, "weights")
+        w = w0 + 0.3 * gen.standard_normal(((n,) if per_task else ()) + w0.shape)
+        batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(n)])
+        f, grads = suite.entropy_and_grad({"layer0": w}, batches)
+        assert f.shape == (n,) and grads["layer0"].shape == (n,) + w0.shape
+        for i in range(n):
+            want_f, want_g = _per_task_entropy_and_grad(
+                suite.heads[i], w[i] if per_task else w, batches[i]
+            )
+            assert abs(f[i] - want_f) <= 1e-12
+            assert np.max(np.abs(grads["layer0"][i] - want_g)) <= 1e-12
+
+    @pytest.mark.parametrize("tasks", [["task0"], ["task0", "task1"]], ids=["one", "two"])
+    def test_merge_of_fewer_tasks_than_the_suite(self, default_suite, tasks):
+        """A collection of the suite's first n tasks is scored by heads 0..n-1 only."""
+        suite, coll = default_suite
+        sub = coll.subset(tasks)
+        reference = _PerTaskSuite(suite)
+        z = tara.compute_anchors(sub, suite)
+        assert z.shape == (len(tasks),)
+        assert np.max(np.abs(z - tara.compute_anchors(sub, reference))) <= 1e-12
+        rho = np.full(len(tasks), 1.0 / len(tasks))
+        cfg = tara.OptimConfig(max_iters=20)
+        got, _, _ = tara.merge_tara(sub, suite, rho, optim=cfg)
+        want, _, _ = tara.merge_tara(sub, reference, rho, optim=cfg)
+        assert np.max(np.abs(got["layer0"] - want["layer0"])) <= 1e-10
+
+    def test_rows_must_fit_the_suite(self, small_suite):
+        suite, _ = small_suite
+        batches = np.stack([suite.adaptation_pool(i)[:4] for i in range(2)])
+        with pytest.raises(HarnessError, match="suite of 2 tasks"):
+            suite.entropy_and_grad(dict(suite.base), np.concatenate([batches, batches[:1]]))
+        stacked = np.stack([suite.base["layer0"]] * 3)
+        with pytest.raises(HarnessError, match="3 per-task weights for 2 batches"):
+            suite.entropy_and_grad({"layer0": stacked}, batches)
+
+    def test_missing_head(self):
+        suite = harness.generate_suite(seed=0, n_tasks=2, n_train=20, n_eval=10, n_adapt=10)
+        batches = np.stack([suite.adaptation_pool(i) for i in range(2)])
+        with pytest.raises(HarnessError, match="no trained head"):
+            suite.entropy_and_grad(dict(suite.base), batches)
+
+
 class TestSweepAndSplit:
     def test_sweep_orders_and_errors(self, small_suite):
         suite, coll = small_suite
@@ -157,11 +235,12 @@ class TestSweepAndSplit:
             return mergers.merge_ta(c, float(rho[0]))
 
         prefs = [np.array([0.2, 0.8]), np.array([0.8, 0.2])]
-        results = harness.sweep_preferences(coll, suite, prefs, merge_fn)
+        points = ((rho, merge_fn(coll, suite, rho)) for rho in prefs)
+        results = harness.sweep_preferences(suite, points)
         assert len(results) == 2
         assert np.array_equal(results[0][0], prefs[0])
         with pytest.raises(HarnessError):
-            harness.sweep_preferences(coll, suite, [], merge_fn)
+            harness.sweep_preferences(suite, [])
 
     def test_unseen_split(self, small_suite):
         suite, coll = small_suite

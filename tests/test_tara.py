@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,7 +203,7 @@ class TestGradient:
     @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
     def test_matches_finite_differences(self, variant, small_suite):
         suite, coll = small_suite
-        batches = {i: suite.adaptation_pool(i)[:16] for i in range(2)}
+        batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(2)])
         if variant == "adamerging":
             basis = tara.build_adamerging(coll)
 
@@ -231,7 +233,7 @@ class TestGradient:
     def test_requires_anchors(self, small_suite):
         suite, coll = small_suite
         basis = build_variant_a(coll)
-        batches = {i: suite.adaptation_pool(i)[:8] for i in range(2)}
+        batches = np.stack([suite.adaptation_pool(i)[:8] for i in range(2)])
         with pytest.raises(TaraError):
             stch_value_and_grad(
                 basis, basis.init_phi(0.4), suite, [0.5, 0.5], StchConfig(), batches
@@ -242,11 +244,8 @@ class TestGradient:
         suite, coll = small_suite
         basis = build_variant_a(coll)
         phi = basis.init_phi(0.4)
-        batches = {i: suite.adaptation_pool(i)[:16] for i in range(2)}
-        weights = assemble(basis, phi)
-        f = np.array([
-            suite.entropy_and_grad(i, weights, batches[i])[0] for i in range(2)
-        ])
+        batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(2)])
+        f, _ = suite.entropy_and_grad(assemble(basis, phi), batches)
         stch = StchConfig(anchors=f)
         _, grad, _ = stch_value_and_grad(basis, phi, suite, [0.5, 0.5], stch, batches)
         for layer in grad:
@@ -258,23 +257,23 @@ class TestAnchors:
         suite, coll = small_suite
         z = compute_anchors(coll, suite)
         assert z.shape == (2,)
+        pools = np.stack([suite.adaptation_pool(i) for i in range(2)])
         for i in range(2):
             weights = {
                 l: coll.base[l] + delta_weight(coll.adapters[l][i])
                 for l in coll.layer_ids
             }
-            want, _ = suite.entropy_and_grad(i, weights, suite.adaptation_pool(i))
-            assert z[i] == pytest.approx(want, abs=1e-15)
+            want, _ = suite.entropy_and_grad(weights, pools)
+            assert z[i] == pytest.approx(want[i], abs=1e-15)
 
     def test_anchor_not_above_base_entropy(self, small_suite):
         """A fine-tuned adapter should be at least as confident as the base."""
         suite, coll = small_suite
         z = compute_anchors(coll, suite)
+        pools = np.stack([suite.adaptation_pool(i) for i in range(2)])
+        base_ent, _ = suite.entropy_and_grad(dict(coll.base), pools)
         for i in range(2):
-            base_ent, _ = suite.entropy_and_grad(
-                i, dict(coll.base), suite.adaptation_pool(i)
-            )
-            assert z[i] <= base_ent + 1e-9
+            assert z[i] <= base_ent[i] + 1e-9
 
 
 class TestOptimize:
@@ -321,6 +320,11 @@ class TestOptimize:
         tail = np.mean(trace.objective[-20:])
         assert tail <= head + 1e-9
 
+    def test_stch_without_anchors(self, small_suite):
+        suite, coll = small_suite
+        with pytest.raises(TaraError, match="anchors"):
+            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(max_iters=1))
+
     def test_unknown_objective(self, small_suite):
         suite, coll = small_suite
         basis = build_variant_a(coll)
@@ -343,6 +347,51 @@ class TestOptimize:
                      stch)
 
 
+class TestSweep:
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_points_match_merge_tara(self, small_suite, variant):
+        suite, coll = small_suite
+        cfg = OptimConfig(max_iters=25, seed=4)
+        rhos = [np.array([0.5, 0.5]), np.array([0.9, 0.1]), np.array([0.2, 0.8])]
+        points = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
+        assert len(points) == len(rhos)
+        for rho, (weights, phi, trace) in zip(rhos, points):
+            want_w, want_phi, want_trace = tara.merge_tara(
+                coll, suite, rho, variant=variant, optim=cfg
+            )
+            for layer in coll.layer_ids:
+                assert np.array_equal(weights[layer], want_w[layer])
+                assert np.array_equal(phi[layer], want_phi[layer])
+            assert trace.objective == want_trace.objective
+            assert all(map(np.array_equal, trace.per_task, want_trace.per_task))
+
+    def test_schedule_must_fit_config(self, small_suite):
+        suite, coll = small_suite
+        stch = StchConfig(anchors=compute_anchors(coll, suite))
+        schedule = tara.batch_schedule(suite, 2, OptimConfig(max_iters=3))
+        with pytest.raises(TaraError, match="batch schedule"):
+            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(max_iters=4),
+                     stch, schedule=schedule)
+
+    def test_unequal_pools_are_rejected(self, small_suite):
+        suite, coll = small_suite
+        short = dataclasses.replace(suite.tasks[1], adapt_x=suite.tasks[1].adapt_x[:-1])
+        uneven = dataclasses.replace(suite, tasks=[suite.tasks[0], short])
+        with pytest.raises(TaraError, match="differ in size"):
+            tara.merge_tara(coll, uneven, [0.5, 0.5], optim=OptimConfig(max_iters=2))
+
+    def test_schedule_matches_streams(self, small_suite):
+        suite, _ = small_suite
+        cfg = OptimConfig(max_iters=5, batch_size=7, seed=9)
+        idx = tara.batch_schedule(suite, 2, cfg)
+        assert idx.shape == (5, 2, 7)
+        for step in range(5):
+            for i in range(2):
+                pool = suite.adaptation_pool(i).shape[0]
+                want = substream(9, "batch", step, i).integers(0, pool, 7)
+                assert np.array_equal(idx[step, i], want)
+
+
 class _ConstantSuite:
     """Suite stand-in with a fixed entropy and a zero weight gradient."""
 
@@ -352,8 +401,11 @@ class _ConstantSuite:
     def adaptation_pool(self, task):
         return np.zeros((4, 6))
 
-    def entropy_and_grad(self, task, weights, batch):
-        return self.entropy, {l: np.zeros_like(w) for l, w in weights.items()}
+    def entropy_and_grad(self, weights, batches):
+        n = len(batches)
+        return np.full(n, self.entropy), {
+            l: np.zeros((n,) + w.shape[-2:]) for l, w in weights.items()
+        }
 
 
 class TestAdamerging:
