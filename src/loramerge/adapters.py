@@ -7,7 +7,9 @@ with a consistent task order across layers.
 
 Storage is the LMK1 container: magic "LMK1", u32-LE header length, a UTF-8
 JSON header describing tensors, then concatenated row-major little-endian
-float32 payloads. Round trips are bit-exact on the 32-bit payload.
+payloads of dtype f32, f64 or i64. Collection tensors are stored as f32, and
+their round trips are bit-exact on the 32-bit payload; extra keyed tensors
+written beside a collection keep their f64 or i64 values exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import numpy as np
 MAGIC = b"LMK1"
 FORMAT_VERSION = 1
 BASE_TASK_KEY = "__base__"
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "i64": np.dtype("<i8")}
+_DTYPE_CODES = {dt.name: code for code, dt in DTYPES.items()}
 
 
 class ContainerError(ValueError):
@@ -184,23 +188,35 @@ class AdapterCollection:
 def _tensor_entries(coll: AdapterCollection):
     """Deterministic tensor order: base weights first, then adapters by (layer, task)."""
     for layer in coll.layer_ids:
-        yield f"{BASE_TASK_KEY}/{layer}/W", coll.base[layer], None
+        yield f"{BASE_TASK_KEY}/{layer}/W", "f32", coll.base[layer], None
     for layer in coll.layer_ids:
         for ad in coll.adapters[layer]:
-            yield f"{ad.task_id}/{layer}/B", ad.b, ad
-            yield f"{ad.task_id}/{layer}/A", ad.a, ad
+            yield f"{ad.task_id}/{layer}/B", "f32", ad.b, ad
+            yield f"{ad.task_id}/{layer}/A", "f32", ad.a, ad
 
 
-def save_collection(coll: AdapterCollection, path):
+def save_collection(coll: AdapterCollection, path, extra: dict | None = None):
+    """Write coll as f32 tensors, then each extra keyed tensor in sorted key
+    order with its own dtype (float32, float64 or int64)."""
+    entries = list(_tensor_entries(coll))
+    extra = extra or {}
+    clash = sorted(set(extra) & {key for key, *_ in entries})
+    if clash:
+        raise ContainerError("duplicate_key", f"extra tensors clash with collection keys {clash}")
+    for key in sorted(extra):
+        arr = np.asarray(extra[key])
+        if arr.dtype.name not in _DTYPE_CODES:
+            raise ContainerError("bad_dtype", f"{key}: cannot store dtype {arr.dtype}")
+        entries.append((key, _DTYPE_CODES[arr.dtype.name], arr, None))
     tensors = []
     payload = bytearray()
     meta = {}
-    for key, arr, ad in _tensor_entries(coll):
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    for key, code, arr, ad in entries:
+        data = np.ascontiguousarray(arr, dtype=DTYPES[code]).tobytes()
         tensors.append(
             {
                 "key": key,
-                "dtype": "f32",
+                "dtype": code,
                 "shape": list(arr.shape),
                 "offset": len(payload),
                 "length": len(data),
@@ -232,7 +248,7 @@ def _is_count(v) -> bool:
     return type(v) is int and v >= 0
 
 
-def _is_number(v) -> bool:
+def is_finite_number(v) -> bool:
     """A JSON number that converts to a finite float (False for NaN and inf)."""
     return type(v) in (int, float) and abs(v) < 1e308
 
@@ -261,13 +277,14 @@ def _check_header(header, payload_len: int) -> None:
         key = rec["key"]
         if key in spans:
             raise ContainerError("duplicate_key", key)
-        if rec.get("dtype") != "f32":
+        if not (isinstance(rec.get("dtype"), str) and rec["dtype"] in DTYPES):
             raise ContainerError("bad_dtype", f"{key}: unsupported dtype {rec.get('dtype')!r}")
-        if rec["length"] != 4 * math.prod(rec["shape"]):
+        size = DTYPES[rec["dtype"]].itemsize
+        if rec["length"] != size * math.prod(rec["shape"]):
             raise ContainerError(
                 "size_mismatch",
                 f"{key}: header declares shape {rec['shape']} but payload holds "
-                f"{rec['length'] // 4} floats",
+                f"{rec['length'] // size} values",
             )
         if rec["offset"] + rec["length"] > payload_len:
             raise ContainerError("truncated", f"{key}: payload extends past end of file")
@@ -282,15 +299,17 @@ def _check_header(header, payload_len: int) -> None:
             m = meta[task].get(layer) if isinstance(meta.get(task), dict) else None
             if not (isinstance(m, dict) and {"rank", "lora_alpha", "dropout"} <= m.keys()):
                 raise ContainerError("missing_field", f"no adapter metadata for {task}/{layer}")
-            if not (type(m["rank"]) is int and _is_number(m["lora_alpha"])
-                    and _is_number(m["dropout"])):
+            if not (type(m["rank"]) is int and is_finite_number(m["lora_alpha"])
+                    and is_finite_number(m["dropout"])):
                 raise ContainerError(
                     "bad_metadata", f"{task}/{layer}: rank must be an integer, lora_alpha "
                     f"and dropout finite numbers, got {m!r}"
                 )
 
 
-def load_collection(path) -> AdapterCollection:
+def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
+    """Validate and read an LMK1 file: its collection, and every other tensor
+    by key with its stored dtype."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
@@ -304,32 +323,35 @@ def load_collection(path) -> AdapterCollection:
         header = json.loads(blob[8 : 8 + hdr_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError("bad_header", str(exc)) from exc
-    payload = blob[8 + hdr_len :]
+    payload = memoryview(blob)[8 + hdr_len :]
     _check_header(header, len(payload))
 
     arrays: dict[str, np.ndarray] = {}
     for rec in header["tensors"]:
         raw = payload[rec["offset"] : rec["offset"] + rec["length"]]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"])
+        arr = np.frombuffer(raw, dtype=DTYPES[rec["dtype"]]).reshape(rec["shape"])
         if not np.all(np.isfinite(arr)):
             raise ContainerError("non_finite", f"{rec['key']} holds NaN or infinite values")
-        arrays[rec["key"]] = arr.astype(np.float64)
+        arrays[rec["key"]] = arr
 
     layer_ids = header["layer_order"]
     task_ids = header["task_order"]
+    own = set()
     base = {}
     adapters: dict[str, list[LoraAdapter]] = {l: [] for l in layer_ids}
     for layer in layer_ids:
         bkey = f"{BASE_TASK_KEY}/{layer}/W"
         if bkey not in arrays:
             raise ContainerError("size_mismatch", f"missing base tensor {bkey}")
-        base[layer] = arrays[bkey]
+        own.add(bkey)
+        base[layer] = arrays[bkey].astype(np.float64)
         for task in task_ids:
+            keys = (f"{task}/{layer}/B", f"{task}/{layer}/A")
             try:
-                b = arrays[f"{task}/{layer}/B"]
-                a = arrays[f"{task}/{layer}/A"]
+                b, a = (arrays[key].astype(np.float64) for key in keys)
             except KeyError as exc:
                 raise ContainerError("size_mismatch", f"missing tensor {exc}") from exc
+            own.update(keys)
             m = header["adapters"][task][layer]
             try:
                 adapters[layer].append(
@@ -346,8 +368,14 @@ def load_collection(path) -> AdapterCollection:
             except ValueError as exc:  # rank or factor shapes that do not fit
                 raise ContainerError("bad_adapter", f"{task}/{layer}: {exc}") from exc
     try:
-        return AdapterCollection(
+        coll = AdapterCollection(
             layer_ids=layer_ids, task_ids=task_ids, base=base, adapters=adapters
         )
     except ValueError as exc:  # duplicate ids, factors that do not fit the base
         raise ContainerError("bad_collection", str(exc)) from exc
+    return coll, {k: arr.copy() for k, arr in arrays.items() if k not in own}
+
+
+def load_collection(path) -> AdapterCollection:
+    """The collection of an LMK1 file; any other tensors are read and dropped."""
+    return read_container(path)[0]

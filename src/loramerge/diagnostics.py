@@ -24,7 +24,7 @@ SIMPLEX_TOL = 1e-9
 PROFILE_ZERO_TOL = 1e-12
 
 
-class DiagnosticsError(ValueError):
+class DiagnosticsError(linalg.CodedError):
     pass
 
 
@@ -178,12 +178,19 @@ def layer_directions(coll: AdapterCollection, layer_id: str) -> FactorStack:
 def xi_protocol(coll: AdapterCollection, suite, layer_id: str, lam: float = 0.3) -> float:
     """Misalignment between uniform and one-hot preferences at the scaled-sum merge.
 
-    Gradients are task-loss gradients at W0 + lam * sum_i dW_i. Returns the
-    mean xi(uniform, e_i) over tasks; exactly 0 for a single task.
+    Gradients are task-loss gradients at W0 + lam * sum_i dW_i, taken from the
+    suite row of each collection task: fine-tuning names suite task i "task{i}".
+    Returns the mean xi(uniform, e_i) over tasks; exactly 0 for a single task.
     """
     n = coll.n_tasks
+    rows = {f"task{i}": i for i in range(suite.n_tasks)}
+    unknown = [t for t in coll.task_ids if t not in rows]
+    if unknown:
+        raise DiagnosticsError(
+            f"tasks {unknown} are not in a suite of {suite.n_tasks} tasks", code="unknown_task"
+        )
     weights = mergers.merge_ta(coll, lam)
-    grads = suite.task_loss_gradients(weights)[layer_id][:n]  # task i of coll is suite task i
+    grads = suite.task_loss_gradients(weights)[layer_id][[rows[t] for t in coll.task_ids]]
     dirs = layer_directions(coll, layer_id)
     uniform = np.full(n, 1.0 / n)
     h_uniform = sensitivity_profile(dirs, grads, uniform)

@@ -13,19 +13,21 @@ All gradients through the entropy and cross-entropy losses are analytic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .adapters import AdapterCollection, LoraAdapter, save_collection, load_collection
-from .linalg import NumericalAbort
+from .adapters import (
+    AdapterCollection, LoraAdapter, is_finite_number, read_container, save_collection,
+)
+from .linalg import CodedError, NumericalAbort
 from .rng import substream
 from .tara import OptimConfig, adamw_step, adaptation_pools
 
 LAYER_ID = "layer0"
 
 
-class HarnessError(ValueError):
+class HarnessError(CodedError):
     pass
 
 
@@ -52,7 +54,7 @@ class SuiteConfig:
     def __post_init__(self):
         for name in ("n_tasks", "d", "m", "n_classes", "n_train", "n_eval", "n_adapt"):
             if getattr(self, name) < 1:
-                raise HarnessError(f"{name} must be positive")
+                raise HarnessError(f"{name} must be positive", code="bad_config")
 
 
 @dataclass
@@ -63,6 +65,9 @@ class TaskData:
     eval_y: np.ndarray
     adapt_x: np.ndarray
     labels: np.ndarray      # global label ids, one per local class
+
+
+TASK_FIELDS = tuple(f.name for f in fields(TaskData))
 
 
 @dataclass
@@ -372,54 +377,117 @@ def unseen_split_eval(coll, suite, seen: list[str], merge_fn) -> EvalReport:
     return report
 
 
-def save_suite(suite: TaskSuite, coll: AdapterCollection, container_path, sidecar_path):
-    """LMK1 container for base + adapters; JSON sidecar for config, heads, data."""
-    save_collection(coll, container_path)
-    doc = {
-        "config": asdict(suite.config),
-        "heads": [None if h is None else h.tolist() for h in suite.heads],
-        "references": suite.references,
-        "tasks": [
-            {
-                "train_x": td.train_x.tolist(),
-                "train_y": td.train_y.tolist(),
-                "eval_x": td.eval_x.tolist(),
-                "eval_y": td.eval_y.tolist(),
-                "adapt_x": td.adapt_x.tolist(),
-                "labels": td.labels.tolist(),
-            }
-            for td in suite.tasks
-        ],
+def _suite_key(task: int, name: str) -> str:
+    return f"__suite__/task{task}/{name}"
+
+
+def _check_suite_tensors(cfg: SuiteConfig, tensors: dict, path) -> None:
+    """Every task field with the dtype and shape cfg implies, labels in range,
+    and a head of shape (n_classes, d) or none."""
+    if not tensors:
+        raise HarnessError(
+            f"{path} holds no suite tensors; suite files written before the suite "
+            "arrays moved into the container must be re-created with train-toy",
+            code="no_suite_tensors",
+        )
+    layout = {
+        "train_x": (np.float64, (cfg.n_train, cfg.m)),
+        "train_y": (np.int64, (cfg.n_train,)),
+        "eval_x": (np.float64, (cfg.n_eval, cfg.m)),
+        "eval_y": (np.int64, (cfg.n_eval,)),
+        "adapt_x": (np.float64, (cfg.n_adapt, cfg.m)),
+        "labels": (np.int64, (cfg.n_classes,)),
+        "head": (np.float64, (cfg.n_classes, cfg.d)),
     }
+    want = {_suite_key(i, name): spec
+            for i in range(cfg.n_tasks) for name, spec in layout.items()}
+    missing = [k for k in want if k not in tensors and not k.endswith("/head")]
+    unknown = [k for k in tensors if k not in want]
+    if missing or unknown:
+        raise HarnessError(
+            f"{path}: suite tensors missing {missing}, unexpected {unknown}", code="bad_suite"
+        )
+    for key, arr in tensors.items():
+        dtype, shape = want[key]
+        if arr.dtype != dtype or arr.shape != shape:
+            raise HarnessError(
+                f"{path}: {key} is {arr.dtype} {arr.shape}, config implies "
+                f"{np.dtype(dtype)} {shape}",
+                code="bad_suite",
+            )
+        if key.endswith("_y") and (arr.min() < 0 or arr.max() >= cfg.n_classes):
+            raise HarnessError(f"{path}: {key} holds labels outside [0, n_classes)",
+                               code="bad_suite")
+
+
+def save_suite(suite: TaskSuite, coll: AdapterCollection, container_path, sidecar_path):
+    """One LMK1 container for base, adapters and the suite's arrays and heads;
+    a JSON sidecar for the config and references."""
+    tensors = {}
+    for i, td in enumerate(suite.tasks):
+        for name in TASK_FIELDS:
+            tensors[_suite_key(i, name)] = getattr(td, name)
+        if suite.heads[i] is not None:
+            tensors[_suite_key(i, "head")] = suite.heads[i]
+    _check_suite_tensors(suite.config, tensors, container_path)
+    save_collection(coll, container_path, tensors)
     with open(sidecar_path, "w") as fh:
-        json.dump(doc, fh)
+        json.dump({"config": asdict(suite.config), "references": suite.references}, fh)
+
+
+def _read_sidecar(path) -> tuple[SuiteConfig, list]:
+    """The config and the references of a sidecar, type-checked field by field."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HarnessError(f"{path}: {exc}", code="bad_sidecar") from exc
+    if not (isinstance(doc, dict) and {"config", "references"} <= doc.keys()):
+        raise HarnessError(f"{path} must be an object with config and references",
+                           code="bad_sidecar")
+    raw = doc["config"]
+    defaults = {f.name: f.default for f in fields(SuiteConfig)}
+    if not (isinstance(raw, dict) and raw.keys() == defaults.keys()):
+        raise HarnessError(f"config must hold exactly the fields {sorted(defaults)}",
+                           code="bad_config")
+    for name, default in defaults.items():
+        value = raw[name]
+        if name == "label_offsets":
+            ok = value is None or (isinstance(value, list)
+                                   and all(type(v) is int for v in value))
+        else:
+            ok = type(value) is int if type(default) is int else is_finite_number(value)
+        if not ok:
+            raise HarnessError(f"config field {name} has the wrong type: {value!r}",
+                               code="bad_config")
+    offsets = raw["label_offsets"]
+    cfg = SuiteConfig(**{**raw, "label_offsets": None if offsets is None else tuple(offsets)})
+    refs = doc["references"]
+    if not (isinstance(refs, list) and len(refs) == cfg.n_tasks
+            and all(r is None or is_finite_number(r) for r in refs)):
+        raise HarnessError(
+            f"references must be {cfg.n_tasks} finite numbers or nulls, got {refs!r}",
+            code="bad_references",
+        )
+    return cfg, refs
 
 
 def load_suite(container_path, sidecar_path):
     """Inverse of save_suite; returns (suite, collection)."""
-    coll = load_collection(container_path)
-    with open(sidecar_path) as fh:
-        doc = json.load(fh)
-    raw_cfg = dict(doc["config"])
-    if raw_cfg.get("label_offsets") is not None:
-        raw_cfg["label_offsets"] = tuple(raw_cfg["label_offsets"])
-    cfg = SuiteConfig(**raw_cfg)
-    tasks = [
-        TaskData(
-            train_x=np.array(td["train_x"]),
-            train_y=np.array(td["train_y"]),
-            eval_x=np.array(td["eval_x"]),
-            eval_y=np.array(td["eval_y"]),
-            adapt_x=np.array(td["adapt_x"]),
-            labels=np.array(td["labels"]),
-        )
-        for td in doc["tasks"]
-    ]
+    coll, tensors = read_container(container_path)
+    cfg, references = _read_sidecar(sidecar_path)
+    _check_suite_tensors(cfg, tensors, container_path)
+    if coll.layer_ids != [LAYER_ID] or coll.base[LAYER_ID].shape != (cfg.d, cfg.m):
+        raise HarnessError(f"{container_path}: base weights do not fit a d={cfg.d}, "
+                           f"m={cfg.m} suite", code="bad_suite")
     suite = TaskSuite(
         config=cfg,
         base=dict(coll.base),
-        tasks=tasks,
-        heads=[None if h is None else np.array(h) for h in doc["heads"]],
-        references=doc["references"],
+        tasks=[
+            TaskData(**{name: tensors[_suite_key(i, name)] for name in TASK_FIELDS})
+            for i in range(cfg.n_tasks)
+        ],
+        heads=[tensors.get(_suite_key(i, "head")) for i in range(cfg.n_tasks)],
+        references=references,
     )
     return suite, coll

@@ -15,6 +15,14 @@ import numpy as np
 EPS_ZERO = 1e-12
 
 
+class CodedError(ValueError):
+    """A validation error; one with a stable code reads "code: message"."""
+
+    def __init__(self, message: str, code: str | None = None):
+        super().__init__(f"{code}: {message}" if code else message)
+        self.code = code
+
+
 class NumericalAbort(Exception):
     """A computation on valid input that failed numerically: divergence,
     non-finite values or non-convergence. The CLI reports it as a runtime

@@ -25,13 +25,13 @@ import numpy as np
 from . import linalg
 from .adapters import AdapterCollection, FactorStack, delta_weight, rank1_stack
 from .diagnostics import _check_simplex
-from .linalg import NumericalAbort
+from .linalg import CodedError, NumericalAbort
 from .rng import substream
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
 
 
-class TaraError(ValueError):
+class TaraError(CodedError):
     pass
 
 
@@ -46,8 +46,12 @@ class DirectionBasis:
     base: dict[str, np.ndarray]
     layers: dict[str, FactorStack]        # rank-1 columns per layer
     groups: dict[str, np.ndarray]         # phi entry of each column per layer
-    n_tasks: int
+    task_ids: list[str]
     shared_rank: int | None = None        # R for variant B
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.task_ids)
 
     def k(self, layer: str) -> int:
         return int(self.groups[layer].max()) + 1
@@ -102,7 +106,7 @@ def _basis(coll: AdapterCollection, variant: str, layers: dict[str, FactorStack]
             l: s.owner if variant == "adamerging" else np.arange(s.sigma.size)
             for l, s in layers.items()
         },
-        n_tasks=coll.n_tasks,
+        task_ids=list(coll.task_ids),
         shared_rank=shared_rank,
     )
 
@@ -199,9 +203,20 @@ def adaptation_pools(suite, n_tasks: int) -> np.ndarray:
     return np.stack(pools)
 
 
+def _check_suite_order(task_ids: list[str]) -> None:
+    """Suite calls score row i with suite task i, named "task{i}" by fine-tuning,
+    so a collection must hold the suite's first n tasks in order."""
+    if task_ids != [f"task{i}" for i in range(len(task_ids))]:
+        raise TaraError(
+            f"tasks {task_ids} are not the suite's first {len(task_ids)} in order",
+            code="task_order",
+        )
+
+
 def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
     """z_i: mean entropy on task i's adaptation pool with only adapter i applied,
     for all tasks in one suite call."""
+    _check_suite_order(coll.task_ids)
     weights = {
         layer: np.stack([coll.base[layer] + delta_weight(ad) for ad in coll.adapters[layer]])
         for layer in coll.layer_ids
@@ -330,6 +345,7 @@ def optimize(
     """
     if objective not in ("stch", "mean_entropy"):
         raise TaraError(f"unknown objective {objective!r}")
+    _check_suite_order(basis.task_ids)
     if objective == "stch":
         rho = _check_simplex(rho, basis.n_tasks)
     pools = adaptation_pools(suite, basis.n_tasks)

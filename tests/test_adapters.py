@@ -11,6 +11,7 @@ from loramerge.adapters import (
     LoraAdapter,
     delta_weight,
     load_collection,
+    read_container,
     save_collection,
 )
 from loramerge.rng import substream
@@ -93,6 +94,44 @@ class TestContainer:
         save_collection(coll, p1)
         save_collection(load_collection(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_extra_tensors_round_trip_with_dtype(self, tmp_path):
+        coll = random_collection(seed=10, n_tasks=2, layers=("l0",), d=6, m=5)
+        gen = substream(10, "extra")
+        extra = {
+            "x/f64": gen.standard_normal((3, 4)),
+            "x/i64": gen.integers(-2**40, 2**40, 7),
+            "x/f32": gen.standard_normal(5).astype(np.float32),
+        }
+        p = tmp_path / "c.lmk"
+        save_collection(coll, p, extra)
+        loaded, got = read_container(p)
+        assert loaded.task_ids == coll.task_ids
+        assert got.keys() == extra.keys()
+        for key, want in extra.items():
+            assert got[key].dtype == want.dtype and got[key].tobytes() == want.tobytes()
+            assert got[key].flags.writeable
+        (hdr_len,) = struct.unpack("<I", p.read_bytes()[4:8])
+        header = json.loads(p.read_bytes()[8 : 8 + hdr_len])
+        keys = [rec["key"] for rec in header["tensors"]]
+        assert keys[-3:] == sorted(extra)  # after the collection's own tensors
+        assert [rec["dtype"] for rec in header["tensors"][-3:]] == ["f32", "f64", "i64"]
+        assert {rec["dtype"] for rec in header["tensors"][:-3]} == {"f32"}
+        assert load_collection(p).task_ids == coll.task_ids
+
+    @pytest.mark.parametrize(
+        "extra,code",
+        [({"__base__/l0/W": np.zeros((6, 5))}, "duplicate_key"),
+         ({"task1/l0/A": np.zeros((5, 2))}, "duplicate_key"),
+         ({"x": np.zeros(3, dtype=np.int32)}, "bad_dtype"),
+         ({"x": np.zeros(3, dtype=bool)}, "bad_dtype")],
+        ids=["base", "adapter", "int32", "bool"],
+    )
+    def test_extra_tensors_refused(self, tmp_path, extra, code):
+        coll = random_collection(seed=10, n_tasks=2, layers=("l0",), d=6, m=5)
+        with pytest.raises(ContainerError) as exc:
+            save_collection(coll, tmp_path / "c.lmk", extra)
+        assert exc.value.code == code
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.lmk"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loramerge import harness
+from loramerge.adapters import read_container, save_collection
 from loramerge.cli import main
 
 FAST_TRAIN = [
@@ -260,6 +261,83 @@ class TestDiagnoseAndEval:
         got = json.loads((eval_run / "report.json").read_text())
         want = json.loads((merge_run / "report.json").read_text())
         assert got["normalized"] == want["normalized"]
+
+
+def _edit(name, fn):
+    """A tensor edit that replaces suite tensor name by fn of it, or drops it
+    when fn returns None."""
+    key = f"__suite__/{name}"
+
+    def edit(tensors):
+        tensors = dict(tensors)
+        new = fn(tensors.pop(key))
+        if new is not None:
+            tensors[key] = new
+        return tensors
+
+    return edit
+
+
+@pytest.fixture(scope="module")
+def trained_and_merged(tmp_path_factory):
+    """A trained suite and a ta merge of it, shared by the malformed-suite cases."""
+    tmp = tmp_path_factory.mktemp("suite")
+    container, sidecar, out = _train(tmp)
+    assert main(["merge", str(container), "--sidecar", str(sidecar), "--method", "ta",
+                 "--out", str(out / "merge")]) == 0
+    (run,) = (out / "merge").iterdir()
+    return container, sidecar, run / "merged.lmk"
+
+
+class TestMalformedSuite:
+    """eval on a malformed sidecar or suite container exits 2 with a coded error."""
+
+    @pytest.mark.parametrize(
+        "edit_sidecar,edit_tensors,code",
+        [
+            (lambda doc: {}, None, "bad_sidecar"),
+            (lambda doc: [doc], None, "bad_sidecar"),
+            (lambda doc: {"config": doc["config"]}, None, "bad_sidecar"),
+            (lambda doc: {**doc, "config": {**doc["config"], "n_tasks": "2"}}, None,
+             "bad_config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "extra": 1}}, None,
+             "bad_config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "noise_std": None}}, None,
+             "bad_config"),
+            (lambda doc: {**doc, "config": {**doc["config"], "n_tasks": 0}}, None,
+             "bad_config"),
+            (lambda doc: {**doc, "references": doc["references"][:1]}, None,
+             "bad_references"),
+            (lambda doc: {**doc, "references": ["0.9", None]}, None, "bad_references"),
+            (None, lambda t: {}, "no_suite_tensors"),
+            (None, _edit("task1/eval_y", lambda a: None), "bad_suite"),
+            (None, _edit("task0/train_x", lambda a: a[1:]), "bad_suite"),
+            (None, _edit("task0/eval_y", lambda a: a + 9), "bad_suite"),
+            (None, _edit("task0/head", lambda a: a.T.copy()), "bad_suite"),
+        ],
+        ids=["empty", "list", "no_references", "string_n_tasks", "unknown_field",
+             "null_float", "zero_tasks", "short_references", "string_reference",
+             "no_suite_tensors", "missing_tensor", "short_train_x", "label_range",
+             "head_shape"],
+    )
+    def test_eval_exits_2(self, tmp_path, capsys, trained_and_merged, edit_sidecar,
+                          edit_tensors, code):
+        container, sidecar, merged = trained_and_merged
+        if edit_sidecar is not None:
+            sidecar = tmp_path / "suite.json"
+            doc = edit_sidecar(json.loads(trained_and_merged[1].read_text()))
+            sidecar.write_text(json.dumps(doc))
+        if edit_tensors is not None:
+            coll, tensors = read_container(trained_and_merged[0])
+            container = tmp_path / "suite.lmk"
+            save_collection(coll, container, edit_tensors(tensors))
+        capsys.readouterr()
+        assert main(["eval", str(container), "--sidecar", str(sidecar),
+                     "--weights", str(merged), "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {code}: ")
+        if code == "no_suite_tensors":
+            assert "train-toy" in err
 
 
 class TestDeterminism:

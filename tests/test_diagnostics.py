@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_collection
 from loramerge import diagnostics, linalg
-from loramerge.adapters import FactorStack, delta_weight
+from loramerge.adapters import AdapterCollection, FactorStack, delta_weight
 from loramerge.diagnostics import DiagnosticsError
 from loramerge.rng import substream
 
@@ -168,3 +170,33 @@ class TestXiProtocol:
         for layer in coll.layer_ids:
             xi = diagnostics.xi_protocol(coll, suite, layer)
             assert 0.0 <= xi <= 1.0
+
+    def test_picks_suite_rows_by_task_id(self, default_suite):
+        """xi of suite tasks 1 and 2 equals xi of the same two tasks as the first
+        rows of a two-task suite."""
+        suite, coll = default_suite
+        sub = coll.subset(["task1", "task2"])
+        pair = dataclasses.replace(
+            suite, config=dataclasses.replace(suite.config, n_tasks=2),
+            tasks=suite.tasks[1:3], heads=suite.heads[1:3], references=suite.references[1:3],
+        )
+        renamed = AdapterCollection(
+            layer_ids=coll.layer_ids, task_ids=["task0", "task1"], base=coll.base,
+            adapters={l: [dataclasses.replace(ad, task_id=f"task{i}")
+                          for i, ad in enumerate(sub.adapters[l])] for l in coll.layer_ids},
+        )
+        want = diagnostics.xi_protocol(renamed, pair, "layer0")
+        assert diagnostics.xi_protocol(sub, suite, "layer0") == pytest.approx(want, abs=1e-12)
+        assert abs(diagnostics.xi_protocol(coll.subset(["task0", "task1"]), suite, "layer0")
+                   - want) > 1e-3
+
+    def test_task_outside_the_suite(self, small_suite):
+        suite, coll = small_suite
+        renamed = AdapterCollection(
+            layer_ids=coll.layer_ids, task_ids=["task0", "task5"], base=coll.base,
+            adapters={l: [dataclasses.replace(ad, task_id=t) for ad, t in
+                          zip(coll.adapters[l], ["task0", "task5"])] for l in coll.layer_ids},
+        )
+        with pytest.raises(DiagnosticsError) as exc:
+            diagnostics.xi_protocol(renamed, suite, "layer0")
+        assert exc.value.code == "unknown_task"

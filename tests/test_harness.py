@@ -1,7 +1,15 @@
+import dataclasses
+import functools
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loramerge import harness, mergers, tara
+from loramerge.adapters import AdapterCollection, ContainerError
 from loramerge.harness import HarnessError, SuiteConfig
 from loramerge.rng import substream
 
@@ -266,6 +274,18 @@ class TestSweepAndSplit:
         assert rep.seen["seen_avg_normalized"] == pytest.approx(rep.avg_normalized)
 
 
+@functools.lru_cache(maxsize=1)
+def _tiny_suite_files() -> tuple[bytes, bytes]:
+    """suite.lmk and suite.json bytes of a small trained two-task suite."""
+    suite = harness.generate_suite(seed=3, n_tasks=2, d=4, m=3, n_classes=2,
+                                   n_train=6, n_eval=4, n_adapt=3)
+    coll = harness.finetune_all(suite, rank=2, steps=3, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        lmk, side = Path(tmp) / "s.lmk", Path(tmp) / "s.json"
+        harness.save_suite(suite, coll, lmk, side)
+        return lmk.read_bytes(), side.read_bytes()
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, small_suite):
         suite, coll = small_suite
@@ -273,12 +293,30 @@ class TestSerialization:
         loaded, lcoll = harness.load_suite(tmp_path / "s.lmk", tmp_path / "s.json")
         assert loaded.config == suite.config
         assert loaded.references == suite.references
+        assert len(loaded.tasks) == len(suite.tasks)
         for t1, t2 in zip(loaded.tasks, suite.tasks):
-            assert np.array_equal(t1.train_x, t2.train_x)
-            assert np.array_equal(t1.labels, t2.labels)
+            for f in dataclasses.fields(harness.TaskData):
+                got, want = getattr(t1, f.name), getattr(t2, f.name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
+                assert got.tobytes() == want.tobytes(), f.name
+        assert len(loaded.heads) == len(suite.heads)
         for h1, h2 in zip(loaded.heads, suite.heads):
-            assert np.array_equal(h1, h2)
+            assert (h1.dtype, h1.shape) == (h2.dtype, h2.shape)
+            assert h1.tobytes() == h2.tobytes()
         assert lcoll.task_ids == coll.task_ids
+        assert json.loads((tmp_path / "s.json").read_text()).keys() == {
+            "config", "references"
+        }
+
+    def test_untrained_suite_round_trips(self, tmp_path):
+        """Tasks without a head or a reference load as None."""
+        suite = harness.generate_suite(seed=1, n_tasks=2, n_train=8, n_eval=5, n_adapt=4)
+        empty = AdapterCollection(layer_ids=["layer0"], task_ids=[], base=dict(suite.base),
+                                  adapters={"layer0": []})
+        harness.save_suite(suite, empty, tmp_path / "s.lmk", tmp_path / "s.json")
+        loaded, _ = harness.load_suite(tmp_path / "s.lmk", tmp_path / "s.json")
+        assert loaded.heads == [None, None] and loaded.references == [None, None]
+        assert np.array_equal(loaded.tasks[1].eval_y, suite.tasks[1].eval_y)
 
     def test_saved_bytes_stable(self, tmp_path, small_suite):
         suite, coll = small_suite
@@ -286,3 +324,29 @@ class TestSerialization:
         harness.save_suite(suite, coll, tmp_path / "b.lmk", tmp_path / "b.json")
         assert (tmp_path / "a.lmk").read_bytes() == (tmp_path / "b.lmk").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+    def test_tensors_must_fit_the_config(self, tmp_path, small_suite):
+        suite, coll = small_suite
+        short = dataclasses.replace(suite.tasks[0], train_y=suite.tasks[0].train_y[:-1])
+        bad = dataclasses.replace(suite, tasks=[short, suite.tasks[1]])
+        with pytest.raises(HarnessError) as exc:
+            harness.save_suite(bad, coll, tmp_path / "s.lmk", tmp_path / "s.json")
+        assert exc.value.code == "bad_suite"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_mutation_loads_or_raises_coded_error(self, data):
+        """Any one-byte replacement, insertion or deletion of a saved suite
+        container either loads or raises ContainerError or HarnessError."""
+        blob, sidecar = _tiny_suite_files()
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="kind")
+        byte = b"" if kind == "delete" else bytes([data.draw(st.integers(0, 255))])
+        with tempfile.TemporaryDirectory() as tmp:
+            lmk, side = Path(tmp) / "s.lmk", Path(tmp) / "s.json"
+            lmk.write_bytes(blob[:pos] + byte + blob[pos + (kind != "insert"):])
+            side.write_bytes(sidecar)
+            try:
+                harness.load_suite(lmk, side)
+            except (ContainerError, HarnessError):
+                pass

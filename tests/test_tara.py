@@ -408,6 +408,28 @@ class _ConstantSuite:
         }
 
 
+class TestSuiteOrder:
+    """Suite row i scores suite task i, so TARA and AdaMerging refuse a collection
+    that is not the suite's first n tasks in order."""
+
+    @pytest.mark.parametrize("tasks", [["task1"], ["task1", "task0"]],
+                             ids=["second", "reordered"])
+    def test_rejected(self, small_suite, tasks):
+        suite, coll = small_suite
+        sub = coll.subset(tasks)
+        rho = np.full(len(tasks), 1.0 / len(tasks))
+        cfg = OptimConfig(max_iters=1)
+        for run in (
+            lambda: compute_anchors(sub, suite),
+            lambda: optimize(build_variant_a(sub), suite, rho, cfg,
+                             StchConfig(anchors=np.zeros(len(tasks)))),
+            lambda: adamerging_baseline(sub, suite, cfg),
+        ):
+            with pytest.raises(TaraError) as exc:
+                run()
+            assert exc.value.code == "task_order"
+
+
 class TestAdamerging:
     def test_init_point_is_scaled_sum(self, small_suite):
         suite, coll = small_suite
