@@ -30,8 +30,13 @@ from .adapters import AdapterCollection, load_collection, save_collection
 from .linalg import NumericalAbort
 from .rng import substream
 
-TARA_METHODS = ("tara-a", "tara-b", "adamerging")
-ALL_METHODS = mergers.METHODS + TARA_METHODS
+# config keys each optimizer method reads; any other key is rejected
+TARA_KEYS = {
+    "tara-a": {"alpha", "iters", "lr", "batch_size", "seed"},
+    "tara-b": {"alpha", "iters", "lr", "batch_size", "seed"},
+    "adamerging": {"iters", "lr", "batch_size", "seed"},
+}
+ALL_METHODS = mergers.METHODS + tuple(TARA_KEYS)
 
 
 class UsageError(ValueError):
@@ -117,12 +122,9 @@ def cmd_train_toy(args) -> int:
     rank = int(config.pop("rank", 16))
     steps = int(config.pop("steps", 300))
     lr = float(config.pop("lr", 0.02))
-    suite_cfg = harness.SuiteConfig(**{**config, "seed": seed})
-    if rank > min(suite_cfg.d, suite_cfg.m):
-        raise UsageError(f"rank {rank} exceeds min(d, m) = {min(suite_cfg.d, suite_cfg.m)}")
-    run = _run_dir(args.out, seed)
-    suite = harness.generate_suite(suite_cfg)
+    suite = harness.generate_suite(harness.SuiteConfig(**{**config, "seed": seed}))
     coll = harness.finetune_all(suite, rank=rank, steps=steps, lr=lr, seed=seed)
+    run = _run_dir(args.out, seed)
     harness.save_suite(suite, coll, run / "suite.lmk", run / "suite.json")
     refs = {f"task{i}": suite.references[i] for i in range(suite.n_tasks)}
     (run / "references.json").write_text(json.dumps(refs, indent=1))
@@ -193,11 +195,12 @@ def _save_weights(weights: dict, layer_ids: list[str], path):
 
 
 def _optim_config(config: dict) -> tara.OptimConfig:
+    """Config values go to OptimConfig unconverted, so it rejects a wrong type."""
     return tara.OptimConfig(
         seed=int(config.get("seed", 0)),
-        max_iters=int(config.get("iters", 500)),
-        lr=float(config.get("lr", 0.001)),
-        batch_size=int(config.get("batch_size", 16)),
+        max_iters=config.get("iters", 500),
+        lr=config.get("lr", 0.001),
+        batch_size=config.get("batch_size", 16),
     )
 
 
@@ -210,7 +213,7 @@ def _tara_points(coll, suite, method, prefs, config):
         prefs,
         variant=method[-1],
         optim=_optim_config(config),
-        alpha=float(config.get("alpha", 1.0)),
+        alpha=config.get("alpha", 1.0),
     )
 
 
@@ -220,15 +223,18 @@ def _merge_with_method(coll, suite, method, rho, config):
         payload = {k: v for k, v in config.items() if k != "seed"}
         cfg = mergers.MergeConfig.from_dict({"method": method, **payload})
         return mergers.run_merge(coll, cfg), None
+    irrelevant = set(config) - TARA_KEYS[method]
+    if irrelevant:
+        raise UsageError(
+            f"parameters {sorted(irrelevant)} are not relevant to method {method!r}"
+        )
     if method == "adamerging":
         weights, _, trace = tara.adamerging_baseline(
             coll, suite, dataclasses.replace(_optim_config(config), phi_init=0.3)
         )
         return weights, trace
-    if method in ("tara-a", "tara-b"):
-        weights, _, trace = next(_tara_points(coll, suite, method, [rho], config))
-        return weights, trace
-    raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+    weights, _, trace = next(_tara_points(coll, suite, method, [rho], config))
+    return weights, trace
 
 
 def cmd_merge(args) -> int:
@@ -249,12 +255,11 @@ def cmd_merge(args) -> int:
         if "preference" in config
         else np.full(suite.n_tasks, 1.0 / suite.n_tasks)
     )
-    seed = int(config.get("seed", 0))
-    run = _run_dir(args.out, seed)
     weights, trace = _merge_with_method(coll, suite, method, rho, config)
-    _save_weights(weights, coll.layer_ids, run / "merged.lmk")
     report = harness.evaluate(weights, suite)
     report.hits_at = harness.evaluate_joint(weights, suite, ks=(1, 3, 5))
+    run = _run_dir(args.out, int(config.get("seed", 0)))
+    _save_weights(weights, coll.layer_ids, run / "merged.lmk")
     _write_report(run, "report.json", report)
     if trace is not None:
         _write_trace(run, "trace.csv", trace)
@@ -315,13 +320,13 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     prefs = _sweep_preferences(args, suite.n_tasks)
     seed = args.seed or 0
-    run = _run_dir(args.out, seed)
-    config = {"seed": seed, "iters": args.iters} if args.iters else {"seed": seed}
+    config = {"seed": seed} if args.iters is None else {"seed": seed, "iters": args.iters}
     if method in ("tara-a", "tara-b"):
         merged = (w for w, _, _ in _tara_points(coll, suite, method, prefs, config))
     else:
         merged = (_merge_with_method(coll, suite, method, rho, config)[0] for rho in prefs)
     results = harness.sweep_preferences(suite, zip(prefs, merged))
+    run = _run_dir(args.out, seed)
     with open(run / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -342,9 +347,9 @@ def cmd_eval(args) -> int:
     suite, _ = harness.load_suite(args.container, args.sidecar)
     merged = load_collection(args.weights)
     weights = {l: merged.base[l] for l in merged.layer_ids}
-    run = _run_dir(args.out, suite.config.seed)
     report = harness.evaluate(weights, suite)
     report.hits_at = harness.evaluate_joint(weights, suite, ks=(1, 3, 5))
+    run = _run_dir(args.out, suite.config.seed)
     _write_report(run, "report.json", report)
     _write_manifest(run, "eval", {"weights": str(args.weights)})
     print(f"avg normalized accuracy {report.avg_normalized:.4f}")

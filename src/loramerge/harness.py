@@ -21,7 +21,7 @@ from .adapters import (
     AdapterCollection, LoraAdapter, is_finite_number, read_container, save_collection,
 )
 from .linalg import CodedError, NumericalAbort
-from .rng import substream
+from .rng import keyed_integers, substream
 from .tara import OptimConfig, adamw_step, adaptation_pools
 
 LAYER_ID = "layer0"
@@ -205,82 +205,85 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
     )
 
 
-def finetune_lora(
-    suite: TaskSuite,
-    task: int,
-    rank: int = 16,
-    steps: int = 300,
-    lr: float = 0.02,
-    seed: int = 0,
-    lora_alpha: float = 16.0,
-    batch_size: int = 32,
-) -> LoraAdapter:
-    """Train (B, A, head) by cross-entropy; stores the head and the fine-tuned
-    eval accuracy on the suite as the normalization reference."""
+def _finetune(suite: TaskSuite, tasks: list[int], rank: int, steps: int, lr: float,
+              seed: int, lora_alpha: float, batch_size: int) -> list[LoraAdapter]:
+    """Train (B, A, head) of every listed task by cross-entropy, all tasks in one
+    loop over (N, ...) stacks; each task draws from its own (seed, "finetune", i)
+    streams. Stores each head and fine-tuned eval accuracy on the suite as the
+    normalization reference."""
     cfg = suite.config
-    if rank > min(cfg.d, cfg.m):
-        raise HarnessError(f"rank {rank} exceeds min(d, m) = {min(cfg.d, cfg.m)}")
+    if not 1 <= rank <= min(cfg.d, cfg.m):
+        raise HarnessError(f"rank {rank} outside [1, min(d, m) = {min(cfg.d, cfg.m)}]",
+                           code="bad_config")
+    if steps < 0:
+        raise HarnessError(f"steps must be >= 0, got {steps}", code="bad_config")
+    adam = OptimConfig(lr=lr, batch_size=batch_size)  # checks both; no weight decay
     w0 = suite.base[LAYER_ID]
     scale = lora_alpha / rank
-    init = substream(seed, "finetune", task)
+    inits = [substream(seed, "finetune", i) for i in tasks]
     params = {
-        "b": np.zeros((cfg.d, rank)),
-        "a": 0.01 * init.standard_normal((cfg.m, rank)),
-        "h": 0.01 * init.standard_normal((cfg.n_classes, cfg.d)),
+        "b": np.zeros((len(tasks), cfg.d, rank)),
+        "a": np.stack([0.01 * g.standard_normal((cfg.m, rank)) for g in inits]),
+        "h": np.stack([0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]),
     }
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
-    adam = OptimConfig(lr=lr)  # no weight decay
-    td = suite.tasks[task]
+    train_x = np.stack([suite.tasks[i].train_x for i in tasks])
+    train_y = np.stack([suite.tasks[i].train_y for i in tasks])
+    tags = [("finetune", i, "batch", t) for t in range(steps) for i in tasks]
+    schedule = keyed_integers(seed, tags, cfg.n_train, batch_size).reshape(
+        steps, len(tasks), batch_size)
+    rows, cols = np.arange(len(tasks))[:, None], np.arange(batch_size)
     initial_loss = None
     for t in range(steps):
-        idx = substream(seed, "finetune", task, "batch", t).integers(
-            0, cfg.n_train, batch_size
-        )
-        x, y = td.train_x[idx], td.train_y[idx]
-        w = w0 + scale * params["b"] @ params["a"].T
-        z = x @ w.T
-        p = _softmax(z @ params["h"].T)
-        loss = float(np.mean(-np.log(np.maximum(p[np.arange(len(y)), y], 1e-300))))
+        x, y = train_x[rows, schedule[t]], train_y[rows, schedule[t]]   # (N, B, m), (N, B)
+        w = w0 + scale * params["b"] @ np.swapaxes(params["a"], 1, 2)
+        z = x @ np.swapaxes(w, 1, 2)
+        p = _softmax(z @ np.swapaxes(params["h"], 1, 2))
+        loss = np.mean(-np.log(np.maximum(p[rows, cols, y], 1e-300)), axis=1)
         if initial_loss is None:
-            initial_loss = max(loss, 1e-12)
-        elif loss > 10.0 * initial_loss:
+            initial_loss = np.maximum(loss, 1e-12)
+        diverged = np.flatnonzero(loss > 10.0 * initial_loss)
+        if diverged.size:
+            j = diverged[0]
             raise HarnessAbort(
-                f"divergence guard: loss {loss:.4g} exceeds 10x initial at step {t}"
+                f"divergence guard: task{tasks[j]} loss {loss[j]:.4g} exceeds 10x "
+                f"initial at step {t}"
             )
         dl = p.copy()
-        dl[np.arange(len(y)), y] -= 1.0
-        dl /= len(y)
+        dl[rows, cols, y] -= 1.0
+        dl /= batch_size
         dz = dl @ params["h"]
-        dw = dz.T @ x
+        dw = np.swapaxes(dz, 1, 2) @ x
         grads = {
             "b": scale * dw @ params["a"],
-            "a": scale * dw.T @ params["b"],
-            "h": dl.T @ z,
+            "a": scale * np.swapaxes(dw, 1, 2) @ params["b"],
+            "h": np.swapaxes(dl, 1, 2) @ z,
         }
         adamw_step(params, grads, m, v, t + 1, adam)
 
-    suite.heads[task] = params["h"]
-    adapter = LoraAdapter(
-        task_id=f"task{task}",
-        layer_id=LAYER_ID,
-        b=params["b"],
-        a=params["a"],
-        rank=rank,
-        lora_alpha=lora_alpha,
-    )
-    weights = {LAYER_ID: w0 + scale * params["b"] @ params["a"].T}
-    suite.references[task] = suite.accuracy(task, weights)
-    return adapter
+    adapters = []
+    for row, i in enumerate(tasks):
+        ad = LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=params["b"][row],
+                         a=params["a"][row], rank=rank, lora_alpha=lora_alpha)
+        suite.heads[i] = params["h"][row]
+        suite.references[i] = suite.accuracy(i, {LAYER_ID: w0 + scale * ad.b @ ad.a.T})
+        adapters.append(ad)
+    return adapters
+
+
+def finetune_lora(suite: TaskSuite, task: int, rank: int = 16, steps: int = 300,
+                  lr: float = 0.02, seed: int = 0, lora_alpha: float = 16.0,
+                  batch_size: int = 32) -> LoraAdapter:
+    """Fine-tune one task; stores its head and reference on the suite."""
+    return _finetune(suite, [task], rank, steps, lr, seed, lora_alpha, batch_size)[0]
 
 
 def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float = 0.02,
                  seed: int = 0, lora_alpha: float = 16.0) -> AdapterCollection:
-    adapters = [
-        finetune_lora(suite, i, rank=rank, steps=steps, lr=lr, seed=seed,
-                      lora_alpha=lora_alpha)
-        for i in range(suite.n_tasks)
-    ]
+    """Fine-tune every task of the suite in one batched loop."""
+    adapters = _finetune(suite, list(range(suite.n_tasks)), rank, steps, lr, seed,
+                         lora_alpha, batch_size=32)
     return AdapterCollection(
         layer_ids=[LAYER_ID],
         task_ids=[ad.task_id for ad in adapters],
@@ -297,6 +300,9 @@ def evaluate(weights: dict, suite: TaskSuite, subset: list[int] | None = None) -
     for i in idx:
         if suite.references[i] is None:
             raise HarnessError(f"task {i} has no fine-tuned reference accuracy")
+        if not suite.references[i] > 0:
+            raise HarnessError(f"task {i} has reference accuracy {suite.references[i]!r}; "
+                               "normalizing needs a positive one", code="bad_references")
         acc = suite.accuracy(i, weights)
         absolute.append(acc)
         normalized.append(acc / suite.references[i])
@@ -464,9 +470,10 @@ def _read_sidecar(path) -> tuple[SuiteConfig, list]:
     cfg = SuiteConfig(**{**raw, "label_offsets": None if offsets is None else tuple(offsets)})
     refs = doc["references"]
     if not (isinstance(refs, list) and len(refs) == cfg.n_tasks
-            and all(r is None or is_finite_number(r) for r in refs)):
+            and all(r is None or (is_finite_number(r) and r > 0) for r in refs)):
         raise HarnessError(
-            f"references must be {cfg.n_tasks} finite numbers or nulls, got {refs!r}",
+            f"references must be {cfg.n_tasks} finite positive numbers or nulls, "
+            f"got {refs!r}",
             code="bad_references",
         )
     return cfg, refs

@@ -26,7 +26,7 @@ from . import linalg
 from .adapters import AdapterCollection, FactorStack, delta_weight, rank1_stack
 from .diagnostics import _check_simplex
 from .linalg import CodedError, NumericalAbort
-from .rng import substream
+from .rng import keyed_integers
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
 
@@ -37,6 +37,14 @@ class TaraError(CodedError):
 
 class TaraAbort(TaraError, NumericalAbort):
     """The optimizer diverged or met a non-finite entropy."""
+
+
+def _integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return (_integer(v) or isinstance(v, (float, np.floating))) and bool(np.isfinite(v))
 
 
 @dataclass
@@ -66,8 +74,8 @@ class StchConfig:
     anchors: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise TaraError("alpha must be positive")
+        if not (_real(self.alpha) and self.alpha > 0):
+            raise TaraError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 @dataclass
@@ -80,6 +88,24 @@ class OptimConfig:
     max_iters: int = 500
     phi_init: float = 0.4
     seed: int = 0
+
+    def __post_init__(self):
+        betas_ok = (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
+                    and all(_real(b) and 0 <= b < 1 for b in self.betas))
+        for name, ok, rule in (
+            ("lr", _real(self.lr) and self.lr > 0, "a finite number > 0"),
+            ("betas", betas_ok, "two numbers in [0, 1)"),
+            ("eps", _real(self.eps) and self.eps > 0, "a finite number > 0"),
+            ("weight_decay", _real(self.weight_decay) and self.weight_decay >= 0,
+             "a finite number >= 0"),
+            ("batch_size", _integer(self.batch_size) and self.batch_size >= 1,
+             "an integer >= 1"),
+            ("max_iters", _integer(self.max_iters) and self.max_iters >= 1,
+             "an integer >= 1"),
+        ):
+            if not ok:
+                raise TaraError(f"{name} must be {rule}, got {getattr(self, name)!r}",
+                                code="bad_config")
 
 
 @dataclass
@@ -317,13 +343,9 @@ def batch_schedule(suite, n_tasks: int, cfg: OptimConfig) -> np.ndarray:
     schedule does not depend on the preference and a sweep can share it.
     """
     pool = adaptation_pools(suite, n_tasks).shape[1]
-    idx = np.empty((cfg.max_iters, n_tasks, cfg.batch_size), dtype=np.int64)
-    for step in range(cfg.max_iters):
-        for i in range(n_tasks):
-            idx[step, i] = substream(cfg.seed, "batch", step, i).integers(
-                0, pool, cfg.batch_size
-            )
-    return idx
+    tags = [("batch", step, i) for step in range(cfg.max_iters) for i in range(n_tasks)]
+    idx = keyed_integers(cfg.seed, tags, pool, cfg.batch_size)
+    return idx.reshape(cfg.max_iters, n_tasks, cfg.batch_size)
 
 
 def optimize(

@@ -171,6 +171,46 @@ class TestExitCodes:
         ]) == 2
         assert capsys.readouterr().err.startswith("error: alpha must be positive")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train-toy", "--rank", "0"],
+            ["train-toy", "--steps", "-3"],
+            ["train-toy", "--lr", "nan"],
+            ["merge", "--method", "tara-b", {"iters": -5}],
+            ["merge", "--method", "tara-b", {"iters": 0}],
+            ["merge", "--method", "tara-b", {"iters": 1.5}],
+            ["merge", "--method", "tara-b", {"batch_size": 0}],
+            ["merge", "--method", "tara-b", {"lr": "nan"}],
+            ["merge", "--method", "tara-b", {"batch_size": True}],
+            ["merge", "--method", "tara-b", {"alpha": float("inf")}],
+            ["merge", "--method", "tara-b", {"lam": "x"}],
+            ["merge", "--method", "tara-a", {"trim_fraction": 0.2}],
+            ["merge", "--method", "adamerging", {"alpha": 1.0}],
+            ["merge", "--method", "adamerging", {"iters": 0}],
+            ["sweep", "--method", "tara-b", "--random", "2", "--iters", "0"],
+        ],
+        ids=["rank_0", "negative_steps", "nan_lr", "negative_iters", "zero_iters",
+             "fractional_iters", "zero_batch", "string_lr", "bool_batch", "inf_alpha",
+             "tara_lam", "tara_trim", "adamerging_alpha", "adamerging_zero_iters",
+             "sweep_zero_iters"],
+    )
+    def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, trained_and_merged, argv):
+        """Hyperparameters are checked before any run directory is made."""
+        container, sidecar, _ = trained_and_merged
+        out = tmp_path / "runs"
+        if argv[0] == "train-toy":
+            argv = [*argv[:1], *FAST_TRAIN, *argv[1:]]
+        else:
+            argv = [argv[0], str(container), "--sidecar", str(sidecar), *argv[1:]]
+        if isinstance(argv[-1], dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
+            argv[-1:] = ["--config", str(tmp_path / "cfg.json")]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestSweep:
     def test_random_with_fixed(self, tmp_path):
@@ -309,6 +349,10 @@ class TestMalformedSuite:
             (lambda doc: {**doc, "references": doc["references"][:1]}, None,
              "bad_references"),
             (lambda doc: {**doc, "references": ["0.9", None]}, None, "bad_references"),
+            (lambda doc: {**doc, "references": [0, doc["references"][1]]}, None,
+             "bad_references"),
+            (lambda doc: {**doc, "references": [-0.5, doc["references"][1]]}, None,
+             "bad_references"),
             (None, lambda t: {}, "no_suite_tensors"),
             (None, _edit("task1/eval_y", lambda a: None), "bad_suite"),
             (None, _edit("task0/train_x", lambda a: a[1:]), "bad_suite"),
@@ -317,6 +361,7 @@ class TestMalformedSuite:
         ],
         ids=["empty", "list", "no_references", "string_n_tasks", "unknown_field",
              "null_float", "zero_tasks", "short_references", "string_reference",
+             "zero_reference", "negative_reference",
              "no_suite_tensors", "missing_tensor", "short_train_x", "label_range",
              "head_shape"],
     )

@@ -48,7 +48,88 @@ class TestGeneration:
             harness.generate_suite(seed=0, n_tasks=2, label_offsets=(0,))
 
 
+def _per_task_finetune(suite, task, rank, steps, lr, seed, lora_alpha=16.0, batch_size=32):
+    """Per-task reference for the batched fine-tuning loop: one task, 2-D
+    arrays, one fresh substream per step. Returns (b, a, head, reference)."""
+    cfg = suite.config
+    w0 = suite.base["layer0"]
+    scale = lora_alpha / rank
+    init = substream(seed, "finetune", task)
+    params = {
+        "b": np.zeros((cfg.d, rank)),
+        "a": 0.01 * init.standard_normal((cfg.m, rank)),
+        "h": 0.01 * init.standard_normal((cfg.n_classes, cfg.d)),
+    }
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    td = suite.tasks[task]
+    for t in range(steps):
+        idx = substream(seed, "finetune", task, "batch", t).integers(0, cfg.n_train,
+                                                                      batch_size)
+        x, y = td.train_x[idx], td.train_y[idx]
+        z = x @ (w0 + scale * params["b"] @ params["a"].T).T
+        logits = z @ params["h"].T
+        e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+        dl = e / np.sum(e, axis=1, keepdims=True)
+        dl[np.arange(batch_size), y] -= 1.0
+        dl /= batch_size
+        dw = (dl @ params["h"]).T @ x
+        grads = {
+            "b": scale * dw @ params["a"],
+            "a": scale * dw.T @ params["b"],
+            "h": dl.T @ z,
+        }
+        tara.adamw_step(params, grads, m, v, t + 1, tara.OptimConfig(lr=lr))
+    w = w0 + scale * params["b"] @ params["a"].T
+    pred = np.argmax(td.eval_x @ w.T @ params["h"].T, axis=1)
+    return params["b"], params["a"], params["h"], float(np.mean(pred == td.eval_y))
+
+
 class TestFinetune:
+    @pytest.mark.parametrize("n_tasks", [1, 3])
+    def test_batched_matches_per_task_loop(self, n_tasks):
+        suite = harness.generate_suite(seed=6, n_tasks=n_tasks, d=12, m=10,
+                                       n_train=90, n_eval=40, n_adapt=20)
+        coll = harness.finetune_all(suite, rank=4, steps=60, lr=0.03, seed=5)
+        for i in range(n_tasks):
+            b, a, head, reference = _per_task_finetune(suite, i, 4, 60, 0.03, seed=5)
+            ad = coll.adapters["layer0"][i]
+            assert np.array_equal(ad.b, b) and np.array_equal(ad.a, a)
+            assert np.array_equal(suite.heads[i], head)
+            assert suite.references[i] == reference
+
+    def test_divergence_names_the_task(self):
+        """Each task is guarded against its own initial loss; the abort names the
+        first task to diverge, as that task's own run does."""
+        def suite():
+            return harness.generate_suite(seed=0, n_tasks=2, d=12, m=10, n_train=60,
+                                          n_eval=30, n_adapt=20)
+
+        alone = {}
+        for i in range(2):
+            with pytest.raises(harness.HarnessAbort, match=f"task{i} loss") as exc:
+                harness.finetune_lora(suite(), i, rank=4, steps=50, lr=100.0)
+            step = int(str(exc.value).rsplit("step ", 1)[1])
+            alone[(step, i)] = str(exc.value)
+        with pytest.raises(harness.HarnessAbort) as exc:
+            harness.finetune_all(suite(), rank=4, steps=50, lr=100.0)
+        assert str(exc.value) == alone[min(alone)]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rank": 0}, {"rank": -1}, {"steps": -3}, {"lr": 0.0}, {"lr": float("nan")},
+         {"lr": float("inf")}, {"batch_size": 0}],
+        ids=["rank_0", "negative_rank", "negative_steps", "zero_lr", "nan_lr", "inf_lr",
+             "zero_batch"],
+    )
+    def test_bad_hyperparameters(self, kwargs):
+        suite = harness.generate_suite(seed=0, n_tasks=1, n_train=40, n_eval=20,
+                                       n_adapt=10)
+        with pytest.raises(ValueError) as exc:
+            harness.finetune_lora(suite, 0, **{"rank": 4, "steps": 5, **kwargs})
+        assert exc.value.code == "bad_config"
+        assert suite.heads == [None] and suite.references == [None]
+
     def test_references_meet_bar(self, default_suite):
         suite, _ = default_suite
         assert all(r >= 0.9 for r in suite.references)
@@ -104,6 +185,14 @@ class TestEvaluate:
                                        n_adapt=10)
         with pytest.raises(HarnessError):
             harness.evaluate(dict(suite.base), suite)
+
+    @pytest.mark.parametrize("reference", [0.0, -0.5])
+    def test_non_positive_reference(self, small_suite, reference):
+        suite, _ = small_suite
+        bad = dataclasses.replace(suite, references=[suite.references[0], reference])
+        with pytest.raises(HarnessError) as exc:
+            harness.evaluate(dict(suite.base), bad)
+        assert exc.value.code == "bad_references"
 
 
 class TestJointEval:
