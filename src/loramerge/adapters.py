@@ -110,8 +110,10 @@ class FactorStack:
         ]
 
     def project(self, g: np.ndarray) -> np.ndarray:
-        """<G, sigma_k left_k right_k^T>_F = sigma_k * left_k^T G right_k per column."""
-        return self.sigma * np.sum(self.left * (g @ self.right), axis=0)
+        """<G, sigma_k left_k right_k^T>_F = sigma_k * left_k^T G right_k per column,
+        (..., d, m) -> (..., K); each (d, m) slice gets its own GEMM, so its bits
+        do not depend on the leading axes."""
+        return self.sigma * np.sum(self.left * (g @ self.right), axis=-2)
 
 
 def rank1_stack(adapters: list[LoraAdapter], scaled: bool = False) -> FactorStack:
@@ -244,13 +246,15 @@ def save_collection(coll: AdapterCollection, path, extra: dict | None = None):
         fh.write(bytes(payload))
 
 
-def _is_count(v) -> bool:
-    return type(v) is int and v >= 0
+def is_integer(v) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def is_finite_number(v) -> bool:
-    """A JSON number that converts to a finite float (False for NaN and inf)."""
-    return type(v) in (int, float) and abs(v) < 1e308
+def is_real(v) -> bool:
+    """A Python or numpy integer or float, not a bool, that converts to a finite
+    float (False for NaN, inf and integers beyond the float range)."""
+    return bool((is_integer(v) or isinstance(v, (float, np.floating))) and abs(v) < 1e308)
 
 
 def _check_header(header, payload_len: int) -> None:
@@ -271,8 +275,8 @@ def _check_header(header, payload_len: int) -> None:
     for rec in header["tensors"]:
         if not (isinstance(rec, dict) and isinstance(rec.get("key"), str)
                 and isinstance(rec.get("shape"), list)
-                and all(map(_is_count, rec["shape"]))
-                and _is_count(rec.get("offset")) and _is_count(rec.get("length"))):
+                and all(is_integer(n) and n >= 0
+                        for n in [*rec["shape"], rec.get("offset"), rec.get("length")])):
             raise ContainerError("bad_tensor", f"malformed tensor record {rec!r}")
         key = rec["key"]
         if key in spans:
@@ -299,8 +303,8 @@ def _check_header(header, payload_len: int) -> None:
             m = meta[task].get(layer) if isinstance(meta.get(task), dict) else None
             if not (isinstance(m, dict) and {"rank", "lora_alpha", "dropout"} <= m.keys()):
                 raise ContainerError("missing_field", f"no adapter metadata for {task}/{layer}")
-            if not (type(m["rank"]) is int and is_finite_number(m["lora_alpha"])
-                    and is_finite_number(m["dropout"])):
+            if not (is_integer(m["rank"]) and is_real(m["lora_alpha"])
+                    and is_real(m["dropout"])):
                 raise ContainerError(
                     "bad_metadata", f"{task}/{layer}: rank must be an integer, lora_alpha "
                     f"and dropout finite numbers, got {m!r}"

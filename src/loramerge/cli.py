@@ -118,10 +118,10 @@ def cmd_train_toy(args) -> int:
         "noise_std", "mean_scale", "leak_scale", "rank", "steps", "lr", "seed",
     ]
     config = _resolve(args, keys)
-    seed = int(config.get("seed", 0))
-    rank = int(config.pop("rank", 16))
-    steps = int(config.pop("steps", 300))
-    lr = float(config.pop("lr", 0.02))
+    seed = config.get("seed", 0)  # values pass unconverted, so a wrong type is refused
+    rank = config.pop("rank", 16)
+    steps = config.pop("steps", 300)
+    lr = config.pop("lr", 0.02)
     suite = harness.generate_suite(harness.SuiteConfig(**{**config, "seed": seed}))
     coll = harness.finetune_all(suite, rank=rank, steps=steps, lr=lr, seed=seed)
     run = _run_dir(args.out, seed)

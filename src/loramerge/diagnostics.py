@@ -112,15 +112,12 @@ def jacobian(directions: FactorStack, grads) -> Jacobian:
     grads is a list of (d, m) gradients or an (N, d, m) stack."""
     if directions.sigma.size == 0 or len(grads) == 0:
         raise DiagnosticsError("need at least one direction and one gradient")
-    shape = np.asarray(grads[0]).shape
-    entries = np.zeros((len(grads), directions.sigma.size))
+    shape = np.shape(grads[0])
     for i, g in enumerate(grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != shape:
-            raise DiagnosticsError(f"gradient {i} shape {g.shape} != {shape}")
-        entries[i] = directions.project(g)
+        if np.shape(g) != shape:
+            raise DiagnosticsError(f"gradient {i} shape {np.shape(g)} != {shape}")
     return Jacobian(
-        entries=entries,
+        entries=directions.project(np.asarray(grads, dtype=np.float64)),
         direction_ids=list(zip(directions.owner.tolist(), directions.owner_rank.tolist())),
     )
 

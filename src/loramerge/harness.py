@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .adapters import (
-    AdapterCollection, LoraAdapter, is_finite_number, read_container, save_collection,
+    AdapterCollection, LoraAdapter, is_integer, is_real, read_container,
+    save_collection,
 )
 from .linalg import CodedError, NumericalAbort
 from .rng import keyed_integers, substream
@@ -53,8 +54,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         for name in ("n_tasks", "d", "m", "n_classes", "n_train", "n_eval", "n_adapt"):
-            if getattr(self, name) < 1:
-                raise HarnessError(f"{name} must be positive", code="bad_config")
+            if not (is_integer(getattr(self, name)) and getattr(self, name) >= 1):
+                raise HarnessError(f"{name} must be a positive integer", code="bad_config")
+        if not is_integer(self.seed):
+            raise HarnessError(f"seed must be an integer, got {self.seed!r}", code="bad_config")
 
 
 @dataclass
@@ -119,23 +122,21 @@ class TaskSuite:
 
         batches is (n, B, m), row i scored by head i; n may be below n_tasks
         when a merge covers only the first n tasks. weights[LAYER_ID] is one
-        (d, m) matrix shared by those tasks or an (n, d, m) stack, one per task.
-        Returns f (n,) and {LAYER_ID: (n, d, m)}.
+        (d, m) matrix shared by those tasks, an (n, d, m) stack, one per task,
+        or P of either stacked (P, 1|n, d, m), all scored on the same batches.
+        Returns f (n,) and {LAYER_ID: (n, d, m)}, led by P for a P-stack.
         """
-        w = weights[LAYER_ID]
-        if w.ndim == 3 and w.shape[0] != batches.shape[0]:
-            raise HarnessError(
-                f"{w.shape[0]} per-task weights for {batches.shape[0]} batches"
-            )
-        h = self._stacked_heads(batches.shape[0])
-        z = batches @ np.swapaxes(w, -1, -2)            # (n, B, d)
-        p = _softmax(z @ np.swapaxes(h, -1, -2))         # (n, B, C)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(p > 0, np.log(p), 0.0)
-        ent = -np.sum(p * logp, axis=-1)                 # (n, B)
+        w, n = weights[LAYER_ID], batches.shape[0]
+        if w.ndim == 3 and w.shape[0] != n or w.ndim == 4 and w.shape[1] not in (1, n):
+            raise HarnessError(f"{w.shape[-3]} per-task weights for {n} batches")
+        h = self._stacked_heads(n)
+        z = batches @ np.swapaxes(w, -1, -2)            # ([P,] n, B, d)
+        p = _softmax(z @ np.swapaxes(h, -1, -2))         # ([P,] n, B, C)
+        logp = np.log(p, out=np.zeros_like(p), where=p > 0)
+        ent = -np.sum(p * logp, axis=-1)                 # ([P,] n, B)
         # dE/dlogit_j = -p_j (log p_j + E) per sample
         dl = -p * (logp + ent[..., None]) / batches.shape[1]
-        dz = dl @ h                                      # (n, B, d)
+        dz = dl @ h                                      # ([P,] n, B, d)
         return np.mean(ent, axis=-1), {LAYER_ID: np.swapaxes(dz, -1, -2) @ batches}
 
     def task_loss_gradients(self, weights: dict) -> dict:
@@ -212,11 +213,11 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int, steps: int, lr: flo
     streams. Stores each head and fine-tuned eval accuracy on the suite as the
     normalization reference."""
     cfg = suite.config
-    if not 1 <= rank <= min(cfg.d, cfg.m):
-        raise HarnessError(f"rank {rank} outside [1, min(d, m) = {min(cfg.d, cfg.m)}]",
-                           code="bad_config")
-    if steps < 0:
-        raise HarnessError(f"steps must be >= 0, got {steps}", code="bad_config")
+    if not (is_integer(rank) and 1 <= rank <= min(cfg.d, cfg.m)):
+        raise HarnessError(f"rank {rank!r} is not an integer in [1, min(d, m) = "
+                           f"{min(cfg.d, cfg.m)}]", code="bad_config")
+    if not (is_integer(steps) and steps >= 0):
+        raise HarnessError(f"steps must be an integer >= 0, got {steps!r}", code="bad_config")
     adam = OptimConfig(lr=lr, batch_size=batch_size)  # checks both; no weight decay
     w0 = suite.base[LAYER_ID]
     scale = lora_alpha / rank
@@ -460,9 +461,9 @@ def _read_sidecar(path) -> tuple[SuiteConfig, list]:
         value = raw[name]
         if name == "label_offsets":
             ok = value is None or (isinstance(value, list)
-                                   and all(type(v) is int for v in value))
+                                   and all(map(is_integer, value)))
         else:
-            ok = type(value) is int if type(default) is int else is_finite_number(value)
+            ok = is_integer(value) if type(default) is int else is_real(value)
         if not ok:
             raise HarnessError(f"config field {name} has the wrong type: {value!r}",
                                code="bad_config")
@@ -470,7 +471,7 @@ def _read_sidecar(path) -> tuple[SuiteConfig, list]:
     cfg = SuiteConfig(**{**raw, "label_offsets": None if offsets is None else tuple(offsets)})
     refs = doc["references"]
     if not (isinstance(refs, list) and len(refs) == cfg.n_tasks
-            and all(r is None or (is_finite_number(r) and r > 0) for r in refs)):
+            and all(r is None or (is_real(r) and r > 0) for r in refs)):
         raise HarnessError(
             f"references must be {cfg.n_tasks} finite positive numbers or nulls, "
             f"got {refs!r}",

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .adapters import AdapterCollection, LoraAdapter, delta_weight
+from .adapters import AdapterCollection, LoraAdapter, delta_weight, is_integer, is_real
+from .linalg import CodedError
 from .rng import substream
 
 METHODS = (
@@ -29,7 +30,7 @@ METHODS = (
 )
 
 
-class MergeError(ValueError):
+class MergeError(CodedError):
     pass
 
 
@@ -58,14 +59,23 @@ class MergeConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise MergeError(f"unknown merge method {self.method!r}")
-        if not 0.0 <= self.trim_fraction < 1.0:
-            raise MergeError("trim_fraction must be in [0, 1)")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise MergeError("drop_prob must be in [0, 1)")
-        if self.k_clusters < 1:
-            raise MergeError("k_clusters must be positive")
-        if self.lego_reweight not in ("parameter", "output"):
-            raise MergeError("lego_reweight must be 'parameter' or 'output'")
+        for name, ok, rule in (
+            ("lam", is_real(self.lam), "a finite number"),
+            ("trim_fraction", is_real(self.trim_fraction) and 0 <= self.trim_fraction < 1,
+             "a number in [0, 1)"),
+            ("drop_prob", is_real(self.drop_prob) and 0 <= self.drop_prob < 1,
+             "a number in [0, 1)"),
+            ("k_clusters", is_integer(self.k_clusters) and self.k_clusters >= 1,
+             "an integer >= 1"),
+            ("lego_reweight", self.lego_reweight in ("parameter", "output"),
+             "'parameter' or 'output'"),
+            ("rng_seed", is_integer(self.rng_seed), "an integer"),
+            ("target_rank", is_integer(self.target_rank) and self.target_rank >= 1,
+             "an integer >= 1"),
+        ):
+            if not ok:
+                raise MergeError(f"{name} must be {rule}, got {getattr(self, name)!r}",
+                                 code="bad_config")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MergeConfig":

@@ -27,16 +27,30 @@ def keyed_integers(seed: int, tags: list[tuple], high: int, size: int) -> np.nda
     """(len(tags), size) int64 array whose row j equals
     substream(seed, *tags[j]).integers(0, high, size).
 
-    A stream is only its key, so one Philox is re-keyed per row: it is given the
-    whole state of a new generator (counter 0, empty buffers) with that row's
-    key, which costs half as much as constructing a generator per row.
+    A stream is only its key, so one Philox is re-keyed per row (counter 0, empty
+    buffers, the row's key). For 1 <= high <= 2**32, numpy's bounded rule (Lemire's
+    multiply-shift on each 32-bit half of the raw words) maps all rows at once;
+    rows that hit its rejection step, and all rows for other high, use Generator.integers.
     """
     bitgen = np.random.Philox(0)
-    fresh = bitgen.state
-    gen = np.random.Generator(bitgen)
-    out = np.empty((len(tags), size), dtype=np.int64)
-    for row, tag in enumerate(tags):
+    fresh, gen = bitgen.state, np.random.Generator(bitgen)
+
+    def rekey(tag):
         fresh["state"]["key"] = _key(seed, tag)
         bitgen.state = fresh
+
+    out, redo = np.empty((len(tags), size), dtype=np.int64), range(len(tags))
+    if 1 <= high <= 2**32:
+        words = np.empty((len(tags), (size + 1) // 2), dtype="<u8")
+        for row, tag in enumerate(tags):
+            rekey(tag)
+            words[row] = bitgen.random_raw(words.shape[1])
+        # "<u4" view: low half first. The product must be uint64: numpy 1.x keeps a
+        # uint32 array times a uint64 scalar that fits in 32 bits as uint32, and wraps.
+        m = words.view("<u4")[:, :size].astype(np.uint64) * np.uint64(high)
+        redo = np.flatnonzero(np.any(m.astype(np.uint32) < (2**32 - high) % high, axis=1))
+        out = (m >> 32).view(np.int64)
+    for row in redo:
+        rekey(tags[row])
         out[row] = gen.integers(0, high, size)
     return out

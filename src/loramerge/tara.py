@@ -23,12 +23,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .adapters import AdapterCollection, FactorStack, delta_weight, rank1_stack
+from .adapters import (
+    AdapterCollection, FactorStack, delta_weight, is_integer, is_real, rank1_stack,
+)
 from .diagnostics import _check_simplex
 from .linalg import CodedError, NumericalAbort
 from .rng import keyed_integers
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
+GRAD_BUDGET_BYTES = 16 * 2**20  # cap on one step's (P, N, d, m) gradient stack in a sweep
 
 
 class TaraError(CodedError):
@@ -37,14 +40,6 @@ class TaraError(CodedError):
 
 class TaraAbort(TaraError, NumericalAbort):
     """The optimizer diverged or met a non-finite entropy."""
-
-
-def _integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _real(v) -> bool:
-    return (_integer(v) or isinstance(v, (float, np.floating))) and bool(np.isfinite(v))
 
 
 @dataclass
@@ -74,7 +69,7 @@ class StchConfig:
     anchors: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (_real(self.alpha) and self.alpha > 0):
+        if not (is_real(self.alpha) and self.alpha > 0):
             raise TaraError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
@@ -91,16 +86,16 @@ class OptimConfig:
 
     def __post_init__(self):
         betas_ok = (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
-                    and all(_real(b) and 0 <= b < 1 for b in self.betas))
+                    and all(is_real(b) and 0 <= b < 1 for b in self.betas))
         for name, ok, rule in (
-            ("lr", _real(self.lr) and self.lr > 0, "a finite number > 0"),
+            ("lr", is_real(self.lr) and self.lr > 0, "a finite number > 0"),
             ("betas", betas_ok, "two numbers in [0, 1)"),
-            ("eps", _real(self.eps) and self.eps > 0, "a finite number > 0"),
-            ("weight_decay", _real(self.weight_decay) and self.weight_decay >= 0,
+            ("eps", is_real(self.eps) and self.eps > 0, "a finite number > 0"),
+            ("weight_decay", is_real(self.weight_decay) and self.weight_decay >= 0,
              "a finite number >= 0"),
-            ("batch_size", _integer(self.batch_size) and self.batch_size >= 1,
+            ("batch_size", is_integer(self.batch_size) and self.batch_size >= 1,
              "an integer >= 1"),
-            ("max_iters", _integer(self.max_iters) and self.max_iters >= 1,
+            ("max_iters", is_integer(self.max_iters) and self.max_iters >= 1,
              "an integer >= 1"),
         ):
             if not ok:
@@ -111,13 +106,17 @@ class OptimConfig:
 @dataclass
 class OptimTrace:
     steps: list[int] = field(default_factory=list)
-    objective: list[float] = field(default_factory=list)
-    per_task: list[np.ndarray] = field(default_factory=list)
+    objective: list = field(default_factory=list)  # (P,) per step; a point's: floats
+    per_task: list[np.ndarray] = field(default_factory=list)  # (P, N); a point's: (N,)
 
-    def append(self, step: int, value: float, f: np.ndarray):
+    def append(self, step: int, value, f: np.ndarray):
         self.steps.append(step)
         self.objective.append(value)
         self.per_task.append(np.array(f))
+
+    def point(self, j: int) -> "OptimTrace":
+        return OptimTrace(list(self.steps), [float(v[j]) for v in self.objective],
+                          [f[j] for f in self.per_task])
 
 
 def _basis(coll: AdapterCollection, variant: str, layers: dict[str, FactorStack],
@@ -191,17 +190,19 @@ def build_adamerging(coll: AdapterCollection) -> DirectionBasis:
 
 
 def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """W0 + sum_k phi_{group_k} sigma_k left_k right_k^T per layer; linear in phi."""
+    """W0 + sum_k phi_{group_k} sigma_k left_k right_k^T per layer; linear in phi.
+    A (P, K) phi gives (P, d, m) weights, one per row. The stacked product makes
+    one (d, K) @ (K, m) GEMM per row, the call a single row makes, so a row's bits
+    do not depend on P (one 2-D GEMM over P*d rows may pick another kernel)."""
     weights = {}
     for layer in basis.layer_ids:
         s = basis.layers[layer]
         p = np.asarray(phi[layer], dtype=np.float64)
-        if p.size != basis.k(layer):
-            raise TaraError(
-                f"phi length {p.size} != {basis.k(layer)} components at {layer}"
-            )
-        coef = s.sigma * p[basis.groups[layer]]
-        weights[layer] = basis.base[layer] + (s.left * coef) @ s.right.T
+        if p.shape[-1:] != (basis.k(layer),):
+            raise TaraError(f"phi of shape {p.shape} does not end in {basis.k(layer)} "
+                            f"components at {layer}")
+        coef = s.sigma * np.take(p, basis.groups[layer], axis=-1)  # C order, unlike p[..., idx]
+        weights[layer] = basis.base[layer] + (s.left * coef[..., None, :]) @ s.right.T
     return weights
 
 
@@ -258,40 +259,46 @@ def stch_objective(f, z, rho, alpha: float = 1.0) -> float:
     rho = _check_simplex(rho, f.size)
     if alpha <= 0:
         raise TaraError("alpha must be positive")
-    return _stch(f, z, rho, alpha)[0]
+    return float(_stch(f, z, rho, alpha)[0])
 
 
 def _stch(f, z, rho, alpha):
-    """The smoothed scalarization and dPsi/df_i, with a deadband at the anchor."""
+    """The smoothed scalarization and dPsi/df_i, with a deadband at the anchor;
+    row-wise over (..., N) f and rho."""
     r = f - z
     t = rho * np.abs(r) / alpha
-    tmax = np.max(t)
+    tmax = t.max(axis=-1, keepdims=True)
     e = np.exp(t - tmax)
-    total = np.sum(e)
+    total = e.sum(axis=-1, keepdims=True)
     grad = e / total * rho * np.sign(r)
-    grad[np.abs(r) < RESIDUAL_DEADBAND] = 0.0
-    return float(alpha * (tmax + np.log(total))), grad
+    np.copyto(grad, 0.0, where=np.abs(r) < RESIDUAL_DEADBAND)
+    return alpha * (tmax + np.log(total))[..., 0], grad
 
 
 def _phi_gradient(basis: DirectionBasis, weight_grads: dict, dpsi_df: np.ndarray):
     """g_k = <sum_i c_i G_i, C_k> for every basis component, summed over the
-    columns that share each phi entry."""
-    return {
-        layer: np.bincount(
-            basis.groups[layer],
-            weights=basis.layers[layer].project(np.tensordot(dpsi_df, weight_grads[layer], 1)),
-            minlength=basis.k(layer),
-        )
-        for layer in basis.layer_ids
-    }
+    columns that share each phi entry; (..., K) from (..., N) c, (..., N, d, m) G."""
+    c = dpsi_df.reshape(-1, 1, dpsi_df.shape[-1])  # (P, 1, N)
+    out = {}
+    for layer in basis.layer_ids:
+        g, k = weight_grads[layer], basis.k(layer)
+        combined = (c @ g.reshape(len(c), c.shape[-1], -1)).reshape(-1, *g.shape[-2:])
+        bins = basis.groups[layer] + k * np.arange(len(c))[:, None]  # row p: bins p*k...
+        out[layer] = np.bincount(bins.ravel(), basis.layers[layer].project(combined).ravel(),
+                                 len(c) * k).reshape(dpsi_df.shape[:-1] + (k,))
+    return out
 
 
 def _evaluate(basis, phi, suite, batches):
-    """Per-task entropies f (N,) and weight gradients {layer: (N, d, m)} at W(phi)
-    on (N, B, m) batches, in one suite call."""
-    f, weight_grads = suite.entropy_and_grad(assemble(basis, phi), batches)
-    if not np.all(np.isfinite(f)):
-        raise TaraAbort("non-finite entropy encountered")
+    """Per-task entropies f (..., N) and weight gradients {layer: (..., N, d, m)}
+    at W(phi) of a (K,) or (P, K) phi on (N, B, m) batches, in one suite call.
+    A non-finite entropy raises TaraAbort, whose .point is the first such row."""
+    weights = {l: w[:, None] if w.ndim == 3 else w for l, w in assemble(basis, phi).items()}
+    f, weight_grads = suite.entropy_and_grad(weights, batches)
+    if not np.isfinite(f).all():
+        err = TaraAbort("non-finite entropy encountered")
+        err.point = int(np.flatnonzero(~np.isfinite(f).reshape(-1, f.shape[-1]).all(-1))[0])
+        raise err
     return f, weight_grads
 
 
@@ -303,9 +310,10 @@ def stch_value_and_grad(
     cfg: StchConfig,
     batches: np.ndarray,
 ):
-    """Objective value, d/dphi, and per-task entropies on (N, B, m) batches.
+    """Objective value, d/dphi, and per-task entropies on (N, B, m) batches;
+    row-wise for a (P, K) phi and a (P, N) rho.
 
-    rho must be a simplex vector of length N; optimize checks it once per run.
+    rho rows must be simplex vectors of length N; optimize checks them once per run.
     """
     if cfg is None or cfg.anchors is None:
         raise TaraError("anchors must be computed before optimization")
@@ -317,9 +325,8 @@ def stch_value_and_grad(
 def mean_entropy_value_and_grad(basis, phi, suite, batches):
     """Uniform-mean entropy objective used by the AdaMerging baseline."""
     f, weight_grads = _evaluate(basis, phi, suite, batches)
-    dpsi_df = np.full(basis.n_tasks, 1.0 / basis.n_tasks)
-    value = float(np.mean(f))
-    return value, _phi_gradient(basis, weight_grads, dpsi_df), f
+    dpsi_df = np.full(f.shape, 1.0 / basis.n_tasks)
+    return np.mean(f, axis=-1), _phi_gradient(basis, weight_grads, dpsi_df), f
 
 
 def adamw_step(params, grads, m, v, t, cfg: OptimConfig):
@@ -356,45 +363,53 @@ def optimize(
     stch: StchConfig | None = None,
     objective: str = "stch",
     schedule: np.ndarray | None = None,
+    first: int = 0,
 ):
-    """AdamW loop over phi; each step scores all tasks on fresh batches in one
-    suite call.
+    """AdamW loop over a (P, K) phi per layer, one row per preference of the
+    (P, N) or (N,) rho; each step scores every row and task on fresh batches in
+    one suite call.
 
     objective 'stch' uses the anchored scalarization under rho; 'mean_entropy'
-    ignores rho/anchors (AdaMerging). schedule is the batch_schedule to follow;
-    None draws it. Aborts if the objective exceeds 10x its initial value or is
-    NaN. Returns (phi, trace).
+    ignores rho/anchors (AdaMerging, P = 1). schedule is the batch_schedule to
+    follow; None draws it. Aborts if a row's entropy is non-finite or its
+    objective exceeds 10x its initial value or is NaN, naming row j as point
+    first + j. Returns (phi, trace); trace.point(j) is row j's own trace.
     """
     if objective not in ("stch", "mean_entropy"):
         raise TaraError(f"unknown objective {objective!r}")
     _check_suite_order(basis.task_ids)
-    if objective == "stch":
-        rho = _check_simplex(rho, basis.n_tasks)
-    pools = adaptation_pools(suite, basis.n_tasks)
+    n = basis.n_tasks
+    rho = np.atleast_2d(np.asarray(rho if objective == "stch" else np.full(n, 1 / n), float))
+    for row in rho:
+        _check_simplex(row, n)
+    pools = adaptation_pools(suite, n)
     if schedule is None:
-        schedule = batch_schedule(suite, basis.n_tasks, cfg)
-    if schedule.shape != (cfg.max_iters, basis.n_tasks, cfg.batch_size):
+        schedule = batch_schedule(suite, n, cfg)
+    if schedule.shape != (cfg.max_iters, n, cfg.batch_size):
         raise TaraError(f"batch schedule of shape {schedule.shape} does not fit cfg")
-    tasks = np.arange(basis.n_tasks)[:, None]
-    phi = basis.init_phi(cfg.phi_init)
+    tasks = np.arange(n)[:, None]
+    phi = {l: np.tile(p, (len(rho), 1)) for l, p in basis.init_phi(cfg.phi_init).items()}
     m = {l: np.zeros_like(phi[l]) for l in phi}
     v = {l: np.zeros_like(phi[l]) for l in phi}
     trace = OptimTrace()
     initial = None
     for step in range(cfg.max_iters):
         batches = pools[tasks, schedule[step]]
-        if objective == "stch":
-            value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
-        else:
-            value, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches)
+        try:
+            if objective == "stch":
+                value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
+            else:
+                value, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches)
+        except TaraAbort as err:
+            raise TaraAbort(f"non-finite entropy encountered at point {first + err.point}, "
+                            f"step {step}") from None
         trace.append(step, value, f)
         if initial is None:
-            initial = value
-        elif not value <= 10.0 * initial:
-            raise TaraAbort(
-                f"divergence guard: objective {value:.4g} exceeds 10x initial "
-                f"{initial:.4g} at step {step}"
-            )
+            initial, limit = value, 10.0 * value
+        if not (value <= limit).all():
+            j = np.flatnonzero(~(value <= limit))[0]
+            raise TaraAbort(f"divergence guard: point {first + j} objective {value[j]:.4g} "
+                            f"exceeds 10x initial {initial[j]:.4g} at step {step}")
         adamw_step(phi, grad, m, v, step + 1, cfg)
     return phi, trace
 
@@ -409,9 +424,9 @@ def sweep_tara(
     shared_rank: int | None = None,
 ):
     """TARA merges at each preference in rhos. The basis, the anchors and the
-    batch schedule do not depend on the preference, so they are built once and
-    shared by every point. Yields one (weights, phi, trace) per preference as
-    it is finished, so a caller that consumes each point holds one at a time."""
+    batch schedule do not depend on the preference: they are built once, and one
+    optimize loop runs each chunk of points whose gradient stack fits
+    GRAD_BUDGET_BYTES. Yields (weights, phi, trace) per point in order."""
     optim = optim or OptimConfig()
     if variant == "a":
         basis = build_variant_a(coll)
@@ -421,9 +436,15 @@ def sweep_tara(
         raise TaraError(f"unknown variant {variant!r}")
     stch = StchConfig(alpha=alpha, anchors=compute_anchors(coll, suite))
     schedule = batch_schedule(suite, coll.n_tasks, optim)
-    for rho in rhos:
-        phi, trace = optimize(basis, suite, rho, optim, stch, schedule=schedule)
-        yield assemble(basis, phi), phi, trace
+    rhos = list(rhos)
+    per_point = 8 * coll.n_tasks * sum(w.size for w in basis.base.values())
+    size = max(1, GRAD_BUDGET_BYTES // per_point)
+    for start in range(0, len(rhos), size):
+        chunk = rhos[start:start + size]
+        phi, trace = optimize(basis, suite, chunk, optim, stch, schedule=schedule, first=start)
+        for j in range(len(chunk)):
+            point = {l: p[j] for l, p in phi.items()}
+            yield assemble(basis, point), point, trace.point(j)
 
 
 def merge_tara(
@@ -448,4 +469,5 @@ def adamerging_baseline(
     cfg = cfg or OptimConfig(phi_init=0.3)
     basis = build_adamerging(coll)
     phi, trace = optimize(basis, suite, None, cfg, objective="mean_entropy")
-    return assemble(basis, phi), phi, trace
+    phi = {l: p[0] for l, p in phi.items()}
+    return assemble(basis, phi), phi, trace.point(0)

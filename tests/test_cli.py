@@ -162,6 +162,31 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("runtime failure:")
 
+    def test_one_diverging_sweep_point_exits_1(self, tmp_path, monkeypatch, capsys):
+        """Task 1's entropies grow during optimization, so only point 1, the one
+        point that weights task 1, diverges; the sweep aborts before any output."""
+        container, sidecar, out = _train(tmp_path)
+        real = harness.TaskSuite.entropy_and_grad
+        calls = []
+
+        def task_1_diverges(self, *args):
+            f, grads = real(self, *args)
+            if f.ndim == 2:
+                calls.append(None)
+                f[:, 1] *= 10.0 ** len(calls)
+            return f, grads
+
+        monkeypatch.setattr(harness.TaskSuite, "entropy_and_grad", task_1_diverges)
+        prefs = tmp_path / "prefs.json"
+        prefs.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        sweep_out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert main(["sweep", str(container), "--sidecar", str(sidecar), "--method",
+                     "tara-b", "--preferences", str(prefs), "--iters", "20",
+                     "--out", str(sweep_out)]) == 1
+        assert capsys.readouterr().err.startswith("runtime failure: divergence guard: point 1 ")
+        assert not sweep_out.exists()
+
     def test_validation_error_exits_2(self, tmp_path, capsys):
         container, sidecar, out = _train(tmp_path)
         capsys.readouterr()
@@ -189,11 +214,23 @@ class TestExitCodes:
             ["merge", "--method", "adamerging", {"alpha": 1.0}],
             ["merge", "--method", "adamerging", {"iters": 0}],
             ["sweep", "--method", "tara-b", "--random", "2", "--iters", "0"],
+            ["merge", "--method", "ta", {"lam": "x"}],
+            ["merge", "--method", "ta", {"lam": [1]}],
+            ["merge", "--method", "ta", {"lam": float("nan")}],
+            ["merge", "--method", "svd", {"target_rank": 2.5}],
+            ["merge", "--method", "svd", {"target_rank": 0}],
+            ["merge", "--method", "lora_lego", {"k_clusters": "4"}],
+            ["merge", "--method", "lora_lego", {"rng_seed": 1.5}],
+            ["merge", "--method", "ties", {"trim_fraction": "0.5"}],
+            ["merge", "--method", "dare_ties", {"drop_prob": [0.1]}],
+            ["merge", "--method", "ta", {"lam": 10**400}],
         ],
         ids=["rank_0", "negative_steps", "nan_lr", "negative_iters", "zero_iters",
              "fractional_iters", "zero_batch", "string_lr", "bool_batch", "inf_alpha",
              "tara_lam", "tara_trim", "adamerging_alpha", "adamerging_zero_iters",
-             "sweep_zero_iters"],
+             "sweep_zero_iters", "string_lam", "list_lam", "nan_lam",
+             "fractional_target_rank", "zero_target_rank", "string_k_clusters",
+             "fractional_rng_seed", "string_trim", "list_drop_prob", "huge_int_lam"],
     )
     def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, trained_and_merged, argv):
         """Hyperparameters are checked before any run directory is made."""
@@ -209,6 +246,23 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("rank", 2.7), ("rank", "4"), ("steps", 10.5), ("lr", "0.02"), ("seed", 1.5),
+        ("d", 12.0),
+    ])
+    def test_train_toy_config_values_are_not_converted(self, tmp_path, capsys, field,
+                                                       value):
+        """A config-file value of the wrong type is refused, not truncated."""
+        cfg = {"n_tasks": 2, "d": 12, "m": 10, "n_train": 40, "n_eval": 20,
+               "n_adapt": 20, "rank": 4, "steps": 5, field: value}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        assert main(["train-toy", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad_config: {field}")
         assert not out.exists()
 
 

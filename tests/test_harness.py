@@ -269,6 +269,11 @@ class _PerTaskSuite:
 
     def entropy_and_grad(self, weights, batches):
         w = weights["layer0"]
+        if w.ndim == 4:  # P weights, each (1|n, d, m), all on the same batches
+            out = [self.entropy_and_grad({"layer0": wp[0] if len(wp) == 1 else wp}, batches)
+                   for wp in w]
+            grads = np.stack([g["layer0"] for _, g in out])
+            return np.stack([f for f, _ in out]), {"layer0": grads}
         out = [
             _per_task_entropy_and_grad(self.suite.heads[i], w[i] if w.ndim == 3 else w, b)
             for i, b in enumerate(batches)
@@ -293,6 +298,22 @@ class TestEntropyAndGrad:
             assert abs(f[i] - want_f) <= 1e-12
             assert np.max(np.abs(grads["layer0"][i] - want_g)) <= 1e-12
 
+    @pytest.mark.parametrize("per_task", [False, True], ids=["shared", "per_task"])
+    def test_point_stack_matches_separate_calls(self, default_suite, per_task):
+        """A (P, 1|n, d, m) stack scores each of its P weights on the same batches."""
+        suite, _ = default_suite
+        n, w0 = suite.n_tasks, suite.base["layer0"]
+        gen = substream(32, "weights")
+        w = w0 + 0.3 * gen.standard_normal((3, n if per_task else 1) + w0.shape)
+        batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(n)])
+        f, grads = suite.entropy_and_grad({"layer0": w}, batches)
+        assert f.shape == (3, n) and grads["layer0"].shape == (3, n) + w0.shape
+        for p in range(3):
+            want_f, want_g = suite.entropy_and_grad(
+                {"layer0": w[p] if per_task else np.repeat(w[p], n, axis=0)}, batches)
+            assert np.max(np.abs(f[p] - want_f)) <= 1e-12
+            assert np.max(np.abs(grads["layer0"][p] - want_g["layer0"])) <= 1e-12
+
     @pytest.mark.parametrize("tasks", [["task0"], ["task0", "task1"]], ids=["one", "two"])
     def test_merge_of_fewer_tasks_than_the_suite(self, default_suite, tasks):
         """A collection of the suite's first n tasks is scored by heads 0..n-1 only."""
@@ -316,6 +337,8 @@ class TestEntropyAndGrad:
         stacked = np.stack([suite.base["layer0"]] * 3)
         with pytest.raises(HarnessError, match="3 per-task weights for 2 batches"):
             suite.entropy_and_grad({"layer0": stacked}, batches)
+        with pytest.raises(HarnessError, match="3 per-task weights for 2 batches"):
+            suite.entropy_and_grad({"layer0": stacked[None]}, batches)
 
     def test_missing_head(self):
         suite = harness.generate_suite(seed=0, n_tasks=2, n_train=20, n_eval=10, n_adapt=10)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loramerge.rng import keyed_integers, substream
@@ -26,3 +27,17 @@ class TestKeyedIntegers:
         assert got.shape == (len(tags), size) and got.dtype == np.int64
         for row, tag in zip(got, tags):
             assert np.array_equal(row, substream(seed, *tag).integers(0, high, size))
+
+    # 2**32 - 1 is the largest Lemire range, 2**32 maps each 32-bit half as is,
+    # and 2**31 + 11 sends nearly every row through Lemire's rejection step
+    @pytest.mark.parametrize("high", [2**32 - 1, 2**32, 2**31 + 11])
+    @pytest.mark.parametrize("size", [1, 4, 7])
+    def test_bounded_rule_edges(self, high, size):
+        tags = [("edge", i) for i in range(300)]
+        got = keyed_integers(5, tags, high, size)
+        want = np.array([substream(5, *tag).integers(0, high, size) for tag in tags])
+        assert np.array_equal(got, want.reshape(len(tags), size))
+
+    def test_empty_range_raises_like_numpy(self):
+        with pytest.raises(ValueError):
+            keyed_integers(0, [("a", 0)], 0, 3)

@@ -352,6 +352,36 @@ class TestOptimize:
             optimize(basis, _ConstantSuite(np.nan), [0.5, 0.5],
                      OptimConfig(max_iters=3), stch, objective=objective)
 
+    def test_public_objectives_refuse_nan_entropy(self):
+        basis = build_variant_a(random_collection(seed=21, n_tasks=2))
+        phi, batches = basis.init_phi(0.5), np.zeros((2, 4, 6))
+        stch = StchConfig(anchors=np.zeros(2))
+        for run in (
+            lambda: stch_value_and_grad(basis, phi, _ConstantSuite(np.nan), [0.5, 0.5],
+                                        stch, batches),
+            lambda: mean_entropy_value_and_grad(basis, phi, _ConstantSuite(np.inf), batches),
+        ):
+            with pytest.raises(tara.TaraAbort, match="non-finite entropy"):
+                run()
+
+    def test_nan_entropy_names_its_point(self, small_suite):
+        """Row j of a loop whose first row is point `first` is point first + j."""
+        suite, coll = small_suite
+
+        class NanInRow1:
+            adaptation_pool = suite.adaptation_pool
+
+            def entropy_and_grad(self, weights, batches):
+                f, grads = suite.entropy_and_grad(weights, batches)
+                f[1, 0] = np.nan
+                return f, grads
+
+        rhos = [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]
+        stch = StchConfig(anchors=compute_anchors(coll, suite))
+        with pytest.raises(tara.TaraAbort, match="entropy encountered at point 6, step 0"):
+            optimize(build_variant_a(coll), NanInRow1(), rhos, OptimConfig(max_iters=3),
+                     stch, first=5)
+
     def test_nan_objective_trips_divergence_guard(self):
         basis = build_variant_a(random_collection(seed=22, n_tasks=2))
         stch = StchConfig(anchors=np.full(2, np.nan))
@@ -377,6 +407,50 @@ class TestSweep:
                 assert np.array_equal(phi[layer], want_phi[layer])
             assert trace.objective == want_trace.objective
             assert all(map(np.array_equal, trace.per_task, want_trace.per_task))
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_points_match_merge_tara_at_default_size(self, default_suite, variant):
+        """At the default suite's sizes a single GEMM over all P points' rows
+        would pick another BLAS kernel than one point's GEMM does; each point
+        must still keep the bits of its own run."""
+        suite, coll = default_suite
+        cfg = OptimConfig(max_iters=10, seed=4)
+        rhos = [np.full(4, 0.25), np.array([0.7, 0.1, 0.1, 0.1]), np.array([0.1, 0.2, 0.3, 0.4])]
+        points = tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg)
+        for rho, (weights, phi, trace) in zip(rhos, points, strict=True):
+            want_w, want_phi, want_trace = tara.merge_tara(coll, suite, rho, variant=variant,
+                                                           optim=cfg)
+            assert np.array_equal(weights["layer0"], want_w["layer0"])
+            assert np.array_equal(phi["layer0"], want_phi["layer0"])
+            assert trace.objective == want_trace.objective
+
+    @pytest.mark.parametrize("variant", ["a", "b"])
+    def test_one_point_chunks_match_one_loop(self, small_suite, monkeypatch, variant):
+        """A budget below one point's gradient stack runs each point in its own
+        chunk, with the same bits as all points in one loop."""
+        suite, coll = small_suite
+        cfg = OptimConfig(max_iters=25, seed=4)
+        rhos = [np.array([0.5, 0.5]), np.array([0.9, 0.1]), np.array([0.2, 0.8])]
+        together = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
+        monkeypatch.setattr(tara, "GRAD_BUDGET_BYTES", 1)
+        chunked = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
+        for (w1, phi1, tr1), (w2, phi2, tr2) in zip(together, chunked, strict=True):
+            for layer in coll.layer_ids:
+                assert np.array_equal(w1[layer], w2[layer])
+                assert np.array_equal(phi1[layer], phi2[layer])
+            assert tr1.steps == tr2.steps and tr1.objective == tr2.objective
+            assert all(map(np.array_equal, tr1.per_task, tr2.per_task))
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one_chunk", "point_chunks"])
+    def test_one_diverging_point_aborts_the_sweep(self, small_suite, monkeypatch, budget):
+        suite, coll = small_suite
+        if budget is not None:
+            monkeypatch.setattr(tara, "GRAD_BUDGET_BYTES", budget)
+        rhos = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
+        points = tara.sweep_tara(coll, _DivergingTask(suite, 1), rhos,
+                                 optim=OptimConfig(max_iters=10))
+        with pytest.raises(tara.TaraAbort, match="divergence guard: point 1 "):
+            list(points)
 
     def test_schedule_must_fit_config(self, small_suite):
         suite, coll = small_suite
@@ -419,6 +493,25 @@ class _ConstantSuite:
         return np.full(n, self.entropy), {
             l: np.zeros((n,) + w.shape[-2:]) for l, w in weights.items()
         }
+
+
+class _DivergingTask:
+    """The suite, except that in every call with a stack of points, one task's
+    entropies grow tenfold per call: only a point that weights that task
+    diverges."""
+
+    def __init__(self, suite, task):
+        self.suite, self.task, self.calls = suite, task, 0
+
+    def adaptation_pool(self, task):
+        return self.suite.adaptation_pool(task)
+
+    def entropy_and_grad(self, weights, batches):
+        f, grads = self.suite.entropy_and_grad(weights, batches)
+        if f.ndim == 2:
+            self.calls += 1
+            f[:, self.task] *= 10.0 ** self.calls
+        return f, grads
 
 
 class TestSuiteOrder:
