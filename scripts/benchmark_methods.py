@@ -16,14 +16,15 @@ def run_seed(seed, iters):
     coll = harness.finetune_all(suite, seed=seed)
     rho = np.full(suite.n_tasks, 1.0 / suite.n_tasks)
     rows = {}
-    for cfg in mergers.grid_configs("ta", lam=[0.3]):
-        rows["ta(0.3)"] = harness.evaluate(mergers.run_merge(coll, cfg), suite)
+    cfg = mergers.MergeConfig("ta", lam=0.3)
+    rows["ta(0.3)"] = harness.evaluate(mergers.run_merge(coll, cfg), suite)
     for method in ("ties", "dare_ties", "linear", "svd", "knots_ties", "lora_lego"):
         cfg = mergers.MergeConfig(method=method, k_clusters=16, target_rank=16)
         rows[method] = harness.evaluate(mergers.run_merge(coll, cfg), suite)
     optim = tara.OptimConfig(seed=seed, max_iters=iters)
     w, _, _ = tara.adamerging_baseline(
-        coll, suite, tara.OptimConfig(seed=seed, max_iters=iters, phi_init=0.3)
+        coll, suite,
+        tara.OptimConfig(seed=seed, max_iters=iters, phi_init=tara.ADAMERGING_PHI_INIT),
     )
     rows["adamerging"] = harness.evaluate(w, suite)
     for variant in ("a", "b"):

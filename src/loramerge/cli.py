@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
@@ -26,15 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, harness, mergers, tara
-from .adapters import AdapterCollection, load_collection, save_collection
+from .adapters import AdapterCollection, is_real, load_collection, save_collection
 from .linalg import NumericalAbort
 from .rng import substream
 
+# optimizer config keys and the OptimConfig fields they set
+OPTIM_FIELDS = {"iters": "max_iters", "lr": "lr", "batch_size": "batch_size", "seed": "seed"}
 # config keys each optimizer method reads; any other key is rejected
 TARA_KEYS = {
-    "tara-a": {"alpha", "iters", "lr", "batch_size", "seed"},
-    "tara-b": {"alpha", "iters", "lr", "batch_size", "seed"},
-    "adamerging": {"iters", "lr", "batch_size", "seed"},
+    "tara-a": {"alpha", *OPTIM_FIELDS},
+    "tara-b": {"alpha", *OPTIM_FIELDS},
+    "adamerging": set(OPTIM_FIELDS),
 }
 ALL_METHODS = mergers.METHODS + tuple(TARA_KEYS)
 
@@ -87,16 +88,11 @@ def _resolve(args, keys: list[str]) -> dict:
     return config
 
 
-def _parse_preference(text: str, n: int) -> np.ndarray:
-    try:
-        rho = np.array([float(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise UsageError(f"bad preference {text!r}") from exc
-    if rho.size != n:
-        raise UsageError(f"preference has {rho.size} entries, suite has {n} tasks")
-    if np.any(rho < 0) or abs(rho.sum() - 1.0) > 1e-9:
-        raise UsageError("preference must be nonnegative and sum to 1")
-    return rho
+def _preference(values, n: int) -> np.ndarray:
+    """A list of n finite numbers on the simplex, checked by the one simplex rule."""
+    if not (isinstance(values, list) and all(is_real(v) for v in values)):
+        raise UsageError(f"bad preference {values!r}: expected a list of finite numbers")
+    return diagnostics._check_simplex(values, n)
 
 
 def _write_report(run: Path, name: str, report: harness.EvalReport):
@@ -194,14 +190,11 @@ def _save_weights(weights: dict, layer_ids: list[str], path):
     save_collection(shell, path)
 
 
-def _optim_config(config: dict) -> tara.OptimConfig:
-    """Config values go to OptimConfig unconverted, so it rejects a wrong type."""
-    return tara.OptimConfig(
-        seed=int(config.get("seed", 0)),
-        max_iters=config.get("iters", 500),
-        lr=config.get("lr", 0.001),
-        batch_size=config.get("batch_size", 16),
-    )
+def _optim_config(config: dict, **fixed) -> tara.OptimConfig:
+    """The optimizer keys given in config go to OptimConfig unconverted, so it
+    rejects a wrong type and supplies the defaults of the rest."""
+    given = {field: config[key] for key, field in OPTIM_FIELDS.items() if key in config}
+    return tara.OptimConfig(**fixed, **given)
 
 
 def _tara_points(coll, suite, method, prefs, config):
@@ -213,7 +206,7 @@ def _tara_points(coll, suite, method, prefs, config):
         prefs,
         variant=method[-1],
         optim=_optim_config(config),
-        alpha=config.get("alpha", 1.0),
+        **{key: config[key] for key in ("alpha",) if key in config},
     )
 
 
@@ -230,7 +223,7 @@ def _merge_with_method(coll, suite, method, rho, config):
         )
     if method == "adamerging":
         weights, _, trace = tara.adamerging_baseline(
-            coll, suite, dataclasses.replace(_optim_config(config), phi_init=0.3)
+            coll, suite, _optim_config(config, phi_init=tara.ADAMERGING_PHI_INIT)
         )
         return weights, trace
     weights, _, trace = next(_tara_points(coll, suite, method, [rho], config))
@@ -249,16 +242,23 @@ def cmd_merge(args) -> int:
         raise UsageError("merge requires --method")
     if method not in ALL_METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+    # the seed names the run directory, so OptimConfig's rule holds for every method
+    seed = tara.OptimConfig(seed=config.get("seed", 0)).seed
     suite, coll = harness.load_suite(args.container, args.sidecar)
-    rho = (
-        _parse_preference(config.pop("preference"), suite.n_tasks)
-        if "preference" in config
-        else np.full(suite.n_tasks, 1.0 / suite.n_tasks)
-    )
+    if "preference" in config:
+        values = config.pop("preference")  # a flag's text, or a config file's list
+        if isinstance(values, str):
+            try:
+                values = [float(v) for v in values.split(",")]
+            except ValueError as exc:
+                raise UsageError(f"bad preference: {exc}") from exc
+        rho = _preference(values, suite.n_tasks)
+    else:
+        rho = np.full(suite.n_tasks, 1.0 / suite.n_tasks)
     weights, trace = _merge_with_method(coll, suite, method, rho, config)
     report = harness.evaluate(weights, suite)
     report.hits_at = harness.evaluate_joint(weights, suite, ks=(1, 3, 5))
-    run = _run_dir(args.out, int(config.get("seed", 0)))
+    run = _run_dir(args.out, seed)
     _save_weights(weights, coll.layer_ids, run / "merged.lmk")
     _write_report(run, "report.json", report)
     if trace is not None:
@@ -277,9 +277,9 @@ def _sweep_preferences(args, n_tasks: int) -> list[np.ndarray]:
             rows = json.loads(Path(args.preferences).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read preferences: {exc}") from exc
-        if not rows:
-            raise UsageError("preference list is empty")
-        return [_parse_preference(",".join(map(str, r)), n_tasks) for r in rows]
+        if not (isinstance(rows, list) and rows):
+            raise UsageError("preferences file must hold a nonempty list of rows")
+        return [_preference(row, n_tasks) for row in rows]
     if args.random is None:
         raise UsageError("sweep needs --preferences FILE or --random K")
     if args.random < 1:
@@ -292,11 +292,9 @@ def _sweep_preferences(args, n_tasks: int) -> list[np.ndarray]:
                 fixed[int(idx)] = float(val)
             except ValueError as exc:
                 raise UsageError(f"bad --fixed entry {pair!r}") from exc
-    if any(i < 0 or i >= n_tasks for i in fixed) or any(v < 0 for v in fixed.values()):
-        raise UsageError("--fixed indices/values out of range")
+    if any(i < 0 or i >= n_tasks for i in fixed):
+        raise UsageError("--fixed index out of range")
     budget = 1.0 - sum(fixed.values())
-    if budget < -1e-9:
-        raise UsageError("--fixed values exceed the simplex budget")
     free = [i for i in range(n_tasks) if i not in fixed]
     if not free:
         raise UsageError("no free coordinates left to sample")
@@ -309,7 +307,7 @@ def _sweep_preferences(args, n_tasks: int) -> list[np.ndarray]:
         for i, v in fixed.items():
             rho[i] = v
         rho[free] = sample
-        prefs.append(rho)
+        prefs.append(diagnostics._check_simplex(rho, n_tasks))
     return prefs
 
 
@@ -323,9 +321,10 @@ def cmd_sweep(args) -> int:
     config = {"seed": seed} if args.iters is None else {"seed": seed, "iters": args.iters}
     if method in ("tara-a", "tara-b"):
         merged = (w for w, _, _ in _tara_points(coll, suite, method, prefs, config))
-    else:
-        merged = (_merge_with_method(coll, suite, method, rho, config)[0] for rho in prefs)
-    results = harness.sweep_preferences(suite, zip(prefs, merged))
+        results = harness.sweep_preferences(suite, zip(prefs, merged))
+    else:  # every other method ignores rho: one merge and evaluation serve each row
+        report = harness.evaluate(_merge_with_method(coll, suite, method, None, config)[0], suite)
+        results = [(rho, report) for rho in prefs]
     run = _run_dir(args.out, seed)
     with open(run / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=typ)
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("sweep", help="preference sweep: one merge + eval per point")
+    p = sub.add_parser("sweep", help="preference sweep: merge + eval per point")
     p.add_argument("container")
     p.add_argument("--sidecar", required=True)
     p.add_argument("--out", default="runs")

@@ -142,7 +142,7 @@ def _check_simplex(rho, n: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.float64).ravel()
     if rho.size != n:
         raise DiagnosticsError(f"preference length {rho.size} != number of tasks {n}")
-    if np.any(rho < 0) or abs(float(np.sum(rho)) - 1.0) > SIMPLEX_TOL:
+    if not (np.all(rho >= 0) and abs(float(np.sum(rho)) - 1.0) <= SIMPLEX_TOL):  # NaN fails
         raise DiagnosticsError("preference must be nonnegative and sum to 1")
     return rho
 

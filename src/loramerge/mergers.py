@@ -5,6 +5,10 @@ weights per layer; factor-space mergers (linear, svd, lora_lego) return one
 merged adapter per layer. All stochastic mergers draw from counter-based
 streams keyed by (seed, task, layer), so results are independent of
 evaluation order and bit-deterministic under a fixed seed.
+
+_MERGERS declares every method once; the MergeConfig field names are the
+merger keywords. TIES and KnOTS-TIES are the drop_prob = 0 case of their
+DARE forms.
 """
 
 from __future__ import annotations
@@ -18,16 +22,20 @@ from .adapters import AdapterCollection, LoraAdapter, delta_weight, is_integer, 
 from .linalg import CodedError
 from .rng import substream
 
-METHODS = (
-    "ta",
-    "ties",
-    "dare_ties",
-    "linear",
-    "svd",
-    "knots_ties",
-    "knots_dare_ties",
-    "lora_lego",
-)
+# method: (merger, fixed keywords, the MergeConfig fields it reads). run_merge
+# looks each merger up by name when called, so a rebound module attribute (a
+# test double or a tracing wrapper) takes effect.
+_MERGERS = {
+    "ta": ("merge_ta", {}, ("lam",)),
+    "ties": ("merge_dare_ties", {"drop_prob": 0.0}, ("lam", "trim_fraction")),
+    "dare_ties": ("merge_dare_ties", {}, ("lam", "trim_fraction", "drop_prob", "rng_seed")),
+    "linear": ("merge_linear", {}, ("lam",)),
+    "svd": ("merge_svd", {}, ("lam", "target_rank")),
+    "knots_ties": ("merge_knots", {"drop_prob": 0.0}, ("lam", "trim_fraction")),
+    "knots_dare_ties": ("merge_knots", {}, ("lam", "trim_fraction", "drop_prob", "rng_seed")),
+    "lora_lego": ("merge_lora_lego", {}, ("k_clusters", "lego_reweight", "rng_seed")),
+}
+METHODS = tuple(_MERGERS)
 
 
 class MergeError(CodedError):
@@ -45,19 +53,8 @@ class MergeConfig:
     rng_seed: int = 0
     target_rank: int = 16
 
-    _RELEVANT = {
-        "ta": {"lam"},
-        "ties": {"lam", "trim_fraction"},
-        "dare_ties": {"lam", "trim_fraction", "drop_prob", "rng_seed"},
-        "linear": {"lam"},
-        "svd": {"lam", "target_rank"},
-        "knots_ties": {"lam", "trim_fraction"},
-        "knots_dare_ties": {"lam", "trim_fraction", "drop_prob", "rng_seed"},
-        "lora_lego": {"k_clusters", "lego_reweight", "rng_seed"},
-    }
-
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in _MERGERS:
             raise MergeError(f"unknown merge method {self.method!r}")
         for name, ok, rule in (
             ("lam", is_real(self.lam), "a finite number"),
@@ -82,23 +79,14 @@ class MergeConfig:
         if "method" not in payload:
             raise MergeError("merge config requires a 'method' key")
         method = payload["method"]
-        if method not in cls._RELEVANT:
+        if method not in _MERGERS:
             raise MergeError(f"unknown merge method {method!r}")
-        allowed = cls._RELEVANT[method] | {"method"}
-        unknown = set(payload) - allowed
+        unknown = set(payload) - {"method", *_MERGERS[method][2]}
         if unknown:
             raise MergeError(
                 f"parameters {sorted(unknown)} are not relevant to method {method!r}"
             )
         return cls(**payload)
-
-
-def grid_configs(method: str, **param_lists) -> list[MergeConfig]:
-    """Cartesian grid of MergeConfigs, e.g. grid_configs('ta', lam=[0.1, 0.2])."""
-    configs = [{"method": method}]
-    for name, values in param_lists.items():
-        configs = [dict(c, **{name: v}) for c in configs for v in values]
-    return [MergeConfig.from_dict(c) for c in configs]
 
 
 def _layer_deltas(coll: AdapterCollection, layer: str) -> list[np.ndarray]:
@@ -138,15 +126,6 @@ def _ties_combine(deltas: list[np.ndarray], trim_fraction: float) -> np.ndarray:
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def merge_ties(
-    coll: AdapterCollection, lam: float = 1.0, trim_fraction: float = 0.7
-) -> dict[str, np.ndarray]:
-    return {
-        layer: coll.base[layer] + lam * _ties_combine(_layer_deltas(coll, layer), trim_fraction)
-        for layer in coll.layer_ids
-    }
-
-
 def _dare_drop(delta: np.ndarray, p: float, seed: int, task: str, layer: str) -> np.ndarray:
     """Zero entries with probability p and rescale survivors by 1/(1-p)."""
     if p == 0.0:
@@ -159,13 +138,14 @@ def merge_dare_ties(
     coll: AdapterCollection,
     lam: float = 1.0,
     trim_fraction: float = 0.7,
-    p: float = 0.5,
-    seed: int = 0,
+    drop_prob: float = 0.5,
+    rng_seed: int = 0,
 ) -> dict[str, np.ndarray]:
+    """DARE drop-and-rescale of each task update, then TIES; TIES at drop_prob 0."""
     merged = {}
     for layer in coll.layer_ids:
         dropped = [
-            _dare_drop(delta_weight(ad), p, seed, ad.task_id, layer)
+            _dare_drop(delta_weight(ad), drop_prob, rng_seed, ad.task_id, layer)
             for ad in coll.adapters[layer]
         ]
         merged[layer] = coll.base[layer] + lam * _ties_combine(dropped, trim_fraction)
@@ -225,15 +205,13 @@ def merge_svd(
 def merge_knots(
     coll: AdapterCollection,
     lam: float = 1.0,
-    inner: str = "ties",
     trim_fraction: float = 0.7,
-    p: float = 0.5,
-    seed: int = 0,
+    drop_prob: float = 0.0,
+    rng_seed: int = 0,
 ) -> dict[str, np.ndarray]:
-    """Shared-basis merge: SVD of row-concatenated updates, inner merge of
-    per-task coefficient blocks U_i Sigma, reconstruction against V^T."""
-    if inner not in ("ties", "dare_ties"):
-        raise MergeError(f"unknown inner merger {inner!r}")
+    """Shared-basis merge: SVD of row-concatenated updates, DARE-TIES merge of
+    per-task coefficient blocks U_i Sigma, reconstruction against V^T; the
+    inner merge is plain TIES at drop_prob 0."""
     merged = {}
     for layer in coll.layer_ids:
         deltas = _layer_deltas(coll, layer)
@@ -244,11 +222,10 @@ def merge_knots(
             res.u[i * d : (i + 1) * d, :] * res.sigma     # U_i Sigma, (d, q)
             for i in range(len(deltas))
         ]
-        if inner == "dare_ties":
-            blocks = [
-                _dare_drop(blk, p, seed, coll.task_ids[i], layer)
-                for i, blk in enumerate(blocks)
-            ]
+        blocks = [
+            _dare_drop(blk, drop_prob, rng_seed, coll.task_ids[i], layer)
+            for i, blk in enumerate(blocks)
+        ]
         combined = _ties_combine(blocks, trim_fraction)
         merged[layer] = coll.base[layer] + lam * (combined @ res.v.T)
     return merged
@@ -298,13 +275,13 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
 def merge_lora_lego(
     coll: AdapterCollection,
     k_clusters: int = 16,
-    reweight: str = "output",
-    seed: int = 0,
+    lego_reweight: str = "output",
+    rng_seed: int = 0,
 ) -> dict[str, LoraAdapter]:
     """Cluster minimal semantic units [a_j; b_j] pooled across tasks; centroids
     form a rank-k adapter with the chosen reweighting."""
-    if reweight not in ("parameter", "output"):
-        raise MergeError("reweight must be 'parameter' or 'output'")
+    if lego_reweight not in ("parameter", "output"):
+        raise MergeError("lego_reweight must be 'parameter' or 'output'")
     merged = {}
     for layer in coll.layer_ids:
         ads = coll.adapters[layer]
@@ -321,9 +298,9 @@ def merge_lora_lego(
             raise MergeError(
                 f"k_clusters {k_clusters} exceeds unit count {units.shape[0]}"
             )
-        centers, assign = _kmeans(units, k_clusters, substream(seed, "lego", layer))
+        centers, assign = _kmeans(units, k_clusters, substream(rng_seed, "lego", layer))
 
-        if reweight == "parameter":
+        if lego_reweight == "parameter":
             norms = np.linalg.norm(units, axis=1)
             for c in range(k_clusters):
                 member_mean = float(np.mean(norms[assign == c]))
@@ -332,7 +309,7 @@ def merge_lora_lego(
                     centers[c] *= member_mean / cnorm
         a = centers[:, :m].T
         b = centers[:, m:].T
-        if reweight == "output":
+        if lego_reweight == "output":
             b = b * np.sqrt(rank / k_clusters)
         # keep the per-direction training scale alpha/rank constant under the new rank
         merged[layer] = LoraAdapter(
@@ -346,36 +323,12 @@ def merge_lora_lego(
     return merged
 
 
-def adapters_to_weights(
-    coll: AdapterCollection, merged: dict[str, LoraAdapter]
-) -> dict[str, np.ndarray]:
-    """Fold per-layer merged adapters into full weights on the collection's base."""
-    return {
-        layer: coll.base[layer] + delta_weight(merged[layer])
-        for layer in coll.layer_ids
-    }
-
-
 def run_merge(coll: AdapterCollection, cfg: MergeConfig) -> dict[str, np.ndarray]:
-    """Dispatch a MergeConfig to the corresponding merger, returning full weights."""
-    if cfg.method == "ta":
-        return merge_ta(coll, cfg.lam)
-    if cfg.method == "ties":
-        return merge_ties(coll, cfg.lam, cfg.trim_fraction)
-    if cfg.method == "dare_ties":
-        return merge_dare_ties(coll, cfg.lam, cfg.trim_fraction, cfg.drop_prob, cfg.rng_seed)
-    if cfg.method == "linear":
-        return adapters_to_weights(coll, merge_linear(coll, cfg.lam))
-    if cfg.method == "svd":
-        return adapters_to_weights(coll, merge_svd(coll, cfg.lam, cfg.target_rank))
-    if cfg.method == "knots_ties":
-        return merge_knots(coll, cfg.lam, "ties", cfg.trim_fraction)
-    if cfg.method == "knots_dare_ties":
-        return merge_knots(
-            coll, cfg.lam, "dare_ties", cfg.trim_fraction, cfg.drop_prob, cfg.rng_seed
-        )
-    if cfg.method == "lora_lego":
-        return adapters_to_weights(
-            coll, merge_lora_lego(coll, cfg.k_clusters, cfg.lego_reweight, cfg.rng_seed)
-        )
-    raise MergeError(f"unknown merge method {cfg.method!r}")
+    """Run cfg's merger on the fields it reads; full weights per layer, with a
+    merged adapter folded onto the collection's base."""
+    name, fixed, fields = _MERGERS[cfg.method]
+    merged = globals()[name](coll, **fixed, **{f: getattr(cfg, f) for f in fields})
+    return {
+        layer: w if isinstance(w, np.ndarray) else coll.base[layer] + delta_weight(w)
+        for layer, w in merged.items()
+    }

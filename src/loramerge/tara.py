@@ -5,7 +5,8 @@ direction. Variant B builds a shared orthonormal left basis per layer from the
 SVD of horizontally concatenated task updates and assigns one weight per
 (task, singular direction) component. AdaMerging shares the optimizer but
 learns one coefficient per (task, layer) on whole updates, minimizing the
-uniform mean of per-task entropies without anchors.
+uniform mean of per-task entropies without anchors; optimize picks that
+objective from the basis variant.
 
 All three are one linear map: per layer, a stack of rank-1 columns and a group
 index mapping each column to its phi entry. Variants A and B give every column
@@ -32,6 +33,7 @@ from .rng import keyed_integers
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
 GRAD_BUDGET_BYTES = 16 * 2**20  # cap on one step's (P, N, d, m) gradient stack in a sweep
+ADAMERGING_PHI_INIT = 0.3  # AdaMerging starts at the lam = 0.3 task-arithmetic merge
 
 
 class TaraError(CodedError):
@@ -49,6 +51,7 @@ class DirectionBasis:
     base: dict[str, np.ndarray]
     layers: dict[str, FactorStack]        # rank-1 columns per layer
     groups: dict[str, np.ndarray]         # phi entry of each column per layer
+    counts: dict[str, int]                # phi entries per layer
     task_ids: list[str]
     shared_rank: int | None = None        # R for variant B
 
@@ -57,7 +60,7 @@ class DirectionBasis:
         return len(self.task_ids)
 
     def k(self, layer: str) -> int:
-        return int(self.groups[layer].max()) + 1
+        return self.counts[layer]
 
     def init_phi(self, value: float) -> dict[str, np.ndarray]:
         return {layer: np.full(self.k(layer), value) for layer in self.layer_ids}
@@ -97,6 +100,7 @@ class OptimConfig:
              "an integer >= 1"),
             ("max_iters", is_integer(self.max_iters) and self.max_iters >= 1,
              "an integer >= 1"),
+            ("seed", is_integer(self.seed), "an integer"),
         ):
             if not ok:
                 raise TaraError(f"{name} must be {rule}, got {getattr(self, name)!r}",
@@ -122,15 +126,17 @@ class OptimTrace:
 def _basis(coll: AdapterCollection, variant: str, layers: dict[str, FactorStack],
            shared_rank: int | None = None) -> DirectionBasis:
     """Basis over the given stacks; AdaMerging groups columns by owning task."""
+    groups = {
+        l: s.owner if variant == "adamerging" else np.arange(s.sigma.size)
+        for l, s in layers.items()
+    }
     return DirectionBasis(
         variant=variant,
         layer_ids=list(coll.layer_ids),
         base={l: coll.base[l] for l in coll.layer_ids},
         layers=layers,
-        groups={
-            l: s.owner if variant == "adamerging" else np.arange(s.sigma.size)
-            for l, s in layers.items()
-        },
+        groups=groups,
+        counts={l: int(g.max()) + 1 for l, g in groups.items()},
         task_ids=list(coll.task_ids),
         shared_rank=shared_rank,
     )
@@ -206,18 +212,6 @@ def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.
     return weights
 
 
-def entropy_loss(probs) -> float:
-    """Mean Shannon entropy (natural log) of a batch of distribution rows."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2:
-        raise TaraError("expected a batch of distribution rows")
-    if np.any(p < 0) or np.any(np.abs(np.sum(p, axis=1) - 1.0) > 1e-6):
-        raise TaraError("rows must be nonnegative and sum to 1")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0)
-    return float(np.mean(-np.sum(terms, axis=1)))
-
-
 def adaptation_pools(suite, n_tasks: int) -> np.ndarray:
     """(n, P, m) stack of the first n_tasks adaptation pools of the suite.
     Every pool must be nonempty and all of one size P."""
@@ -257,8 +251,7 @@ def stch_objective(f, z, rho, alpha: float = 1.0) -> float:
     f = np.asarray(f, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     rho = _check_simplex(rho, f.size)
-    if alpha <= 0:
-        raise TaraError("alpha must be positive")
+    StchConfig(alpha=alpha)  # its rule: finite and positive
     return float(_stch(f, z, rho, alpha)[0])
 
 
@@ -361,7 +354,6 @@ def optimize(
     rho,
     cfg: OptimConfig,
     stch: StchConfig | None = None,
-    objective: str = "stch",
     schedule: np.ndarray | None = None,
     first: int = 0,
 ):
@@ -369,17 +361,16 @@ def optimize(
     (P, N) or (N,) rho; each step scores every row and task on fresh batches in
     one suite call.
 
-    objective 'stch' uses the anchored scalarization under rho; 'mean_entropy'
-    ignores rho/anchors (AdaMerging, P = 1). schedule is the batch_schedule to
-    follow; None draws it. Aborts if a row's entropy is non-finite or its
+    The objective is the anchored scalarization under rho, or for an AdaMerging
+    basis the mean entropy, which ignores rho and anchors (P = 1). schedule is
+    the batch_schedule to follow; None draws it. Aborts if a row's entropy is non-finite or its
     objective exceeds 10x its initial value or is NaN, naming row j as point
     first + j. Returns (phi, trace); trace.point(j) is row j's own trace.
     """
-    if objective not in ("stch", "mean_entropy"):
-        raise TaraError(f"unknown objective {objective!r}")
     _check_suite_order(basis.task_ids)
     n = basis.n_tasks
-    rho = np.atleast_2d(np.asarray(rho if objective == "stch" else np.full(n, 1 / n), float))
+    mean_entropy = basis.variant == "adamerging"
+    rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
     for row in rho:
         _check_simplex(row, n)
     pools = adaptation_pools(suite, n)
@@ -396,10 +387,10 @@ def optimize(
     for step in range(cfg.max_iters):
         batches = pools[tasks, schedule[step]]
         try:
-            if objective == "stch":
-                value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
-            else:
+            if mean_entropy:
                 value, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches)
+            else:
+                value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
         except TaraAbort as err:
             raise TaraAbort(f"non-finite entropy encountered at point {first + err.point}, "
                             f"step {step}") from None
@@ -465,9 +456,9 @@ def adamerging_baseline(
     coll: AdapterCollection, suite, cfg: OptimConfig | None = None
 ):
     """Per-(task, layer) coefficients on whole updates, mean entropy; phi starts
-    at cfg.phi_init, 0.3 when no cfg is given."""
-    cfg = cfg or OptimConfig(phi_init=0.3)
+    at cfg.phi_init, ADAMERGING_PHI_INIT when no cfg is given."""
+    cfg = cfg or OptimConfig(phi_init=ADAMERGING_PHI_INIT)
     basis = build_adamerging(coll)
-    phi, trace = optimize(basis, suite, None, cfg, objective="mean_entropy")
+    phi, trace = optimize(basis, suite, None, cfg)
     phi = {l: p[0] for l, p in phi.items()}
     return assemble(basis, phi), phi, trace.point(0)

@@ -291,7 +291,7 @@ def test_merger_oracles():
         )
         for reweight in ("output", "parameter"):
             merged = mergers.merge_lora_lego(
-                coll, k_clusters=3, reweight=reweight, seed=seed
+                coll, k_clusters=3, lego_reweight=reweight, rng_seed=seed
             )["l0"]
             want_d = lego_oracle(coll, "l0", 3, reweight, seed)
             got_d = delta_weight(merged)

@@ -224,13 +224,18 @@ class TestExitCodes:
             ["merge", "--method", "ties", {"trim_fraction": "0.5"}],
             ["merge", "--method", "dare_ties", {"drop_prob": [0.1]}],
             ["merge", "--method", "ta", {"lam": 10**400}],
+            ["merge", "--method", "tara-b", {"seed": 2.7}],
+            ["merge", "--method", "tara-b", {"seed": "x"}],
+            ["merge", "--method", "ta", {"seed": 2.7}],
+            ["merge", "--method", "ta", {"preference": [0.5, "0.5"]}],
         ],
         ids=["rank_0", "negative_steps", "nan_lr", "negative_iters", "zero_iters",
              "fractional_iters", "zero_batch", "string_lr", "bool_batch", "inf_alpha",
              "tara_lam", "tara_trim", "adamerging_alpha", "adamerging_zero_iters",
              "sweep_zero_iters", "string_lam", "list_lam", "nan_lam",
              "fractional_target_rank", "zero_target_rank", "string_k_clusters",
-             "fractional_rng_seed", "string_trim", "list_drop_prob", "huge_int_lam"],
+             "fractional_rng_seed", "string_trim", "list_drop_prob", "huge_int_lam",
+             "fractional_seed", "string_seed", "ta_fractional_seed", "string_in_preference"],
     )
     def test_bad_hyperparameter_exits_2(self, tmp_path, capsys, trained_and_merged, argv):
         """Hyperparameters are checked before any run directory is made."""
@@ -243,6 +248,37 @@ class TestExitCodes:
         if isinstance(argv[-1], dict):
             (tmp_path / "cfg.json").write_text(json.dumps(argv[-1]))
             argv[-1:] = ["--config", str(tmp_path / "cfg.json")]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,prefs",
+        [
+            (["merge", "--method", "ta", "--preference", "nan,nan"], None),
+            (["merge", "--method", "tara-b", "--preference", "nan,nan"], None),
+            (["merge", "--method", "ta", "--preference", "inf,0"], None),
+            (["sweep", "--method", "ta", "--random", "2", "--fixed", "0:nan"], None),
+            (["sweep", "--method", "ta"], [1]),
+            (["sweep", "--method", "ta"], [None]),
+            (["sweep", "--method", "ta"], [[None, 1]]),
+            (["sweep", "--method", "ta"], [["0.5", "0.5"]]),
+            (["sweep", "--method", "ta"], {"a": 1}),
+        ],
+        ids=["merge_nan", "tara_nan", "merge_inf", "fixed_nan", "int_row", "null_row",
+             "null_entry", "string_entries", "object"],
+    )
+    def test_bad_preference_exits_2(self, tmp_path, capsys, trained_and_merged, argv,
+                                    prefs):
+        """Every preference passes the one simplex check before any merge, so a
+        NaN or non-number is refused and no run directory is made."""
+        container, sidecar, _ = trained_and_merged
+        out = tmp_path / "runs"
+        argv = [argv[0], str(container), "--sidecar", str(sidecar), *argv[1:]]
+        if prefs is not None:
+            (tmp_path / "prefs.json").write_text(json.dumps(prefs))
+            argv += ["--preferences", str(tmp_path / "prefs.json")]
         capsys.readouterr()
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -305,6 +341,21 @@ class TestSweep:
             "sweep", str(container), "--sidecar", str(sidecar),
             "--preferences", str(prefs), "--out", str(out),
         ]) == 2
+
+    def test_method_without_preference_merges_once(self, tmp_path, trained_and_merged):
+        """Every row of a ta sweep holds the normalized accuracies of the ta merge."""
+        container, sidecar, _ = trained_and_merged
+        src = [str(container), "--sidecar", str(sidecar)]
+        assert main(["merge", *src, "--method", "ta", "--out", str(tmp_path / "m")]) == 0
+        (run,) = (tmp_path / "m").iterdir()
+        want = json.loads((run / "report.json").read_text())["normalized"]
+        assert main(["sweep", *src, "--method", "ta", "--random", "3",
+                     "--out", str(tmp_path / "s")]) == 0
+        (run,) = (tmp_path / "s").iterdir()
+        with open(run / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 3
+        assert all([float(v) for v in row[2:]] == want for row in rows)
 
     def test_requires_source(self, tmp_path):
         container, sidecar, out = _train(tmp_path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from loramerge import linalg
@@ -116,8 +116,9 @@ class TestEffectiveRank:
     )
     @settings(max_examples=60, deadline=None)
     def test_scale_invariance(self, sigma, c):
-        if np.max(sigma) <= 0:
-            return
+        # a subnormal c * sigma loses relative precision: 0.5 * [3, 1] * 5e-324
+        # rounds to [2, 0] * 5e-324, and 0.5 * 5e-324 is zero
+        assume(np.max(c * sigma) >= np.finfo(np.float64).tiny)
         assert linalg.effective_rank(sigma) == pytest.approx(
             linalg.effective_rank(c * sigma), abs=1e-9
         )
@@ -144,6 +145,10 @@ class TestEffectiveRank:
             linalg.effective_rank([0.0, 0.0])
         with pytest.raises(linalg.LinalgError):
             linalg.effective_rank([-1.0])
+
+    def test_underflowed_spectrum_errors(self):
+        with pytest.raises(linalg.LinalgError):
+            linalg.effective_rank(0.5 * np.array([5e-324]))
 
     def test_near_zero_values_dropped(self):
         # values below the relative floor must not affect the result

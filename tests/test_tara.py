@@ -17,7 +17,6 @@ from loramerge.tara import (
     build_variant_a,
     build_variant_b,
     compute_anchors,
-    entropy_loss,
     mean_entropy_value_and_grad,
     optimize,
     stch_objective,
@@ -110,25 +109,6 @@ class TestVariantB:
             assemble(basis, {"l0": np.zeros(3)})
 
 
-class TestEntropyLoss:
-    def test_uniform_is_log_c(self):
-        p = np.full((6, 4), 0.25)
-        assert entropy_loss(p) == pytest.approx(np.log(4), abs=1e-12)
-
-    def test_one_hot_is_zero(self):
-        p = np.eye(3)
-        assert entropy_loss(p) == 0.0
-
-    def test_half_half(self):
-        assert entropy_loss([[0.5, 0.5]]) == pytest.approx(np.log(2), abs=1e-12)
-
-    def test_rejects_bad_rows(self):
-        with pytest.raises(TaraError):
-            entropy_loss([[0.5, 0.6]])
-        with pytest.raises(TaraError):
-            entropy_loss([[-0.1, 1.1]])
-
-
 class TestStch:
     def test_equal_residual_closed_form(self):
         for n in (2, 3, 5):
@@ -183,8 +163,9 @@ class TestStch:
         )
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(TaraError):
-            stch_objective([1.0], [0.0], [1.0], 0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(TaraError):
+                stch_objective([1.0], [0.0], [1.0], alpha)
         with pytest.raises(TaraError):
             StchConfig(alpha=-1.0)
         with pytest.raises(TaraError):
@@ -326,7 +307,8 @@ class TestOptimize:
         "field,value",
         [("lr", 0.0), ("lr", float("nan")), ("lr", "0.1"), ("betas", (1.0, 0.9)),
          ("betas", (0.9, -0.1)), ("betas", (0.9,)), ("eps", 0.0), ("weight_decay", -1.0),
-         ("batch_size", 0), ("batch_size", 2.0), ("max_iters", 0), ("max_iters", -5)],
+         ("batch_size", 0), ("batch_size", 2.0), ("max_iters", 0), ("max_iters", -5),
+         ("seed", 2.7), ("seed", "x")],
     )
     def test_config_out_of_range(self, field, value):
         with pytest.raises(TaraError) as exc:
@@ -338,19 +320,14 @@ class TestOptimize:
         with pytest.raises(TaraError, match="anchors"):
             optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(max_iters=1))
 
-    def test_unknown_objective(self, small_suite):
-        suite, coll = small_suite
-        basis = build_variant_a(coll)
-        with pytest.raises(TaraError):
-            optimize(basis, suite, None, OptimConfig(), objective="nope")
-
-    @pytest.mark.parametrize("objective", ["stch", "mean_entropy"])
-    def test_nan_entropy_aborts(self, objective):
-        basis = build_variant_a(random_collection(seed=21, n_tasks=2))
+    @pytest.mark.parametrize("build", [build_variant_a, tara.build_adamerging],
+                             ids=["stch", "mean_entropy"])
+    def test_nan_entropy_aborts(self, build):
+        basis = build(random_collection(seed=21, n_tasks=2))
         stch = StchConfig(anchors=np.zeros(2))
         with pytest.raises(TaraError, match="non-finite entropy"):
             optimize(basis, _ConstantSuite(np.nan), [0.5, 0.5],
-                     OptimConfig(max_iters=3), stch, objective=objective)
+                     OptimConfig(max_iters=3), stch)
 
     def test_public_objectives_refuse_nan_entropy(self):
         basis = build_variant_a(random_collection(seed=21, n_tasks=2))
