@@ -2,8 +2,10 @@
 
 Commands: train-toy, diagnose, merge, sweep, eval. Each run resolves its
 configuration (JSON file + flag overrides, flags win), creates a fresh
-directory named by timestamp and seed, and writes a manifest with the resolved
-config and sha256 of every artifact so the run can be reproduced bit-exactly.
+directory named by timestamp and seed, and writes a manifest with the config as
+given and sha256 of every artifact so the run can be reproduced bit-exactly.
+Every setting's name, type and default is declared once, by the dataclass or
+signature that uses it; the flag tables below are read from those.
 
 Exit codes: 0 success; 1 runtime failure: an I/O error, or a numerical abort
 (linalg.NumericalAbort: optimizer or fine-tuning divergence, a non-finite
@@ -20,6 +22,8 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict, fields
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +35,30 @@ from .rng import substream
 
 # optimizer config keys and the OptimConfig fields they set
 OPTIM_FIELDS = {"iters": "max_iters", "lr": "lr", "batch_size": "batch_size", "seed": "seed"}
-# config keys each optimizer method reads; any other key is rejected
-TARA_KEYS = {
-    "tara-a": {"alpha", *OPTIM_FIELDS},
-    "tara-b": {"alpha", *OPTIM_FIELDS},
-    "adamerging": set(OPTIM_FIELDS),
+# {config key: flag type} of train-toy and merge, each typed by its default where
+# it is declared; every key is also a --flag
+TRAIN_FLAGS = {
+    **{f.name: type(f.default) for f in fields(harness.SuiteConfig)
+       if f.name not in ("base_rank", "label_offsets")},
+    **{k: type(p.default) for k, p in signature(harness._finetune).parameters.items()
+       if p.default is not p.empty},
 }
-ALL_METHODS = mergers.METHODS + tuple(TARA_KEYS)
+MERGE_FLAGS = {
+    "method": str,
+    "preference": str,  # comma-separated simplex vector
+    **{f.name: type(f.default) for f in fields(mergers.MergeConfig) if f.name != "method"},
+    "alpha": type(tara.StchConfig.alpha),
+    **{key: type(getattr(tara.OptimConfig, f)) for key, f in OPTIM_FIELDS.items()},
+}
+# config keys each method reads besides seed; any other key is rejected
+METHOD_KEYS = {
+    **{method: reads for method, (_, _, reads) in mergers._MERGERS.items()},
+    "tara-a": ("alpha", *OPTIM_FIELDS),
+    "tara-b": ("alpha", *OPTIM_FIELDS),
+    "adamerging": tuple(OPTIM_FIELDS),
+}
+ALL_METHODS = tuple(METHOD_KEYS)
+HITS_AT = (1, 3, 5)  # the k of every Hits@k report
 
 
 class UsageError(ValueError):
@@ -68,7 +89,7 @@ def _write_manifest(run: Path, command: str, config: dict):
     (run / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
-def _resolve(args, keys: list[str]) -> dict:
+def _resolve(args, keys) -> dict:
     """JSON config overlaid with explicitly-passed flags (flags win)."""
     config = {}
     if getattr(args, "config", None):
@@ -109,54 +130,46 @@ def _write_trace(run: Path, name: str, trace: tara.OptimTrace):
 
 
 def cmd_train_toy(args) -> int:
-    keys = [
-        "n_tasks", "d", "m", "n_classes", "n_train", "n_eval", "n_adapt",
-        "noise_std", "mean_scale", "leak_scale", "rank", "steps", "lr", "seed",
-    ]
-    config = _resolve(args, keys)
-    seed = config.get("seed", 0)  # values pass unconverted, so a wrong type is refused
-    rank = config.pop("rank", 16)
-    steps = config.pop("steps", 300)
-    lr = config.pop("lr", 0.02)
-    suite = harness.generate_suite(harness.SuiteConfig(**{**config, "seed": seed}))
-    coll = harness.finetune_all(suite, rank=rank, steps=steps, lr=lr, seed=seed)
+    config = _resolve(args, TRAIN_FLAGS)  # unconverted, so a wrong type is refused
+    suite_keys = {f.name for f in fields(harness.SuiteConfig)}
+    suite = harness.generate_suite(
+        harness.SuiteConfig(**{k: v for k, v in config.items() if k in suite_keys}))
+    # a set, since numpy's first np.unique call raises the peak RSS by about 2 MB
+    labels = len({lab for td in suite.tasks for lab in td.labels.tolist()})
+    if labels < max(HITS_AT):
+        raise UsageError(f"the suite has {labels} labels; Hits@{max(HITS_AT)} needs at "
+                         f"least {max(HITS_AT)}")
+    seed = suite.config.seed
+    coll = harness.finetune_all(
+        suite, seed=seed, **{k: v for k, v in config.items() if k not in suite_keys})
     run = _run_dir(args.out, seed)
     harness.save_suite(suite, coll, run / "suite.lmk", run / "suite.json")
     refs = {f"task{i}": suite.references[i] for i in range(suite.n_tasks)}
     (run / "references.json").write_text(json.dumps(refs, indent=1))
     for task, acc in refs.items():
         print(f"{task}: fine-tuned eval accuracy {acc:.4f}")
-    _write_manifest(run, "train-toy", {**config, "rank": rank, "steps": steps, "lr": lr})
+    _write_manifest(run, "train-toy", config)
     return 0
 
 
 def cmd_diagnose(args) -> int:
+    if not (args.stacks or args.xi or args.kappa):
+        raise UsageError("diagnose needs at least one of --stacks, --xi, --kappa")
     suite, coll = harness.load_suite(args.container, args.sidecar)
-    run = _run_dir(args.out, suite.config.seed)
-    wrote = False
+    lam = mergers.MergeConfig("ta", **({} if args.lam is None else {"lam": args.lam})).lam
+    docs = {}
     if args.stacks:
-        wrote = True
-        doc = {}
-        for layer, rep in diagnostics.coverage_report(coll).items():
-            doc[layer] = {
-                "per_task": rep.per_task,
-                "per_task_sum": rep.per_task_sum,
-                "aware_erank": rep.aware_erank,
-                "agnostic_erank": rep.agnostic_erank,
-                "warnings": rep.warnings,
-            }
-        (run / "coverage.json").write_text(json.dumps(doc, indent=1))
+        docs["coverage.json"] = {
+            layer: asdict(rep) for layer, rep in diagnostics.coverage_report(coll).items()
+        }
     if args.xi:
-        wrote = True
-        doc = {
-            layer: diagnostics.xi_protocol(coll, suite, layer, lam=args.lam)
+        docs["xi.json"] = {
+            layer: diagnostics.xi_protocol(coll, suite, layer, lam=lam)
             for layer in coll.layer_ids
         }
-        (run / "xi.json").write_text(json.dumps(doc, indent=1))
     if args.kappa:
-        wrote = True
-        doc = {}
-        grads = suite.task_loss_gradients(mergers.merge_ta(coll, args.lam))
+        doc = docs["kappa.json"] = {}
+        grads = suite.task_loss_gradients(mergers.merge_ta(coll, lam))
         basis_b = tara.build_variant_b(coll)
         for layer in coll.layer_ids:
             raw_dirs = diagnostics.layer_directions(coll, layer)
@@ -168,9 +181,9 @@ def cmd_diagnose(args) -> int:
                 diagnostics.jacobian(shared, grads[layer])
             )
             doc[layer] = {"raw": kappa_raw, "shared_svd": kappa_shared}
-        (run / "kappa.json").write_text(json.dumps(doc, indent=1))
-    if not wrote:
-        raise UsageError("diagnose needs at least one of --stacks, --xi, --kappa")
+    run = _run_dir(args.out, suite.config.seed)
+    for name, doc in docs.items():
+        (run / name).write_text(json.dumps(doc, indent=1))
     _write_manifest(
         run,
         "diagnose",
@@ -212,15 +225,14 @@ def _tara_points(coll, suite, method, prefs, config):
 
 def _merge_with_method(coll, suite, method, rho, config):
     """Dispatch any method name to merged weights; returns (weights, trace|None)."""
-    if method in mergers.METHODS:
-        payload = {k: v for k, v in config.items() if k != "seed"}
-        cfg = mergers.MergeConfig.from_dict({"method": method, **payload})
-        return mergers.run_merge(coll, cfg), None
-    irrelevant = set(config) - TARA_KEYS[method]
+    irrelevant = set(config) - {"seed", *METHOD_KEYS[method]}
     if irrelevant:
         raise UsageError(
             f"parameters {sorted(irrelevant)} are not relevant to method {method!r}"
         )
+    if method in mergers.METHODS:
+        payload = {k: v for k, v in config.items() if k != "seed"}
+        return mergers.run_merge(coll, mergers.MergeConfig(method, **payload)), None
     if method == "adamerging":
         weights, _, trace = tara.adamerging_baseline(
             coll, suite, _optim_config(config, phi_init=tara.ADAMERGING_PHI_INIT)
@@ -231,19 +243,14 @@ def _merge_with_method(coll, suite, method, rho, config):
 
 
 def cmd_merge(args) -> int:
-    keys = [
-        "method", "lam", "trim_fraction", "drop_prob", "k_clusters",
-        "lego_reweight", "rng_seed", "target_rank", "alpha", "iters", "lr",
-        "batch_size", "seed", "preference",
-    ]
-    config = _resolve(args, keys)
+    config = _resolve(args, MERGE_FLAGS)
     method = config.pop("method", None)
     if method is None:
         raise UsageError("merge requires --method")
     if method not in ALL_METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     # the seed names the run directory, so OptimConfig's rule holds for every method
-    seed = tara.OptimConfig(seed=config.get("seed", 0)).seed
+    seed = _optim_config(config).seed
     suite, coll = harness.load_suite(args.container, args.sidecar)
     if "preference" in config:
         values = config.pop("preference")  # a flag's text, or a config file's list
@@ -257,7 +264,7 @@ def cmd_merge(args) -> int:
         rho = np.full(suite.n_tasks, 1.0 / suite.n_tasks)
     weights, trace = _merge_with_method(coll, suite, method, rho, config)
     report = harness.evaluate(weights, suite)
-    report.hits_at = harness.evaluate_joint(weights, suite, ks=(1, 3, 5))
+    report.hits_at = harness.evaluate_joint(weights, suite, ks=HITS_AT)
     run = _run_dir(args.out, seed)
     _save_weights(weights, coll.layer_ids, run / "merged.lmk")
     _write_report(run, "report.json", report)
@@ -271,7 +278,7 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _sweep_preferences(args, n_tasks: int) -> list[np.ndarray]:
+def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
     if args.preferences:
         try:
             rows = json.loads(Path(args.preferences).read_text())
@@ -300,7 +307,7 @@ def _sweep_preferences(args, n_tasks: int) -> list[np.ndarray]:
         raise UsageError("no free coordinates left to sample")
     prefs = []
     for k in range(args.random):
-        gen = substream(args.seed or 0, "sweep", k)
+        gen = substream(seed, "sweep", k)
         # uniform Dirichlet over the free coordinates, scaled to the leftover mass
         sample = gen.dirichlet(np.ones(len(free))) * max(budget, 0.0)
         rho = np.zeros(n_tasks)
@@ -316,9 +323,9 @@ def cmd_sweep(args) -> int:
     method = args.method or "tara-b"
     if method not in ALL_METHODS:
         raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-    prefs = _sweep_preferences(args, suite.n_tasks)
-    seed = args.seed or 0
-    config = {"seed": seed} if args.iters is None else {"seed": seed, "iters": args.iters}
+    config = _resolve(args, ("seed", "iters"))
+    seed = _optim_config(config).seed
+    prefs = _sweep_preferences(args, suite.n_tasks, seed)
     if method in ("tara-a", "tara-b"):
         merged = (w for w, _, _ in _tara_points(coll, suite, method, prefs, config))
         results = harness.sweep_preferences(suite, zip(prefs, merged))
@@ -337,7 +344,7 @@ def cmd_sweep(args) -> int:
                 [repr(float(v)) for v in rho]
                 + [repr(float(v)) for v in report.normalized]
             )
-    _write_manifest(run, "sweep", {"method": method, "n_points": len(prefs), "seed": seed})
+    _write_manifest(run, "sweep", {"method": method, "n_points": len(prefs), **config})
     print(f"sweep of {len(prefs)} points written to {run / 'sweep.csv'}")
     return 0
 
@@ -347,12 +354,17 @@ def cmd_eval(args) -> int:
     merged = load_collection(args.weights)
     weights = {l: merged.base[l] for l in merged.layer_ids}
     report = harness.evaluate(weights, suite)
-    report.hits_at = harness.evaluate_joint(weights, suite, ks=(1, 3, 5))
+    report.hits_at = harness.evaluate_joint(weights, suite, ks=HITS_AT)
     run = _run_dir(args.out, suite.config.seed)
     _write_report(run, "report.json", report)
     _write_manifest(run, "eval", {"weights": str(args.weights)})
     print(f"avg normalized accuracy {report.avg_normalized:.4f}")
     return 0
+
+
+def _add_flags(p, table: dict):
+    for key, typ in table.items():
+        p.add_argument("--" + key.replace("_", "-"), type=typ)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,13 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="generate a synthetic suite and fine-tune adapters")
     p.add_argument("--config", help="JSON config file (flags override)")
     p.add_argument("--out", default="runs", help="output root directory")
-    for flag, typ in [
-        ("--seed", int), ("--n-tasks", int), ("--d", int), ("--m", int),
-        ("--n-classes", int), ("--n-train", int), ("--n-eval", int),
-        ("--n-adapt", int), ("--noise-std", float), ("--mean-scale", float),
-        ("--leak-scale", float), ("--rank", int), ("--steps", int), ("--lr", float),
-    ]:
-        p.add_argument(flag, type=typ)
+    _add_flags(p, TRAIN_FLAGS)
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("diagnose", help="coverage, misalignment, anisotropy reports")
@@ -381,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stacks", action="store_true")
     p.add_argument("--xi", action="store_true")
     p.add_argument("--kappa", action="store_true")
-    p.add_argument("--lam", type=float, default=0.3)
+    p.add_argument("--lam", type=float, help="task-arithmetic scale (default: MergeConfig's)")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("merge", help="merge adapters and evaluate")
@@ -389,15 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sidecar", required=True)
     p.add_argument("--out", default="runs")
     p.add_argument("--config")
-    p.add_argument("--method")
-    p.add_argument("--preference", help="comma-separated simplex vector")
-    for flag, typ in [
-        ("--lam", float), ("--trim-fraction", float), ("--drop-prob", float),
-        ("--k-clusters", int), ("--lego-reweight", str), ("--rng-seed", int),
-        ("--target-rank", int), ("--alpha", float), ("--iters", int),
-        ("--lr", float), ("--batch-size", int), ("--seed", int),
-    ]:
-        p.add_argument(flag, type=typ)
+    _add_flags(p, MERGE_FLAGS)
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("sweep", help="preference sweep: merge + eval per point")

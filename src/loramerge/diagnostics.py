@@ -28,6 +28,10 @@ class DiagnosticsError(linalg.CodedError):
     pass
 
 
+class DiagnosticsAbort(DiagnosticsError, linalg.NumericalAbort):
+    """A sensitivity profile holds non-finite entries."""
+
+
 @dataclass
 class CoverageReport:
     per_task: list[float]
@@ -158,6 +162,8 @@ def misalignment_xi(h1: SensitivityProfile, h2: SensitivityProfile) -> float:
     """xi = 1 - |<h1, h2>| / (||h1|| ||h2||), in [0, 1]; sign flips equivalent."""
     a = np.asarray(h1.h, dtype=np.float64).ravel()
     b = np.asarray(h2.h, dtype=np.float64).ravel()
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DiagnosticsAbort("undefined misalignment: non-finite sensitivity profile")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na < PROFILE_ZERO_TOL or nb < PROFILE_ZERO_TOL:
         raise DiagnosticsError("undefined misalignment: zero sensitivity profile")

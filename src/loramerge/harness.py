@@ -26,6 +26,8 @@ from .rng import keyed_integers, substream
 from .tara import OptimConfig, adamw_step, adaptation_pools
 
 LAYER_ID = "layer0"
+LORA_ALPHA = 16.0     # every fine-tuned adapter's lora_alpha
+FINETUNE_BATCH = 32   # fine-tuning minibatch size
 
 
 class HarnessError(CodedError):
@@ -53,11 +55,22 @@ class SuiteConfig:
     label_offsets: tuple | None = None  # global label id of class 0 per task
 
     def __post_init__(self):
-        for name in ("n_tasks", "d", "m", "n_classes", "n_train", "n_eval", "n_adapt"):
-            if not (is_integer(getattr(self, name)) and getattr(self, name) >= 1):
-                raise HarnessError(f"{name} must be a positive integer", code="bad_config")
-        if not is_integer(self.seed):
-            raise HarnessError(f"seed must be an integer, got {self.seed!r}", code="bad_config")
+        """Each field is checked by the type of its default: integers (sizes >= 1),
+        finite numbers, and null or integer label offsets."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "label_offsets":
+                ok = value is None or (isinstance(value, (tuple, list))
+                                       and all(map(is_integer, value)))
+                rule = "null or a list of integers"
+            elif type(f.default) is int:
+                ok = is_integer(value) and (f.name == "seed" or value >= 1)
+                rule = "an integer" if f.name == "seed" else "an integer >= 1"
+            else:
+                ok, rule = is_real(value), "a finite number"
+            if not ok:
+                raise HarnessError(f"{f.name} must be {rule}, got {value!r}",
+                                   code="bad_config")
 
 
 @dataclass
@@ -206,21 +219,21 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
     )
 
 
-def _finetune(suite: TaskSuite, tasks: list[int], rank: int, steps: int, lr: float,
-              seed: int, lora_alpha: float, batch_size: int) -> list[LoraAdapter]:
+def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 300,
+              lr: float = 0.02, seed: int = 0) -> list[LoraAdapter]:
     """Train (B, A, head) of every listed task by cross-entropy, all tasks in one
     loop over (N, ...) stacks; each task draws from its own (seed, "finetune", i)
     streams. Stores each head and fine-tuned eval accuracy on the suite as the
-    normalization reference."""
+    normalization reference. These keyword defaults are the only ones."""
     cfg = suite.config
     if not (is_integer(rank) and 1 <= rank <= min(cfg.d, cfg.m)):
         raise HarnessError(f"rank {rank!r} is not an integer in [1, min(d, m) = "
                            f"{min(cfg.d, cfg.m)}]", code="bad_config")
     if not (is_integer(steps) and steps >= 0):
         raise HarnessError(f"steps must be an integer >= 0, got {steps!r}", code="bad_config")
-    adam = OptimConfig(lr=lr, batch_size=batch_size)  # checks both; no weight decay
+    adam = OptimConfig(lr=lr)  # checks lr; no weight decay
     w0 = suite.base[LAYER_ID]
-    scale = lora_alpha / rank
+    scale = LORA_ALPHA / rank
     inits = [substream(seed, "finetune", i) for i in tasks]
     params = {
         "b": np.zeros((len(tasks), cfg.d, rank)),
@@ -232,9 +245,9 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int, steps: int, lr: flo
     train_x = np.stack([suite.tasks[i].train_x for i in tasks])
     train_y = np.stack([suite.tasks[i].train_y for i in tasks])
     tags = [("finetune", i, "batch", t) for t in range(steps) for i in tasks]
-    schedule = keyed_integers(seed, tags, cfg.n_train, batch_size).reshape(
-        steps, len(tasks), batch_size)
-    rows, cols = np.arange(len(tasks))[:, None], np.arange(batch_size)
+    schedule = keyed_integers(seed, tags, cfg.n_train, FINETUNE_BATCH).reshape(
+        steps, len(tasks), FINETUNE_BATCH)
+    rows, cols = np.arange(len(tasks))[:, None], np.arange(FINETUNE_BATCH)
     initial_loss = None
     for t in range(steps):
         x, y = train_x[rows, schedule[t]], train_y[rows, schedule[t]]   # (N, B, m), (N, B)
@@ -253,7 +266,7 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int, steps: int, lr: flo
             )
         dl = p.copy()
         dl[rows, cols, y] -= 1.0
-        dl /= batch_size
+        dl /= FINETUNE_BATCH
         dz = dl @ params["h"]
         dw = np.swapaxes(dz, 1, 2) @ x
         grads = {
@@ -266,25 +279,22 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int, steps: int, lr: flo
     adapters = []
     for row, i in enumerate(tasks):
         ad = LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=params["b"][row],
-                         a=params["a"][row], rank=rank, lora_alpha=lora_alpha)
+                         a=params["a"][row], rank=rank, lora_alpha=LORA_ALPHA)
         suite.heads[i] = params["h"][row]
         suite.references[i] = suite.accuracy(i, {LAYER_ID: w0 + scale * ad.b @ ad.a.T})
         adapters.append(ad)
     return adapters
 
 
-def finetune_lora(suite: TaskSuite, task: int, rank: int = 16, steps: int = 300,
-                  lr: float = 0.02, seed: int = 0, lora_alpha: float = 16.0,
-                  batch_size: int = 32) -> LoraAdapter:
-    """Fine-tune one task; stores its head and reference on the suite."""
-    return _finetune(suite, [task], rank, steps, lr, seed, lora_alpha, batch_size)[0]
+def finetune_lora(suite: TaskSuite, task: int, **kwargs) -> LoraAdapter:
+    """Fine-tune one task; stores its head and reference on the suite. kwargs are
+    _finetune's rank, steps, lr and seed."""
+    return _finetune(suite, [task], **kwargs)[0]
 
 
-def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float = 0.02,
-                 seed: int = 0, lora_alpha: float = 16.0) -> AdapterCollection:
-    """Fine-tune every task of the suite in one batched loop."""
-    adapters = _finetune(suite, list(range(suite.n_tasks)), rank, steps, lr, seed,
-                         lora_alpha, batch_size=32)
+def finetune_all(suite: TaskSuite, **kwargs) -> AdapterCollection:
+    """Fine-tune every task of the suite in one batched loop; kwargs as finetune_lora."""
+    adapters = _finetune(suite, list(range(suite.n_tasks)), **kwargs)
     return AdapterCollection(
         layer_ids=[LAYER_ID],
         task_ids=[ad.task_id for ad in adapters],
@@ -443,7 +453,7 @@ def save_suite(suite: TaskSuite, coll: AdapterCollection, container_path, sideca
 
 
 def _read_sidecar(path) -> tuple[SuiteConfig, list]:
-    """The config and the references of a sidecar, type-checked field by field."""
+    """The config and the references of a sidecar; SuiteConfig checks each field."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -452,22 +462,14 @@ def _read_sidecar(path) -> tuple[SuiteConfig, list]:
     if not (isinstance(doc, dict) and {"config", "references"} <= doc.keys()):
         raise HarnessError(f"{path} must be an object with config and references",
                            code="bad_sidecar")
-    raw = doc["config"]
-    defaults = {f.name: f.default for f in fields(SuiteConfig)}
-    if not (isinstance(raw, dict) and raw.keys() == defaults.keys()):
-        raise HarnessError(f"config must hold exactly the fields {sorted(defaults)}",
+    raw, names = doc["config"], {f.name for f in fields(SuiteConfig)}
+    if not (isinstance(raw, dict) and raw.keys() == names):
+        raise HarnessError(f"config must hold exactly the fields {sorted(names)}",
                            code="bad_config")
-    for name, default in defaults.items():
-        value = raw[name]
-        if name == "label_offsets":
-            ok = value is None or (isinstance(value, list)
-                                   and all(map(is_integer, value)))
-        else:
-            ok = is_integer(value) if type(default) is int else is_real(value)
-        if not ok:
-            raise HarnessError(f"config field {name} has the wrong type: {value!r}",
-                               code="bad_config")
     offsets = raw["label_offsets"]
+    if not (offsets is None or isinstance(offsets, list)):
+        raise HarnessError(f"config field label_offsets must be null or a list, got "
+                           f"{offsets!r}", code="bad_config")
     cfg = SuiteConfig(**{**raw, "label_offsets": None if offsets is None else tuple(offsets)})
     refs = doc["references"]
     if not (isinstance(refs, list) and len(refs) == cfg.n_tasks

@@ -1,4 +1,4 @@
-"""Deterministic dense linear algebra: SVD, Frobenius products, effective rank.
+"""Deterministic dense linear algebra: SVD and effective rank.
 
 All computations are in float64. The SVD is LAPACK's thin SVD with a fixed
 sign convention on the singular vectors, so results are bit-reproducible for
@@ -110,17 +110,3 @@ def effective_rank(sigma) -> float:
     # 0*log 0 = 0 by the filter above; p entries are strictly positive here
     ent = -float(np.sum(p * np.log(p)))
     return float(np.exp(ent))
-
-
-def frobenius_inner(a, b) -> float:
-    """Frobenius inner product <A, B>_F = sum_ij A_ij B_ij."""
-    x = _as_matrix(a, "a")
-    y = _as_matrix(b, "b")
-    if x.shape != y.shape:
-        raise LinalgError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.sum(x * y))
-
-
-def frobenius_norm(a) -> float:
-    x = _as_matrix(a, "a")
-    return float(np.sqrt(np.sum(x * x)))

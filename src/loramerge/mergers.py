@@ -74,20 +74,6 @@ class MergeConfig:
                 raise MergeError(f"{name} must be {rule}, got {getattr(self, name)!r}",
                                  code="bad_config")
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MergeConfig":
-        if "method" not in payload:
-            raise MergeError("merge config requires a 'method' key")
-        method = payload["method"]
-        if method not in _MERGERS:
-            raise MergeError(f"unknown merge method {method!r}")
-        unknown = set(payload) - {"method", *_MERGERS[method][2]}
-        if unknown:
-            raise MergeError(
-                f"parameters {sorted(unknown)} are not relevant to method {method!r}"
-            )
-        return cls(**payload)
-
 
 def _layer_deltas(coll: AdapterCollection, layer: str) -> list[np.ndarray]:
     return [delta_weight(ad) for ad in coll.adapters[layer]]

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from loramerge import harness
 from loramerge.adapters import read_container, save_collection
-from loramerge.cli import main
+from loramerge.cli import build_parser, main
 
 FAST_TRAIN = [
     "--n-tasks", "2", "--d", "12", "--m", "10", "--n-train", "120",
@@ -60,6 +61,36 @@ class TestTrainToy:
         assert rc == 0
         run = sorted((tmp_path / "runs").iterdir())[-1]
         assert "seed9" in run.name  # flag wins over config
+
+    def test_too_few_labels_for_hits_at_refused_before_work(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """merge and eval report Hits@5, so a suite of 4 labels is refused before
+        fine-tuning rather than after every merge."""
+        monkeypatch.setattr(harness, "finetune_all", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        assert main(["train-toy", *FAST_TRAIN, "--n-tasks", "1", "--n-classes", "4",
+                     "--out", str(out)]) == 2
+        assert "Hits@5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_sets_are_pinned(self):
+        """The train-toy and merge flags are read from the config dataclasses; a
+        field change must not add or drop a flag unnoticed."""
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        want = {
+            "train-toy": "--config --out --seed --n-tasks --d --m --n-classes --n-train "
+                         "--n-eval --n-adapt --noise-std --mean-scale --leak-scale --rank "
+                         "--steps --lr",
+            "merge": "--sidecar --out --config --method --preference --lam --trim-fraction "
+                     "--drop-prob --k-clusters --lego-reweight --rng-seed --target-rank "
+                     "--alpha --iters --lr --batch-size --seed",
+            "sweep": "--sidecar --out --method --preferences --random --fixed --seed --iters",
+        }
+        for command, flags in want.items():
+            got = set(sub.choices[command]._option_string_actions)
+            assert got == {"-h", "--help", *flags.split()}, command
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -286,7 +317,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field,value", [
         ("rank", 2.7), ("rank", "4"), ("steps", 10.5), ("lr", "0.02"), ("seed", 1.5),
-        ("d", 12.0),
+        ("d", 12.0), ("mean_scale", True), ("leak_scale", [1]), ("noise_std", "x"),
+        ("noise_std", float("nan")),
     ])
     def test_train_toy_config_values_are_not_converted(self, tmp_path, capsys, field,
                                                        value):
@@ -388,6 +420,24 @@ class TestDiagnoseAndEval:
             "diagnose", str(container), "--sidecar", str(sidecar),
             "--out", str(out),
         ]) == 2
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--xi", "--lam", "nan"], 2, "error: bad_config: lam"),
+        (["--xi", "--lam", "1e307"], 1, "runtime failure: undefined misalignment"),
+        ([], 2, "error: diagnose needs"),
+    ], ids=["nan_lam", "overflowing_lam", "no_flag"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_refused_diagnose_makes_no_run(self, tmp_path, capsys, trained_and_merged,
+                                           argv, code, message):
+        """A NaN lam fails MergeConfig's rule; at lam 1e307 the merged weights
+        overflow, so the sensitivity profiles are NaN and xi is undefined."""
+        container, sidecar, _ = trained_and_merged
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        assert main(["diagnose", str(container), "--sidecar", str(sidecar), *argv,
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_eval_round_trip(self, tmp_path):
         container, sidecar, out = _train(tmp_path)

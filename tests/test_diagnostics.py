@@ -74,7 +74,7 @@ class TestJacobian:
         j = diagnostics.jacobian(dirs, grads)
         for i in range(2):
             for k, s in enumerate(dirs.directions):
-                want = linalg.frobenius_inner(grads[i], s.matrix())
+                want = np.sum(grads[i] * s.matrix())
                 assert j.entries[i, k] == pytest.approx(want, rel=1e-12)
 
     def test_shape_mismatch(self):
@@ -143,6 +143,14 @@ class TestMisalignment:
     def test_zero_profile_errors(self):
         with pytest.raises(DiagnosticsError):
             diagnostics.misalignment_xi(self._profile([0.0]), self._profile([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_profile_aborts(self, bad):
+        """A NaN norm passes the zero-profile guard, so non-finite entries are
+        checked first and reported as a numerical abort."""
+        with pytest.raises(diagnostics.DiagnosticsAbort) as exc:
+            diagnostics.misalignment_xi(self._profile([1.0, bad]), self._profile([1.0, 0.0]))
+        assert isinstance(exc.value, linalg.NumericalAbort)
 
 
 class TestPreferenceValidation:

@@ -154,15 +154,3 @@ class TestEffectiveRank:
         # values below the relative floor must not affect the result
         a = linalg.effective_rank([1.0, 1e-15])
         assert a == pytest.approx(1.0, abs=1e-9)
-
-
-class TestFrobenius:
-    def test_inner_and_norm(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert linalg.frobenius_inner(a, b) == pytest.approx(70.0)
-        assert linalg.frobenius_norm(a) == pytest.approx(np.sqrt(30.0))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(linalg.LinalgError):
-            linalg.frobenius_inner(np.ones((2, 2)), np.ones((2, 3)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_collection, assert_weights_close
-from loramerge import linalg, mergers
+from loramerge import mergers
 from loramerge.adapters import delta_weight
 from loramerge.mergers import MergeConfig, MergeError
 from loramerge.rng import substream
@@ -15,12 +15,6 @@ class TestConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(MergeError):
             MergeConfig(method="nope")
-
-    def test_from_dict_rejects_irrelevant_keys(self):
-        with pytest.raises(MergeError):
-            MergeConfig.from_dict({"method": "ta", "drop_prob": 0.5})
-        cfg = MergeConfig.from_dict({"method": "ta", "lam": 0.5})
-        assert cfg.lam == 0.5
 
     def test_parameter_ranges(self):
         with pytest.raises(MergeError):
@@ -162,7 +156,7 @@ class TestSvdMerge:
         r = 2
         merged = mergers.merge_svd(coll, lam=0.3, target_rank=r)["l0"]
         total = 0.3 * sum(delta_weight(ad) for ad in coll.adapters["l0"])
-        residual = linalg.frobenius_norm(total - delta_weight(merged))
+        residual = np.linalg.norm(total - delta_weight(merged))
         sigma = np.linalg.svd(total, compute_uv=False)
         tail = float(np.sqrt(np.sum(sigma[r:] ** 2)))
         assert residual == pytest.approx(tail, abs=1e-9 * max(sigma[0], 1.0))
