@@ -22,10 +22,7 @@ def run_seed(seed, iters):
         cfg = mergers.MergeConfig(method=method, k_clusters=16, target_rank=16)
         rows[method] = harness.evaluate(mergers.run_merge(coll, cfg), suite)
     optim = tara.OptimConfig(seed=seed, max_iters=iters)
-    w, _, _ = tara.adamerging_baseline(
-        coll, suite,
-        tara.OptimConfig(seed=seed, max_iters=iters, phi_init=tara.ADAMERGING_PHI_INIT),
-    )
+    w, _, _ = tara.adamerging_baseline(coll, suite, optim)
     rows["adamerging"] = harness.evaluate(w, suite)
     for variant in ("a", "b"):
         w, _, _ = tara.merge_tara(coll, suite, rho, variant=variant, optim=optim)

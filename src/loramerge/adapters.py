@@ -97,16 +97,13 @@ class FactorStack:
     owner: np.ndarray   # (K,) owning task of each column
 
     @property
-    def owner_rank(self) -> np.ndarray:
-        """Index of each column within its owner's columns."""
-        return np.arange(self.owner.size) - np.searchsorted(self.owner, self.owner)
-
-    @property
     def directions(self) -> list[Rank1Direction]:
-        """Read-only per-column view of the stack."""
+        """Read-only per-column view of the stack; owner_rank is a column's index
+        within its owner's columns."""
+        owner_rank = np.arange(self.owner.size) - np.searchsorted(self.owner, self.owner)
         return [
             Rank1Direction(int(o), int(j), self.left[:, k], self.right[:, k], float(s))
-            for k, (o, j, s) in enumerate(zip(self.owner, self.owner_rank, self.sigma))
+            for k, (o, j, s) in enumerate(zip(self.owner, owner_rank, self.sigma))
         ]
 
     def project(self, g: np.ndarray) -> np.ndarray:
@@ -168,10 +165,6 @@ class AdapterCollection:
     @property
     def n_tasks(self) -> int:
         return len(self.task_ids)
-
-    def adapter(self, task_id: str, layer_id: str) -> LoraAdapter:
-        idx = self.task_ids.index(task_id)
-        return self.adapters[layer_id][idx]
 
     def subset(self, task_ids: list[str]) -> "AdapterCollection":
         """New collection restricted to the given tasks (same order as given)."""

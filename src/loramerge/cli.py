@@ -9,7 +9,7 @@ signature that uses it; the flag tables below are read from those.
 
 Exit codes: 0 success; 1 runtime failure: an I/O error, or a numerical abort
 (linalg.NumericalAbort: optimizer or fine-tuning divergence, a non-finite
-entropy, SVD non-convergence); 2 usage or validation error: bad flags,
+entropy, logit, SVD input or merged weight, SVD non-convergence); 2 usage or validation error: bad flags,
 config, preference or method parameters, or a malformed container
 (ContainerError).
 """
@@ -203,11 +203,11 @@ def _save_weights(weights: dict, layer_ids: list[str], path):
     save_collection(shell, path)
 
 
-def _optim_config(config: dict, **fixed) -> tara.OptimConfig:
+def _optim_config(config: dict) -> tara.OptimConfig:
     """The optimizer keys given in config go to OptimConfig unconverted, so it
     rejects a wrong type and supplies the defaults of the rest."""
     given = {field: config[key] for key, field in OPTIM_FIELDS.items() if key in config}
-    return tara.OptimConfig(**fixed, **given)
+    return tara.OptimConfig(**given)
 
 
 def _tara_points(coll, suite, method, prefs, config):
@@ -231,12 +231,9 @@ def _merge_with_method(coll, suite, method, rho, config):
             f"parameters {sorted(irrelevant)} are not relevant to method {method!r}"
         )
     if method in mergers.METHODS:
-        payload = {k: v for k, v in config.items() if k != "seed"}
-        return mergers.run_merge(coll, mergers.MergeConfig(method, **payload)), None
+        return mergers.run_merge(coll, mergers.MergeConfig(method, **config)), None
     if method == "adamerging":
-        weights, _, trace = tara.adamerging_baseline(
-            coll, suite, _optim_config(config, phi_init=tara.ADAMERGING_PHI_INIT)
-        )
+        weights, _, trace = tara.adamerging_baseline(coll, suite, _optim_config(config))
         return weights, trace
     weights, _, trace = next(_tara_points(coll, suite, method, [rho], config))
     return weights, trace
@@ -263,6 +260,9 @@ def cmd_merge(args) -> int:
     else:
         rho = np.full(suite.n_tasks, 1.0 / suite.n_tasks)
     weights, trace = _merge_with_method(coll, suite, method, rho, config)
+    for layer, w in weights.items():  # merged.lmk stores float32
+        if not np.all(np.abs(w) <= np.finfo(np.float32).max):  # NaN fails too
+            raise NumericalAbort(f"merged weights at {layer} are non-finite or overflow float32")
     report = harness.evaluate(weights, suite)
     report.hits_at = harness.evaluate_joint(weights, suite, ks=HITS_AT)
     run = _run_dir(args.out, seed)
@@ -326,9 +326,9 @@ def cmd_sweep(args) -> int:
     config = _resolve(args, ("seed", "iters"))
     seed = _optim_config(config).seed
     prefs = _sweep_preferences(args, suite.n_tasks, seed)
-    if method in ("tara-a", "tara-b"):
-        merged = (w for w, _, _ in _tara_points(coll, suite, method, prefs, config))
-        results = harness.sweep_preferences(suite, zip(prefs, merged))
+    if method in ("tara-a", "tara-b"):  # each point is evaluated as it is yielded
+        points = _tara_points(coll, suite, method, prefs, config)
+        results = [(rho, harness.evaluate(w, suite)) for rho, (w, _, _) in zip(prefs, points)]
     else:  # every other method ignores rho: one merge and evaluation serve each row
         report = harness.evaluate(_merge_with_method(coll, suite, method, None, config)[0], suite)
         results = [(rho, report) for rho in prefs]

@@ -44,13 +44,6 @@ class CoverageReport:
 @dataclass
 class Jacobian:
     entries: np.ndarray                      # (N, K)
-    direction_ids: list[tuple[int, int]]     # (owner_task, owner_rank) per column
-
-
-@dataclass
-class SensitivityProfile:
-    h: np.ndarray
-    preference: np.ndarray
 
 
 def _rank1_gram(stack: FactorStack) -> np.ndarray:
@@ -120,10 +113,7 @@ def jacobian(directions: FactorStack, grads) -> Jacobian:
     for i, g in enumerate(grads):
         if np.shape(g) != shape:
             raise DiagnosticsError(f"gradient {i} shape {np.shape(g)} != {shape}")
-    return Jacobian(
-        entries=directions.project(np.asarray(grads, dtype=np.float64)),
-        direction_ids=list(zip(directions.owner.tolist(), directions.owner_rank.tolist())),
-    )
+    return Jacobian(entries=directions.project(np.asarray(grads, dtype=np.float64)))
 
 
 def anisotropy(j: Jacobian) -> tuple[np.ndarray, float]:
@@ -151,17 +141,15 @@ def _check_simplex(rho, n: int) -> np.ndarray:
     return rho
 
 
-def sensitivity_profile(directions: FactorStack, grads, rho) -> SensitivityProfile:
+def sensitivity_profile(j: Jacobian, rho) -> np.ndarray:
     """h = J^T rho: projection of the preference-scalarized gradient."""
-    rho = _check_simplex(rho, len(grads))
-    j = jacobian(directions, grads)
-    return SensitivityProfile(h=j.entries.T @ rho, preference=rho)
+    return j.entries.T @ _check_simplex(rho, len(j.entries))
 
 
-def misalignment_xi(h1: SensitivityProfile, h2: SensitivityProfile) -> float:
+def misalignment_xi(h1, h2) -> float:
     """xi = 1 - |<h1, h2>| / (||h1|| ||h2||), in [0, 1]; sign flips equivalent."""
-    a = np.asarray(h1.h, dtype=np.float64).ravel()
-    b = np.asarray(h2.h, dtype=np.float64).ravel()
+    a = np.asarray(h1, dtype=np.float64).ravel()
+    b = np.asarray(h2, dtype=np.float64).ravel()
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DiagnosticsAbort("undefined misalignment: non-finite sensitivity profile")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
@@ -184,6 +172,7 @@ def xi_protocol(coll: AdapterCollection, suite, layer_id: str, lam: float = 0.3)
     Gradients are task-loss gradients at W0 + lam * sum_i dW_i, taken from the
     suite row of each collection task: fine-tuning names suite task i "task{i}".
     Returns the mean xi(uniform, e_i) over tasks; exactly 0 for a single task.
+    The profile of e_i is row i of the one Jacobian.
     """
     n = coll.n_tasks
     rows = {f"task{i}": i for i in range(suite.n_tasks)}
@@ -194,12 +183,6 @@ def xi_protocol(coll: AdapterCollection, suite, layer_id: str, lam: float = 0.3)
         )
     weights = mergers.merge_ta(coll, lam)
     grads = suite.task_loss_gradients(weights)[layer_id][[rows[t] for t in coll.task_ids]]
-    dirs = layer_directions(coll, layer_id)
-    uniform = np.full(n, 1.0 / n)
-    h_uniform = sensitivity_profile(dirs, grads, uniform)
-    xis = []
-    for i in range(n):
-        onehot = np.zeros(n)
-        onehot[i] = 1.0
-        xis.append(misalignment_xi(h_uniform, sensitivity_profile(dirs, grads, onehot)))
-    return float(np.mean(xis))
+    j = jacobian(layer_directions(coll, layer_id), grads)
+    h_uniform = sensitivity_profile(j, np.full(n, 1.0 / n))
+    return float(np.mean([misalignment_xi(h_uniform, row) for row in j.entries]))

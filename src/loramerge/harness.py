@@ -23,7 +23,7 @@ from .adapters import (
 )
 from .linalg import CodedError, NumericalAbort
 from .rng import keyed_integers, substream
-from .tara import OptimConfig, adamw_step, adaptation_pools
+from .tara import adamw_step, adaptation_pools
 
 LAYER_ID = "layer0"
 LORA_ALPHA = 16.0     # every fine-tuned adapter's lora_alpha
@@ -35,7 +35,7 @@ class HarnessError(CodedError):
 
 
 class HarnessAbort(HarnessError, NumericalAbort):
-    """Fine-tuning diverged."""
+    """Fine-tuning diverged, or weights gave non-finite logits."""
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,14 @@ class TaskSuite:
         _, grad = self.entropy_and_grad(weights, adaptation_pools(self, self.n_tasks))
         return grad
 
-    def accuracy(self, task: int, weights: dict, split: str = "eval") -> float:
+    def accuracy(self, task: int, weights: dict) -> float:
+        """Eval-split accuracy; non-finite logits raise HarnessAbort rather than
+        let argmax pick a class."""
         td = self.tasks[task]
-        x, y = (td.eval_x, td.eval_y) if split == "eval" else (td.train_x, td.train_y)
-        pred = np.argmax(self._logits(task, weights, x), axis=1)
-        return float(np.mean(pred == y))
+        logits = self._logits(task, weights, td.eval_x)
+        if not np.isfinite(logits).all():
+            raise HarnessAbort(f"task{task}: weights give non-finite logits")
+        return float(np.mean(np.argmax(logits, axis=1) == td.eval_y))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -231,7 +234,8 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 3
                            f"{min(cfg.d, cfg.m)}]", code="bad_config")
     if not (is_integer(steps) and steps >= 0):
         raise HarnessError(f"steps must be an integer >= 0, got {steps!r}", code="bad_config")
-    adam = OptimConfig(lr=lr)  # checks lr; no weight decay
+    if not (is_real(lr) and lr > 0):
+        raise HarnessError(f"lr must be a finite number > 0, got {lr!r}", code="bad_config")
     w0 = suite.base[LAYER_ID]
     scale = LORA_ALPHA / rank
     inits = [substream(seed, "finetune", i) for i in tasks]
@@ -257,7 +261,7 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 3
         loss = np.mean(-np.log(np.maximum(p[rows, cols, y], 1e-300)), axis=1)
         if initial_loss is None:
             initial_loss = np.maximum(loss, 1e-12)
-        diverged = np.flatnonzero(loss > 10.0 * initial_loss)
+        diverged = np.flatnonzero(~(loss <= 10.0 * initial_loss))  # NaN diverges
         if diverged.size:
             j = diverged[0]
             raise HarnessAbort(
@@ -274,7 +278,7 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 3
             "a": scale * np.swapaxes(dw, 1, 2) @ params["b"],
             "h": np.swapaxes(dl, 1, 2) @ z,
         }
-        adamw_step(params, grads, m, v, t + 1, adam)
+        adamw_step(params, grads, m, v, t + 1, lr)
 
     adapters = []
     for row, i in enumerate(tasks):
@@ -303,12 +307,11 @@ def finetune_all(suite: TaskSuite, **kwargs) -> AdapterCollection:
     )
 
 
-def evaluate(weights: dict, suite: TaskSuite, subset: list[int] | None = None) -> EvalReport:
+def evaluate(weights: dict, suite: TaskSuite) -> EvalReport:
     """Per-task accuracy under each task's own head, normalized by the stored
     fine-tuned references."""
-    idx = list(range(suite.n_tasks)) if subset is None else list(subset)
     absolute, normalized = [], []
-    for i in idx:
+    for i in range(suite.n_tasks):
         if suite.references[i] is None:
             raise HarnessError(f"task {i} has no fine-tuned reference accuracy")
         if not suite.references[i] > 0:
@@ -318,7 +321,7 @@ def evaluate(weights: dict, suite: TaskSuite, subset: list[int] | None = None) -
         absolute.append(acc)
         normalized.append(acc / suite.references[i])
     return EvalReport(
-        task_ids=[f"task{i}" for i in idx],
+        task_ids=[f"task{i}" for i in range(suite.n_tasks)],
         absolute=absolute,
         normalized=normalized,
         avg_absolute=float(np.mean(absolute)),
@@ -355,18 +358,6 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks=(1, 3, 5)) -> dict[int, f
             hits[k] += int(np.sum(np.any(order[:, :k] == true_cols[:, None], axis=1)))
         total += n
     return {k: hits[k] / total for k in ks}
-
-
-def sweep_preferences(suite, points):
-    """Evaluate merged points (rho, weights) in the order given, each as it
-    arrives, so a lazy iterable keeps one merge in memory at a time."""
-    results = [
-        (np.asarray(rho, dtype=np.float64), evaluate(weights, suite))
-        for rho, weights in points
-    ]
-    if not results:
-        raise HarnessError("preference list is empty")
-    return results
 
 
 def unseen_split_eval(coll, suite, seen: list[str], merge_fn) -> EvalReport:

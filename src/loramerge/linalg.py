@@ -35,7 +35,7 @@ class LinalgError(ValueError):
 
 
 class LinalgAbort(LinalgError, NumericalAbort):
-    """LAPACK did not converge."""
+    """LAPACK did not converge, or its input or singular values are not finite."""
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,15 @@ class SvdResult:
 
 
 def _as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """x as a 2-D float64 matrix. Every caller passes a computed matrix (stored
+    inputs are checked when read), so a non-finite entry is a numerical abort."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise LinalgError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise LinalgError(f"{name} must have positive dimensions, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise LinalgError(f"{name} contains non-finite entries")
+        raise LinalgAbort(f"{name} contains non-finite entries")
     return a
 
 
@@ -73,6 +75,8 @@ def svd(x) -> SvdResult:
         u, sigma, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise LinalgAbort(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(sigma).all():
+        raise LinalgAbort("singular values overflow the float range")
     q = sigma.size
     flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(q)] < 0, -1.0, 1.0)
     return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)

@@ -28,12 +28,12 @@ from .rng import substream
 _MERGERS = {
     "ta": ("merge_ta", {}, ("lam",)),
     "ties": ("merge_dare_ties", {"drop_prob": 0.0}, ("lam", "trim_fraction")),
-    "dare_ties": ("merge_dare_ties", {}, ("lam", "trim_fraction", "drop_prob", "rng_seed")),
+    "dare_ties": ("merge_dare_ties", {}, ("lam", "trim_fraction", "drop_prob", "seed")),
     "linear": ("merge_linear", {}, ("lam",)),
     "svd": ("merge_svd", {}, ("lam", "target_rank")),
     "knots_ties": ("merge_knots", {"drop_prob": 0.0}, ("lam", "trim_fraction")),
-    "knots_dare_ties": ("merge_knots", {}, ("lam", "trim_fraction", "drop_prob", "rng_seed")),
-    "lora_lego": ("merge_lora_lego", {}, ("k_clusters", "lego_reweight", "rng_seed")),
+    "knots_dare_ties": ("merge_knots", {}, ("lam", "trim_fraction", "drop_prob", "seed")),
+    "lora_lego": ("merge_lora_lego", {}, ("k_clusters", "lego_reweight", "seed")),
 }
 METHODS = tuple(_MERGERS)
 
@@ -50,7 +50,7 @@ class MergeConfig:
     drop_prob: float = 0.5
     k_clusters: int = 16
     lego_reweight: str = "output"
-    rng_seed: int = 0
+    seed: int = 0
     target_rank: int = 16
 
     def __post_init__(self):
@@ -66,7 +66,7 @@ class MergeConfig:
              "an integer >= 1"),
             ("lego_reweight", self.lego_reweight in ("parameter", "output"),
              "'parameter' or 'output'"),
-            ("rng_seed", is_integer(self.rng_seed), "an integer"),
+            ("seed", is_integer(self.seed), "an integer"),
             ("target_rank", is_integer(self.target_rank) and self.target_rank >= 1,
              "an integer >= 1"),
         ):
@@ -125,13 +125,13 @@ def merge_dare_ties(
     lam: float = 1.0,
     trim_fraction: float = 0.7,
     drop_prob: float = 0.5,
-    rng_seed: int = 0,
+    seed: int = 0,
 ) -> dict[str, np.ndarray]:
     """DARE drop-and-rescale of each task update, then TIES; TIES at drop_prob 0."""
     merged = {}
     for layer in coll.layer_ids:
         dropped = [
-            _dare_drop(delta_weight(ad), drop_prob, rng_seed, ad.task_id, layer)
+            _dare_drop(delta_weight(ad), drop_prob, seed, ad.task_id, layer)
             for ad in coll.adapters[layer]
         ]
         merged[layer] = coll.base[layer] + lam * _ties_combine(dropped, trim_fraction)
@@ -193,7 +193,7 @@ def merge_knots(
     lam: float = 1.0,
     trim_fraction: float = 0.7,
     drop_prob: float = 0.0,
-    rng_seed: int = 0,
+    seed: int = 0,
 ) -> dict[str, np.ndarray]:
     """Shared-basis merge: SVD of row-concatenated updates, DARE-TIES merge of
     per-task coefficient blocks U_i Sigma, reconstruction against V^T; the
@@ -209,7 +209,7 @@ def merge_knots(
             for i in range(len(deltas))
         ]
         blocks = [
-            _dare_drop(blk, drop_prob, rng_seed, coll.task_ids[i], layer)
+            _dare_drop(blk, drop_prob, seed, coll.task_ids[i], layer)
             for i, blk in enumerate(blocks)
         ]
         combined = _ties_combine(blocks, trim_fraction)
@@ -262,7 +262,7 @@ def merge_lora_lego(
     coll: AdapterCollection,
     k_clusters: int = 16,
     lego_reweight: str = "output",
-    rng_seed: int = 0,
+    seed: int = 0,
 ) -> dict[str, LoraAdapter]:
     """Cluster minimal semantic units [a_j; b_j] pooled across tasks; centroids
     form a rank-k adapter with the chosen reweighting."""
@@ -284,7 +284,7 @@ def merge_lora_lego(
             raise MergeError(
                 f"k_clusters {k_clusters} exceeds unit count {units.shape[0]}"
             )
-        centers, assign = _kmeans(units, k_clusters, substream(rng_seed, "lego", layer))
+        centers, assign = _kmeans(units, k_clusters, substream(seed, "lego", layer))
 
         if lego_reweight == "parameter":
             norms = np.linalg.norm(units, axis=1)

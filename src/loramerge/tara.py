@@ -33,7 +33,10 @@ from .rng import keyed_integers
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
 GRAD_BUDGET_BYTES = 16 * 2**20  # cap on one step's (P, N, d, m) gradient stack in a sweep
+PHI_INIT = 0.4  # TARA's starting phi; optimize picks it or the next by basis variant
 ADAMERGING_PHI_INIT = 0.3  # AdaMerging starts at the lam = 0.3 task-arithmetic merge
+ADAM_BETAS = (0.9, 0.999)  # Adam's fixed constants, shared by TARA and fine-tuning
+ADAM_EPS = 1e-8
 
 
 class TaraError(CodedError):
@@ -53,7 +56,6 @@ class DirectionBasis:
     groups: dict[str, np.ndarray]         # phi entry of each column per layer
     counts: dict[str, int]                # phi entries per layer
     task_ids: list[str]
-    shared_rank: int | None = None        # R for variant B
 
     @property
     def n_tasks(self) -> int:
@@ -79,23 +81,13 @@ class StchConfig:
 @dataclass
 class OptimConfig:
     lr: float = 0.001
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     batch_size: int = 16
     max_iters: int = 500
-    phi_init: float = 0.4
     seed: int = 0
 
     def __post_init__(self):
-        betas_ok = (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
-                    and all(is_real(b) and 0 <= b < 1 for b in self.betas))
         for name, ok, rule in (
             ("lr", is_real(self.lr) and self.lr > 0, "a finite number > 0"),
-            ("betas", betas_ok, "two numbers in [0, 1)"),
-            ("eps", is_real(self.eps) and self.eps > 0, "a finite number > 0"),
-            ("weight_decay", is_real(self.weight_decay) and self.weight_decay >= 0,
-             "a finite number >= 0"),
             ("batch_size", is_integer(self.batch_size) and self.batch_size >= 1,
              "an integer >= 1"),
             ("max_iters", is_integer(self.max_iters) and self.max_iters >= 1,
@@ -123,8 +115,8 @@ class OptimTrace:
                           [f[j] for f in self.per_task])
 
 
-def _basis(coll: AdapterCollection, variant: str, layers: dict[str, FactorStack],
-           shared_rank: int | None = None) -> DirectionBasis:
+def _basis(coll: AdapterCollection, variant: str,
+           layers: dict[str, FactorStack]) -> DirectionBasis:
     """Basis over the given stacks; AdaMerging groups columns by owning task."""
     groups = {
         l: s.owner if variant == "adamerging" else np.arange(s.sigma.size)
@@ -138,7 +130,6 @@ def _basis(coll: AdapterCollection, variant: str, layers: dict[str, FactorStack]
         groups=groups,
         counts={l: int(g.max()) + 1 for l, g in groups.items()},
         task_ids=list(coll.task_ids),
-        shared_rank=shared_rank,
     )
 
 
@@ -153,25 +144,21 @@ def build_variant_a(coll: AdapterCollection) -> DirectionBasis:
     return _basis(coll, "a", _adapter_stacks(coll))
 
 
-def default_shared_rank(coll: AdapterCollection) -> int:
-    """Aggregate adapter capacity, capped at the concatenation's max rank."""
-    r_total = min(sum(ad.rank for ad in coll.adapters[l]) for l in coll.layer_ids)
-    cap = min(
-        min(coll.base[l].shape[0], coll.base[l].shape[1] * coll.n_tasks)
-        for l in coll.layer_ids
-    )
-    return min(r_total, cap)
-
-
 def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> DirectionBasis:
     """Shared singular-direction basis from the SVD of [dW_1, ..., dW_N].
 
     Each retained singular triplet (sigma_k, u_k, v_k) yields N components
     sigma_k * u_k v_ki^T, one per task block of v_k. At full rank with
-    phi == 1 the components reconstruct every task update exactly.
+    phi == 1 the components reconstruct every task update exactly. The shared
+    rank defaults to the aggregate adapter capacity, capped at the
+    concatenation's max rank.
     """
-    r = default_shared_rank(coll) if shared_rank is None else shared_rank
     n = coll.n_tasks
+    r = shared_rank
+    if r is None:
+        r = min(min(sum(ad.rank for ad in coll.adapters[l]),
+                    coll.base[l].shape[0], coll.base[l].shape[1] * n)
+                for l in coll.layer_ids)
     layers = {}
     for layer in coll.layer_ids:
         deltas = [delta_weight(ad) for ad in coll.adapters[layer]]
@@ -187,7 +174,7 @@ def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> 
             sigma=np.tile(res.sigma[:r], n),
             owner=np.repeat(np.arange(n), r),
         )
-    return _basis(coll, "b", layers, shared_rank=r)
+    return _basis(coll, "b", layers)
 
 
 def build_adamerging(coll: AdapterCollection) -> DirectionBasis:
@@ -322,18 +309,17 @@ def mean_entropy_value_and_grad(basis, phi, suite, batches):
     return np.mean(f, axis=-1), _phi_gradient(basis, weight_grads, dpsi_df), f
 
 
-def adamw_step(params, grads, m, v, t, cfg: OptimConfig):
-    """One in-place AdamW update of every array in params at step t >= 1."""
-    b1, b2 = cfg.betas
+def adamw_step(params, grads, m, v, t, lr: float):
+    """One in-place Adam update (no weight decay) of every array in params at
+    step t >= 1."""
+    b1, b2 = ADAM_BETAS
     for key in params:
         g = grads[key]
         m[key] = b1 * m[key] + (1 - b1) * g
         v[key] = b2 * v[key] + (1 - b2) * g * g
         mhat = m[key] / (1 - b1**t)
         vhat = v[key] / (1 - b2**t)
-        params[key] = params[key] - cfg.lr * (
-            mhat / (np.sqrt(vhat) + cfg.eps) + cfg.weight_decay * params[key]
-        )
+        params[key] = params[key] - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS))
 
 
 def batch_schedule(suite, n_tasks: int, cfg: OptimConfig) -> np.ndarray:
@@ -357,13 +343,14 @@ def optimize(
     schedule: np.ndarray | None = None,
     first: int = 0,
 ):
-    """AdamW loop over a (P, K) phi per layer, one row per preference of the
+    """Adam loop over a (P, K) phi per layer, one row per preference of the
     (P, N) or (N,) rho; each step scores every row and task on fresh batches in
     one suite call.
 
-    The objective is the anchored scalarization under rho, or for an AdaMerging
-    basis the mean entropy, which ignores rho and anchors (P = 1). schedule is
-    the batch_schedule to follow; None draws it. Aborts if a row's entropy is non-finite or its
+    The objective is the anchored scalarization under rho from phi = PHI_INIT,
+    or for an AdaMerging basis the mean entropy from phi = ADAMERGING_PHI_INIT,
+    which ignores rho and anchors (P = 1). schedule is the batch_schedule to
+    follow; None draws it. Aborts if a row's entropy is non-finite or its
     objective exceeds 10x its initial value or is NaN, naming row j as point
     first + j. Returns (phi, trace); trace.point(j) is row j's own trace.
     """
@@ -379,7 +366,8 @@ def optimize(
     if schedule.shape != (cfg.max_iters, n, cfg.batch_size):
         raise TaraError(f"batch schedule of shape {schedule.shape} does not fit cfg")
     tasks = np.arange(n)[:, None]
-    phi = {l: np.tile(p, (len(rho), 1)) for l, p in basis.init_phi(cfg.phi_init).items()}
+    init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)
+    phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
     m = {l: np.zeros_like(phi[l]) for l in phi}
     v = {l: np.zeros_like(phi[l]) for l in phi}
     trace = OptimTrace()
@@ -401,7 +389,7 @@ def optimize(
             j = np.flatnonzero(~(value <= limit))[0]
             raise TaraAbort(f"divergence guard: point {first + j} objective {value[j]:.4g} "
                             f"exceeds 10x initial {initial[j]:.4g} at step {step}")
-        adamw_step(phi, grad, m, v, step + 1, cfg)
+        adamw_step(phi, grad, m, v, step + 1, cfg.lr)
     return phi, trace
 
 
@@ -412,7 +400,6 @@ def sweep_tara(
     variant: str = "b",
     optim: OptimConfig | None = None,
     alpha: float = 1.0,
-    shared_rank: int | None = None,
 ):
     """TARA merges at each preference in rhos. The basis, the anchors and the
     batch schedule do not depend on the preference: they are built once, and one
@@ -422,7 +409,7 @@ def sweep_tara(
     if variant == "a":
         basis = build_variant_a(coll)
     elif variant == "b":
-        basis = build_variant_b(coll, shared_rank)
+        basis = build_variant_b(coll)
     else:
         raise TaraError(f"unknown variant {variant!r}")
     stch = StchConfig(alpha=alpha, anchors=compute_anchors(coll, suite))
@@ -445,19 +432,18 @@ def merge_tara(
     variant: str = "b",
     optim: OptimConfig | None = None,
     alpha: float = 1.0,
-    shared_rank: int | None = None,
 ):
     """End-to-end merge at one preference: build basis, compute anchors,
     optimize, assemble."""
-    return next(sweep_tara(coll, suite, [rho], variant, optim, alpha, shared_rank))
+    return next(sweep_tara(coll, suite, [rho], variant, optim, alpha))
 
 
 def adamerging_baseline(
     coll: AdapterCollection, suite, cfg: OptimConfig | None = None
 ):
     """Per-(task, layer) coefficients on whole updates, mean entropy; phi starts
-    at cfg.phi_init, ADAMERGING_PHI_INIT when no cfg is given."""
-    cfg = cfg or OptimConfig(phi_init=ADAMERGING_PHI_INIT)
+    at ADAMERGING_PHI_INIT."""
+    cfg = cfg or OptimConfig()
     basis = build_adamerging(coll)
     phi, trace = optimize(basis, suite, None, cfg)
     phi = {l: p[0] for l, p in phi.items()}

@@ -61,9 +61,7 @@ def test_anisotropy_bounds():
             entries = gen.standard_normal(shape) * float(gen.uniform(0.01, 100.0))
             if count % 5 == 0 and min(shape) > 1:
                 entries[-1] = entries[0]  # force rank deficiency sometimes
-            j = diagnostics.Jacobian(
-                entries=entries, direction_ids=[(0, k) for k in range(shape[1])]
-            )
+            j = diagnostics.Jacobian(entries=entries)
             sigma, _ = diagnostics.anisotropy(j)
             res = linalg.svd(entries)
             r = int(np.sum(res.sigma > linalg.EPS_ZERO * res.sigma[0]))
@@ -291,7 +289,7 @@ def test_merger_oracles():
         )
         for reweight in ("output", "parameter"):
             merged = mergers.merge_lora_lego(
-                coll, k_clusters=3, lego_reweight=reweight, rng_seed=seed
+                coll, k_clusters=3, lego_reweight=reweight, seed=seed
             )["l0"]
             want_d = lego_oracle(coll, "l0", 3, reweight, seed)
             got_d = delta_weight(merged)
@@ -331,7 +329,7 @@ def test_end_to_end_directional(five_seed_runs):
             harness.evaluate(mergers.merge_ta(coll, 0.3), suite).avg_normalized
         )
         w, _, _ = tara.adamerging_baseline(
-            coll, suite, tara.OptimConfig(seed=seed, phi_init=0.3)
+            coll, suite, tara.OptimConfig(seed=seed)
         )
         res["adam"].append(harness.evaluate(w, suite).avg_normalized)
         wa, _, _ = tara.merge_tara(

@@ -65,10 +65,6 @@ class TestCollection:
         with pytest.raises(ValueError):
             coll.subset(["nope"])
 
-    def test_adapter_lookup(self):
-        coll = random_collection(seed=7)
-        assert coll.adapter("task1", "l1").task_id == "task1"
-
 
 class TestContainer:
     def test_round_trip_bit_exact(self, tmp_path):

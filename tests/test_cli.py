@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loramerge import harness
+from loramerge import harness, mergers
 from loramerge.adapters import read_container, save_collection
 from loramerge.cli import build_parser, main
 
@@ -84,7 +84,7 @@ class TestTrainToy:
                          "--n-eval --n-adapt --noise-std --mean-scale --leak-scale --rank "
                          "--steps --lr",
             "merge": "--sidecar --out --config --method --preference --lam --trim-fraction "
-                     "--drop-prob --k-clusters --lego-reweight --rng-seed --target-rank "
+                     "--drop-prob --k-clusters --lego-reweight --target-rank "
                      "--alpha --iters --lr --batch-size --seed",
             "sweep": "--sidecar --out --method --preferences --random --fixed --seed --iters",
         }
@@ -145,6 +145,22 @@ class TestMerge:
             "merge", str(container), "--sidecar", str(sidecar),
             "--method", "ta", "--preference", "0.9,0.9", "--out", str(out),
         ]) == 2
+
+    def test_seed_draws_the_dare_masks(self, tmp_path, trained_and_merged):
+        """One --seed names the run and seeds DARE, as MergeConfig's seed does."""
+        container, sidecar, _ = trained_and_merged
+        _, coll = harness.load_suite(container, sidecar)
+        merged = {}
+        for seed in (0, 3):
+            out = tmp_path / f"seed{seed}"
+            assert main(["merge", str(container), "--sidecar", str(sidecar), "--method",
+                         "dare_ties", "--seed", str(seed), "--out", str(out)]) == 0
+            (run,) = out.iterdir()
+            assert run.name.endswith(f"-seed{seed}")
+            merged[seed] = read_container(run / "merged.lmk")[0].base["layer0"]
+            want = mergers.run_merge(coll, mergers.MergeConfig("dare_ties", seed=seed))
+            assert np.array_equal(merged[seed], want["layer0"].astype(np.float32))
+        assert not np.array_equal(merged[0], merged[3])
 
     def test_missing_container_exit_1(self, tmp_path):
         assert main([
@@ -251,7 +267,7 @@ class TestExitCodes:
             ["merge", "--method", "svd", {"target_rank": 2.5}],
             ["merge", "--method", "svd", {"target_rank": 0}],
             ["merge", "--method", "lora_lego", {"k_clusters": "4"}],
-            ["merge", "--method", "lora_lego", {"rng_seed": 1.5}],
+            ["merge", "--method", "lora_lego", {"seed": 1.5}],
             ["merge", "--method", "ties", {"trim_fraction": "0.5"}],
             ["merge", "--method", "dare_ties", {"drop_prob": [0.1]}],
             ["merge", "--method", "ta", {"lam": 10**400}],
@@ -331,6 +347,30 @@ class TestExitCodes:
         assert main(["train-toy", "--config", str(tmp_path / "cfg.json"),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: bad_config: {field}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["merge", "--method", "ta", "--lam", "1e307"],
+        ["merge", "--method", "ta", "--lam", "1e40"],
+        ["merge", "--method", "svd", "--lam", "1e307", "--target-rank", "4"],
+        ["diagnose", "--kappa", "--lam", "1e307"],
+        ["train-toy", "--lr", "1e300", "--steps", "5"],
+    ], ids=["ta_huge_lam", "ta_float32_overflow", "svd", "diagnose_kappa", "nan_loss"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflow_is_a_numerical_abort(self, tmp_path, capsys, trained_and_merged,
+                                           argv):
+        """A finite setting whose numbers overflow exits 1 before any run directory
+        is made: not a report scored from NaN logits, a merged.lmk that eval
+        refuses, or a validation error (exit 2)."""
+        container, sidecar, _ = trained_and_merged
+        out = tmp_path / "runs"
+        if argv[0] == "train-toy":
+            argv = [argv[0], *FAST_TRAIN, *argv[1:]]
+        else:
+            argv = [argv[0], str(container), "--sidecar", str(sidecar), *argv[1:]]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("runtime failure:")
         assert not out.exists()
 
 

@@ -91,7 +91,7 @@ class TestJacobian:
         n = int(gen.integers(1, 5))
         k = int(gen.integers(1, 8))
         entries = gen.standard_normal((n, k)) * float(gen.uniform(0.1, 10.0))
-        j = diagnostics.Jacobian(entries=entries, direction_ids=[(0, i) for i in range(k)])
+        j = diagnostics.Jacobian(entries=entries)
         sigma, kappa = diagnostics.anisotropy(j)
         assert kappa >= 1.0 - 1e-12
         res = linalg.svd(entries)
@@ -107,29 +107,22 @@ class TestJacobian:
         assert jphi >= lower - 1e-9 * scale
 
     def test_zero_jacobian_errors(self):
-        j = diagnostics.Jacobian(entries=np.zeros((2, 3)), direction_ids=[])
+        j = diagnostics.Jacobian(entries=np.zeros((2, 3)))
         with pytest.raises(DiagnosticsError):
             diagnostics.anisotropy(j)
 
 
 class TestMisalignment:
-    def _profile(self, h):
-        return diagnostics.SensitivityProfile(h=np.asarray(h, float),
-                                              preference=np.array([1.0]))
-
     def test_identical_profiles_exactly_zero(self):
-        h = self._profile([0.3, -1.2, 0.7])
+        h = [0.3, -1.2, 0.7]
         assert diagnostics.misalignment_xi(h, h) == 0.0
 
     def test_sign_flip_exactly_zero(self):
         a = np.array([0.3, -1.2, 0.7])
-        assert diagnostics.misalignment_xi(self._profile(a), self._profile(-a)) == 0.0
+        assert diagnostics.misalignment_xi(a, -a) == 0.0
 
     def test_orthogonal_is_one(self):
-        xi = diagnostics.misalignment_xi(
-            self._profile([1.0, 0.0]), self._profile([0.0, 1.0])
-        )
-        assert xi == pytest.approx(1.0)
+        assert diagnostics.misalignment_xi([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -137,19 +130,19 @@ class TestMisalignment:
         gen = substream(seed, "xi")
         n = int(gen.integers(2, 10))
         a, b = gen.standard_normal(n), gen.standard_normal(n)
-        xi = diagnostics.misalignment_xi(self._profile(a), self._profile(b))
+        xi = diagnostics.misalignment_xi(a, b)
         assert 0.0 <= xi <= 1.0
 
     def test_zero_profile_errors(self):
         with pytest.raises(DiagnosticsError):
-            diagnostics.misalignment_xi(self._profile([0.0]), self._profile([1.0]))
+            diagnostics.misalignment_xi([0.0], [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_profile_aborts(self, bad):
         """A NaN norm passes the zero-profile guard, so non-finite entries are
         checked first and reported as a numerical abort."""
         with pytest.raises(diagnostics.DiagnosticsAbort) as exc:
-            diagnostics.misalignment_xi(self._profile([1.0, bad]), self._profile([1.0, 0.0]))
+            diagnostics.misalignment_xi([1.0, bad], [1.0, 0.0])
         assert isinstance(exc.value, linalg.NumericalAbort)
 
 
@@ -158,13 +151,14 @@ class TestPreferenceValidation:
         gen = substream(6, "pref")
         dirs = _random_directions(gen, 2, 4, 3)
         grads = [gen.standard_normal((4, 3)) for _ in range(2)]
-        diagnostics.sensitivity_profile(dirs, grads, [0.5, 0.5])
+        j = diagnostics.jacobian(dirs, grads)
+        diagnostics.sensitivity_profile(j, [0.5, 0.5])
         with pytest.raises(DiagnosticsError):
-            diagnostics.sensitivity_profile(dirs, grads, [0.5, 0.6])
+            diagnostics.sensitivity_profile(j, [0.5, 0.6])
         with pytest.raises(DiagnosticsError):
-            diagnostics.sensitivity_profile(dirs, grads, [-0.1, 1.1])
+            diagnostics.sensitivity_profile(j, [-0.1, 1.1])
         with pytest.raises(DiagnosticsError):
-            diagnostics.sensitivity_profile(dirs, grads, [1.0])
+            diagnostics.sensitivity_profile(j, [1.0])
 
 
 class TestXiProtocol:

@@ -76,6 +76,14 @@ class TestSvd:
         with pytest.raises(linalg.LinalgError):
             linalg.svd(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("x", [[[np.nan]], [[np.inf, 0.0]], np.full((2, 2), 1e308)],
+                             ids=["nan", "inf", "overflowing_sigma"])
+    def test_non_finite_is_an_abort(self, x):
+        """Every caller passes a computed matrix, so a non-finite input or
+        singular value is a numerical abort (CLI exit 1), not a usage error."""
+        with pytest.raises(linalg.LinalgAbort):
+            linalg.svd(np.array(x))
+
     def test_non_convergence_raises(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

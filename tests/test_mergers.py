@@ -202,8 +202,8 @@ class TestKnots:
 
     def test_inner_dare_deterministic(self):
         coll = random_collection(seed=11)
-        a = mergers.merge_knots(coll, drop_prob=0.5, rng_seed=3)
-        b = mergers.merge_knots(coll, drop_prob=0.5, rng_seed=3)
+        a = mergers.merge_knots(coll, drop_prob=0.5, seed=3)
+        b = mergers.merge_knots(coll, drop_prob=0.5, seed=3)
         assert_weights_close(a, b, tol=0.0)
 
 
@@ -257,7 +257,7 @@ class TestLoraLego:
     def test_matches_oracle(self, reweight):
         coll = random_collection(seed=15, layers=("l0",), d=6, m=5, rank=3)
         merged = mergers.merge_lora_lego(coll, k_clusters=4, lego_reweight=reweight,
-                                         rng_seed=2)["l0"]
+                                         seed=2)["l0"]
         want = lego_oracle(coll, "l0", 4, reweight, 2)
         got = delta_weight(merged)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(np.max(np.abs(want)), 1.0)

@@ -71,7 +71,7 @@ class TestVariantB:
     def test_left_vectors_orthonormal(self):
         coll = random_collection(seed=4, layers=("l0",))
         basis = build_variant_b(coll)
-        r = basis.shared_rank
+        r = basis.k("l0") // coll.n_tasks
         lefts = np.stack(
             [basis.layers["l0"].directions[k].left for k in range(r)]
         )
@@ -267,9 +267,8 @@ class TestOptimize:
         g = {"l": np.array([2.0, -3.0])}
         m = {"l": np.zeros(2)}
         v = {"l": np.zeros(2)}
-        cfg = OptimConfig(lr=0.001)
-        tara.adamw_step(phi, g, m, v, 1, cfg)
-        want = 0.4 - 0.001 * g["l"] / (np.abs(g["l"]) + cfg.eps)
+        tara.adamw_step(phi, g, m, v, 1, 0.001)
+        want = 0.4 - 0.001 * g["l"] / (np.abs(g["l"]) + tara.ADAM_EPS)
         assert np.allclose(phi["l"], want, atol=1e-12)
 
     def test_deterministic(self, small_suite):
@@ -305,9 +304,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("lr", 0.0), ("lr", float("nan")), ("lr", "0.1"), ("betas", (1.0, 0.9)),
-         ("betas", (0.9, -0.1)), ("betas", (0.9,)), ("eps", 0.0), ("weight_decay", -1.0),
-         ("batch_size", 0), ("batch_size", 2.0), ("max_iters", 0), ("max_iters", -5),
+        [("lr", 0.0), ("lr", float("nan")), ("lr", "0.1"), ("batch_size", 0), ("batch_size", 2.0), ("max_iters", 0), ("max_iters", -5),
          ("seed", 2.7), ("seed", "x")],
     )
     def test_config_out_of_range(self, field, value):
@@ -520,16 +517,9 @@ class TestAdamerging:
         got = assemble(basis, basis.init_phi(0.3))
         assert_weights_close(got, mergers.merge_ta(coll, 0.3), tol=1e-12)
 
-    def test_keeps_caller_phi_init(self, small_suite):
-        suite, coll = small_suite
-        cfg = OptimConfig(max_iters=1, phi_init=0.7)
-        _, phi, _ = adamerging_baseline(coll, suite, cfg)
-        for layer in phi:  # one AdamW step moves each entry by at most lr
-            assert np.all(np.abs(phi[layer] - 0.7) <= cfg.lr * (1 + 1e-12))
-
     def test_mean_entropy_descends(self, small_suite):
         suite, coll = small_suite
-        cfg = OptimConfig(max_iters=100, seed=2, phi_init=0.3)
+        cfg = OptimConfig(max_iters=100, seed=2)
         _, _, trace = adamerging_baseline(coll, suite, cfg)
         assert np.mean(trace.objective[-10:]) <= trace.objective[0] + 1e-9
 
