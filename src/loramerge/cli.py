@@ -33,8 +33,8 @@ from .adapters import AdapterCollection, is_real, load_collection, save_collecti
 from .linalg import NumericalAbort
 from .rng import substream
 
-# optimizer config keys and the OptimConfig fields they set
-OPTIM_FIELDS = {"iters": "max_iters", "lr": "lr", "batch_size": "batch_size", "seed": "seed"}
+# optimizer config keys: the OptimConfig fields
+OPTIM_FIELDS = tuple(f.name for f in fields(tara.OptimConfig))
 # {config key: flag type} of train-toy and merge, each typed by its default where
 # it is declared; every key is also a --flag
 TRAIN_FLAGS = {
@@ -48,14 +48,14 @@ MERGE_FLAGS = {
     "preference": str,  # comma-separated simplex vector
     **{f.name: type(f.default) for f in fields(mergers.MergeConfig) if f.name != "method"},
     "alpha": type(tara.StchConfig.alpha),
-    **{key: type(getattr(tara.OptimConfig, f)) for key, f in OPTIM_FIELDS.items()},
+    **{f.name: type(f.default) for f in fields(tara.OptimConfig)},
 }
 # config keys each method reads besides seed; any other key is rejected
 METHOD_KEYS = {
     **{method: reads for method, (_, _, reads) in mergers._MERGERS.items()},
     "tara-a": ("alpha", *OPTIM_FIELDS),
     "tara-b": ("alpha", *OPTIM_FIELDS),
-    "adamerging": tuple(OPTIM_FIELDS),
+    "adamerging": OPTIM_FIELDS,
 }
 ALL_METHODS = tuple(METHOD_KEYS)
 HITS_AT = (1, 3, 5)  # the k of every Hits@k report
@@ -117,7 +117,7 @@ def _preference(values, n: int) -> np.ndarray:
 
 
 def _write_report(run: Path, name: str, report: harness.EvalReport):
-    (run / name).write_text(json.dumps(report.to_json(), indent=1))
+    (run / name).write_text(json.dumps(asdict(report), indent=1))
 
 
 def _write_trace(run: Path, name: str, trace: tara.OptimTrace):
@@ -206,21 +206,7 @@ def _save_weights(weights: dict, layer_ids: list[str], path):
 def _optim_config(config: dict) -> tara.OptimConfig:
     """The optimizer keys given in config go to OptimConfig unconverted, so it
     rejects a wrong type and supplies the defaults of the rest."""
-    given = {field: config[key] for key, field in OPTIM_FIELDS.items() if key in config}
-    return tara.OptimConfig(**given)
-
-
-def _tara_points(coll, suite, method, prefs, config):
-    """tara-a/tara-b merges at every preference, sharing basis, anchors and
-    batch schedule; yields one (weights, phi, trace) per preference."""
-    return tara.sweep_tara(
-        coll,
-        suite,
-        prefs,
-        variant=method[-1],
-        optim=_optim_config(config),
-        **{key: config[key] for key in ("alpha",) if key in config},
-    )
+    return tara.OptimConfig(**{key: config[key] for key in OPTIM_FIELDS if key in config})
 
 
 def _merge_with_method(coll, suite, method, rho, config):
@@ -235,7 +221,9 @@ def _merge_with_method(coll, suite, method, rho, config):
     if method == "adamerging":
         weights, _, trace = tara.adamerging_baseline(coll, suite, _optim_config(config))
         return weights, trace
-    weights, _, trace = next(_tara_points(coll, suite, method, [rho], config))
+    alpha = {"alpha": config["alpha"]} if "alpha" in config else {}
+    weights, _, trace = tara.merge_tara(coll, suite, rho, method[-1], _optim_config(config),
+                                        **alpha)
     return weights, trace
 
 
@@ -327,7 +315,7 @@ def cmd_sweep(args) -> int:
     seed = _optim_config(config).seed
     prefs = _sweep_preferences(args, suite.n_tasks, seed)
     if method in ("tara-a", "tara-b"):  # each point is evaluated as it is yielded
-        points = _tara_points(coll, suite, method, prefs, config)
+        points = tara.sweep_tara(coll, suite, prefs, method[-1], _optim_config(config))
         results = [(rho, harness.evaluate(w, suite)) for rho, (w, _, _) in zip(prefs, points)]
     else:  # every other method ignores rho: one merge and evaluation serve each row
         report = harness.evaluate(_merge_with_method(coll, suite, method, None, config)[0], suite)
@@ -426,7 +414,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a finiteness check catches every overflow; no warning precedes its abort
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NumericalAbort as exc:  # before ValueError: each abort also subclasses it
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1

@@ -94,10 +94,6 @@ class EvalReport:
     avg_absolute: float
     avg_normalized: float
     hits_at: dict[int, float] | None = None
-    seen: dict | None = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -358,31 +354,6 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks=(1, 3, 5)) -> dict[int, f
             hits[k] += int(np.sum(np.any(order[:, :k] == true_cols[:, None], axis=1)))
         total += n
     return {k: hits[k] / total for k in ks}
-
-
-def unseen_split_eval(coll, suite, seen: list[str], merge_fn) -> EvalReport:
-    """Merge only the seen tasks' adapters, then evaluate every task."""
-    if not seen:
-        raise HarnessError("seen task set is empty")
-    sub = coll.subset(seen)
-    weights = merge_fn(sub, suite)
-    report = evaluate(weights, suite)
-    seen_idx = [coll.task_ids.index(t) for t in seen]
-    unseen_idx = [i for i in range(suite.n_tasks) if i not in seen_idx]
-    report.seen = {
-        "seen_tasks": seen,
-        "seen_avg_normalized": float(
-            np.mean([report.normalized[i] for i in seen_idx])
-        ),
-        "unseen_tasks": [coll.task_ids[i] for i in unseen_idx],
-        "unseen_avg_normalized": (
-            float(np.mean([report.normalized[i] for i in unseen_idx]))
-            if unseen_idx
-            else None
-        ),
-        "combined_avg_normalized": report.avg_normalized,
-    }
-    return report
 
 
 def _suite_key(task: int, name: str) -> str:

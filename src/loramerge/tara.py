@@ -61,11 +61,8 @@ class DirectionBasis:
     def n_tasks(self) -> int:
         return len(self.task_ids)
 
-    def k(self, layer: str) -> int:
-        return self.counts[layer]
-
     def init_phi(self, value: float) -> dict[str, np.ndarray]:
-        return {layer: np.full(self.k(layer), value) for layer in self.layer_ids}
+        return {layer: np.full(self.counts[layer], value) for layer in self.layer_ids}
 
 
 @dataclass
@@ -82,7 +79,7 @@ class StchConfig:
 class OptimConfig:
     lr: float = 0.001
     batch_size: int = 16
-    max_iters: int = 500
+    iters: int = 500
     seed: int = 0
 
     def __post_init__(self):
@@ -90,8 +87,7 @@ class OptimConfig:
             ("lr", is_real(self.lr) and self.lr > 0, "a finite number > 0"),
             ("batch_size", is_integer(self.batch_size) and self.batch_size >= 1,
              "an integer >= 1"),
-            ("max_iters", is_integer(self.max_iters) and self.max_iters >= 1,
-             "an integer >= 1"),
+            ("iters", is_integer(self.iters) and self.iters >= 1, "an integer >= 1"),
             ("seed", is_integer(self.seed), "an integer"),
         ):
             if not ok:
@@ -191,8 +187,8 @@ def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.
     for layer in basis.layer_ids:
         s = basis.layers[layer]
         p = np.asarray(phi[layer], dtype=np.float64)
-        if p.shape[-1:] != (basis.k(layer),):
-            raise TaraError(f"phi of shape {p.shape} does not end in {basis.k(layer)} "
+        if p.shape[-1:] != (basis.counts[layer],):
+            raise TaraError(f"phi of shape {p.shape} does not end in {basis.counts[layer]} "
                             f"components at {layer}")
         coef = s.sigma * np.take(p, basis.groups[layer], axis=-1)  # C order, unlike p[..., idx]
         weights[layer] = basis.base[layer] + (s.left * coef[..., None, :]) @ s.right.T
@@ -261,7 +257,7 @@ def _phi_gradient(basis: DirectionBasis, weight_grads: dict, dpsi_df: np.ndarray
     c = dpsi_df.reshape(-1, 1, dpsi_df.shape[-1])  # (P, 1, N)
     out = {}
     for layer in basis.layer_ids:
-        g, k = weight_grads[layer], basis.k(layer)
+        g, k = weight_grads[layer], basis.counts[layer]
         combined = (c @ g.reshape(len(c), c.shape[-1], -1)).reshape(-1, *g.shape[-2:])
         bins = basis.groups[layer] + k * np.arange(len(c))[:, None]  # row p: bins p*k...
         out[layer] = np.bincount(bins.ravel(), basis.layers[layer].project(combined).ravel(),
@@ -323,15 +319,15 @@ def adamw_step(params, grads, m, v, t, lr: float):
 
 
 def batch_schedule(suite, n_tasks: int, cfg: OptimConfig) -> np.ndarray:
-    """(max_iters, N, B) pool indices of every step's batches, drawn up front.
+    """(iters, N, B) pool indices of every step's batches, drawn up front.
 
     Step t's batch for task i comes from the (seed, "batch", t, i) stream, so the
     schedule does not depend on the preference and a sweep can share it.
     """
     pool = adaptation_pools(suite, n_tasks).shape[1]
-    tags = [("batch", step, i) for step in range(cfg.max_iters) for i in range(n_tasks)]
+    tags = [("batch", step, i) for step in range(cfg.iters) for i in range(n_tasks)]
     idx = keyed_integers(cfg.seed, tags, pool, cfg.batch_size)
-    return idx.reshape(cfg.max_iters, n_tasks, cfg.batch_size)
+    return idx.reshape(cfg.iters, n_tasks, cfg.batch_size)
 
 
 def optimize(
@@ -363,7 +359,7 @@ def optimize(
     pools = adaptation_pools(suite, n)
     if schedule is None:
         schedule = batch_schedule(suite, n, cfg)
-    if schedule.shape != (cfg.max_iters, n, cfg.batch_size):
+    if schedule.shape != (cfg.iters, n, cfg.batch_size):
         raise TaraError(f"batch schedule of shape {schedule.shape} does not fit cfg")
     tasks = np.arange(n)[:, None]
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)
@@ -372,7 +368,7 @@ def optimize(
     v = {l: np.zeros_like(phi[l]) for l in phi}
     trace = OptimTrace()
     initial = None
-    for step in range(cfg.max_iters):
+    for step in range(cfg.iters):
         batches = pools[tasks, schedule[step]]
         try:
             if mean_entropy:

@@ -149,9 +149,9 @@ def test_gradient_correctness():
         layer = basis.layer_ids[0]
         for trial in range(50):
             gen = substream(300 + trial, variant)
-            phi = {l: gen.normal(0.4, 0.3, basis.k(l)) for l in basis.layer_ids}
+            phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}
             _, grad, _ = tara.stch_value_and_grad(basis, phi, suite, rho, stch, batches)
-            for k in range(basis.k(layer)):
+            for k in range(basis.counts[layer]):
                 h = 1e-5
                 pp = {layer: phi[layer].copy()}
                 pm = {layer: phi[layer].copy()}
@@ -411,7 +411,7 @@ def test_determinism(tmp_path):
         coll = harness.finetune_all(suite, rank=4, steps=150, seed=7)
         w, phi, trace = tara.merge_tara(
             coll, suite, np.array([0.5, 0.5]), variant="b",
-            optim=tara.OptimConfig(seed=7, max_iters=40),
+            optim=tara.OptimConfig(seed=7, iters=40),
         )
         rep = harness.evaluate(w, suite)
         d = tmp_path / sub

@@ -1,14 +1,19 @@
 import argparse
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from loramerge import harness, mergers
+import loramerge
+from loramerge import harness, mergers, tara
 from loramerge.adapters import read_container, save_collection
-from loramerge.cli import build_parser, main
+from loramerge.cli import METHOD_KEYS, build_parser, main
 
 FAST_TRAIN = [
     "--n-tasks", "2", "--d", "12", "--m", "10", "--n-train", "120",
@@ -124,6 +129,17 @@ class TestMerge:
             rows = list(csv.reader(fh))
         assert len(rows) == 21  # header + 20 steps
         assert rows[0][:2] == ["step", "objective"]
+
+    def test_optimizer_keys_are_the_optim_config_fields(self):
+        """Every OptimConfig field is a merge flag typed by its default, and a config
+        key of each optimizing method, under its own name."""
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a.type for a in sub.choices["merge"]._actions}
+        for f in dataclasses.fields(tara.OptimConfig):
+            assert flags[f.name] is type(f.default), f.name
+            for method in ("tara-a", "tara-b", "adamerging"):
+                assert f.name in METHOD_KEYS[method], (method, f.name)
 
     def test_unknown_method_exit_2(self, tmp_path):
         container, sidecar, out = _train(tmp_path)
@@ -372,6 +388,27 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("runtime failure:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-toy", "--lr", "1e300", "--steps", "5"],
+        ["diagnose", "--kappa", "--lam", "1e307"],
+        ["merge", "--method", "ta", "--lam", "1e307"],
+    ], ids=["nan_loss", "diagnose_kappa", "ta_huge_lam"])
+    def test_overflow_abort_is_the_first_stderr_line(self, tmp_path, trained_and_merged,
+                                                    argv):
+        """Outside pytest, which captures warnings, numpy's overflow warning must not
+        precede the abort line."""
+        container, sidecar, _ = trained_and_merged
+        if argv[0] == "train-toy":
+            argv = [argv[0], *FAST_TRAIN, *argv[1:]]
+        else:
+            argv = [argv[0], str(container), "--sidecar", str(sidecar), *argv[1:]]
+        env = {**os.environ, "PYTHONPATH": str(Path(loramerge.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "loramerge.cli", *argv, "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("runtime failure:"), proc.stderr
 
 
 class TestSweep:

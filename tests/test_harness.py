@@ -341,7 +341,7 @@ class TestEntropyAndGrad:
         assert z.shape == (len(tasks),)
         assert np.max(np.abs(z - tara.compute_anchors(sub, reference))) <= 1e-12
         rho = np.full(len(tasks), 1.0 / len(tasks))
-        cfg = tara.OptimConfig(max_iters=20)
+        cfg = tara.OptimConfig(iters=20)
         got, _, _ = tara.merge_tara(sub, suite, rho, optim=cfg)
         want, _, _ = tara.merge_tara(sub, reference, rho, optim=cfg)
         assert np.max(np.abs(got["layer0"] - want["layer0"])) <= 1e-10
@@ -362,31 +362,6 @@ class TestEntropyAndGrad:
         batches = np.stack([suite.adaptation_pool(i) for i in range(2)])
         with pytest.raises(HarnessError, match="no trained head"):
             suite.entropy_and_grad(dict(suite.base), batches)
-
-
-class TestSweepAndSplit:
-    def test_unseen_split(self, small_suite):
-        suite, coll = small_suite
-
-        def merge_fn(c, s):
-            return mergers.merge_ta(c, 0.3)
-
-        rep = harness.unseen_split_eval(coll, suite, ["task0"], merge_fn)
-        assert rep.seen["seen_tasks"] == ["task0"]
-        assert rep.seen["unseen_tasks"] == ["task1"]
-        assert rep.seen["combined_avg_normalized"] == pytest.approx(rep.avg_normalized)
-        with pytest.raises(HarnessError):
-            harness.unseen_split_eval(coll, suite, [], merge_fn)
-
-    def test_seen_all_tasks(self, small_suite):
-        suite, coll = small_suite
-
-        def merge_fn(c, s):
-            return mergers.merge_ta(c, 0.3)
-
-        rep = harness.unseen_split_eval(coll, suite, ["task0", "task1"], merge_fn)
-        assert rep.seen["unseen_avg_normalized"] is None
-        assert rep.seen["seen_avg_normalized"] == pytest.approx(rep.avg_normalized)
 
 
 @functools.lru_cache(maxsize=1)

@@ -29,7 +29,7 @@ class TestVariantA:
         coll = random_collection(seed=0, n_tasks=2, rank=4)
         basis = build_variant_a(coll)
         for layer in basis.layer_ids:
-            assert basis.k(layer) == 8
+            assert basis.counts[layer] == 8
 
     def test_phi_lambda_equals_ta(self):
         coll = random_collection(seed=1)
@@ -42,7 +42,7 @@ class TestVariantA:
     def test_one_hot_selects_single_task(self):
         coll = random_collection(seed=2, n_tasks=3, layers=("l0",), rank=2)
         basis = build_variant_a(coll)
-        phi = {"l0": np.zeros(basis.k("l0"))}
+        phi = {"l0": np.zeros(basis.counts["l0"])}
         # directions are laid out task-major, rank-minor
         phi["l0"][2:4] = 1.0  # task 1's two directions
         got = assemble(basis, phi)["l0"]
@@ -71,7 +71,7 @@ class TestVariantB:
     def test_left_vectors_orthonormal(self):
         coll = random_collection(seed=4, layers=("l0",))
         basis = build_variant_b(coll)
-        r = basis.k("l0") // coll.n_tasks
+        r = basis.counts["l0"] // coll.n_tasks
         lefts = np.stack(
             [basis.layers["l0"].directions[k].left for k in range(r)]
         )
@@ -96,7 +96,7 @@ class TestVariantB:
         coll = random_collection(seed=7, layers=("l0",))
         basis = build_variant_b(coll)
         gen = substream(7, "phi")
-        phi = {"l0": gen.standard_normal(basis.k("l0"))}
+        phi = {"l0": gen.standard_normal(basis.counts["l0"])}
         twice = {"l0": 2.0 * phi["l0"]}
         w1 = assemble(basis, phi)["l0"] - coll.base["l0"]
         w2 = assemble(basis, twice)["l0"] - coll.base["l0"]
@@ -204,10 +204,10 @@ class TestGradient:
         worst = 0.0
         for trial in range(10):
             gen = substream(50 + trial, variant)
-            phi = {l: gen.normal(0.4, 0.3, basis.k(l)) for l in basis.layer_ids}
+            phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}
             _, grad, _ = value_and_grad(phi)
             layer = basis.layer_ids[0]
-            for k in range(basis.k(layer)):
+            for k in range(basis.counts[layer]):
                 fd = _fd_gradient(value_and_grad, phi, layer, k)
                 denom = max(abs(fd), 1e-8)
                 worst = max(worst, abs(grad[layer][k] - fd) / denom)
@@ -274,7 +274,7 @@ class TestOptimize:
     def test_deterministic(self, small_suite):
         suite, coll = small_suite
         rho = np.array([0.5, 0.5])
-        cfg = OptimConfig(max_iters=20, seed=3)
+        cfg = OptimConfig(iters=20, seed=3)
         stch = StchConfig(anchors=compute_anchors(coll, suite))
         basis = build_variant_a(coll)
         phi1, tr1 = optimize(basis, suite, rho, cfg, stch)
@@ -285,7 +285,7 @@ class TestOptimize:
 
     def test_trace_recorded(self, small_suite):
         suite, coll = small_suite
-        cfg = OptimConfig(max_iters=15, seed=0)
+        cfg = OptimConfig(iters=15, seed=0)
         stch = StchConfig(anchors=compute_anchors(coll, suite))
         basis = build_variant_b(coll, 4)
         _, trace = optimize(basis, suite, np.array([0.5, 0.5]), cfg, stch)
@@ -294,7 +294,7 @@ class TestOptimize:
 
     def test_objective_decreases(self, small_suite):
         suite, coll = small_suite
-        cfg = OptimConfig(max_iters=150, seed=1)
+        cfg = OptimConfig(iters=150, seed=1)
         stch = StchConfig(anchors=compute_anchors(coll, suite))
         basis = build_variant_b(coll, 4)
         _, trace = optimize(basis, suite, np.array([0.5, 0.5]), cfg, stch)
@@ -304,7 +304,7 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("lr", 0.0), ("lr", float("nan")), ("lr", "0.1"), ("batch_size", 0), ("batch_size", 2.0), ("max_iters", 0), ("max_iters", -5),
+        [("lr", 0.0), ("lr", float("nan")), ("lr", "0.1"), ("batch_size", 0), ("batch_size", 2.0), ("iters", 0), ("iters", -5),
          ("seed", 2.7), ("seed", "x")],
     )
     def test_config_out_of_range(self, field, value):
@@ -315,7 +315,7 @@ class TestOptimize:
     def test_stch_without_anchors(self, small_suite):
         suite, coll = small_suite
         with pytest.raises(TaraError, match="anchors"):
-            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(max_iters=1))
+            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(iters=1))
 
     @pytest.mark.parametrize("build", [build_variant_a, tara.build_adamerging],
                              ids=["stch", "mean_entropy"])
@@ -324,7 +324,7 @@ class TestOptimize:
         stch = StchConfig(anchors=np.zeros(2))
         with pytest.raises(TaraError, match="non-finite entropy"):
             optimize(basis, _ConstantSuite(np.nan), [0.5, 0.5],
-                     OptimConfig(max_iters=3), stch)
+                     OptimConfig(iters=3), stch)
 
     def test_public_objectives_refuse_nan_entropy(self):
         basis = build_variant_a(random_collection(seed=21, n_tasks=2))
@@ -353,14 +353,14 @@ class TestOptimize:
         rhos = [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]
         stch = StchConfig(anchors=compute_anchors(coll, suite))
         with pytest.raises(tara.TaraAbort, match="entropy encountered at point 6, step 0"):
-            optimize(build_variant_a(coll), NanInRow1(), rhos, OptimConfig(max_iters=3),
+            optimize(build_variant_a(coll), NanInRow1(), rhos, OptimConfig(iters=3),
                      stch, first=5)
 
     def test_nan_objective_trips_divergence_guard(self):
         basis = build_variant_a(random_collection(seed=22, n_tasks=2))
         stch = StchConfig(anchors=np.full(2, np.nan))
         with pytest.raises(TaraError, match="divergence guard"):
-            optimize(basis, _ConstantSuite(1.0), [0.5, 0.5], OptimConfig(max_iters=3),
+            optimize(basis, _ConstantSuite(1.0), [0.5, 0.5], OptimConfig(iters=3),
                      stch)
 
 
@@ -368,7 +368,7 @@ class TestSweep:
     @pytest.mark.parametrize("variant", ["a", "b"])
     def test_points_match_merge_tara(self, small_suite, variant):
         suite, coll = small_suite
-        cfg = OptimConfig(max_iters=25, seed=4)
+        cfg = OptimConfig(iters=25, seed=4)
         rhos = [np.array([0.5, 0.5]), np.array([0.9, 0.1]), np.array([0.2, 0.8])]
         points = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
         assert len(points) == len(rhos)
@@ -388,7 +388,7 @@ class TestSweep:
         would pick another BLAS kernel than one point's GEMM does; each point
         must still keep the bits of its own run."""
         suite, coll = default_suite
-        cfg = OptimConfig(max_iters=10, seed=4)
+        cfg = OptimConfig(iters=10, seed=4)
         rhos = [np.full(4, 0.25), np.array([0.7, 0.1, 0.1, 0.1]), np.array([0.1, 0.2, 0.3, 0.4])]
         points = tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg)
         for rho, (weights, phi, trace) in zip(rhos, points, strict=True):
@@ -403,7 +403,7 @@ class TestSweep:
         """A budget below one point's gradient stack runs each point in its own
         chunk, with the same bits as all points in one loop."""
         suite, coll = small_suite
-        cfg = OptimConfig(max_iters=25, seed=4)
+        cfg = OptimConfig(iters=25, seed=4)
         rhos = [np.array([0.5, 0.5]), np.array([0.9, 0.1]), np.array([0.2, 0.8])]
         together = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
         monkeypatch.setattr(tara, "GRAD_BUDGET_BYTES", 1)
@@ -422,16 +422,16 @@ class TestSweep:
             monkeypatch.setattr(tara, "GRAD_BUDGET_BYTES", budget)
         rhos = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
         points = tara.sweep_tara(coll, _DivergingTask(suite, 1), rhos,
-                                 optim=OptimConfig(max_iters=10))
+                                 optim=OptimConfig(iters=10))
         with pytest.raises(tara.TaraAbort, match="divergence guard: point 1 "):
             list(points)
 
     def test_schedule_must_fit_config(self, small_suite):
         suite, coll = small_suite
         stch = StchConfig(anchors=compute_anchors(coll, suite))
-        schedule = tara.batch_schedule(suite, 2, OptimConfig(max_iters=3))
+        schedule = tara.batch_schedule(suite, 2, OptimConfig(iters=3))
         with pytest.raises(TaraError, match="batch schedule"):
-            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(max_iters=4),
+            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(iters=4),
                      stch, schedule=schedule)
 
     def test_unequal_pools_are_rejected(self, small_suite):
@@ -439,11 +439,11 @@ class TestSweep:
         short = dataclasses.replace(suite.tasks[1], adapt_x=suite.tasks[1].adapt_x[:-1])
         uneven = dataclasses.replace(suite, tasks=[suite.tasks[0], short])
         with pytest.raises(TaraError, match="differ in size"):
-            tara.merge_tara(coll, uneven, [0.5, 0.5], optim=OptimConfig(max_iters=2))
+            tara.merge_tara(coll, uneven, [0.5, 0.5], optim=OptimConfig(iters=2))
 
     def test_schedule_matches_streams(self, small_suite):
         suite, _ = small_suite
-        cfg = OptimConfig(max_iters=5, batch_size=7, seed=9)
+        cfg = OptimConfig(iters=5, batch_size=7, seed=9)
         idx = tara.batch_schedule(suite, 2, cfg)
         assert idx.shape == (5, 2, 7)
         for step in range(5):
@@ -498,7 +498,7 @@ class TestSuiteOrder:
         suite, coll = small_suite
         sub = coll.subset(tasks)
         rho = np.full(len(tasks), 1.0 / len(tasks))
-        cfg = OptimConfig(max_iters=1)
+        cfg = OptimConfig(iters=1)
         for run in (
             lambda: compute_anchors(sub, suite),
             lambda: optimize(build_variant_a(sub), suite, rho, cfg,
@@ -519,7 +519,7 @@ class TestAdamerging:
 
     def test_mean_entropy_descends(self, small_suite):
         suite, coll = small_suite
-        cfg = OptimConfig(max_iters=100, seed=2)
+        cfg = OptimConfig(iters=100, seed=2)
         _, _, trace = adamerging_baseline(coll, suite, cfg)
         assert np.mean(trace.objective[-10:]) <= trace.objective[0] + 1e-9
 
