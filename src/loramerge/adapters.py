@@ -166,19 +166,6 @@ class AdapterCollection:
     def n_tasks(self) -> int:
         return len(self.task_ids)
 
-    def subset(self, task_ids: list[str]) -> "AdapterCollection":
-        """New collection restricted to the given tasks (same order as given)."""
-        missing = [t for t in task_ids if t not in self.task_ids]
-        if missing:
-            raise ValueError(f"unknown tasks: {missing}")
-        idx = [self.task_ids.index(t) for t in task_ids]
-        return AdapterCollection(
-            layer_ids=list(self.layer_ids),
-            task_ids=list(task_ids),
-            base={l: self.base[l] for l in self.layer_ids},
-            adapters={l: [self.adapters[l][i] for i in idx] for l in self.layer_ids},
-        )
-
 
 def _tensor_entries(coll: AdapterCollection):
     """Deterministic tensor order: base weights first, then adapters by (layer, task)."""

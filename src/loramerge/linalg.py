@@ -2,7 +2,8 @@
 
 All computations are in float64. The SVD is LAPACK's thin SVD with a fixed
 sign convention on the singular vectors, so results are bit-reproducible for
-identical input on one machine, BLAS build and BLAS thread count.
+identical input on one machine, BLAS build and BLAS thread count. svd_product
+takes the SVD of a factored product through the SVD of a small core.
 """
 
 from __future__ import annotations
@@ -77,9 +78,37 @@ def svd(x) -> SvdResult:
         raise LinalgAbort(f"SVD did not converge: {exc}") from exc
     if not np.isfinite(sigma).all():
         raise LinalgAbort("singular values overflow the float range")
-    q = sigma.size
-    flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(q)] < 0, -1.0, 1.0)
-    return SvdResult(u=u * flip, sigma=sigma, v=vt.T * flip)
+    return _sign_normalized(u, sigma, vt.T)
+
+
+def _sign_normalized(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> SvdResult:
+    """Flip each pair so the largest-magnitude entry of u's column is positive."""
+    flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(sigma.size)] < 0, -1.0, 1.0)
+    return SvdResult(u=u * flip, sigma=sigma, v=v * flip)
+
+
+def svd_product(left, right, rank: int = 0) -> SvdResult:
+    """Thin SVD of left @ right.T without forming it: QR each factor, svd() of
+    the core R_l R_r^T, then map back and sign-normalize as svd() does. Both
+    factors are zero-padded to `rank` columns, so QR completes their bases:
+    (d, k) and (m, k) factors give min(d, m, max(k, rank)) components."""
+    a, b = _as_matrix(left, "left factor"), _as_matrix(right, "right factor")
+    if a.shape[1] != b.shape[1]:
+        raise LinalgError(f"factors have {a.shape[1]} and {b.shape[1]} columns")
+    if rank > a.shape[1]:
+        a, b = (np.pad(x, ((0, 0), (0, rank - x.shape[1]))) for x in (a, b))
+    (q_l, r_l), (q_r, r_r) = np.linalg.qr(a), np.linalg.qr(b)
+    core = svd(r_l @ r_r.T)  # the one LAPACK SVD, with its abort checks
+    return _sign_normalized(q_l @ core.u, core.sigma, q_r @ core.v)
+
+
+def block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks."""
+    rows, cols = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0).T
+    out = np.zeros((rows[-1], cols[-1]))
+    for b, i, j in zip(blocks, rows, cols):
+        out[i : i + b.shape[0], j : j + b.shape[1]] = b
+    return out
 
 
 def singular_values_from_gram(gram: np.ndarray) -> np.ndarray:

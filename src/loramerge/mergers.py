@@ -75,29 +75,26 @@ class MergeConfig:
                                  code="bad_config")
 
 
-def _layer_deltas(coll: AdapterCollection, layer: str) -> list[np.ndarray]:
-    return [delta_weight(ad) for ad in coll.adapters[layer]]
-
-
 def merge_ta(coll: AdapterCollection, lam: float = 0.3) -> dict[str, np.ndarray]:
     """W0 + lam * sum of task updates, per layer."""
     return {
-        layer: coll.base[layer] + lam * sum(_layer_deltas(coll, layer))
+        layer: coll.base[layer] + lam * sum(delta_weight(ad) for ad in coll.adapters[layer])
         for layer in coll.layer_ids
     }
 
 
 def _trim_top_mass(delta: np.ndarray, trim_fraction: float) -> np.ndarray:
-    """Keep exactly the top (1 - trim_fraction) fraction of entries by |value|."""
+    """Keep exactly the top (1 - trim_fraction) fraction of entries by |value|,
+    the lowest indices first among entries tied at the cut."""
     flat = delta.ravel()
     n_keep = int(np.ceil((1.0 - trim_fraction) * flat.size))
     if n_keep >= flat.size:
         return delta.copy()
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    keep = order[:n_keep]
-    out[keep] = flat[keep]
-    return out.reshape(delta.shape)
+    mag = np.abs(flat)
+    cut = np.partition(mag, flat.size - n_keep)[flat.size - n_keep]  # n_keep-th largest
+    keep = mag > cut
+    keep[np.flatnonzero(mag == cut)[: n_keep - np.count_nonzero(keep)]] = True
+    return np.where(keep, flat, 0.0).reshape(delta.shape)
 
 
 def _ties_combine(deltas: list[np.ndarray], trim_fraction: float) -> np.ndarray:
@@ -166,25 +163,21 @@ def merge_linear(coll: AdapterCollection, lam: float = 0.3) -> dict[str, LoraAda
 def merge_svd(
     coll: AdapterCollection, lam: float = 0.3, target_rank: int = 16
 ) -> dict[str, LoraAdapter]:
-    """Truncated SVD of the scaled update sum, refactored as a rank-r adapter."""
+    """Truncated SVD of the scaled update sum, refactored as a rank-r adapter.
+    The SVD is taken in factor space: the sum is [B_i] @ [lam s_i A_i]^T."""
     merged = {}
     for layer in coll.layer_ids:
-        total = lam * sum(_layer_deltas(coll, layer))
-        d, m = total.shape
+        ads = coll.adapters[layer]
+        d, m = coll.base[layer].shape
         if target_rank > min(d, m):
             raise MergeError(f"target_rank {target_rank} exceeds min{d, m}")
-        res = linalg.svd(total)
-        b = res.u[:, :target_rank] * res.sigma[:target_rank]
-        a = res.v[:, :target_rank]
+        res = linalg.svd_product(np.hstack([ad.b for ad in ads]),
+                                 np.hstack([lam * ad.scale * ad.a for ad in ads]), target_rank)
+        top = slice(target_rank)
         # lora_alpha = rank so the stored factors reproduce the truncation exactly
-        merged[layer] = LoraAdapter(
-            task_id="__merged__",
-            layer_id=layer,
-            b=b,
-            a=a,
-            rank=target_rank,
-            lora_alpha=float(target_rank),
-        )
+        merged[layer] = LoraAdapter(task_id="__merged__", layer_id=layer,
+                                    b=res.u[:, top] * res.sigma[top], a=res.v[:, top],
+                                    rank=target_rank, lora_alpha=float(target_rank))
     return merged
 
 
@@ -197,23 +190,22 @@ def merge_knots(
 ) -> dict[str, np.ndarray]:
     """Shared-basis merge: SVD of row-concatenated updates, DARE-TIES merge of
     per-task coefficient blocks U_i Sigma, reconstruction against V^T; the
-    inner merge is plain TIES at drop_prob 0."""
+    inner merge is plain TIES at drop_prob 0. The (N*d, m) stack is
+    blockdiag(B_i) @ [s_i A_i]^T, with k <= N*r nonzero sigma; the blocks keep
+    the dense SVD's (d, min(N*d, m)) shape, zero past column k, so the DARE
+    masks and the TIES trim count do not depend on k."""
     merged = {}
     for layer in coll.layer_ids:
-        deltas = _layer_deltas(coll, layer)
-        stacked = np.vstack(deltas)                       # (N*d, m)
-        res = linalg.svd(stacked)
-        d = deltas[0].shape[0]
-        blocks = [
-            res.u[i * d : (i + 1) * d, :] * res.sigma     # U_i Sigma, (d, q)
-            for i in range(len(deltas))
-        ]
-        blocks = [
-            _dare_drop(blk, drop_prob, seed, coll.task_ids[i], layer)
-            for i, blk in enumerate(blocks)
-        ]
+        ads = coll.adapters[layer]
+        d, m = coll.base[layer].shape
+        res = linalg.svd_product(linalg.block_diag([ad.b for ad in ads]),
+                                 np.hstack([ad.scale * ad.a for ad in ads]))
+        k = res.sigma.size
+        pad = ((0, 0), (0, min(len(ads) * d, m) - k))
+        blocks = [_dare_drop(np.pad(res.u[i * d : (i + 1) * d] * res.sigma, pad),  # U_i Sigma
+                             drop_prob, seed, task, layer) for i, task in enumerate(coll.task_ids)]
         combined = _ties_combine(blocks, trim_fraction)
-        merged[layer] = coll.base[layer] + lam * (combined @ res.v.T)
+        merged[layer] = coll.base[layer] + lam * (combined[:, :k] @ res.v.T)
     return merged
 
 

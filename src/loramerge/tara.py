@@ -147,7 +147,8 @@ def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> 
     sigma_k * u_k v_ki^T, one per task block of v_k. At full rank with
     phi == 1 the components reconstruct every task update exactly. The shared
     rank defaults to the aggregate adapter capacity, capped at the
-    concatenation's max rank.
+    concatenation's max rank. The SVD is taken in factor space: the
+    concatenation is [B_1 ... B_N] @ blockdiag(s_i A_i)^T.
     """
     n = coll.n_tasks
     r = shared_rank
@@ -157,13 +158,14 @@ def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> 
                 for l in coll.layer_ids)
     layers = {}
     for layer in coll.layer_ids:
-        deltas = [delta_weight(ad) for ad in coll.adapters[layer]]
-        d, m = deltas[0].shape
+        ads = coll.adapters[layer]
+        d, m = coll.base[layer].shape
         if r > min(d, m * n):
             raise TaraError(
                 f"shared rank {r} exceeds available spectrum min{d, m * n} at {layer}"
             )
-        res = linalg.svd(np.hstack(deltas))  # (d, m*N)
+        res = linalg.svd_product(np.hstack([ad.b for ad in ads]),
+                                 linalg.block_diag([ad.scale * ad.a for ad in ads]), r)
         layers[layer] = FactorStack(
             left=np.tile(res.u[:, :r], n),
             right=np.hstack([res.v[i * m : (i + 1) * m, :r] for i in range(n)]),

@@ -32,6 +32,15 @@ def random_collection(seed=0, n_tasks=3, layers=("l0", "l1"), d=8, m=6, rank=2,
     )
 
 
+def sub_collection(coll, task_ids):
+    """The collection's adapters of the given tasks, in the order given."""
+    idx = [coll.task_ids.index(t) for t in task_ids]
+    return AdapterCollection(
+        layer_ids=list(coll.layer_ids), task_ids=list(task_ids), base=dict(coll.base),
+        adapters={l: [coll.adapters[l][i] for i in idx] for l in coll.layer_ids},
+    )
+
+
 @pytest.fixture(scope="session")
 def small_suite():
     """Tiny trained two-task suite shared by optimizer-heavy tests."""

@@ -57,14 +57,6 @@ class TestCollection:
         with pytest.raises(ValueError):
             coll.validate()
 
-    def test_subset_preserves_order(self):
-        coll = random_collection(seed=6, n_tasks=3)
-        sub = coll.subset(["task2", "task0"])
-        assert sub.task_ids == ["task2", "task0"]
-        assert sub.adapters["l0"][0].task_id == "task2"
-        with pytest.raises(ValueError):
-            coll.subset(["nope"])
-
 
 class TestContainer:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_collection
+from conftest import random_collection, sub_collection
 from loramerge import diagnostics, linalg
 from loramerge.adapters import AdapterCollection, FactorStack, delta_weight
 from loramerge.diagnostics import DiagnosticsError
@@ -164,7 +164,7 @@ class TestPreferenceValidation:
 class TestXiProtocol:
     def test_single_task_exactly_zero(self, small_suite):
         suite, coll = small_suite
-        sub = coll.subset(["task0"])
+        sub = sub_collection(coll, ["task0"])
         assert diagnostics.xi_protocol(sub, suite, "layer0") == 0.0
 
     def test_in_unit_interval(self, small_suite):
@@ -177,7 +177,7 @@ class TestXiProtocol:
         """xi of suite tasks 1 and 2 equals xi of the same two tasks as the first
         rows of a two-task suite."""
         suite, coll = default_suite
-        sub = coll.subset(["task1", "task2"])
+        sub = sub_collection(coll, ["task1", "task2"])
         pair = dataclasses.replace(
             suite, config=dataclasses.replace(suite.config, n_tasks=2),
             tasks=suite.tasks[1:3], heads=suite.heads[1:3], references=suite.references[1:3],
@@ -189,8 +189,8 @@ class TestXiProtocol:
         )
         want = diagnostics.xi_protocol(renamed, pair, "layer0")
         assert diagnostics.xi_protocol(sub, suite, "layer0") == pytest.approx(want, abs=1e-12)
-        assert abs(diagnostics.xi_protocol(coll.subset(["task0", "task1"]), suite, "layer0")
-                   - want) > 1e-3
+        first_two = sub_collection(coll, ["task0", "task1"])
+        assert abs(diagnostics.xi_protocol(first_two, suite, "layer0") - want) > 1e-3
 
     def test_task_outside_the_suite(self, small_suite):
         suite, coll = small_suite

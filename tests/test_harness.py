@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sub_collection
 from loramerge import harness, mergers, tara
 from loramerge.adapters import AdapterCollection, ContainerError
 from loramerge.harness import HarnessError, SuiteConfig
@@ -335,7 +336,7 @@ class TestEntropyAndGrad:
     def test_merge_of_fewer_tasks_than_the_suite(self, default_suite, tasks):
         """A collection of the suite's first n tasks is scored by heads 0..n-1 only."""
         suite, coll = default_suite
-        sub = coll.subset(tasks)
+        sub = sub_collection(coll, tasks)
         reference = _PerTaskSuite(suite)
         z = tara.compute_anchors(sub, suite)
         assert z.shape == (len(tasks),)

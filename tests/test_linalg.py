@@ -93,6 +93,90 @@ class TestSvd:
             linalg.svd(np.eye(3))
 
 
+def random_factors(seed, d, m, k, rank=None):
+    """(d, k) and (m, k) Gaussian factors; with `rank`, their product has that rank."""
+    gen = substream(seed, "svd_product")
+    left, right = gen.standard_normal((d, k)), gen.standard_normal((m, k))
+    if rank is not None:
+        left = left[:, :rank] @ gen.standard_normal((rank, k))
+    return left, right
+
+
+class TestSvdProduct:
+    @given(st.integers(0, 1000), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_singular_values_match_the_product(self, seed, d, m, k):
+        left, right = random_factors(seed, d, m, k)
+        got = linalg.svd_product(left, right)
+        want = np.linalg.svd(left @ right.T, compute_uv=False)
+        q = min(d, m, k)
+        assert got.sigma.shape == (q,)
+        assert np.max(np.abs(got.sigma - want[:q])) <= 1e-12 * want[0]
+        assert np.allclose(got.u.T @ got.u, np.eye(q), atol=1e-10)
+        assert np.allclose(got.v.T @ got.v, np.eye(q), atol=1e-10)
+
+    @pytest.mark.parametrize("d,m,k", [(9, 7, 3), (7, 9, 3), (12, 12, 12), (5, 4, 8)],
+                             ids=["tall", "wide", "square", "more_columns"])
+    def test_vectors_follow_the_svd_sign_convention(self, d, m, k):
+        left, right = random_factors(4, d, m, k)
+        got = linalg.svd_product(left, right)
+        want = linalg.svd(left @ right.T)
+        q = got.sigma.size
+        assert np.max(np.abs(got.u - want.u[:, :q])) <= 1e-9
+        assert np.max(np.abs(got.v - want.v[:, :q])) <= 1e-9
+        assert np.max(np.abs(got.reconstruct() - left @ right.T)) <= 1e-12 * want.sigma[0] * q
+
+    @pytest.mark.parametrize("d,m,k,rank", [(10, 8, 2, 6), (10, 8, 3, 20), (6, 9, 4, 6)],
+                             ids=["to_6", "to_min", "wide_to_6"])
+    def test_padding_completes_orthonormal_bases(self, d, m, k, rank):
+        left, right = random_factors(5, d, m, k)
+        got = linalg.svd_product(left, right, rank)
+        q = min(d, m, rank)
+        assert got.sigma.shape == (q,)
+        assert np.allclose(got.u.T @ got.u, np.eye(q), atol=1e-10)
+        assert np.allclose(got.v.T @ got.v, np.eye(q), atol=1e-10)
+        assert np.max(got.sigma[k:]) <= 1e-12 * got.sigma[0]
+        assert np.max(np.abs(got.reconstruct() - left @ right.T)) <= 1e-12 * got.sigma[0] * q
+
+    def test_rank_deficient(self):
+        left, right = random_factors(6, 11, 9, 6, rank=2)
+        got = linalg.svd_product(left, right)
+        want = np.linalg.svd(left @ right.T, compute_uv=False)
+        assert np.sum(got.sigma > 1e-10 * got.sigma[0]) == 2
+        assert np.max(np.abs(got.sigma - want[:6])) <= 1e-12 * want[0]
+        assert np.allclose(got.u.T @ got.u, np.eye(6), atol=1e-10)
+        assert np.allclose(got.v.T @ got.v, np.eye(6), atol=1e-10)
+        lead = linalg.svd(left @ right.T)
+        assert np.max(np.abs(got.u[:, :2] - lead.u[:, :2])) <= 1e-9
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_an_abort(self, side, bad):
+        left, right = random_factors(7, 5, 4, 2)
+        (left if side == "left" else right)[1, 1] = bad
+        with pytest.raises(linalg.LinalgAbort):
+            linalg.svd_product(left, right)
+
+    def test_overflowing_core_is_an_abort(self):
+        with pytest.raises(linalg.LinalgAbort), np.errstate(over="ignore"):
+            linalg.svd_product(np.full((3, 2), 1e200), np.full((4, 2), 1e200))
+
+    def test_mismatched_factors(self):
+        with pytest.raises(linalg.LinalgError):
+            linalg.svd_product(np.ones((3, 2)), np.ones((4, 3)), 5)
+
+
+class TestBlockDiag:
+    def test_matches_dense_layout(self):
+        blocks = [np.full((2, 1), 1.0), np.full((1, 3), 2.0), np.full((3, 2), 3.0)]
+        got = linalg.block_diag(blocks)
+        assert got.shape == (6, 6)
+        assert np.array_equal(got[:2, :1], blocks[0])
+        assert np.array_equal(got[2:3, 1:4], blocks[1])
+        assert np.array_equal(got[3:, 4:], blocks[2])
+        assert np.sum(got != 0) == 2 + 3 + 6
+
+
 class TestGramPath:
     @given(reasonable_matrices(max_dim=8))
     @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_collection, assert_weights_close
 from loramerge import mergers
@@ -52,7 +53,39 @@ def ties_oracle_1d(values, trim_fraction=0.7):
     return sum(matching) / len(matching) if matching else 0.0
 
 
+def trim_by_stable_sort(delta, trim_fraction):
+    """The reference trim rule: a stable sort by descending |value| keeps the
+    first n_keep entries, so ties at the cut go to the lowest indices."""
+    flat = delta.ravel()
+    n_keep = int(np.ceil((1.0 - trim_fraction) * flat.size))
+    if n_keep >= flat.size:
+        return delta.copy()
+    keep = np.argsort(-np.abs(flat), kind="stable")[:n_keep]
+    out = np.zeros_like(flat)
+    out[keep] = flat[keep]
+    return out.reshape(delta.shape)
+
+
+# heavy ties: a few quantized magnitudes of both signs, DARE zeros and -0.0
+tied_values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+tie_heavy_matrices = st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda s: st.one_of(
+        hnp.arrays(np.float64, s, elements=tied_values),
+        hnp.arrays(np.float64, s, elements=st.floats(-4, 4, allow_nan=False)),
+    )
+)
+
+
 class TestTies:
+    @given(tie_heavy_matrices, st.floats(0.0, 0.999))
+    @settings(max_examples=300, deadline=None)
+    def test_trim_matches_the_stable_sort_rule(self, delta, trim_fraction):
+        got = mergers._trim_top_mass(delta, trim_fraction)
+        want = trim_by_stable_sort(delta, trim_fraction)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_exhaustive_one_coordinate(self):
         """Every sign pattern for up to 3 tasks on 1x1 models."""
         values = [-2.0, -1.0, 0.0, 1.0, 2.0]
@@ -192,10 +225,14 @@ def knots_oracle(coll, layer, lam, trim_fraction):
 
 
 class TestKnots:
+    # the second case has N*r < min(N*d, m), so the U_i Sigma blocks have zero columns
+    @pytest.mark.parametrize("shape", [dict(d=6, m=5, rank=2),
+                                       dict(n_tasks=2, d=8, m=6, rank=2)],
+                             ids=["3tasks-6x5", "2tasks-8x6-rank2"])
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
-    def test_matches_oracle(self, seed):
-        coll = random_collection(seed=seed, layers=("l0",), d=6, m=5, rank=2)
+    def test_matches_oracle(self, shape, seed):
+        coll = random_collection(seed=seed, layers=("l0",), **shape)
         got = mergers.merge_knots(coll, lam=0.7, trim_fraction=0.6)["l0"]
         want = knots_oracle(coll, "l0", 0.7, 0.6)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(np.max(np.abs(want)), 1.0)

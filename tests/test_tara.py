@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_collection, assert_weights_close
+from conftest import random_collection, assert_weights_close, sub_collection
 from loramerge import harness, mergers, tara
 from loramerge.adapters import delta_weight
 from loramerge.rng import substream
@@ -496,7 +496,7 @@ class TestSuiteOrder:
                              ids=["second", "reordered"])
     def test_rejected(self, small_suite, tasks):
         suite, coll = small_suite
-        sub = coll.subset(tasks)
+        sub = sub_collection(coll, tasks)
         rho = np.full(len(tasks), 1.0 / len(tasks))
         cfg = OptimConfig(iters=1)
         for run in (
