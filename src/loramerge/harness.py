@@ -140,13 +140,37 @@ class TaskSuite:
             raise HarnessError(f"{w.shape[-3]} per-task weights for {n} batches")
         h = self._stacked_heads(n)
         z = batches @ np.swapaxes(w, -1, -2)            # ([P,] n, B, d)
-        p = _softmax(z @ np.swapaxes(h, -1, -2))         # ([P,] n, B, C)
-        logp = np.log(p, out=np.zeros_like(p), where=p > 0)
-        ent = -np.sum(p * logp, axis=-1)                 # ([P,] n, B)
-        # dE/dlogit_j = -p_j (log p_j + E) per sample
-        dl = -p * (logp + ent[..., None]) / batches.shape[1]
+        f, dl = _entropy_and_dlogits(z @ np.swapaxes(h, -1, -2))
         dz = dl @ h                                      # ([P,] n, B, d)
-        return np.mean(ent, axis=-1), {LAYER_ID: np.swapaxes(dz, -1, -2) @ batches}
+        return f, {LAYER_ID: np.swapaxes(dz, -1, -2) @ batches}
+
+    def factor_scorer(self, base: dict, stacks: dict, n: int):
+        """Scorer of tasks 0..n-1 at W = W0 + left diag(coef) right^T, in factor
+        space: no (d, m) weight or weight gradient is formed.
+
+        logits = X (H W0)^T + (X right) (coef * (H left)^T), so the scorer holds
+        H left (n, C, K) and (H W0)^T (n, m, C) of the stacked heads. Its
+        score(coef, batches) takes {LAYER_ID: (..., K)} coef and (n, B, m)
+        batches, row i scored by head i, and returns the mean entropies f
+        (..., n) and {LAYER_ID: (..., n, K)} df_i/dcoef_k, which is
+        sum_b (dlogits H left)_bk (X right)_bk = sum_c (H left)_ck
+        (dlogits^T X right)_ck. Every product is stacked, one GEMM per
+        (point, task), so a point's bits do not depend on the leading axes.
+        """
+        h, s = self._stacked_heads(n), stacks[LAYER_ID]
+        hl = h @ s.left
+        hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base[LAYER_ID], -1, -2)
+
+        def score(coef: dict, batches: np.ndarray):
+            if batches.shape[0] != n:
+                raise HarnessError(f"{batches.shape[0]} batches for a scorer of {n} tasks")
+            xr = batches @ s.right                       # (n, B, K)
+            scaled = coef[LAYER_ID][..., None, :, None] * hl_t  # (..., n, K, C)
+            f, dl = _entropy_and_dlogits(batches @ hw0_t + xr @ scaled)
+            grad = np.einsum("...nck,nck->...nk", np.swapaxes(dl, -1, -2) @ xr, hl)
+            return f, {LAYER_ID: grad}
+
+        return score
 
     def task_loss_gradients(self, weights: dict) -> dict:
         """Gradient of every task's label-free loss on its whole adaptation pool,
@@ -168,6 +192,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _entropy_and_dlogits(logits: np.ndarray):
+    """Mean predictive entropy over the batch axis of (..., B, C) logits, and its
+    gradient w.r.t. every logit."""
+    p = _softmax(logits)
+    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    ent = -np.sum(p * logp, axis=-1)                     # (..., B)
+    # dE/dlogit_j = -p_j (log p_j + E) per sample
+    dl = -p * (logp + ent[..., None]) / logits.shape[-2]
+    return np.mean(ent, axis=-1), dl
 
 
 def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:

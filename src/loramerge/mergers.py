@@ -83,11 +83,14 @@ def merge_ta(coll: AdapterCollection, lam: float = 0.3) -> dict[str, np.ndarray]
     }
 
 
-def _trim_top_mass(delta: np.ndarray, trim_fraction: float) -> np.ndarray:
+def _trim_top_mass(delta: np.ndarray, trim_fraction: float,
+                   size: int | None = None) -> np.ndarray:
     """Keep exactly the top (1 - trim_fraction) fraction of entries by |value|,
-    the lowest indices first among entries tied at the cut."""
+    the lowest indices first among entries tied at the cut. size, when given, is
+    the entry count the fraction applies to: delta is then the part of a larger
+    array outside of which every entry is zero."""
     flat = delta.ravel()
-    n_keep = int(np.ceil((1.0 - trim_fraction) * flat.size))
+    n_keep = int(np.ceil((1.0 - trim_fraction) * (flat.size if size is None else size)))
     if n_keep >= flat.size:
         return delta.copy()
     mag = np.abs(flat)
@@ -97,9 +100,11 @@ def _trim_top_mass(delta: np.ndarray, trim_fraction: float) -> np.ndarray:
     return np.where(keep, flat, 0.0).reshape(delta.shape)
 
 
-def _ties_combine(deltas: list[np.ndarray], trim_fraction: float) -> np.ndarray:
-    """Trim per task, elect signs by summed magnitude, average matching survivors."""
-    trimmed = np.stack([_trim_top_mass(d, trim_fraction) for d in deltas])
+def _ties_combine(deltas: list[np.ndarray], trim_fraction: float,
+                  size: int | None = None) -> np.ndarray:
+    """Trim per task, elect signs by summed magnitude, average matching survivors;
+    size as in _trim_top_mass."""
+    trimmed = np.stack([_trim_top_mass(d, trim_fraction, size) for d in deltas])
     pos_mass = np.sum(np.where(trimmed > 0, trimmed, 0.0), axis=0)
     neg_mass = np.sum(np.where(trimmed < 0, -trimmed, 0.0), axis=0)
     sign = np.where(pos_mass >= neg_mass, 1.0, -1.0)  # ties break positive
@@ -191,33 +196,35 @@ def merge_knots(
     """Shared-basis merge: SVD of row-concatenated updates, DARE-TIES merge of
     per-task coefficient blocks U_i Sigma, reconstruction against V^T; the
     inner merge is plain TIES at drop_prob 0. The (N*d, m) stack is
-    blockdiag(B_i) @ [s_i A_i]^T, with k <= N*r nonzero sigma; the blocks keep
-    the dense SVD's (d, min(N*d, m)) shape, zero past column k, so the DARE
-    masks and the TIES trim count do not depend on k."""
+    blockdiag(B_i) @ [s_i A_i]^T, with k <= N*r nonzero sigma. Each block is
+    drawn its DARE mask at the dense SVD's (d, q = min(N*d, m)) shape, zero past
+    column k, then TIES runs on its first k columns with the trim count of the
+    (d, q) shape: the columns past k merge to 0, and row-major order within the
+    first k columns is the full block's, so neither the masks nor the trim
+    depend on k."""
     merged = {}
     for layer in coll.layer_ids:
         ads = coll.adapters[layer]
         d, m = coll.base[layer].shape
         res = linalg.svd_product(linalg.block_diag([ad.b for ad in ads]),
                                  np.hstack([ad.scale * ad.a for ad in ads]))
-        k = res.sigma.size
-        pad = ((0, 0), (0, min(len(ads) * d, m) - k))
+        k, q = res.sigma.size, min(len(ads) * d, m)
+        pad = ((0, 0), (0, q - k))
         blocks = [_dare_drop(np.pad(res.u[i * d : (i + 1) * d] * res.sigma, pad),  # U_i Sigma
-                             drop_prob, seed, task, layer) for i, task in enumerate(coll.task_ids)]
-        combined = _ties_combine(blocks, trim_fraction)
-        merged[layer] = coll.base[layer] + lam * (combined[:, :k] @ res.v.T)
+                             drop_prob, seed, task, layer)[:, :k]
+                  for i, task in enumerate(coll.task_ids)]
+        combined = _ties_combine(blocks, trim_fraction, size=d * q)
+        merged[layer] = coll.base[layer] + lam * (combined @ res.v.T)
     return merged
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
-    """Seeded k-means++ with deterministic empty-cluster reseeding."""
+def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: (k, dim) initial centers drawn from rng."""
     n = points.shape[0]
-    # k-means++ initialization
     centroids = [points[int(rng.integers(n))]]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest chosen centroid
     for _ in range(1, k):
-        d2 = np.min(
-            np.stack([np.sum((points - c) ** 2, axis=1) for c in centroids]), axis=0
-        )
+        d2 = np.minimum(d2, np.sum((points - centroids[-1]) ** 2, axis=1))
         total = float(np.sum(d2))
         if total <= 0.0:
             centroids.append(points[int(rng.integers(n))])
@@ -225,8 +232,13 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
         r = rng.random() * total
         idx = int(np.searchsorted(np.cumsum(d2), r))
         centroids.append(points[min(idx, n - 1)])
-    centers = np.stack(centroids)
+    return np.stack(centroids)
 
+
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
+    """Seeded k-means++ with deterministic empty-cluster reseeding."""
+    n = points.shape[0]
+    centers = _kmeans_pp(points, k, rng)
     prev_inertia = np.inf
     assign = np.zeros(n, dtype=int)
     for _ in range(100):

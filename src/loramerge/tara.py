@@ -32,7 +32,6 @@ from .linalg import CodedError, NumericalAbort
 from .rng import keyed_integers
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
-GRAD_BUDGET_BYTES = 16 * 2**20  # cap on one step's (P, N, d, m) gradient stack in a sweep
 PHI_INIT = 0.4  # TARA's starting phi; optimize picks it or the next by basis variant
 ADAMERGING_PHI_INIT = 0.3  # AdaMerging starts at the lam = 0.3 task-arithmetic merge
 ADAM_BETAS = (0.9, 0.999)  # Adam's fixed constants, shared by TARA and fine-tuning
@@ -180,21 +179,29 @@ def build_adamerging(coll: AdapterCollection) -> DirectionBasis:
     return _basis(coll, "adamerging", _adapter_stacks(coll))
 
 
+def _coefficients(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """coef_k = sigma_k phi_{group_k} of every column per layer, (..., K) from (..., counts)."""
+    coef = {}
+    for layer in basis.layer_ids:
+        p = np.asarray(phi[layer], dtype=np.float64)
+        if p.shape[-1:] != (basis.counts[layer],):
+            raise TaraError(f"phi of shape {p.shape} does not end in {basis.counts[layer]} "
+                            f"components at {layer}")
+        # np.take gives C order, unlike p[..., idx]
+        coef[layer] = basis.layers[layer].sigma * np.take(p, basis.groups[layer], axis=-1)
+    return coef
+
+
 def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """W0 + sum_k phi_{group_k} sigma_k left_k right_k^T per layer; linear in phi.
     A (P, K) phi gives (P, d, m) weights, one per row. The stacked product makes
     one (d, K) @ (K, m) GEMM per row, the call a single row makes, so a row's bits
     do not depend on P (one 2-D GEMM over P*d rows may pick another kernel)."""
-    weights = {}
-    for layer in basis.layer_ids:
-        s = basis.layers[layer]
-        p = np.asarray(phi[layer], dtype=np.float64)
-        if p.shape[-1:] != (basis.counts[layer],):
-            raise TaraError(f"phi of shape {p.shape} does not end in {basis.counts[layer]} "
-                            f"components at {layer}")
-        coef = s.sigma * np.take(p, basis.groups[layer], axis=-1)  # C order, unlike p[..., idx]
-        weights[layer] = basis.base[layer] + (s.left * coef[..., None, :]) @ s.right.T
-    return weights
+    return {
+        layer: basis.base[layer] + (basis.layers[layer].left * c[..., None, :])
+        @ basis.layers[layer].right.T
+        for layer, c in _coefficients(basis, phi).items()
+    }
 
 
 def adaptation_pools(suite, n_tasks: int) -> np.ndarray:
@@ -253,31 +260,33 @@ def _stch(f, z, rho, alpha):
     return alpha * (tmax + np.log(total))[..., 0], grad
 
 
-def _phi_gradient(basis: DirectionBasis, weight_grads: dict, dpsi_df: np.ndarray):
-    """g_k = <sum_i c_i G_i, C_k> for every basis component, summed over the
-    columns that share each phi entry; (..., K) from (..., N) c, (..., N, d, m) G."""
+def _phi_gradient(basis: DirectionBasis, col_grads: dict, dpsi_df: np.ndarray):
+    """g = sigma_k sum_i c_i df_i/dcoef_k for every column, summed over the
+    columns that share each phi entry; (..., counts) from (..., N) c and
+    (..., N, K) column gradients."""
     c = dpsi_df.reshape(-1, 1, dpsi_df.shape[-1])  # (P, 1, N)
     out = {}
     for layer in basis.layer_ids:
-        g, k = weight_grads[layer], basis.counts[layer]
-        combined = (c @ g.reshape(len(c), c.shape[-1], -1)).reshape(-1, *g.shape[-2:])
+        g, k = col_grads[layer], basis.counts[layer]
+        cols = basis.layers[layer].sigma * (c @ g.reshape(len(c), *g.shape[-2:]))[:, 0]
         bins = basis.groups[layer] + k * np.arange(len(c))[:, None]  # row p: bins p*k...
-        out[layer] = np.bincount(bins.ravel(), basis.layers[layer].project(combined).ravel(),
+        out[layer] = np.bincount(bins.ravel(), cols.ravel(),
                                  len(c) * k).reshape(dpsi_df.shape[:-1] + (k,))
     return out
 
 
-def _evaluate(basis, phi, suite, batches):
-    """Per-task entropies f (..., N) and weight gradients {layer: (..., N, d, m)}
-    at W(phi) of a (K,) or (P, K) phi on (N, B, m) batches, in one suite call.
-    A non-finite entropy raises TaraAbort, whose .point is the first such row."""
-    weights = {l: w[:, None] if w.ndim == 3 else w for l, w in assemble(basis, phi).items()}
-    f, weight_grads = suite.entropy_and_grad(weights, batches)
+def _evaluate(basis, phi, suite, batches, scorer):
+    """Per-task entropies f (..., N) and column gradients {layer: (..., N, K)}
+    at W(phi) of a (K,) or (P, K) phi on (N, B, m) batches, in one scorer call;
+    a None scorer is built from the suite. A non-finite entropy raises
+    TaraAbort, whose .point is the first such row."""
+    scorer = scorer or suite.factor_scorer(basis.base, basis.layers, basis.n_tasks)
+    f, col_grads = scorer(_coefficients(basis, phi), batches)
     if not np.isfinite(f).all():
         err = TaraAbort("non-finite entropy encountered")
         err.point = int(np.flatnonzero(~np.isfinite(f).reshape(-1, f.shape[-1]).all(-1))[0])
         raise err
-    return f, weight_grads
+    return f, col_grads
 
 
 def stch_value_and_grad(
@@ -287,24 +296,27 @@ def stch_value_and_grad(
     rho: np.ndarray,
     cfg: StchConfig,
     batches: np.ndarray,
+    scorer=None,
 ):
     """Objective value, d/dphi, and per-task entropies on (N, B, m) batches;
-    row-wise for a (P, K) phi and a (P, N) rho.
+    row-wise for a (P, K) phi and a (P, N) rho. scorer is the suite's
+    factor_scorer for this basis, which optimize builds once per run; None
+    builds it for this call.
 
     rho rows must be simplex vectors of length N; optimize checks them once per run.
     """
     if cfg is None or cfg.anchors is None:
         raise TaraError("anchors must be computed before optimization")
-    f, weight_grads = _evaluate(basis, phi, suite, batches)
+    f, col_grads = _evaluate(basis, phi, suite, batches, scorer)
     psi, dpsi_df = _stch(f, cfg.anchors, rho, cfg.alpha)
-    return psi, _phi_gradient(basis, weight_grads, dpsi_df), f
+    return psi, _phi_gradient(basis, col_grads, dpsi_df), f
 
 
-def mean_entropy_value_and_grad(basis, phi, suite, batches):
+def mean_entropy_value_and_grad(basis, phi, suite, batches, scorer=None):
     """Uniform-mean entropy objective used by the AdaMerging baseline."""
-    f, weight_grads = _evaluate(basis, phi, suite, batches)
+    f, col_grads = _evaluate(basis, phi, suite, batches, scorer)
     dpsi_df = np.full(f.shape, 1.0 / basis.n_tasks)
-    return np.mean(f, axis=-1), _phi_gradient(basis, weight_grads, dpsi_df), f
+    return np.mean(f, axis=-1), _phi_gradient(basis, col_grads, dpsi_df), f
 
 
 def adamw_step(params, grads, m, v, t, lr: float):
@@ -343,7 +355,7 @@ def optimize(
 ):
     """Adam loop over a (P, K) phi per layer, one row per preference of the
     (P, N) or (N,) rho; each step scores every row and task on fresh batches in
-    one suite call.
+    one call of the suite's factor-space scorer, built once per run.
 
     The objective is the anchored scalarization under rho from phi = PHI_INIT,
     or for an AdaMerging basis the mean entropy from phi = ADAMERGING_PHI_INIT,
@@ -364,6 +376,7 @@ def optimize(
     if schedule.shape != (cfg.iters, n, cfg.batch_size):
         raise TaraError(f"batch schedule of shape {schedule.shape} does not fit cfg")
     tasks = np.arange(n)[:, None]
+    scorer = suite.factor_scorer(basis.base, basis.layers, n)
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)
     phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
     m = {l: np.zeros_like(phi[l]) for l in phi}
@@ -374,9 +387,10 @@ def optimize(
         batches = pools[tasks, schedule[step]]
         try:
             if mean_entropy:
-                value, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches)
+                value, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches, scorer)
             else:
-                value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
+                value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches,
+                                                     scorer)
         except TaraAbort as err:
             raise TaraAbort(f"non-finite entropy encountered at point {first + err.point}, "
                             f"step {step}") from None
@@ -401,8 +415,9 @@ def sweep_tara(
 ):
     """TARA merges at each preference in rhos. The basis, the anchors and the
     batch schedule do not depend on the preference: they are built once, and one
-    optimize loop runs each chunk of points whose gradient stack fits
-    GRAD_BUDGET_BYTES. Yields (weights, phi, trace) per point in order."""
+    optimize loop runs every point, as its step memory has no d x m term. Yields
+    (weights, phi, trace) per point in order, assembling each point's weights
+    as it is yielded."""
     optim = optim or OptimConfig()
     if variant == "a":
         basis = build_variant_a(coll)
@@ -411,16 +426,11 @@ def sweep_tara(
     else:
         raise TaraError(f"unknown variant {variant!r}")
     stch = StchConfig(alpha=alpha, anchors=compute_anchors(coll, suite))
-    schedule = batch_schedule(suite, coll.n_tasks, optim)
     rhos = list(rhos)
-    per_point = 8 * coll.n_tasks * sum(w.size for w in basis.base.values())
-    size = max(1, GRAD_BUDGET_BYTES // per_point)
-    for start in range(0, len(rhos), size):
-        chunk = rhos[start:start + size]
-        phi, trace = optimize(basis, suite, chunk, optim, stch, schedule=schedule, first=start)
-        for j in range(len(chunk)):
-            point = {l: p[j] for l, p in phi.items()}
-            yield assemble(basis, point), point, trace.point(j)
+    phi, trace = optimize(basis, suite, rhos, optim, stch)
+    for j in range(len(rhos)):
+        point = {l: p[j] for l, p in phi.items()}
+        yield assemble(basis, point), point, trace.point(j)
 
 
 def merge_tara(

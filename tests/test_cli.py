@@ -210,13 +210,18 @@ class TestExitCodes:
             monkeypatch.setattr(np.linalg, "svd", no_convergence)
             argv = ["merge", *src, "--method", "tara-b", "--iters", "3"]
         elif abort == "entropy":
-            real = harness.TaskSuite.entropy_and_grad
+            real = harness.TaskSuite.factor_scorer
 
             def nan_entropy(self, *args):
-                f, grads = real(self, *args)
-                return np.full_like(f, np.nan), grads
+                score = real(self, *args)
 
-            monkeypatch.setattr(harness.TaskSuite, "entropy_and_grad", nan_entropy)
+                def nan_scores(*call):
+                    f, grads = score(*call)
+                    return np.full_like(f, np.nan), grads
+
+                return nan_scores
+
+            monkeypatch.setattr(harness.TaskSuite, "factor_scorer", nan_entropy)
             argv = ["merge", *src, "--method", "tara-a", "--iters", "3"]
         else:  # a learning rate this large trips the fine-tuning divergence guard
             argv = ["train-toy", "--out", str(tmp_path / "diverged"), *FAST_TRAIN,
@@ -229,17 +234,22 @@ class TestExitCodes:
         """Task 1's entropies grow during optimization, so only point 1, the one
         point that weights task 1, diverges; the sweep aborts before any output."""
         container, sidecar, out = _train(tmp_path)
-        real = harness.TaskSuite.entropy_and_grad
+        real = harness.TaskSuite.factor_scorer
         calls = []
 
         def task_1_diverges(self, *args):
-            f, grads = real(self, *args)
-            if f.ndim == 2:
-                calls.append(None)
-                f[:, 1] *= 10.0 ** len(calls)
-            return f, grads
+            score = real(self, *args)
 
-        monkeypatch.setattr(harness.TaskSuite, "entropy_and_grad", task_1_diverges)
+            def diverging(*call):
+                f, grads = score(*call)
+                if f.ndim == 2:
+                    calls.append(None)
+                    f[:, 1] *= 10.0 ** len(calls)
+                return f, grads
+
+            return diverging
+
+        monkeypatch.setattr(harness.TaskSuite, "factor_scorer", task_1_diverges)
         prefs = tmp_path / "prefs.json"
         prefs.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
         sweep_out = tmp_path / "sweep"

@@ -277,7 +277,9 @@ def _per_task_entropy_and_grad(head, w, batch):
 
 
 class _PerTaskSuite:
-    """The suite scored one task per call by the per-task reference."""
+    """The suite scored one task per call by the per-task reference; its factor
+    scorer assembles each point's W and projects each task's weight gradient
+    onto the columns."""
 
     def __init__(self, suite):
         self.suite = suite
@@ -287,16 +289,25 @@ class _PerTaskSuite:
 
     def entropy_and_grad(self, weights, batches):
         w = weights["layer0"]
-        if w.ndim == 4:  # P weights, each (1|n, d, m), all on the same batches
-            out = [self.entropy_and_grad({"layer0": wp[0] if len(wp) == 1 else wp}, batches)
-                   for wp in w]
-            grads = np.stack([g["layer0"] for _, g in out])
-            return np.stack([f for f, _ in out]), {"layer0": grads}
         out = [
             _per_task_entropy_and_grad(self.suite.heads[i], w[i] if w.ndim == 3 else w, b)
             for i, b in enumerate(batches)
         ]
         return np.array([f for f, _ in out]), {"layer0": np.stack([g for _, g in out])}
+
+    def factor_scorer(self, base, stacks, n):
+        s = stacks["layer0"]
+
+        def score(coef, batches):  # (P, K) coef
+            f, cols = [], []
+            for c in coef["layer0"]:
+                fp, g = self.entropy_and_grad(
+                    {"layer0": base["layer0"] + (s.left * c) @ s.right.T}, batches)
+                f.append(fp)
+                cols.append(np.sum(s.left * (g["layer0"] @ s.right), axis=-2))
+            return np.stack(f), {"layer0": np.stack(cols)}
+
+        return score
 
 
 class TestEntropyAndGrad:

@@ -244,7 +244,36 @@ class TestKnots:
         assert_weights_close(a, b, tol=0.0)
 
 
+def kmeans_pp_by_restacking(points, k, rng):
+    """k-means++ seeding that recomputes every point's distance to every chosen
+    centroid at each step: the reference for the running minimum."""
+    n = points.shape[0]
+    centroids = [points[int(rng.integers(n))]]
+    for _ in range(1, k):
+        d2 = np.min(np.stack([np.sum((points - c) ** 2, axis=1) for c in centroids]), axis=0)
+        total = float(np.sum(d2))
+        if total <= 0.0:
+            centroids.append(points[int(rng.integers(n))])
+            continue
+        r = rng.random() * total
+        idx = int(np.searchsorted(np.cumsum(d2), r))
+        centroids.append(points[min(idx, n - 1)])
+    return np.stack(centroids)
+
+
 class TestKmeans:
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_seeding_matches_restacking(self, seed, k, distinct):
+        """The running minimum gives the restacked minimum's bits and draws, also
+        when repeated points leave no mass to draw from."""
+        gen = substream(seed, "km-pp")
+        pts = gen.standard_normal((distinct, 3))[gen.integers(0, distinct, 20)]
+        rng, ref_rng = substream(seed, "k"), substream(seed, "k")
+        assert np.array_equal(mergers._kmeans_pp(pts, k, rng),
+                              kmeans_pp_by_restacking(pts, k, ref_rng))
+        assert rng.random() == ref_rng.random()  # both streams made the same draws
+
     def test_partitions_and_determinism(self):
         gen = substream(13, "km")
         pts = gen.standard_normal((30, 4))

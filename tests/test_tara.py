@@ -235,6 +235,75 @@ class TestGradient:
             assert np.all(grad[layer] == 0.0)
 
 
+def _dense_step(basis, phi, suite, batches, dpsi_df):
+    """The step through full weights, the reference for the factored one:
+    assemble W(phi), take the (P, N, d, m) weight gradient, project it onto the
+    columns and sum each phi entry's columns. Returns f and d/dphi."""
+    weights = {l: w[:, None] for l, w in assemble(basis, phi).items()}
+    f, weight_grads = suite.entropy_and_grad(weights, batches)
+    c = dpsi_df(f)
+    grad = {}
+    for layer in basis.layer_ids:
+        combined = np.einsum("pn,pndm->pdm", c, weight_grads[layer])
+        cols = basis.layers[layer].project(combined)
+        grad[layer] = np.stack([np.bincount(basis.groups[layer], row, basis.counts[layer])
+                                for row in cols])
+    return f, grad
+
+
+def _random_head_suite(d, m, n_tasks=3):
+    """A suite with random heads, scaled so the entropies sit inside (0, log C)."""
+    suite = harness.generate_suite(seed=0, n_tasks=n_tasks, d=d, m=m, n_train=1, n_eval=1,
+                                   n_adapt=32)
+    gen = substream(0, "heads")
+    for i in range(n_tasks):
+        suite.heads[i] = gen.standard_normal((suite.config.n_classes, d)) / d
+    return suite
+
+
+class TestFactoredStep:
+    """The factored step scores and differentiates phi through X right and
+    H left; it matches the dense step to rounding."""
+
+    @pytest.mark.parametrize("dims", [(32, 24), (128, 128)], ids=["toy", "wide"])
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
+    def test_matches_dense_step(self, variant, points, dims):
+        suite = _random_head_suite(*dims)
+        coll = random_collection(seed=1, n_tasks=3, layers=("layer0",), d=dims[0], m=dims[1],
+                                 rank=4)
+        build = {"a": build_variant_a, "b": build_variant_b,
+                 "adamerging": tara.build_adamerging}[variant]
+        basis = build(coll)
+        gen = substream(2, variant, points)
+        phi = {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids}
+        batches = tara.adaptation_pools(suite, 3)[:, :16]
+        if variant == "adamerging":
+            _, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches)
+            dpsi_df = lambda f: np.full(f.shape, 1.0 / 3)
+        else:
+            rho = gen.dirichlet(np.ones(3), points)
+            stch = StchConfig(anchors=compute_anchors(coll, suite))
+            _, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
+            dpsi_df = lambda f: tara._stch(f, stch.anchors, rho, stch.alpha)[1]
+        want_f, want_grad = _dense_step(basis, phi, suite, batches, dpsi_df)
+        assert f.shape == want_f.shape == (points, 3)
+        assert np.max(np.abs(f - want_f)) <= 1e-12 * np.max(np.abs(want_f))
+        for layer in basis.layer_ids:
+            assert grad[layer].shape == want_grad[layer].shape
+            err = np.max(np.abs(grad[layer] - want_grad[layer]))
+            assert err <= 1e-12 * np.max(np.abs(want_grad[layer]))
+
+    def test_scorer_refuses_wrong_batch_count(self, small_suite):
+        suite, coll = small_suite
+        basis = build_variant_a(coll)
+        score = suite.factor_scorer(basis.base, basis.layers, 2)
+        batches = np.stack([suite.adaptation_pool(i)[:4] for i in range(2)])
+        with pytest.raises(harness.HarnessError, match="3 batches for a scorer of 2 tasks"):
+            score(tara._coefficients(basis, basis.init_phi(0.4)),
+                  np.concatenate([batches, batches[:1]]))
+
+
 class TestAnchors:
     def test_single_adapter_applied(self, small_suite):
         suite, coll = small_suite
@@ -345,10 +414,15 @@ class TestOptimize:
         class NanInRow1:
             adaptation_pool = suite.adaptation_pool
 
-            def entropy_and_grad(self, weights, batches):
-                f, grads = suite.entropy_and_grad(weights, batches)
-                f[1, 0] = np.nan
-                return f, grads
+            def factor_scorer(self, *args):
+                score = suite.factor_scorer(*args)
+
+                def nan_in_row_1(coef, batches):
+                    f, grads = score(coef, batches)
+                    f[1, 0] = np.nan
+                    return f, grads
+
+                return nan_in_row_1
 
         rhos = [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]
         stch = StchConfig(anchors=compute_anchors(coll, suite))
@@ -398,28 +472,8 @@ class TestSweep:
             assert np.array_equal(phi["layer0"], want_phi["layer0"])
             assert trace.objective == want_trace.objective
 
-    @pytest.mark.parametrize("variant", ["a", "b"])
-    def test_one_point_chunks_match_one_loop(self, small_suite, monkeypatch, variant):
-        """A budget below one point's gradient stack runs each point in its own
-        chunk, with the same bits as all points in one loop."""
+    def test_one_diverging_point_aborts_the_sweep(self, small_suite):
         suite, coll = small_suite
-        cfg = OptimConfig(iters=25, seed=4)
-        rhos = [np.array([0.5, 0.5]), np.array([0.9, 0.1]), np.array([0.2, 0.8])]
-        together = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
-        monkeypatch.setattr(tara, "GRAD_BUDGET_BYTES", 1)
-        chunked = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
-        for (w1, phi1, tr1), (w2, phi2, tr2) in zip(together, chunked, strict=True):
-            for layer in coll.layer_ids:
-                assert np.array_equal(w1[layer], w2[layer])
-                assert np.array_equal(phi1[layer], phi2[layer])
-            assert tr1.steps == tr2.steps and tr1.objective == tr2.objective
-            assert all(map(np.array_equal, tr1.per_task, tr2.per_task))
-
-    @pytest.mark.parametrize("budget", [None, 1], ids=["one_chunk", "point_chunks"])
-    def test_one_diverging_point_aborts_the_sweep(self, small_suite, monkeypatch, budget):
-        suite, coll = small_suite
-        if budget is not None:
-            monkeypatch.setattr(tara, "GRAD_BUDGET_BYTES", budget)
         rhos = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
         points = tara.sweep_tara(coll, _DivergingTask(suite, 1), rhos,
                                  optim=OptimConfig(iters=10))
@@ -454,7 +508,7 @@ class TestSweep:
 
 
 class _ConstantSuite:
-    """Suite stand-in with a fixed entropy and a zero weight gradient."""
+    """Suite stand-in whose scorer gives a fixed entropy and zero column gradients."""
 
     def __init__(self, entropy):
         self.entropy = entropy
@@ -462,30 +516,38 @@ class _ConstantSuite:
     def adaptation_pool(self, task):
         return np.zeros((4, 6))
 
-    def entropy_and_grad(self, weights, batches):
-        n = len(batches)
-        return np.full(n, self.entropy), {
-            l: np.zeros((n,) + w.shape[-2:]) for l, w in weights.items()
-        }
+    def factor_scorer(self, base, stacks, n):
+        def score(coef, batches):
+            lead = next(iter(coef.values())).shape[:-1]
+            return np.full(lead + (n,), self.entropy), {
+                l: np.zeros(c.shape[:-1] + (n, c.shape[-1])) for l, c in coef.items()
+            }
+
+        return score
 
 
 class _DivergingTask:
-    """The suite, except that in every call with a stack of points, one task's
-    entropies grow tenfold per call: only a point that weights that task
-    diverges."""
+    """The suite, except that in every call of its scorer with a stack of points,
+    one task's entropies grow tenfold per call: only a point that weights that
+    task diverges."""
 
     def __init__(self, suite, task):
         self.suite, self.task, self.calls = suite, task, 0
 
-    def adaptation_pool(self, task):
-        return self.suite.adaptation_pool(task)
+    def __getattr__(self, name):
+        return getattr(self.suite, name)
 
-    def entropy_and_grad(self, weights, batches):
-        f, grads = self.suite.entropy_and_grad(weights, batches)
-        if f.ndim == 2:
-            self.calls += 1
-            f[:, self.task] *= 10.0 ** self.calls
-        return f, grads
+    def factor_scorer(self, *args):
+        score = self.suite.factor_scorer(*args)
+
+        def diverging(coef, batches):
+            f, grads = score(coef, batches)
+            if f.ndim == 2:
+                self.calls += 1
+                f[:, self.task] *= 10.0 ** self.calls
+            return f, grads
+
+        return diverging
 
 
 class TestSuiteOrder:
