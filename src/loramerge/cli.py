@@ -40,7 +40,7 @@ OPTIM_FIELDS = tuple(f.name for f in fields(tara.OptimConfig))
 TRAIN_FLAGS = {
     **{f.name: type(f.default) for f in fields(harness.SuiteConfig)
        if f.name not in ("base_rank", "label_offsets")},
-    **{k: type(p.default) for k, p in signature(harness._finetune).parameters.items()
+    **{k: type(p.default) for k, p in signature(harness.finetune_all).parameters.items()
        if p.default is not p.empty},
 }
 MERGE_FLAGS = {
@@ -267,7 +267,9 @@ def cmd_merge(args) -> int:
 
 
 def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
-    if args.preferences:
+    if args.preferences is not None:
+        if args.random is not None or args.fixed is not None:
+            raise UsageError("--preferences takes neither --random nor --fixed")
         try:
             rows = json.loads(Path(args.preferences).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -280,13 +282,15 @@ def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
     if args.random < 1:
         raise UsageError("--random must be positive")
     fixed = {}
-    if args.fixed:
-        for pair in args.fixed.split(","):
-            try:
-                idx, val = pair.split(":")
-                fixed[int(idx)] = float(val)
-            except ValueError as exc:
-                raise UsageError(f"bad --fixed entry {pair!r}") from exc
+    for pair in [] if args.fixed is None else args.fixed.split(","):
+        try:
+            idx, val = pair.split(":")
+            idx, val = int(idx), float(val)
+        except ValueError as exc:
+            raise UsageError(f"bad --fixed entry {pair!r}") from exc
+        if idx in fixed:
+            raise UsageError(f"--fixed pins coordinate {idx} twice")
+        fixed[idx] = val
     if any(i < 0 or i >= n_tasks for i in fixed):
         raise UsageError("--fixed index out of range")
     budget = 1.0 - sum(fixed.values())
@@ -299,8 +303,7 @@ def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
         # uniform Dirichlet over the free coordinates, scaled to the leftover mass
         sample = gen.dirichlet(np.ones(len(free))) * max(budget, 0.0)
         rho = np.zeros(n_tasks)
-        for i, v in fixed.items():
-            rho[i] = v
+        rho[list(fixed)] = list(fixed.values())
         rho[free] = sample
         prefs.append(diagnostics._check_simplex(rho, n_tasks))
     return prefs
@@ -332,7 +335,8 @@ def cmd_sweep(args) -> int:
                 [repr(float(v)) for v in rho]
                 + [repr(float(v)) for v in report.normalized]
             )
-    _write_manifest(run, "sweep", {"method": method, "n_points": len(prefs), **config})
+    rows = {k: getattr(args, k) for k in ("preferences", "random", "fixed")}  # as given
+    _write_manifest(run, "sweep", {"method": method, "n_points": len(prefs), **config, **rows})
     print(f"sweep of {len(prefs)} points written to {run / 'sweep.csv'}")
     return 0
 

@@ -131,17 +131,16 @@ class TaskSuite:
 
         batches is (n, B, m), row i scored by head i; n may be below n_tasks
         when a merge covers only the first n tasks. weights[LAYER_ID] is one
-        (d, m) matrix shared by those tasks, an (n, d, m) stack, one per task,
-        or P of either stacked (P, 1|n, d, m), all scored on the same batches.
-        Returns f (n,) and {LAYER_ID: (n, d, m)}, led by P for a P-stack.
+        (d, m) matrix shared by those tasks or an (n, d, m) stack, one per task.
+        Returns f (n,) and {LAYER_ID: (n, d, m)}.
         """
         w, n = weights[LAYER_ID], batches.shape[0]
-        if w.ndim == 3 and w.shape[0] != n or w.ndim == 4 and w.shape[1] not in (1, n):
-            raise HarnessError(f"{w.shape[-3]} per-task weights for {n} batches")
+        if w.ndim == 3 and w.shape[0] != n:
+            raise HarnessError(f"{w.shape[0]} per-task weights for {n} batches")
         h = self._stacked_heads(n)
-        z = batches @ np.swapaxes(w, -1, -2)            # ([P,] n, B, d)
+        z = batches @ np.swapaxes(w, -1, -2)            # (n, B, d)
         f, dl = _entropy_and_dlogits(z @ np.swapaxes(h, -1, -2))
-        dz = dl @ h                                      # ([P,] n, B, d)
+        dz = dl @ h                                      # (n, B, d)
         return f, {LAYER_ID: np.swapaxes(dz, -1, -2) @ batches}
 
     def factor_scorer(self, base: dict, stacks: dict, n: int):
@@ -253,10 +252,10 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
     )
 
 
-def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 300,
-              lr: float = 0.02, seed: int = 0) -> list[LoraAdapter]:
-    """Train (B, A, head) of every listed task by cross-entropy, all tasks in one
-    loop over (N, ...) stacks; each task draws from its own (seed, "finetune", i)
+def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float = 0.02,
+                 seed: int = 0) -> AdapterCollection:
+    """Train (B, A, head) of every task by cross-entropy, all tasks in one loop
+    over (N, ...) stacks; each task draws from its own (seed, "finetune", i)
     streams. Stores each head and fine-tuned eval accuracy on the suite as the
     normalization reference. These keyword defaults are the only ones."""
     cfg = suite.config
@@ -267,22 +266,22 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 3
         raise HarnessError(f"steps must be an integer >= 0, got {steps!r}", code="bad_config")
     if not (is_real(lr) and lr > 0):
         raise HarnessError(f"lr must be a finite number > 0, got {lr!r}", code="bad_config")
-    w0 = suite.base[LAYER_ID]
+    w0, n = suite.base[LAYER_ID], suite.n_tasks
     scale = LORA_ALPHA / rank
-    inits = [substream(seed, "finetune", i) for i in tasks]
+    inits = [substream(seed, "finetune", i) for i in range(n)]
     params = {
-        "b": np.zeros((len(tasks), cfg.d, rank)),
+        "b": np.zeros((n, cfg.d, rank)),
         "a": np.stack([0.01 * g.standard_normal((cfg.m, rank)) for g in inits]),
         "h": np.stack([0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]),
     }
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
-    train_x = np.stack([suite.tasks[i].train_x for i in tasks])
-    train_y = np.stack([suite.tasks[i].train_y for i in tasks])
-    tags = [("finetune", i, "batch", t) for t in range(steps) for i in tasks]
+    train_x = np.stack([td.train_x for td in suite.tasks])
+    train_y = np.stack([td.train_y for td in suite.tasks])
+    tags = [("finetune", i, "batch", t) for t in range(steps) for i in range(n)]
     schedule = keyed_integers(seed, tags, cfg.n_train, FINETUNE_BATCH).reshape(
-        steps, len(tasks), FINETUNE_BATCH)
-    rows, cols = np.arange(len(tasks))[:, None], np.arange(FINETUNE_BATCH)
+        steps, n, FINETUNE_BATCH)
+    rows, cols = np.arange(n)[:, None], np.arange(FINETUNE_BATCH)
     initial_loss = None
     for t in range(steps):
         x, y = train_x[rows, schedule[t]], train_y[rows, schedule[t]]   # (N, B, m), (N, B)
@@ -296,7 +295,7 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 3
         if diverged.size:
             j = diverged[0]
             raise HarnessAbort(
-                f"divergence guard: task{tasks[j]} loss {loss[j]:.4g} exceeds 10x "
+                f"divergence guard: task{j} loss {loss[j]:.4g} exceeds 10x "
                 f"initial at step {t}"
             )
         dl = p.copy()
@@ -312,24 +311,12 @@ def _finetune(suite: TaskSuite, tasks: list[int], rank: int = 16, steps: int = 3
         adamw_step(params, grads, m, v, t + 1, lr)
 
     adapters = []
-    for row, i in enumerate(tasks):
-        ad = LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=params["b"][row],
-                         a=params["a"][row], rank=rank, lora_alpha=LORA_ALPHA)
-        suite.heads[i] = params["h"][row]
+    for i in range(n):
+        ad = LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=params["b"][i],
+                         a=params["a"][i], rank=rank, lora_alpha=LORA_ALPHA)
+        suite.heads[i] = params["h"][i]
         suite.references[i] = suite.accuracy(i, {LAYER_ID: w0 + scale * ad.b @ ad.a.T})
         adapters.append(ad)
-    return adapters
-
-
-def finetune_lora(suite: TaskSuite, task: int, **kwargs) -> LoraAdapter:
-    """Fine-tune one task; stores its head and reference on the suite. kwargs are
-    _finetune's rank, steps, lr and seed."""
-    return _finetune(suite, [task], **kwargs)[0]
-
-
-def finetune_all(suite: TaskSuite, **kwargs) -> AdapterCollection:
-    """Fine-tune every task of the suite in one batched loop; kwargs as finetune_lora."""
-    adapters = _finetune(suite, list(range(suite.n_tasks)), **kwargs)
     return AdapterCollection(
         layer_ids=[LAYER_ID],
         task_ids=[ad.task_id for ad in adapters],

@@ -47,9 +47,6 @@ class SvdResult:
     sigma: np.ndarray   # (q,), non-increasing, nonnegative
     v: np.ndarray       # (n, q), orthonormal columns
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
 
 def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     """x as a 2-D float64 matrix. Every caller passes a computed matrix (stored

@@ -270,8 +270,6 @@ def merge_lora_lego(
 ) -> dict[str, LoraAdapter]:
     """Cluster minimal semantic units [a_j; b_j] pooled across tasks; centroids
     form a rank-k adapter with the chosen reweighting."""
-    if lego_reweight not in ("parameter", "output"):
-        raise MergeError("lego_reweight must be 'parameter' or 'output'")
     merged = {}
     for layer in coll.layer_ids:
         ads = coll.adapters[layer]

@@ -238,18 +238,9 @@ def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
     return z
 
 
-def stch_objective(f, z, rho, alpha: float = 1.0) -> float:
-    """alpha * log sum_i exp(rho_i |f_i - z_i| / alpha), stabilized."""
-    f = np.asarray(f, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    rho = _check_simplex(rho, f.size)
-    StchConfig(alpha=alpha)  # its rule: finite and positive
-    return float(_stch(f, z, rho, alpha)[0])
-
-
 def _stch(f, z, rho, alpha):
-    """The smoothed scalarization and dPsi/df_i, with a deadband at the anchor;
-    row-wise over (..., N) f and rho."""
+    """alpha * log sum_i exp(rho_i |f_i - z_i| / alpha), stabilized, and dPsi/df_i,
+    with a deadband at the anchor; row-wise over (..., N) f and rho."""
     r = f - z
     t = rho * np.abs(r) / alpha
     tmax = t.max(axis=-1, keepdims=True)
@@ -275,12 +266,11 @@ def _phi_gradient(basis: DirectionBasis, col_grads: dict, dpsi_df: np.ndarray):
     return out
 
 
-def _evaluate(basis, phi, suite, batches, scorer):
+def _evaluate(basis, phi, scorer, batches):
     """Per-task entropies f (..., N) and column gradients {layer: (..., N, K)}
-    at W(phi) of a (K,) or (P, K) phi on (N, B, m) batches, in one scorer call;
-    a None scorer is built from the suite. A non-finite entropy raises
-    TaraAbort, whose .point is the first such row."""
-    scorer = scorer or suite.factor_scorer(basis.base, basis.layers, basis.n_tasks)
+    at W(phi) of a (K,) or (P, K) phi on (N, B, m) batches, in one call of the
+    suite's factor_scorer for this basis. A non-finite entropy raises TaraAbort,
+    whose .point is the first such row."""
     f, col_grads = scorer(_coefficients(basis, phi), batches)
     if not np.isfinite(f).all():
         err = TaraAbort("non-finite entropy encountered")
@@ -292,29 +282,27 @@ def _evaluate(basis, phi, suite, batches, scorer):
 def stch_value_and_grad(
     basis: DirectionBasis,
     phi: dict[str, np.ndarray],
-    suite,
+    scorer,
     rho: np.ndarray,
     cfg: StchConfig,
     batches: np.ndarray,
-    scorer=None,
 ):
     """Objective value, d/dphi, and per-task entropies on (N, B, m) batches;
     row-wise for a (P, K) phi and a (P, N) rho. scorer is the suite's
-    factor_scorer for this basis, which optimize builds once per run; None
-    builds it for this call.
+    factor_scorer for this basis, which optimize builds once per run.
 
     rho rows must be simplex vectors of length N; optimize checks them once per run.
     """
     if cfg is None or cfg.anchors is None:
         raise TaraError("anchors must be computed before optimization")
-    f, col_grads = _evaluate(basis, phi, suite, batches, scorer)
+    f, col_grads = _evaluate(basis, phi, scorer, batches)
     psi, dpsi_df = _stch(f, cfg.anchors, rho, cfg.alpha)
     return psi, _phi_gradient(basis, col_grads, dpsi_df), f
 
 
-def mean_entropy_value_and_grad(basis, phi, suite, batches, scorer=None):
+def mean_entropy_value_and_grad(basis, phi, scorer, batches):
     """Uniform-mean entropy objective used by the AdaMerging baseline."""
-    f, col_grads = _evaluate(basis, phi, suite, batches, scorer)
+    f, col_grads = _evaluate(basis, phi, scorer, batches)
     dpsi_df = np.full(f.shape, 1.0 / basis.n_tasks)
     return np.mean(f, axis=-1), _phi_gradient(basis, col_grads, dpsi_df), f
 
@@ -350,8 +338,6 @@ def optimize(
     rho,
     cfg: OptimConfig,
     stch: StchConfig | None = None,
-    schedule: np.ndarray | None = None,
-    first: int = 0,
 ):
     """Adam loop over a (P, K) phi per layer, one row per preference of the
     (P, N) or (N,) rho; each step scores every row and task on fresh batches in
@@ -359,10 +345,10 @@ def optimize(
 
     The objective is the anchored scalarization under rho from phi = PHI_INIT,
     or for an AdaMerging basis the mean entropy from phi = ADAMERGING_PHI_INIT,
-    which ignores rho and anchors (P = 1). schedule is the batch_schedule to
-    follow; None draws it. Aborts if a row's entropy is non-finite or its
-    objective exceeds 10x its initial value or is NaN, naming row j as point
-    first + j. Returns (phi, trace); trace.point(j) is row j's own trace.
+    which ignores rho and anchors (P = 1). Every step's batches come from
+    batch_schedule. Aborts if a row's entropy is non-finite or its objective
+    exceeds 10x its initial value or is NaN, naming row j as point j. Returns
+    (phi, trace); trace.point(j) is row j's own trace.
     """
     _check_suite_order(basis.task_ids)
     n = basis.n_tasks
@@ -371,10 +357,7 @@ def optimize(
     for row in rho:
         _check_simplex(row, n)
     pools = adaptation_pools(suite, n)
-    if schedule is None:
-        schedule = batch_schedule(suite, n, cfg)
-    if schedule.shape != (cfg.iters, n, cfg.batch_size):
-        raise TaraError(f"batch schedule of shape {schedule.shape} does not fit cfg")
+    schedule = batch_schedule(suite, n, cfg)
     tasks = np.arange(n)[:, None]
     scorer = suite.factor_scorer(basis.base, basis.layers, n)
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)
@@ -387,19 +370,18 @@ def optimize(
         batches = pools[tasks, schedule[step]]
         try:
             if mean_entropy:
-                value, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches, scorer)
+                value, grad, f = mean_entropy_value_and_grad(basis, phi, scorer, batches)
             else:
-                value, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches,
-                                                     scorer)
+                value, grad, f = stch_value_and_grad(basis, phi, scorer, rho, stch, batches)
         except TaraAbort as err:
-            raise TaraAbort(f"non-finite entropy encountered at point {first + err.point}, "
+            raise TaraAbort(f"non-finite entropy encountered at point {err.point}, "
                             f"step {step}") from None
         trace.append(step, value, f)
         if initial is None:
             initial, limit = value, 10.0 * value
         if not (value <= limit).all():
             j = np.flatnonzero(~(value <= limit))[0]
-            raise TaraAbort(f"divergence guard: point {first + j} objective {value[j]:.4g} "
+            raise TaraAbort(f"divergence guard: point {j} objective {value[j]:.4g} "
                             f"exceeds 10x initial {initial[j]:.4g} at step {step}")
         adamw_step(phi, grad, m, v, step + 1, cfg.lr)
     return phi, trace

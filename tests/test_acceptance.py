@@ -147,18 +147,19 @@ def test_gradient_correctness():
             else tara.build_variant_b(coll, 4)
         )
         layer = basis.layer_ids[0]
+        scorer = suite.factor_scorer(basis.base, basis.layers, 2)
         for trial in range(50):
             gen = substream(300 + trial, variant)
             phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}
-            _, grad, _ = tara.stch_value_and_grad(basis, phi, suite, rho, stch, batches)
+            _, grad, _ = tara.stch_value_and_grad(basis, phi, scorer, rho, stch, batches)
             for k in range(basis.counts[layer]):
                 h = 1e-5
                 pp = {layer: phi[layer].copy()}
                 pm = {layer: phi[layer].copy()}
                 pp[layer][k] += h
                 pm[layer][k] -= h
-                vp, _, _ = tara.stch_value_and_grad(basis, pp, suite, rho, stch, batches)
-                vm, _, _ = tara.stch_value_and_grad(basis, pm, suite, rho, stch, batches)
+                vp, _, _ = tara.stch_value_and_grad(basis, pp, scorer, rho, stch, batches)
+                vm, _, _ = tara.stch_value_and_grad(basis, pm, scorer, rho, stch, batches)
                 fd = (vp - vm) / (2 * h)
                 denom = max(abs(fd), 1e-8)
                 worst[variant] = max(worst[variant], abs(grad[layer][k] - fd) / denom)
@@ -183,7 +184,7 @@ def test_stch_behavior():
         for alpha in (0.5, 1.0, 2.0):
             t = rho[0] * 2.0 / alpha
             want = alpha * t + alpha * np.log(n)
-            got = tara.stch_objective(f, z, rho, alpha)
+            got = float(tara._stch(f, z, rho, alpha)[0])
             worst_closed = max(worst_closed, abs(got - want))
     worst_max = 0.0
     for seed in range(30):
@@ -192,7 +193,7 @@ def test_stch_behavior():
         rho = gen.dirichlet(np.ones(n))
         f = gen.uniform(0, 3, n)
         z = gen.uniform(0, 3, n)
-        got = tara.stch_objective(f, z, rho, 1e-4)
+        got = float(tara._stch(f, z, rho, 1e-4)[0])
         want = float(np.max(rho * np.abs(f - z)))
         worst_max = max(worst_max, abs(got - want))
     _report(

@@ -338,14 +338,21 @@ class TestExitCodes:
             (["sweep", "--method", "ta"], [[None, 1]]),
             (["sweep", "--method", "ta"], [["0.5", "0.5"]]),
             (["sweep", "--method", "ta"], {"a": 1}),
+            (["sweep", "--random", "3"], [[0.5, 0.5]]),
+            (["sweep", "--fixed", "0:0.9"], [[0.5, 0.5]]),
+            (["sweep", "--random", "3", "--fixed", "0:0.9"], [[0.5, 0.5]]),
+            (["sweep", "--random", "3", "--fixed", "0:0.2,0:0.3"], None),
         ],
         ids=["merge_nan", "tara_nan", "merge_inf", "fixed_nan", "int_row", "null_row",
-             "null_entry", "string_entries", "object"],
+             "null_entry", "string_entries", "object", "file_and_random", "file_and_fixed",
+             "file_random_and_fixed", "fixed_twice"],
     )
     def test_bad_preference_exits_2(self, tmp_path, capsys, trained_and_merged, argv,
                                     prefs):
         """Every preference passes the one simplex check before any merge, so a
-        NaN or non-number is refused and no run directory is made."""
+        NaN or non-number is refused and no run directory is made. So are rows
+        given two ways (a file beside --random or --fixed) and a coordinate
+        pinned twice."""
         container, sidecar, _ = trained_and_merged
         out = tmp_path / "runs"
         argv = [argv[0], str(container), "--sidecar", str(sidecar), *argv[1:]]
@@ -451,6 +458,22 @@ class TestSweep:
         run = sorted(out.iterdir())[-1]
         with open(run / "sweep.csv") as fh:
             assert len(list(csv.reader(fh))) == 3
+
+    def test_manifest_records_how_rows_were_drawn(self, tmp_path, trained_and_merged):
+        container, sidecar, _ = trained_and_merged
+        prefs = tmp_path / "prefs.json"
+        prefs.write_text(json.dumps([[0.3, 0.7]]))
+        for name, flags, want in [
+            ("random", ["--random", "2", "--fixed", "0:0.125"],
+             {"preferences": None, "random": 2, "fixed": "0:0.125"}),
+            ("file", ["--preferences", str(prefs)],
+             {"preferences": str(prefs), "random": None, "fixed": None}),
+        ]:
+            assert main(["sweep", str(container), "--sidecar", str(sidecar), "--method", "ta",
+                         *flags, "--out", str(tmp_path / name)]) == 0
+            (run,) = (tmp_path / name).iterdir()
+            config = json.loads((run / "manifest.json").read_text())["config"]
+            assert {k: config[k] for k in want} == want
 
     def test_empty_preferences_exit_2(self, tmp_path):
         container, sidecar, out = _train(tmp_path)

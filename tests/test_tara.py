@@ -19,9 +19,17 @@ from loramerge.tara import (
     compute_anchors,
     mean_entropy_value_and_grad,
     optimize,
-    stch_objective,
     stch_value_and_grad,
 )
+
+
+def _psi(f, z, rho, alpha):
+    """The smoothed scalarization of one row of entropies."""
+    return float(tara._stch(*(np.asarray(x, dtype=np.float64) for x in (f, z, rho)), alpha)[0])
+
+
+def _scorer(suite, basis):
+    return suite.factor_scorer(basis.base, basis.layers, basis.n_tasks)
 
 
 class TestVariantA:
@@ -119,10 +127,10 @@ class TestStch:
             # Psi = alpha * t + alpha * log n
             t = (1.0 / n) * 1.0
             want = 1.0 * t + 1.0 * np.log(n)
-            assert stch_objective(f, z, rho, 1.0) == pytest.approx(want, abs=1e-12)
+            assert _psi(f, z, rho, 1.0) == pytest.approx(want, abs=1e-12)
 
     def test_worked_example(self):
-        got = stch_objective([1.0, 2.0], [0.0, 1.0], [0.5, 0.5], 1.0)
+        got = _psi([1.0, 2.0], [0.0, 1.0], [0.5, 0.5], 1.0)
         assert got == pytest.approx(0.5 + np.log(2.0), abs=1e-12)
 
     def test_small_alpha_approaches_max(self):
@@ -132,12 +140,12 @@ class TestStch:
             rho = gen.dirichlet(np.ones(n))
             f = gen.uniform(0, 3, n)
             z = gen.uniform(0, 3, n)
-            got = stch_objective(f, z, rho, 1e-4)
+            got = _psi(f, z, rho, 1e-4)
             want = float(np.max(rho * np.abs(f - z)))
             assert abs(got - want) <= 1e-3
 
     def test_one_hot_preference(self):
-        got = stch_objective([2.0, 5.0], [0.0, 0.0], [1.0, 0.0], 1.0)
+        got = _psi([2.0, 5.0], [0.0, 0.0], [1.0, 0.0], 1.0)
         want = np.log(np.exp(2.0) + 1.0)
         assert got == pytest.approx(want, abs=1e-12)
         assert got >= 2.0
@@ -150,26 +158,22 @@ class TestStch:
         rho = gen.dirichlet(np.ones(n))
         f = gen.uniform(0, 3, n)
         z = gen.uniform(0, 3, n)
-        base = stch_objective(f, z, rho, 1.0)
+        base = _psi(f, z, rho, 1.0)
         # increasing one residual never decreases the objective
         i = int(gen.integers(0, n))
         f2 = f.copy()
         f2[i] = z[i] + abs(f[i] - z[i]) + 1.0
-        assert stch_objective(f2, z, rho, 1.0) >= base - 1e-12
+        assert _psi(f2, z, rho, 1.0) >= base - 1e-12
         # joint permutation leaves the value unchanged
         perm = gen.permutation(n)
-        assert stch_objective(f[perm], z[perm], rho[perm], 1.0) == pytest.approx(
+        assert _psi(f[perm], z[perm], rho[perm], 1.0) == pytest.approx(
             base, abs=1e-12
         )
 
     def test_alpha_must_be_positive(self):
-        for alpha in (0.0, float("nan"), float("inf")):
+        for alpha in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(TaraError):
-                stch_objective([1.0], [0.0], [1.0], alpha)
-        with pytest.raises(TaraError):
-            StchConfig(alpha=-1.0)
-        with pytest.raises(TaraError):
-            StchConfig(alpha=float("nan"))
+                StchConfig(alpha=alpha)
 
 
 def _fd_gradient(value_and_grad, phi, layer, k, h=1e-5):
@@ -191,7 +195,7 @@ class TestGradient:
             basis = tara.build_adamerging(coll)
 
             def value_and_grad(phi):
-                return mean_entropy_value_and_grad(basis, phi, suite, batches)
+                return mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), batches)
         else:
             basis = (
                 build_variant_a(coll) if variant == "a" else build_variant_b(coll, 4)
@@ -200,7 +204,8 @@ class TestGradient:
             rho = np.array([0.3, 0.7])
 
             def value_and_grad(phi):
-                return stch_value_and_grad(basis, phi, suite, rho, stch, batches)
+                return stch_value_and_grad(basis, phi, _scorer(suite, basis), rho, stch,
+                                           batches)
         worst = 0.0
         for trial in range(10):
             gen = substream(50 + trial, variant)
@@ -218,9 +223,8 @@ class TestGradient:
         basis = build_variant_a(coll)
         batches = np.stack([suite.adaptation_pool(i)[:8] for i in range(2)])
         with pytest.raises(TaraError):
-            stch_value_and_grad(
-                basis, basis.init_phi(0.4), suite, [0.5, 0.5], StchConfig(), batches
-            )
+            stch_value_and_grad(basis, basis.init_phi(0.4), _scorer(suite, basis), [0.5, 0.5],
+                                StchConfig(), batches)
 
     def test_deadband_at_anchor(self, small_suite):
         """When every entropy sits exactly at its anchor, the gradient is zero."""
@@ -230,24 +234,29 @@ class TestGradient:
         batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(2)])
         f, _ = suite.entropy_and_grad(assemble(basis, phi), batches)
         stch = StchConfig(anchors=f)
-        _, grad, _ = stch_value_and_grad(basis, phi, suite, [0.5, 0.5], stch, batches)
+        _, grad, _ = stch_value_and_grad(basis, phi, _scorer(suite, basis), [0.5, 0.5], stch,
+                                         batches)
         for layer in grad:
             assert np.all(grad[layer] == 0.0)
 
 
 def _dense_step(basis, phi, suite, batches, dpsi_df):
-    """The step through full weights, the reference for the factored one:
-    assemble W(phi), take the (P, N, d, m) weight gradient, project it onto the
-    columns and sum each phi entry's columns. Returns f and d/dphi."""
-    weights = {l: w[:, None] for l, w in assemble(basis, phi).items()}
-    f, weight_grads = suite.entropy_and_grad(weights, batches)
+    """The step through full weights, the reference for the factored one: per
+    point, assemble W(phi), take its (N, d, m) weight gradient, project it onto
+    the columns and sum each phi entry's columns. Returns f and d/dphi."""
+    points = range(len(phi[basis.layer_ids[0]]))
+    scored = [suite.entropy_and_grad(assemble(basis, {l: p[j] for l, p in phi.items()}), batches)
+              for j in points]
+    f = np.stack([fp for fp, _ in scored])
     c = dpsi_df(f)
     grad = {}
     for layer in basis.layer_ids:
-        combined = np.einsum("pn,pndm->pdm", c, weight_grads[layer])
-        cols = basis.layers[layer].project(combined)
-        grad[layer] = np.stack([np.bincount(basis.groups[layer], row, basis.counts[layer])
-                                for row in cols])
+        grad[layer] = np.stack([
+            np.bincount(basis.groups[layer],
+                        basis.layers[layer].project(np.tensordot(cp, g[layer], 1)),
+                        basis.counts[layer])
+            for cp, (_, g) in zip(c, scored)
+        ])
     return f, grad
 
 
@@ -279,12 +288,13 @@ class TestFactoredStep:
         phi = {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids}
         batches = tara.adaptation_pools(suite, 3)[:, :16]
         if variant == "adamerging":
-            _, grad, f = mean_entropy_value_and_grad(basis, phi, suite, batches)
+            _, grad, f = mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), batches)
             dpsi_df = lambda f: np.full(f.shape, 1.0 / 3)
         else:
             rho = gen.dirichlet(np.ones(3), points)
             stch = StchConfig(anchors=compute_anchors(coll, suite))
-            _, grad, f = stch_value_and_grad(basis, phi, suite, rho, stch, batches)
+            _, grad, f = stch_value_and_grad(basis, phi, _scorer(suite, basis), rho, stch,
+                                             batches)
             dpsi_df = lambda f: tara._stch(f, stch.anchors, rho, stch.alpha)[1]
         want_f, want_grad = _dense_step(basis, phi, suite, batches, dpsi_df)
         assert f.shape == want_f.shape == (points, 3)
@@ -400,15 +410,16 @@ class TestOptimize:
         phi, batches = basis.init_phi(0.5), np.zeros((2, 4, 6))
         stch = StchConfig(anchors=np.zeros(2))
         for run in (
-            lambda: stch_value_and_grad(basis, phi, _ConstantSuite(np.nan), [0.5, 0.5],
-                                        stch, batches),
-            lambda: mean_entropy_value_and_grad(basis, phi, _ConstantSuite(np.inf), batches),
+            lambda: stch_value_and_grad(basis, phi, _scorer(_ConstantSuite(np.nan), basis),
+                                        [0.5, 0.5], stch, batches),
+            lambda: mean_entropy_value_and_grad(basis, phi,
+                                                _scorer(_ConstantSuite(np.inf), basis), batches),
         ):
             with pytest.raises(tara.TaraAbort, match="non-finite entropy"):
                 run()
 
     def test_nan_entropy_names_its_point(self, small_suite):
-        """Row j of a loop whose first row is point `first` is point first + j."""
+        """A non-finite entropy in row j of the loop names point j."""
         suite, coll = small_suite
 
         class NanInRow1:
@@ -426,9 +437,8 @@ class TestOptimize:
 
         rhos = [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]
         stch = StchConfig(anchors=compute_anchors(coll, suite))
-        with pytest.raises(tara.TaraAbort, match="entropy encountered at point 6, step 0"):
-            optimize(build_variant_a(coll), NanInRow1(), rhos, OptimConfig(iters=3),
-                     stch, first=5)
+        with pytest.raises(tara.TaraAbort, match="entropy encountered at point 1, step 0"):
+            optimize(build_variant_a(coll), NanInRow1(), rhos, OptimConfig(iters=3), stch)
 
     def test_nan_objective_trips_divergence_guard(self):
         basis = build_variant_a(random_collection(seed=22, n_tasks=2))
@@ -479,14 +489,6 @@ class TestSweep:
                                  optim=OptimConfig(iters=10))
         with pytest.raises(tara.TaraAbort, match="divergence guard: point 1 "):
             list(points)
-
-    def test_schedule_must_fit_config(self, small_suite):
-        suite, coll = small_suite
-        stch = StchConfig(anchors=compute_anchors(coll, suite))
-        schedule = tara.batch_schedule(suite, 2, OptimConfig(iters=3))
-        with pytest.raises(TaraError, match="batch schedule"):
-            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(iters=4),
-                     stch, schedule=schedule)
 
     def test_unequal_pools_are_rejected(self, small_suite):
         suite, coll = small_suite
