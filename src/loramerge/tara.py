@@ -103,7 +103,7 @@ class OptimTrace:
     def append(self, step: int, value, f: np.ndarray):
         self.steps.append(step)
         self.objective.append(value)
-        self.per_task.append(np.array(f))
+        self.per_task.append(f)
 
     def point(self, j: int) -> "OptimTrace":
         return OptimTrace(list(self.steps), [float(v[j]) for v in self.objective],
@@ -296,6 +296,9 @@ def stch_value_and_grad(
     if cfg is None or cfg.anchors is None:
         raise TaraError("anchors must be computed before optimization")
     f, col_grads = _evaluate(basis, phi, scorer, batches)
+    if np.shape(rho) != f.shape:
+        raise TaraError(f"rho of shape {np.shape(rho)} does not give one preference per "
+                        f"phi row: {f.shape} wanted")
     psi, dpsi_df = _stch(f, cfg.anchors, rho, cfg.alpha)
     return psi, _phi_gradient(basis, col_grads, dpsi_df), f
 
@@ -308,25 +311,26 @@ def mean_entropy_value_and_grad(basis, phi, scorer, batches):
 
 
 def adamw_step(params, grads, m, v, t, lr: float):
-    """One in-place Adam update (no weight decay) of every array in params at
-    step t >= 1."""
+    """One in-place Adam update (no weight decay) of every array in params, m
+    and v at step t >= 1."""
     b1, b2 = ADAM_BETAS
-    for key in params:
-        g = grads[key]
-        m[key] = b1 * m[key] + (1 - b1) * g
-        v[key] = b2 * v[key] + (1 - b2) * g * g
-        mhat = m[key] / (1 - b1**t)
-        vhat = v[key] / (1 - b2**t)
-        params[key] = params[key] - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS))
+    c1, c2 = 1 - b1**t, 1 - b2**t
+    for key, g in grads.items():
+        m[key] *= b1
+        m[key] += (1 - b1) * g
+        v[key] *= b2
+        v[key] += (1 - b2) * g * g
+        params[key] -= lr * (m[key] / c1 / (np.sqrt(v[key] / c2) + ADAM_EPS))
 
 
-def batch_schedule(suite, n_tasks: int, cfg: OptimConfig) -> np.ndarray:
-    """(iters, N, B) pool indices of every step's batches, drawn up front.
+def batch_schedule(pools: np.ndarray, cfg: OptimConfig) -> np.ndarray:
+    """(iters, N, B) indices into the (N, pool, m) adaptation pools of every
+    step's batches, drawn up front.
 
     Step t's batch for task i comes from the (seed, "batch", t, i) stream, so the
     schedule does not depend on the preference and a sweep can share it.
     """
-    pool = adaptation_pools(suite, n_tasks).shape[1]
+    n_tasks, pool = pools.shape[:2]
     tags = [("batch", step, i) for step in range(cfg.iters) for i in range(n_tasks)]
     idx = keyed_integers(cfg.seed, tags, pool, cfg.batch_size)
     return idx.reshape(cfg.iters, n_tasks, cfg.batch_size)
@@ -357,7 +361,7 @@ def optimize(
     for row in rho:
         _check_simplex(row, n)
     pools = adaptation_pools(suite, n)
-    schedule = batch_schedule(suite, n, cfg)
+    schedule = batch_schedule(pools, cfg)
     tasks = np.arange(n)[:, None]
     scorer = suite.factor_scorer(basis.base, basis.layers, n)
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)
@@ -365,9 +369,8 @@ def optimize(
     m = {l: np.zeros_like(phi[l]) for l in phi}
     v = {l: np.zeros_like(phi[l]) for l in phi}
     trace = OptimTrace()
-    initial = None
-    for step in range(cfg.iters):
-        batches = pools[tasks, schedule[step]]
+    for step, idx in enumerate(schedule):
+        batches = pools[tasks, idx]
         try:
             if mean_entropy:
                 value, grad, f = mean_entropy_value_and_grad(basis, phi, scorer, batches)
@@ -377,7 +380,7 @@ def optimize(
             raise TaraAbort(f"non-finite entropy encountered at point {err.point}, "
                             f"step {step}") from None
         trace.append(step, value, f)
-        if initial is None:
+        if step == 0:
             initial, limit = value, 10.0 * value
         if not (value <= limit).all():
             j = np.flatnonzero(~(value <= limit))[0]

@@ -594,6 +594,30 @@ def trained_and_merged(tmp_path_factory):
     return container, sidecar, run / "merged.lmk"
 
 
+def _imported_modules(*args):
+    """Modules a `python -X importtime *args` process imports, in order."""
+    env = {**os.environ, "PYTHONPATH": str(Path(loramerge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_merge_does_not_import_numpy_ma(tmp_path, trained_and_merged):
+    """Hits@k takes its label union from a sorted set: np.unique imports numpy.ma,
+    which costs every merge, eval and sweep process about 1 MB of peak RSS.
+    numpy 1.x imports numpy.ma with numpy itself, so there is nothing to save."""
+    if "numpy.ma" in _imported_modules("-c", "import numpy"):
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    container, sidecar, _ = trained_and_merged
+    imported = _imported_modules(
+        "-m", "loramerge.cli", "merge", str(container), "--sidecar", str(sidecar),
+        "--method", "ta", "--out", str(tmp_path / "runs"))
+    assert "loramerge.harness" in imported
+    assert "numpy.ma" not in imported
+
+
 class TestMalformedSuite:
     """eval on a malformed sidecar or suite container exits 2 with a coded error."""
 

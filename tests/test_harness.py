@@ -317,6 +317,47 @@ class _PerTaskSuite:
         return score
 
 
+def reference_entropy_and_dlogits(logits):
+    """The entropy helper as first written, with numpy's wrappers and a masked
+    log: harness._entropy_and_dlogits must match it bit for bit."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / np.sum(e, axis=-1, keepdims=True)
+    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    ent = -np.sum(p * logp, axis=-1)
+    dl = -p * (logp + ent[..., None]) / logits.shape[-2]
+    return np.mean(ent, axis=-1), dl
+
+
+@st.composite
+def _logits(draw):
+    """(..., B, C) logits with +-inf and NaN entries, and entries more than 745
+    from the rest of their row, so that exp underflows and p is exactly 0."""
+    shape = draw(st.sampled_from([(1, 1), (3, 5), (2, 4, 3), (2, 3, 16, 5)]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = gen.normal(0.0, draw(st.sampled_from([1.0, 30.0])), shape)
+    flat = logits.reshape(-1)
+    specials = st.sampled_from([np.inf, -np.inf, np.nan, 800.0, -800.0, -1e4])
+    for where, value in draw(st.lists(st.tuples(st.integers(0, flat.size - 1), specials),
+                                      max_size=8)):
+        flat[where] = value
+    return logits
+
+
+class TestEntropyHelper:
+    @settings(max_examples=300, deadline=None)
+    @given(logits=_logits())
+    def test_bits_match_the_reference(self, logits):
+        with np.errstate(all="ignore"):
+            got = harness._entropy_and_dlogits(logits)
+            want = reference_entropy_and_dlogits(logits)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.array_equal(g, w, equal_nan=True)
+            finite = ~np.isnan(w)
+            assert np.array_equal(np.signbit(g)[finite], np.signbit(w)[finite])
+
+
 class TestEntropyAndGrad:
     @pytest.mark.parametrize("per_task", [False, True], ids=["shared", "per_task"])
     def test_matches_per_task_loop(self, default_suite, per_task):

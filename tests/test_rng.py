@@ -41,3 +41,31 @@ class TestKeyedIntegers:
     def test_empty_range_raises_like_numpy(self):
         with pytest.raises(ValueError):
             keyed_integers(0, [("a", 0)], 0, 3)
+
+
+def _oracle(seed, tags, high, size):
+    return np.array([substream(seed, *tag).integers(0, high, size) for tag in tags],
+                    dtype=np.int64).reshape(len(tags), size)
+
+
+class TestScheduleSizes:
+    """keyed_integers at the sizes fine-tuning and the optimizer draw: rows that
+    span several 4-word Philox blocks, a whole batch schedule, and no rows."""
+
+    # 8 draws fill one block; 40 draws take five
+    @pytest.mark.parametrize("size", [8, 9, 16, 17, 32, 33, 40])
+    @pytest.mark.parametrize("high", [200, 2**32 - 1, 2**32])
+    def test_rows_of_several_blocks(self, high, size):
+        tags = [("finetune", i, "batch", t) for t in range(30) for i in range(4)]
+        assert np.array_equal(keyed_integers(11, tags, high, size),
+                              _oracle(11, tags, high, size))
+
+    def test_batch_schedule_of_2000_rows(self):
+        tags = [("batch", step, i) for step in range(500) for i in range(4)]
+        assert np.array_equal(keyed_integers(0, tags, 200, 16), _oracle(0, tags, 200, 16))
+
+    @pytest.mark.parametrize("high", [200, 2**40])
+    def test_empty_tag_list(self, high):
+        got = keyed_integers(3, [], high, 16)
+        want = _oracle(3, [], high, 16)
+        assert got.shape == want.shape == (0, 16) and got.dtype == want.dtype

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_collection, assert_weights_close, sub_collection
+from test_harness import reference_entropy_and_dlogits
 from loramerge import harness, mergers, tara
 from loramerge.adapters import delta_weight
 from loramerge.rng import substream
@@ -239,6 +240,28 @@ class TestGradient:
         for layer in grad:
             assert np.all(grad[layer] == 0.0)
 
+    @pytest.mark.parametrize("objective,extra,phi_rows,rho_rows", [
+        ("stch", 3, 1, 1), ("stch", -1, 1, 1), ("stch", 3, 3, 3), ("stch", -1, 3, 3),
+        ("stch", 0, 2, 3), ("mean_entropy", 3, 1, None), ("mean_entropy", -1, 1, None),
+        ("mean_entropy", 3, 3, None), ("mean_entropy", -1, 3, None),
+    ], ids=["stch-long", "stch-short", "stch-long-3", "stch-short-3", "stch-rows",
+            "mean-long", "mean-short", "mean-long-3", "mean-short-3"])
+    def test_objectives_refuse_misshapen_phi(self, small_suite, objective, extra, phi_rows,
+                                             rho_rows):
+        """A phi with entries to spare or missing, or with other rows than rho,
+        is refused: never scored on a slice, never an IndexError."""
+        suite, coll = small_suite
+        basis = build_variant_a(coll)
+        phi = {l: np.full((phi_rows, basis.counts[l] + extra), 0.4) for l in basis.layer_ids}
+        batches = np.stack([suite.adaptation_pool(i)[:8] for i in range(2)])
+        with pytest.raises(TaraError):
+            if objective == "stch":
+                stch_value_and_grad(basis, phi, _scorer(suite, basis),
+                                    np.full((rho_rows, 2), 0.5),
+                                    StchConfig(anchors=np.zeros(2)), batches)
+            else:
+                mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), batches)
+
 
 def _dense_step(basis, phi, suite, batches, dpsi_df):
     """The step through full weights, the reference for the factored one: per
@@ -448,6 +471,75 @@ class TestOptimize:
                      stch)
 
 
+def _reference_optimize(basis, suite, rho, cfg, stch):
+    """optimize as first written, without its guards: an Adam that allocates new
+    arrays, and each batch drawn from its own (seed, "batch", step, i) substream.
+    Returns phi and the objective and per-task rows of every step."""
+    n = basis.n_tasks
+    mean_entropy = basis.variant == "adamerging"
+    rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
+    pools = tara.adaptation_pools(suite, n)
+    score = suite.factor_scorer(basis.base, basis.layers, n)
+    init = basis.init_phi(tara.ADAMERGING_PHI_INIT if mean_entropy else tara.PHI_INIT)
+    phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
+    m = {l: np.zeros_like(p) for l, p in phi.items()}
+    v = {l: np.zeros_like(p) for l, p in phi.items()}
+    b1, b2 = tara.ADAM_BETAS
+    objective, per_task = [], []
+    for step in range(cfg.iters):
+        batches = np.stack([
+            pools[i][substream(cfg.seed, "batch", step, i).integers(0, pools.shape[1],
+                                                                    cfg.batch_size)]
+            for i in range(n)
+        ])
+        f, col_grads = score(tara._coefficients(basis, phi), batches)
+        if mean_entropy:
+            value, dpsi_df = np.mean(f, axis=-1), np.full(f.shape, 1.0 / n)
+        else:
+            value, dpsi_df = tara._stch(f, stch.anchors, rho, stch.alpha)
+        objective.append(value)
+        per_task.append(np.array(f))
+        c = dpsi_df.reshape(-1, 1, n)
+        for layer in basis.layer_ids:
+            k = basis.counts[layer]
+            cols = basis.layers[layer].sigma * (c @ col_grads[layer])[:, 0]
+            bins = basis.groups[layer] + k * np.arange(len(c))[:, None]
+            g = np.bincount(bins.ravel(), cols.ravel(), len(c) * k).reshape(len(c), k)
+            m[layer] = b1 * m[layer] + (1 - b1) * g
+            v[layer] = b2 * v[layer] + (1 - b2) * g * g
+            mhat = m[layer] / (1 - b1 ** (step + 1))
+            vhat = v[layer] / (1 - b2 ** (step + 1))
+            phi[layer] = phi[layer] - cfg.lr * (mhat / (np.sqrt(vhat) + tara.ADAM_EPS))
+    return phi, objective, per_task
+
+
+class TestWholeLoop:
+    """optimize keeps every bit of the reference loop, scored on the reference
+    entropy helper. AdaMerging ignores rho and always runs one point."""
+
+    @pytest.mark.parametrize("variant,points", [("a", 1), ("a", 3), ("b", 1), ("b", 3),
+                                                ("adamerging", 1)])
+    def test_matches_reference_loop(self, default_suite, monkeypatch, variant, points):
+        suite, coll = default_suite
+        basis = {"a": build_variant_a, "b": build_variant_b,
+                 "adamerging": tara.build_adamerging}[variant](coll)
+        cfg = OptimConfig(iters=30, seed=7)
+        rho = substream(8, variant, points).dirichlet(np.ones(coll.n_tasks), points)
+        stch = StchConfig(anchors=compute_anchors(coll, suite))
+        phi, trace = optimize(basis, suite, rho, cfg, stch)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_entropy_and_dlogits", reference_entropy_and_dlogits)
+            want_phi, want_objective, want_per_task = _reference_optimize(
+                basis, suite, rho, cfg, stch)
+        for layer in basis.layer_ids:
+            assert np.array_equal(phi[layer], want_phi[layer])
+        assert trace.steps == list(range(cfg.iters))
+        for got, want in zip(trace.objective, want_objective, strict=True):
+            assert np.array_equal(got, want)
+        for got, want in zip(trace.per_task, want_per_task, strict=True):
+            assert np.array_equal(got, want)
+
+
 class TestSweep:
     @pytest.mark.parametrize("variant", ["a", "b"])
     def test_points_match_merge_tara(self, small_suite, variant):
@@ -500,7 +592,7 @@ class TestSweep:
     def test_schedule_matches_streams(self, small_suite):
         suite, _ = small_suite
         cfg = OptimConfig(iters=5, batch_size=7, seed=9)
-        idx = tara.batch_schedule(suite, 2, cfg)
+        idx = tara.batch_schedule(tara.adaptation_pools(suite, 2), cfg)
         assert idx.shape == (5, 2, 7)
         for step in range(5):
             for i in range(2):
