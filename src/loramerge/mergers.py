@@ -114,12 +114,15 @@ def _ties_combine(deltas: list[np.ndarray], trim_fraction: float,
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def _dare_drop(delta: np.ndarray, p: float, seed: int, task: str, layer: str) -> np.ndarray:
-    """Zero entries with probability p and rescale survivors by 1/(1-p)."""
+def _dare_drop(delta: np.ndarray, p: float, seed: int, task: str, layer: str,
+               shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Zero entries with probability p and rescale survivors by 1/(1-p). With
+    shape, the uniform mask is drawn at that shape, of which delta is the
+    leading block, and its leading block is applied."""
     if p == 0.0:
         return delta
-    u = substream(seed, "dare", task, layer).random(delta.shape)
-    return np.where(u >= p, delta / (1.0 - p), 0.0)
+    u = substream(seed, "dare", task, layer).random(shape or delta.shape)
+    return np.where(u[: delta.shape[0], : delta.shape[1]] >= p, delta / (1.0 - p), 0.0)
 
 
 def merge_dare_ties(
@@ -196,22 +199,23 @@ def merge_knots(
     """Shared-basis merge: SVD of row-concatenated updates, DARE-TIES merge of
     per-task coefficient blocks U_i Sigma, reconstruction against V^T; the
     inner merge is plain TIES at drop_prob 0. The (N*d, m) stack is
-    blockdiag(B_i) @ [s_i A_i]^T, with k <= N*r nonzero sigma. Each block is
-    drawn its DARE mask at the dense SVD's (d, q = min(N*d, m)) shape, zero past
-    column k, then TIES runs on its first k columns with the trim count of the
-    (d, q) shape: the columns past k merge to 0, and row-major order within the
-    first k columns is the full block's, so neither the masks nor the trim
-    depend on k."""
+    blockdiag(B_i) @ [s_i A_i]^T, with k <= N*r nonzero sigma; svd_product
+    takes the B_i as a block list and QRs them one by one. The dense SVD would
+    give (d, q = min(N*d, m)) blocks, zero past column k. Each (d, k) block
+    U_i Sigma is drawn its DARE mask at the (d, q) shape and takes its leading
+    (d, k) part, then TIES runs on the (d, k) blocks with the trim count of the
+    (d, q) shape: the columns past k would merge to 0, and row-major order
+    within the first k columns is the full block's, so neither the masks nor
+    the trim depend on k."""
     merged = {}
     for layer in coll.layer_ids:
         ads = coll.adapters[layer]
         d, m = coll.base[layer].shape
-        res = linalg.svd_product(linalg.block_diag([ad.b for ad in ads]),
+        res = linalg.svd_product([ad.b for ad in ads],
                                  np.hstack([ad.scale * ad.a for ad in ads]))
-        k, q = res.sigma.size, min(len(ads) * d, m)
-        pad = ((0, 0), (0, q - k))
-        blocks = [_dare_drop(np.pad(res.u[i * d : (i + 1) * d] * res.sigma, pad),  # U_i Sigma
-                             drop_prob, seed, task, layer)[:, :k]
+        q = min(len(ads) * d, m)
+        blocks = [_dare_drop(res.u[i * d : (i + 1) * d] * res.sigma,  # U_i Sigma
+                             drop_prob, seed, task, layer, (d, q))
                   for i, task in enumerate(coll.task_ids)]
         combined = _ties_combine(blocks, trim_fraction, size=d * q)
         merged[layer] = coll.base[layer] + lam * (combined @ res.v.T)

@@ -147,7 +147,8 @@ def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> 
     phi == 1 the components reconstruct every task update exactly. The shared
     rank defaults to the aggregate adapter capacity, capped at the
     concatenation's max rank. The SVD is taken in factor space: the
-    concatenation is [B_1 ... B_N] @ blockdiag(s_i A_i)^T.
+    concatenation is [B_1 ... B_N] @ blockdiag(s_i A_i)^T, whose right factor
+    svd_product QRs block by block unless shared_rank pads it.
     """
     n = coll.n_tasks
     r = shared_rank
@@ -164,7 +165,7 @@ def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> 
                 f"shared rank {r} exceeds available spectrum min{d, m * n} at {layer}"
             )
         res = linalg.svd_product(np.hstack([ad.b for ad in ads]),
-                                 linalg.block_diag([ad.scale * ad.a for ad in ads]), r)
+                                 [ad.scale * ad.a for ad in ads], r)
         layers[layer] = FactorStack(
             left=np.tile(res.u[:, :r], n),
             right=np.hstack([res.v[i * m : (i + 1) * m, :r] for i in range(n)]),

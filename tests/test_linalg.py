@@ -170,6 +170,73 @@ class TestSvdProduct:
         with pytest.raises(linalg.LinalgError):
             linalg.svd_product(np.ones((3, 2)), np.ones((4, 3)), 5)
 
+    @given(st.integers(0, 1000), st.sampled_from(["left", "right"]),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), min_size=1, max_size=4),
+           st.integers(1, 12), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_match_their_block_diagonal_matrix(self, seed, side, shapes, other_rows,
+                                                      deficient):
+        """Unequal tall or square blocks, the first rank 1 when `deficient`: the
+        block list gives the dense block-diagonal factor's SVD."""
+        shapes = [(cols + extra, cols) for cols, extra in shapes]
+        blocks = random_blocks(seed, shapes, deficient)
+        dense = linalg.block_diag(blocks)
+        other = substream(seed, "svd_product", "other").standard_normal(
+            (other_rows, dense.shape[1]))
+        pair = (lambda f: (f, other)) if side == "left" else (lambda f: (other, f))
+        got, want = linalg.svd_product(*pair(blocks)), linalg.svd_product(*pair(dense))
+        assert got.sigma.shape == want.sigma.shape
+        top = want.sigma[0]
+        assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-12 * top
+        # vectors of zero or clustered singular values are not unique: compare
+        # the components whose sigma stands apart from its neighbours and zero
+        live = want.sigma > 1e-10 * top
+        gaps = -np.diff(np.append(want.sigma[live], 0.0))
+        assume(np.all(gaps > 1e-5 * top))
+        assert np.max(np.abs(got.u[:, live] - want.u[:, live])) <= 1e-9
+        assert np.max(np.abs(got.v[:, live] - want.v[:, live])) <= 1e-9
+        q = got.sigma.size
+        left, right = pair(dense)
+        assert np.max(np.abs(_product(got) - left @ right.T)) <= 1e-12 * top * q
+
+    @pytest.mark.parametrize("shapes,rank", [([(5, 2), (3, 1), (4, 3)], 9),
+                                             ([(2, 3), (4, 1)], 0)],
+                             ids=["padded", "wide_block"])
+    def test_padding_and_wide_blocks_take_the_dense_path(self, shapes, rank):
+        blocks = random_blocks(8, shapes)
+        dense = linalg.block_diag(blocks)
+        right = substream(8, "svd_product", "other").standard_normal((7, dense.shape[1]))
+        got = linalg.svd_product(blocks, right, rank)
+        want = linalg.svd_product(dense, right, rank)
+        q = want.sigma.size
+        assert got.sigma.shape == (q,)
+        assert np.allclose(got.u.T @ got.u, np.eye(q), atol=1e-10)
+        assert np.allclose(got.v.T @ got.v, np.eye(q), atol=1e-10)
+        assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-12 * want.sigma[0]
+        assert np.max(np.abs(_product(got) - dense @ right.T)) <= 1e-12 * want.sigma[0] * q
+
+    @pytest.mark.parametrize("blocks,error", [
+        ([], linalg.LinalgError),
+        ([np.ones((3, 2)), np.ones(2)], linalg.LinalgError),
+        ([np.ones((3, 2)), np.full((2, 1), np.nan)], linalg.LinalgAbort),
+        ([np.ones((3, 2)), np.ones((2, 2))], linalg.LinalgError),
+    ], ids=["empty", "1d_block", "non_finite_block", "column_total"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_bad_blocks(self, blocks, error, side):
+        other = np.ones((4, 3))
+        with pytest.raises(error):
+            linalg.svd_product(*((blocks, other) if side == "left" else (other, blocks)))
+
+
+def random_blocks(seed, shapes, deficient=False):
+    """Gaussian blocks of the given shapes; with `deficient`, the first has rank 1."""
+    gen = substream(seed, "svd_product", "blocks")
+    blocks = [gen.standard_normal(s) for s in shapes]
+    if deficient:
+        rows, cols = shapes[0]
+        blocks[0] = gen.standard_normal((rows, 1)) @ gen.standard_normal((1, cols))
+    return blocks
+
 
 class TestBlockDiag:
     def test_matches_dense_layout(self):

@@ -144,6 +144,21 @@ class TestDare:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mask_shape_is_the_padded_draw(self, d, k, extra, data):
+        """A mask drawn at (d, q) and cut to delta's (d, k) is the padded delta's
+        draw sliced back, bit for bit and sign bits included."""
+        delta = data.draw(hnp.arrays(np.float64, (d, k), elements=st.floats()))
+        p = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+        seed = data.draw(st.integers(0, 2**32))
+        with np.errstate(over="ignore"):  # huge entries rescaled past the float range
+            got = mergers._dare_drop(delta, p, seed, "t", "l", (d, k + extra))
+            want = mergers._dare_drop(np.pad(delta, ((0, 0), (0, extra))), p, seed,
+                                      "t", "l")[:, :k]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_dare_ties_p0_equals_ties(self):
         coll = random_collection(seed=6)
         a = mergers.run_merge(coll, MergeConfig(method="dare_ties", drop_prob=0.0))

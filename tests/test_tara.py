@@ -96,6 +96,22 @@ class TestVariantB:
             want = s[0] * np.outer(u[:, 0], vt[0, i * 4 : (i + 1) * 4])
             assert np.allclose(comp.matrix(), want, atol=1e-9 * s[0])
 
+    def test_padded_rank_matches_numpy_and_reconstructs_each_task(self):
+        """shared_rank above N*r zero-pads the block-list right factor, so
+        svd_product takes the dense path and completes the bases."""
+        coll = random_collection(seed=9, n_tasks=3, layers=("l0",), d=9, m=5, rank=2)
+        r = 3 * 2 + 1
+        basis = build_variant_b(coll, shared_rank=r)
+        stack = basis.layers["l0"]
+        deltas = [delta_weight(ad) for ad in coll.adapters["l0"]]
+        want = np.linalg.svd(np.hstack(deltas), compute_uv=False)[:r]
+        assert stack.sigma.shape == (3 * r,)
+        assert np.max(np.abs(stack.sigma[:r] - want)) <= 1e-12 * want[0]
+        for i, delta in enumerate(deltas):
+            phi = {"l0": (stack.owner == i).astype(np.float64)}
+            got = assemble(basis, phi)["l0"] - coll.base["l0"]
+            assert np.linalg.norm(got - delta) <= 1e-10 * np.linalg.norm(delta)
+
     def test_rank_exceeds_spectrum(self):
         coll = random_collection(seed=6, layers=("l0",), d=6, m=4, rank=2)
         with pytest.raises(TaraError):
