@@ -50,12 +50,13 @@ MERGE_FLAGS = {
     "alpha": type(tara.StchConfig.alpha),
     **{f.name: type(f.default) for f in fields(tara.OptimConfig)},
 }
+# the tara.merge variant of each optimizer method
+OPTIMIZERS = {"tara-a": "a", "tara-b": "b", "adamerging": "adamerging"}
 # config keys each method reads besides seed; any other key is rejected
 METHOD_KEYS = {
     **{method: reads for method, (_, _, reads) in mergers._MERGERS.items()},
-    "tara-a": ("alpha", *OPTIM_FIELDS),
-    "tara-b": ("alpha", *OPTIM_FIELDS),
-    "adamerging": OPTIM_FIELDS,
+    **{method: OPTIM_FIELDS if variant == "adamerging" else ("alpha", *OPTIM_FIELDS)
+       for method, variant in OPTIMIZERS.items()},
 }
 ALL_METHODS = tuple(METHOD_KEYS)
 HITS_AT = (1, 3, 5)  # the k of every Hits@k report
@@ -209,22 +210,32 @@ def _optim_config(config: dict) -> tara.OptimConfig:
     return tara.OptimConfig(**{key: config[key] for key in OPTIM_FIELDS if key in config})
 
 
-def _merge_with_method(coll, suite, method, rho, config):
-    """Dispatch any method name to merged weights; returns (weights, trace|None)."""
+def _check_method(method, config: dict) -> int:
+    """Refuse an unknown method, a key the method does not read, or a bad merger or
+    optimizer setting before any input is read; returns the run's seed."""
+    if method not in ALL_METHODS:
+        raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     irrelevant = set(config) - {"seed", *METHOD_KEYS[method]}
     if irrelevant:
         raise UsageError(
             f"parameters {sorted(irrelevant)} are not relevant to method {method!r}"
         )
     if method in mergers.METHODS:
-        return mergers.run_merge(coll, mergers.MergeConfig(method, **config)), None
-    if method == "adamerging":
-        weights, _, trace = tara.adamerging_baseline(coll, suite, _optim_config(config))
-        return weights, trace
+        mergers.MergeConfig(method, **config)
+    # the seed names the run directory, so OptimConfig's rule holds for every method
+    return _optim_config(config).seed
+
+
+def _merges(coll, suite, method, rhos, config):
+    """(weights, trace|None) per point, each yielded as it is made: one point for
+    a merger or AdaMerging, which ignore rho, and one per rho in rhos for TARA."""
+    if method in mergers.METHODS:
+        yield mergers.run_merge(coll, mergers.MergeConfig(method, **config)), None
+        return
     alpha = {"alpha": config["alpha"]} if "alpha" in config else {}
-    weights, _, trace = tara.merge_tara(coll, suite, rho, method[-1], _optim_config(config),
-                                        **alpha)
-    return weights, trace
+    for weights, _, trace in tara.merge(coll, suite, rhos, OPTIMIZERS[method],
+                                        _optim_config(config), **alpha):
+        yield weights, trace
 
 
 def cmd_merge(args) -> int:
@@ -232,10 +243,7 @@ def cmd_merge(args) -> int:
     method = config.pop("method", None)
     if method is None:
         raise UsageError("merge requires --method")
-    if method not in ALL_METHODS:
-        raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-    # the seed names the run directory, so OptimConfig's rule holds for every method
-    seed = _optim_config(config).seed
+    seed = _check_method(method, {k: v for k, v in config.items() if k != "preference"})
     suite, coll = harness.load_suite(args.container, args.sidecar)
     if "preference" in config:
         values = config.pop("preference")  # a flag's text, or a config file's list
@@ -247,7 +255,7 @@ def cmd_merge(args) -> int:
         rho = _preference(values, suite.n_tasks)
     else:
         rho = np.full(suite.n_tasks, 1.0 / suite.n_tasks)
-    weights, trace = _merge_with_method(coll, suite, method, rho, config)
+    [(weights, trace)] = _merges(coll, suite, method, [rho], config)
     for layer, w in weights.items():  # merged.lmk stores float32
         if not np.all(np.abs(w) <= np.finfo(np.float32).max):  # NaN fails too
             raise NumericalAbort(f"merged weights at {layer} are non-finite or overflow float32")
@@ -310,19 +318,15 @@ def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
 
 
 def cmd_sweep(args) -> int:
-    suite, coll = harness.load_suite(args.container, args.sidecar)
     method = args.method or "tara-b"
-    if method not in ALL_METHODS:
-        raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     config = _resolve(args, ("seed", "iters"))
-    seed = _optim_config(config).seed
+    seed = _check_method(method, config)
+    suite, coll = harness.load_suite(args.container, args.sidecar)
     prefs = _sweep_preferences(args, suite.n_tasks, seed)
-    if method in ("tara-a", "tara-b"):  # each point is evaluated as it is yielded
-        points = tara.sweep_tara(coll, suite, prefs, method[-1], _optim_config(config))
-        results = [(rho, harness.evaluate(w, suite)) for rho, (w, _, _) in zip(prefs, points)]
-    else:  # every other method ignores rho: one merge and evaluation serve each row
-        report = harness.evaluate(_merge_with_method(coll, suite, method, None, config)[0], suite)
-        results = [(rho, report) for rho in prefs]
+    # each point is evaluated as it is yielded
+    reports = [harness.evaluate(w, suite) for w, _ in _merges(coll, suite, method, prefs, config)]
+    if len(reports) == 1:  # a method that ignores rho: its one merge serves every row
+        reports *= len(prefs)
     run = _run_dir(args.out, seed)
     with open(run / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -330,7 +334,7 @@ def cmd_sweep(args) -> int:
             [f"rho{i}" for i in range(suite.n_tasks)]
             + [f"acc{i}" for i in range(suite.n_tasks)]
         )
-        for rho, report in results:
+        for rho, report in zip(prefs, reports, strict=True):
             writer.writerow(
                 [repr(float(v)) for v in rho]
                 + [repr(float(v)) for v in report.normalized]

@@ -14,7 +14,9 @@ its own entry; AdaMerging is the variant-A stack with each column grouped by
 its owning task.
 
 The learned objective is a smoothed worst-case scalarization over per-task
-predictive-entropy residuals against per-task anchors.
+predictive-entropy residuals against per-task anchors. merge is the one entry
+for all three: it builds the variant's basis and, for TARA, the anchors, then
+runs one optimize loop over every preference.
 """
 
 from __future__ import annotations
@@ -391,54 +393,26 @@ def optimize(
     return phi, trace
 
 
-def sweep_tara(
-    coll: AdapterCollection,
-    suite,
-    rhos,
-    variant: str = "b",
-    optim: OptimConfig | None = None,
-    alpha: float = 1.0,
-):
-    """TARA merges at each preference in rhos. The basis, the anchors and the
-    batch schedule do not depend on the preference: they are built once, and one
-    optimize loop runs every point, as its step memory has no d x m term. Yields
-    (weights, phi, trace) per point in order, assembling each point's weights
-    as it is yielded."""
-    optim = optim or OptimConfig()
-    if variant == "a":
-        basis = build_variant_a(coll)
-    elif variant == "b":
-        basis = build_variant_b(coll)
-    else:
+def merge(coll: AdapterCollection, suite, rhos, variant: str = "b",
+          optim: OptimConfig | None = None, alpha: float = 1.0):
+    """Yields (weights, phi, trace) per point in order, assembling each point's
+    weights as it is yielded: one point per preference in rhos for TARA variant
+    "a" or "b", and one for "adamerging", which ignores rhos and has no anchors.
+    The basis, the anchors and the batch schedule do not depend on the
+    preference: they are built once, and one optimize loop runs every point, as
+    its step memory has no d x m term."""
+    # looked up per call, so a rebound builder is the one that runs
+    builders = {"a": build_variant_a, "b": build_variant_b, "adamerging": build_adamerging}
+    if variant not in builders:
         raise TaraError(f"unknown variant {variant!r}")
-    stch = StchConfig(alpha=alpha, anchors=compute_anchors(coll, suite))
-    rhos = list(rhos)
-    phi, trace = optimize(basis, suite, rhos, optim, stch)
+    stch = StchConfig(alpha=alpha)
+    basis = builders[variant](coll)
+    if variant == "adamerging":
+        rhos = [None]  # optimize runs the mean entropy at P = 1
+    else:
+        stch.anchors = compute_anchors(coll, suite)
+        rhos = list(rhos)
+    phi, trace = optimize(basis, suite, rhos, optim or OptimConfig(), stch)
     for j in range(len(rhos)):
         point = {l: p[j] for l, p in phi.items()}
         yield assemble(basis, point), point, trace.point(j)
-
-
-def merge_tara(
-    coll: AdapterCollection,
-    suite,
-    rho,
-    variant: str = "b",
-    optim: OptimConfig | None = None,
-    alpha: float = 1.0,
-):
-    """End-to-end merge at one preference: build basis, compute anchors,
-    optimize, assemble."""
-    return next(sweep_tara(coll, suite, [rho], variant, optim, alpha))
-
-
-def adamerging_baseline(
-    coll: AdapterCollection, suite, cfg: OptimConfig | None = None
-):
-    """Per-(task, layer) coefficients on whole updates, mean entropy; phi starts
-    at ADAMERGING_PHI_INIT."""
-    cfg = cfg or OptimConfig()
-    basis = build_adamerging(coll)
-    phi, trace = optimize(basis, suite, None, cfg)
-    phi = {l: p[0] for l, p in phi.items()}
-    return assemble(basis, phi), phi, trace.point(0)

@@ -329,16 +329,16 @@ def test_end_to_end_directional(five_seed_runs):
         res["ta"].append(
             harness.evaluate(mergers.merge_ta(coll, 0.3), suite).avg_normalized
         )
-        w, _, _ = tara.adamerging_baseline(
-            coll, suite, tara.OptimConfig(seed=seed)
+        [(w, _, _)] = tara.merge(
+            coll, suite, None, variant="adamerging", optim=tara.OptimConfig(seed=seed)
         )
         res["adam"].append(harness.evaluate(w, suite).avg_normalized)
-        wa, _, _ = tara.merge_tara(
-            coll, suite, rho, variant="a", optim=tara.OptimConfig(seed=seed)
+        [(wa, _, _)] = tara.merge(
+            coll, suite, [rho], variant="a", optim=tara.OptimConfig(seed=seed)
         )
         res["a"].append(harness.evaluate(wa, suite).avg_normalized)
-        wb, _, _ = tara.merge_tara(
-            coll, suite, rho, variant="b", optim=tara.OptimConfig(seed=seed)
+        [(wb, _, _)] = tara.merge(
+            coll, suite, [rho], variant="b", optim=tara.OptimConfig(seed=seed)
         )
         res["b"].append(harness.evaluate(wb, suite).avg_normalized)
     elapsed = time.monotonic() - t0
@@ -357,18 +357,16 @@ def test_end_to_end_directional(five_seed_runs):
 
 def test_preference_responsiveness():
     """Two-task 30-point sweep: per-task accuracy correlates monotonically
-    with its preference weight (|Spearman| >= 0.8 per axis)."""
+    with its preference weight (|Spearman| >= 0.8 per axis). One call runs all
+    30 points, each with the bits of its own one-point merge."""
     suite = harness.generate_suite(seed=0, n_tasks=2)
     coll = harness.finetune_all(suite, seed=0)
     rhos = np.linspace(0.02, 0.98, 30)
     acc = np.zeros((30, 2))
-    for i, r1 in enumerate(rhos):
-        w, _, _ = tara.merge_tara(
-            coll, suite, np.array([r1, 1.0 - r1]), variant="b",
-            optim=tara.OptimConfig(seed=0),
-        )
-        rep = harness.evaluate(w, suite)
-        acc[i] = rep.normalized
+    points = tara.merge(coll, suite, [np.array([r1, 1.0 - r1]) for r1 in rhos],
+                        variant="b", optim=tara.OptimConfig(seed=0))
+    for i, (w, _, _) in enumerate(points):
+        acc[i] = harness.evaluate(w, suite).normalized
     c1 = spearmanr(rhos, acc[:, 0]).statistic
     c2 = spearmanr(rhos, acc[:, 1]).statistic
     ok = abs(c1) >= 0.8 and abs(c2) >= 0.8 and c1 > 0 and c2 < 0
@@ -410,8 +408,8 @@ def test_determinism(tmp_path):
             seed=7, n_tasks=2, d=12, m=10, n_train=120, n_eval=60, n_adapt=40
         )
         coll = harness.finetune_all(suite, rank=4, steps=150, seed=7)
-        w, phi, trace = tara.merge_tara(
-            coll, suite, np.array([0.5, 0.5]), variant="b",
+        [(w, phi, trace)] = tara.merge(
+            coll, suite, [np.array([0.5, 0.5])], variant="b",
             optim=tara.OptimConfig(seed=7, iters=40),
         )
         rep = harness.evaluate(w, suite)

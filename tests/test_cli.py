@@ -260,6 +260,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("runtime failure: divergence guard: point 1 ")
         assert not sweep_out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["merge", "--method", "ta", "--drop-prob", "0.5"],
+        ["merge", "--method", "ta", "--lam", "nan"],
+        ["sweep", "--method", "bogus", "--random", "2"],
+        ["sweep", "--method", "ta", "--random", "2", "--iters", "5"],
+        ["sweep", "--method", "tara-b", "--random", "2", "--iters", "0"],
+    ], ids=["merge_irrelevant_key", "merge_bad_lam", "sweep_unknown_method",
+            "sweep_irrelevant_key", "sweep_zero_iters"])
+    def test_method_is_checked_before_the_suite_is_read(self, tmp_path, capsys, argv):
+        """A bad method, a key it does not read or a bad setting exits 2 although
+        the suite's files are missing, which alone exits 1."""
+        missing = [str(tmp_path / "missing.lmk"), "--sidecar", str(tmp_path / "missing.json")]
+        capsys.readouterr()
+        assert main([argv[0], *missing, *argv[1:], "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_validation_error_exits_2(self, tmp_path, capsys):
         container, sidecar, out = _train(tmp_path)
         capsys.readouterr()
@@ -484,14 +500,18 @@ class TestSweep:
             "--preferences", str(prefs), "--out", str(out),
         ]) == 2
 
-    def test_method_without_preference_merges_once(self, tmp_path, trained_and_merged):
-        """Every row of a ta sweep holds the normalized accuracies of the ta merge."""
+    @pytest.mark.parametrize("method", [["ta"], ["adamerging", "--iters", "20"]],
+                             ids=["ta", "adamerging"])
+    def test_method_without_preference_merges_once(self, tmp_path, trained_and_merged,
+                                                   method):
+        """Every row of a ta or AdaMerging sweep holds the normalized accuracies of
+        that method's merge."""
         container, sidecar, _ = trained_and_merged
         src = [str(container), "--sidecar", str(sidecar)]
-        assert main(["merge", *src, "--method", "ta", "--out", str(tmp_path / "m")]) == 0
+        assert main(["merge", *src, "--method", *method, "--out", str(tmp_path / "m")]) == 0
         (run,) = (tmp_path / "m").iterdir()
         want = json.loads((run / "report.json").read_text())["normalized"]
-        assert main(["sweep", *src, "--method", "ta", "--random", "3",
+        assert main(["sweep", *src, "--method", *method, "--random", "3",
                      "--out", str(tmp_path / "s")]) == 0
         (run,) = (tmp_path / "s").iterdir()
         with open(run / "sweep.csv") as fh:

@@ -386,8 +386,8 @@ class TestEntropyAndGrad:
         assert np.max(np.abs(z - tara.compute_anchors(sub, reference))) <= 1e-12
         rho = np.full(len(tasks), 1.0 / len(tasks))
         cfg = tara.OptimConfig(iters=20)
-        got, _, _ = tara.merge_tara(sub, suite, rho, optim=cfg)
-        want, _, _ = tara.merge_tara(sub, reference, rho, optim=cfg)
+        [(got, _, _)] = tara.merge(sub, suite, [rho], optim=cfg)
+        [(want, _, _)] = tara.merge(sub, reference, [rho], optim=cfg)
         assert np.max(np.abs(got["layer0"] - want["layer0"])) <= 1e-10
 
     def test_rows_must_fit_the_suite(self, small_suite):

@@ -13,7 +13,6 @@ from loramerge.tara import (
     OptimConfig,
     StchConfig,
     TaraError,
-    adamerging_baseline,
     assemble,
     build_variant_a,
     build_variant_b,
@@ -559,14 +558,15 @@ class TestWholeLoop:
 class TestSweep:
     @pytest.mark.parametrize("variant", ["a", "b"])
     def test_points_match_merge_tara(self, small_suite, variant):
+        """Each of P points keeps the bits of its own one-point run."""
         suite, coll = small_suite
         cfg = OptimConfig(iters=25, seed=4)
         rhos = [np.array([0.5, 0.5]), np.array([0.9, 0.1]), np.array([0.2, 0.8])]
-        points = list(tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg))
+        points = list(tara.merge(coll, suite, rhos, variant=variant, optim=cfg))
         assert len(points) == len(rhos)
         for rho, (weights, phi, trace) in zip(rhos, points):
-            want_w, want_phi, want_trace = tara.merge_tara(
-                coll, suite, rho, variant=variant, optim=cfg
+            [(want_w, want_phi, want_trace)] = tara.merge(
+                coll, suite, [rho], variant=variant, optim=cfg
             )
             for layer in coll.layer_ids:
                 assert np.array_equal(weights[layer], want_w[layer])
@@ -582,10 +582,10 @@ class TestSweep:
         suite, coll = default_suite
         cfg = OptimConfig(iters=10, seed=4)
         rhos = [np.full(4, 0.25), np.array([0.7, 0.1, 0.1, 0.1]), np.array([0.1, 0.2, 0.3, 0.4])]
-        points = tara.sweep_tara(coll, suite, rhos, variant=variant, optim=cfg)
+        points = tara.merge(coll, suite, rhos, variant=variant, optim=cfg)
         for rho, (weights, phi, trace) in zip(rhos, points, strict=True):
-            want_w, want_phi, want_trace = tara.merge_tara(coll, suite, rho, variant=variant,
-                                                           optim=cfg)
+            [(want_w, want_phi, want_trace)] = tara.merge(coll, suite, [rho], variant=variant,
+                                                          optim=cfg)
             assert np.array_equal(weights["layer0"], want_w["layer0"])
             assert np.array_equal(phi["layer0"], want_phi["layer0"])
             assert trace.objective == want_trace.objective
@@ -593,8 +593,8 @@ class TestSweep:
     def test_one_diverging_point_aborts_the_sweep(self, small_suite):
         suite, coll = small_suite
         rhos = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])]
-        points = tara.sweep_tara(coll, _DivergingTask(suite, 1), rhos,
-                                 optim=OptimConfig(iters=10))
+        points = tara.merge(coll, _DivergingTask(suite, 1), rhos,
+                            optim=OptimConfig(iters=10))
         with pytest.raises(tara.TaraAbort, match="divergence guard: point 1 "):
             list(points)
 
@@ -603,7 +603,23 @@ class TestSweep:
         short = dataclasses.replace(suite.tasks[1], adapt_x=suite.tasks[1].adapt_x[:-1])
         uneven = dataclasses.replace(suite, tasks=[suite.tasks[0], short])
         with pytest.raises(TaraError, match="differ in size"):
-            tara.merge_tara(coll, uneven, [0.5, 0.5], optim=OptimConfig(iters=2))
+            list(tara.merge(coll, uneven, [[0.5, 0.5]], optim=OptimConfig(iters=2)))
+
+    def test_unknown_variant_is_refused_before_anchors(self, small_suite, monkeypatch):
+        suite, coll = small_suite
+        calls = []
+        monkeypatch.setattr(tara, "compute_anchors", lambda *args: calls.append(args))
+        with pytest.raises(TaraError, match="unknown variant 'c'"):
+            next(tara.merge(coll, suite, [np.array([0.5, 0.5])], variant="c"))
+        assert calls == []
+
+    def test_adamerging_is_one_point_without_anchors(self, small_suite, monkeypatch):
+        suite, coll = small_suite
+        calls = []
+        monkeypatch.setattr(tara, "compute_anchors", lambda *args: calls.append(args))
+        rhos = [np.array([0.5, 0.5]), np.array([0.9, 0.1])]
+        points = list(tara.merge(coll, suite, rhos, "adamerging", OptimConfig(iters=2)))
+        assert len(points) == 1 and calls == []
 
     def test_schedule_matches_streams(self, small_suite):
         suite, _ = small_suite
@@ -675,7 +691,7 @@ class TestSuiteOrder:
             lambda: compute_anchors(sub, suite),
             lambda: optimize(build_variant_a(sub), suite, rho, cfg,
                              StchConfig(anchors=np.zeros(len(tasks)))),
-            lambda: adamerging_baseline(sub, suite, cfg),
+            lambda: list(tara.merge(sub, suite, None, "adamerging", cfg)),
         ):
             with pytest.raises(TaraError) as exc:
                 run()
@@ -692,7 +708,7 @@ class TestAdamerging:
     def test_mean_entropy_descends(self, small_suite):
         suite, coll = small_suite
         cfg = OptimConfig(iters=100, seed=2)
-        _, _, trace = adamerging_baseline(coll, suite, cfg)
+        [(_, _, trace)] = tara.merge(coll, suite, None, "adamerging", cfg)
         assert np.mean(trace.objective[-10:]) <= trace.objective[0] + 1e-9
 
     def test_zero_adapters_stay_base(self):
