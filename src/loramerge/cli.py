@@ -274,17 +274,12 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
+def _check_rows(args) -> dict:
+    """Row-flag checks that need no task count; returns the --fixed pins {index: value}."""
     if args.preferences is not None:
         if args.random is not None or args.fixed is not None:
             raise UsageError("--preferences takes neither --random nor --fixed")
-        try:
-            rows = json.loads(Path(args.preferences).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read preferences: {exc}") from exc
-        if not (isinstance(rows, list) and rows):
-            raise UsageError("preferences file must hold a nonempty list of rows")
-        return [_preference(row, n_tasks) for row in rows]
+        return {}
     if args.random is None:
         raise UsageError("sweep needs --preferences FILE or --random K")
     if args.random < 1:
@@ -299,6 +294,18 @@ def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
         if idx in fixed:
             raise UsageError(f"--fixed pins coordinate {idx} twice")
         fixed[idx] = val
+    return fixed
+
+
+def _sweep_preferences(args, fixed: dict, n_tasks: int, seed: int) -> list[np.ndarray]:
+    if args.preferences is not None:
+        try:
+            rows = json.loads(Path(args.preferences).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read preferences: {exc}") from exc
+        if not (isinstance(rows, list) and rows):
+            raise UsageError("preferences file must hold a nonempty list of rows")
+        return [_preference(row, n_tasks) for row in rows]
     if any(i < 0 or i >= n_tasks for i in fixed):
         raise UsageError("--fixed index out of range")
     budget = 1.0 - sum(fixed.values())
@@ -320,9 +327,9 @@ def _sweep_preferences(args, n_tasks: int, seed: int) -> list[np.ndarray]:
 def cmd_sweep(args) -> int:
     method = args.method or "tara-b"
     config = _resolve(args, ("seed", "iters"))
-    seed = _check_method(method, config)
+    seed, fixed = _check_method(method, config), _check_rows(args)
     suite, coll = harness.load_suite(args.container, args.sidecar)
-    prefs = _sweep_preferences(args, suite.n_tasks, seed)
+    prefs = _sweep_preferences(args, fixed, suite.n_tasks, seed)
     # each point is evaluated as it is yielded
     reports = [harness.evaluate(w, suite) for w, _ in _merges(coll, suite, method, prefs, config)]
     if len(reports) == 1:  # a method that ignores rho: its one merge serves every row

@@ -139,34 +139,42 @@ class TaskSuite:
             raise HarnessError(f"{w.shape[0]} per-task weights for {n} batches")
         h = self._stacked_heads(n)
         z = batches @ np.swapaxes(w, -1, -2)            # (n, B, d)
-        f, dl = _entropy_and_dlogits(z @ np.swapaxes(h, -1, -2))
-        dz = dl @ h                                      # (n, B, d)
+        # a class-major view: the helper's dl keeps the (n, B, C) memory of the logits
+        f, dl = _entropy_and_dlogits(np.swapaxes(z @ np.swapaxes(h, -1, -2), -1, -2))
+        dz = np.swapaxes(dl, -1, -2) @ h                 # (n, B, d)
         return f, {LAYER_ID: np.swapaxes(dz, -1, -2) @ batches}
 
-    def factor_scorer(self, base: dict, stacks: dict, n: int):
-        """Scorer of tasks 0..n-1 at W = W0 + left diag(coef) right^T, in factor
-        space: no (d, m) weight or weight gradient is formed.
+    def factor_scorer(self, base: dict, stacks: dict, pools: np.ndarray):
+        """Scorer of tasks 0..n-1 of the (n, pool, m) pools at W = W0 + left
+        diag(coef) right^T, in factor space: no (d, m) weight or gradient is formed.
 
-        logits = X (H W0)^T + (X right) (coef * (H left)^T), so the scorer holds
-        H left (n, C, K) and (H W0)^T (n, m, C) of the stacked heads. Its
-        score(coef, batches) takes {LAYER_ID: (..., K)} coef and (n, B, m)
-        batches, row i scored by head i, and returns the mean entropies f
-        (..., n) and {LAYER_ID: (..., n, K)} df_i/dcoef_k, which is
-        sum_b (dlogits H left)_bk (X right)_bk = sum_c (H left)_ck
-        (dlogits^T X right)_ck. Every product is stacked, one GEMM per
-        (point, task), so a point's bits do not depend on the leading axes.
+        logits = X (H W0)^T + (X right) (coef * (H left)^T): the scorer holds H left
+        (n, C, K) and the pool products X right (n, pool, K) and X (H W0)^T
+        (n, pool, C), made once per run. score(coef, idx) takes {LAYER_ID: (..., K)}
+        coef and (n, B) row indices in [0, pool), unchecked, as batch_schedule draws
+        them; row i is scored by head i. It returns the mean entropies f (..., n) and
+        {LAYER_ID: (..., n, K)} df_i/dcoef_k = sum_c (H left)_ck (dlogits^T X right)_ck.
+        The entropy helper gets a class-major copy of the logits; every GEMM keeps
+        the operand layout of a per-batch product, stacked one per (point, task), so
+        a point's bits depend neither on the leading axes nor on gathering rows.
         """
+        n, pool = pools.shape[:2]
         h, s = self._stacked_heads(n), stacks[LAYER_ID]
         hl = h @ s.left
         hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base[LAYER_ID], -1, -2)
+        xr, xhw0 = ((pools @ x).reshape(n * pool, -1) for x in (s.right, hw0_t))
+        first = pool * np.arange(n)[:, None]  # flat row of each task's row 0
 
-        def score(coef: dict, batches: np.ndarray):
-            if batches.shape[0] != n:
-                raise HarnessError(f"{batches.shape[0]} batches for a scorer of {n} tasks")
-            xr = batches @ s.right                       # (n, B, K)
-            scaled = coef[LAYER_ID][..., None, :, None] * hl_t  # (..., n, K, C)
-            f, dl = _entropy_and_dlogits(batches @ hw0_t + xr @ scaled)
-            grad = np.einsum("...nck,nck->...nk", np.swapaxes(dl, -1, -2) @ xr, hl)
+        def score(coef: dict, idx: np.ndarray):
+            if len(idx) != n:
+                raise HarnessError(f"{len(idx)} batches for a scorer of {n} tasks")
+            rows = first + idx
+            xr_b = xr.take(rows, 0)                              # (n, B, K)
+            scaled = coef[LAYER_ID][..., None, :, None] * hl_t   # (..., n, K, C)
+            logits = xhw0.take(rows, 0) + xr_b @ scaled          # (..., n, B, C)
+            f, dl = _entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
+            dl_t = np.swapaxes(dl, -1, -2).copy()                # (..., n, B, C)
+            grad = np.einsum("...nck,nck->...nk", np.swapaxes(dl_t, -1, -2) @ xr_b, hl)
             return f, {LAYER_ID: grad}
 
         return score
@@ -187,20 +195,20 @@ class TaskSuite:
         return float(np.mean(np.argmax(logits, axis=1) == td.eval_y))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(-1, keepdims=True))
-    return e / e.sum(-1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:  # over the C axis of (..., C, B) logits
+    e = np.exp(z - z.max(-2, keepdims=True))
+    return e / e.sum(-2, keepdims=True)
 
 
 def _entropy_and_dlogits(logits: np.ndarray):
-    """Mean predictive entropy over the batch axis of (..., B, C) logits, and its
-    gradient w.r.t. every logit. A p that underflowed to 0, or is NaN, takes
-    log 1 = 0 for its log p."""
+    """Mean predictive entropy over the batch axis of class-major (..., C, B)
+    logits, and its gradient w.r.t. every logit. A p that underflowed to 0, or
+    is NaN, takes log 1 = 0 for its log p."""
     p = _softmax(logits)
     logp = np.log(np.where(p > 0, p, 1.0))
-    ent = -(p * logp).sum(-1)                            # (..., B)
+    ent = -(p * logp).sum(-2)                            # (..., B)
     # dE/dlogit_j = -p_j (log p_j + E) per sample
-    dl = -p * (logp + ent[..., None]) / logits.shape[-2]
+    dl = -p * (logp + ent[..., None, :]) / logits.shape[-1]
     return ent.sum(-1) / ent.shape[-1], dl               # np.mean's own arithmetic
 
 
@@ -269,13 +277,16 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
     w0, n = suite.base[LAYER_ID], suite.n_tasks
     scale = LORA_ALPHA / rank
     inits = [substream(seed, "finetune", i) for i in range(n)]
-    params = {
-        "b": np.zeros((n, cfg.d, rank)),
-        "a": np.stack([0.01 * g.standard_normal((cfg.m, rank)) for g in inits]),
-        "h": np.stack([0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]),
-    }
-    m = {k: np.zeros_like(p) for k, p in params.items()}
-    v = {k: np.zeros_like(p) for k, p in params.items()}
+    shapes = ((n, cfg.d, rank), (n, cfg.m, rank), (n, cfg.n_classes, cfg.d))  # b, a, h
+    cuts = np.cumsum([np.prod(shape) for shape in shapes])
+    # one flat buffer each for the parameters, their gradients and Adam's moments,
+    # so one Adam update per step covers every task's b, a and h, views of it
+    params, grad, m, v = ({"all": buf} for buf in np.zeros((4, cuts[-1])))
+    (b, a, h), (gb, ga, gh) = (
+        [x.reshape(shape) for x, shape in zip(np.split(buf["all"], cuts[:-1]), shapes)]
+        for buf in (params, grad))
+    a[:] = [0.01 * g.standard_normal((cfg.m, rank)) for g in inits]
+    h[:] = [0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]
     train_x = np.stack([td.train_x for td in suite.tasks])
     train_y = np.stack([td.train_y for td in suite.tasks])
     tags = [("finetune", i, "batch", t) for t in range(steps) for i in range(n)]
@@ -285,10 +296,10 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
     initial_loss = None
     for t in range(steps):
         x, y = train_x[rows, schedule[t]], train_y[rows, schedule[t]]   # (N, B, m), (N, B)
-        w = w0 + scale * params["b"] @ np.swapaxes(params["a"], 1, 2)
-        z = x @ np.swapaxes(w, 1, 2)
-        p = _softmax(z @ np.swapaxes(params["h"], 1, 2))
-        loss = np.mean(-np.log(np.maximum(p[rows, cols, y], 1e-300)), axis=1)
+        z = x @ np.swapaxes(w0 + scale * b @ np.swapaxes(a, 1, 2), 1, 2)
+        # the softmax runs class-major; every product keeps its (N, B, C) operand
+        p = _softmax(np.swapaxes(z @ np.swapaxes(h, 1, 2), 1, 2).copy())  # (N, C, B)
+        loss = np.mean(-np.log(np.maximum(p[rows, y, cols], 1e-300)), axis=1)
         if initial_loss is None:
             initial_loss = np.maximum(loss, 1e-12)
         diverged = np.flatnonzero(~(loss <= 10.0 * initial_loss))  # NaN diverges
@@ -298,23 +309,20 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
                 f"divergence guard: task{j} loss {loss[j]:.4g} exceeds 10x "
                 f"initial at step {t}"
             )
-        dl = p.copy()
-        dl[rows, cols, y] -= 1.0
+        p[rows, y, cols] -= 1.0
+        dl = np.swapaxes(p, 1, 2).copy()                                # (N, B, C)
         dl /= FINETUNE_BATCH
-        dz = dl @ params["h"]
-        dw = np.swapaxes(dz, 1, 2) @ x
-        grads = {
-            "b": scale * dw @ params["a"],
-            "a": scale * np.swapaxes(dw, 1, 2) @ params["b"],
-            "h": np.swapaxes(dl, 1, 2) @ z,
-        }
-        adamw_step(params, grads, m, v, t + 1, lr)
+        dw = scale * (np.swapaxes(dl @ h, 1, 2) @ x)
+        np.matmul(dw, a, out=gb)
+        np.matmul(np.swapaxes(dw, 1, 2), b, out=ga)
+        np.matmul(np.swapaxes(dl, 1, 2), z, out=gh)
+        adamw_step(params, grad, m, v, t + 1, lr)
 
     adapters = []
     for i in range(n):
-        ad = LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=params["b"][i],
-                         a=params["a"][i], rank=rank, lora_alpha=LORA_ALPHA)
-        suite.heads[i] = params["h"][i]
+        ad = LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=b[i], a=a[i], rank=rank,
+                         lora_alpha=LORA_ALPHA)
+        suite.heads[i] = h[i]
         suite.references[i] = suite.accuracy(i, {LAYER_ID: w0 + scale * ad.b @ ad.a.T})
         adapters.append(ad)
     return AdapterCollection(

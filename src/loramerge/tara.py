@@ -269,12 +269,12 @@ def _phi_gradient(basis: DirectionBasis, col_grads: dict, dpsi_df: np.ndarray):
     return out
 
 
-def _evaluate(basis, phi, scorer, batches):
+def _evaluate(basis, phi, scorer, idx):
     """Per-task entropies f (..., N) and column gradients {layer: (..., N, K)}
-    at W(phi) of a (K,) or (P, K) phi on (N, B, m) batches, in one call of the
-    suite's factor_scorer for this basis. A non-finite entropy raises TaraAbort,
-    whose .point is the first such row."""
-    f, col_grads = scorer(_coefficients(basis, phi), batches)
+    at W(phi) of a (K,) or (P, K) phi on the (N, B) pool rows idx, in one call
+    of the suite's factor_scorer for this basis. A non-finite entropy raises
+    TaraAbort, whose .point is the first such row."""
+    f, col_grads = scorer(_coefficients(basis, phi), idx)
     if not np.isfinite(f).all():
         err = TaraAbort("non-finite entropy encountered")
         err.point = int(np.flatnonzero(~np.isfinite(f).reshape(-1, f.shape[-1]).all(-1))[0])
@@ -288,17 +288,17 @@ def stch_value_and_grad(
     scorer,
     rho: np.ndarray,
     cfg: StchConfig,
-    batches: np.ndarray,
+    idx: np.ndarray,
 ):
-    """Objective value, d/dphi, and per-task entropies on (N, B, m) batches;
-    row-wise for a (P, K) phi and a (P, N) rho. scorer is the suite's
-    factor_scorer for this basis, which optimize builds once per run.
+    """Objective value, d/dphi, and per-task entropies on the (N, B) pool rows
+    idx; row-wise for a (P, K) phi and a (P, N) rho. scorer is the suite's
+    factor_scorer for this basis and the pools, which optimize builds once per run.
 
     rho rows must be simplex vectors of length N; optimize checks them once per run.
     """
     if cfg is None or cfg.anchors is None:
         raise TaraError("anchors must be computed before optimization")
-    f, col_grads = _evaluate(basis, phi, scorer, batches)
+    f, col_grads = _evaluate(basis, phi, scorer, idx)
     if np.shape(rho) != f.shape:
         raise TaraError(f"rho of shape {np.shape(rho)} does not give one preference per "
                         f"phi row: {f.shape} wanted")
@@ -306,9 +306,9 @@ def stch_value_and_grad(
     return psi, _phi_gradient(basis, col_grads, dpsi_df), f
 
 
-def mean_entropy_value_and_grad(basis, phi, scorer, batches):
+def mean_entropy_value_and_grad(basis, phi, scorer, idx):
     """Uniform-mean entropy objective used by the AdaMerging baseline."""
-    f, col_grads = _evaluate(basis, phi, scorer, batches)
+    f, col_grads = _evaluate(basis, phi, scorer, idx)
     dpsi_df = np.full(f.shape, 1.0 / basis.n_tasks)
     return np.mean(f, axis=-1), _phi_gradient(basis, col_grads, dpsi_df), f
 
@@ -348,7 +348,8 @@ def optimize(
 ):
     """Adam loop over a (P, K) phi per layer, one row per preference of the
     (P, N) or (N,) rho; each step scores every row and task on fresh batches in
-    one call of the suite's factor-space scorer, built once per run.
+    one call of the suite's factor-space scorer, built with its pool products
+    once per run.
 
     The objective is the anchored scalarization under rho from phi = PHI_INIT,
     or for an AdaMerging basis the mean entropy from phi = ADAMERGING_PHI_INIT,
@@ -365,20 +366,18 @@ def optimize(
         _check_simplex(row, n)
     pools = adaptation_pools(suite, n)
     schedule = batch_schedule(pools, cfg)
-    tasks = np.arange(n)[:, None]
-    scorer = suite.factor_scorer(basis.base, basis.layers, n)
+    scorer = suite.factor_scorer(basis.base, basis.layers, pools)
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)
     phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
     m = {l: np.zeros_like(phi[l]) for l in phi}
     v = {l: np.zeros_like(phi[l]) for l in phi}
     trace = OptimTrace()
     for step, idx in enumerate(schedule):
-        batches = pools[tasks, idx]
         try:
             if mean_entropy:
-                value, grad, f = mean_entropy_value_and_grad(basis, phi, scorer, batches)
+                value, grad, f = mean_entropy_value_and_grad(basis, phi, scorer, idx)
             else:
-                value, grad, f = stch_value_and_grad(basis, phi, scorer, rho, stch, batches)
+                value, grad, f = stch_value_and_grad(basis, phi, scorer, rho, stch, idx)
         except TaraAbort as err:
             raise TaraAbort(f"non-finite entropy encountered at point {err.point}, "
                             f"step {step}") from None

@@ -52,6 +52,17 @@ def small_suite():
 
 
 @pytest.fixture(scope="session")
+def nine_class_suite():
+    """The small suite's sizes with nine classes, where numpy's pairwise summation
+    reaches the class axis."""
+    suite = harness.generate_suite(
+        seed=0, n_tasks=2, d=12, m=10, n_classes=9, n_train=150, n_eval=100, n_adapt=60
+    )
+    coll = harness.finetune_all(suite, rank=4, steps=200, seed=0)
+    return suite, coll
+
+
+@pytest.fixture(scope="session")
 def default_suite():
     """Default-scale trained suite for the end-to-end and diagnostics tests."""
     suite = harness.generate_suite(seed=0)

@@ -138,7 +138,7 @@ def test_gradient_correctness():
     coll = harness.finetune_all(suite, rank=4, steps=200, seed=0)
     stch = tara.StchConfig(anchors=tara.compute_anchors(coll, suite))
     rho = np.array([0.3, 0.7])
-    batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(2)])
+    pools, idx = tara.adaptation_pools(suite, 2), np.tile(np.arange(16), (2, 1))
     worst = {"a": 0.0, "b": 0.0}
     for variant in ("a", "b"):
         basis = (
@@ -147,19 +147,19 @@ def test_gradient_correctness():
             else tara.build_variant_b(coll, 4)
         )
         layer = basis.layer_ids[0]
-        scorer = suite.factor_scorer(basis.base, basis.layers, 2)
+        scorer = suite.factor_scorer(basis.base, basis.layers, pools)
         for trial in range(50):
             gen = substream(300 + trial, variant)
             phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}
-            _, grad, _ = tara.stch_value_and_grad(basis, phi, scorer, rho, stch, batches)
+            _, grad, _ = tara.stch_value_and_grad(basis, phi, scorer, rho, stch, idx)
             for k in range(basis.counts[layer]):
                 h = 1e-5
                 pp = {layer: phi[layer].copy()}
                 pm = {layer: phi[layer].copy()}
                 pp[layer][k] += h
                 pm[layer][k] -= h
-                vp, _, _ = tara.stch_value_and_grad(basis, pp, scorer, rho, stch, batches)
-                vm, _, _ = tara.stch_value_and_grad(basis, pm, scorer, rho, stch, batches)
+                vp, _, _ = tara.stch_value_and_grad(basis, pp, scorer, rho, stch, idx)
+                vm, _, _ = tara.stch_value_and_grad(basis, pm, scorer, rho, stch, idx)
                 fd = (vp - vm) / (2 * h)
                 denom = max(abs(fd), 1e-8)
                 worst[variant] = max(worst[variant], abs(grad[layer][k] - fd) / denom)

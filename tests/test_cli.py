@@ -215,8 +215,8 @@ class TestExitCodes:
             def nan_entropy(self, *args):
                 score = real(self, *args)
 
-                def nan_scores(*call):
-                    f, grads = score(*call)
+                def nan_scores(coef, idx):
+                    f, grads = score(coef, idx)
                     return np.full_like(f, np.nan), grads
 
                 return nan_scores
@@ -240,8 +240,8 @@ class TestExitCodes:
         def task_1_diverges(self, *args):
             score = real(self, *args)
 
-            def diverging(*call):
-                f, grads = score(*call)
+            def diverging(coef, idx):
+                f, grads = score(coef, idx)
                 if f.ndim == 2:
                     calls.append(None)
                     f[:, 1] *= 10.0 ** len(calls)
@@ -275,6 +275,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([argv[0], *missing, *argv[1:], "--out", str(tmp_path / "runs")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("rows", [
+        ["--random", "0"],
+        ["--random", "2", "--preferences", "p.json"],
+        ["--fixed", "0:0.5", "--preferences", "p.json"],
+        ["--random", "2", "--fixed", "0:x"],
+        ["--random", "2", "--fixed", "0:0.1,0:0.2"],
+        [],
+    ], ids=["random_0", "preferences_beside_random", "preferences_beside_fixed",
+            "bad_fixed", "fixed_twice", "no_rows"])
+    def test_sweep_rows_are_checked_before_the_suite_is_read(self, tmp_path, capsys, rows):
+        """The row flags' checks that need no task count exit 2, with no run
+        directory, although the suite's files are missing, which alone exits 1."""
+        missing = [str(tmp_path / "missing.lmk"), "--sidecar", str(tmp_path / "missing.json")]
+        capsys.readouterr()
+        assert main(["sweep", *missing, "--method", "ta", *rows,
+                     "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "runs").exists()
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         container, sidecar, out = _train(tmp_path)

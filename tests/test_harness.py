@@ -12,7 +12,7 @@ from conftest import sub_collection
 from loramerge import harness, mergers, tara
 from loramerge.adapters import AdapterCollection, ContainerError
 from loramerge.harness import HarnessError, SuiteConfig
-from loramerge.rng import substream
+from loramerge.rng import keyed_integers, substream
 
 
 class TestGeneration:
@@ -93,6 +93,59 @@ def _per_task_finetune(suite, task, rank, steps, lr, seed, lora_alpha=16.0, batc
     return params["b"], params["a"], params["h"], float(np.mean(pred == td.eval_y))
 
 
+def _reference_finetune(suite, rank=16, steps=300, lr=0.02, seed=0, batch_size=32):
+    """The batched fine-tuning loop before its flat Adam buffer: (N, B, C) logits,
+    one dict entry per parameter and moment, and new gradient arrays every step.
+    Returns (b, a, heads, references) and leaves the suite untouched."""
+    cfg, w0, n = suite.config, suite.base["layer0"], suite.n_tasks
+    scale = 16.0 / rank
+    inits = [substream(seed, "finetune", i) for i in range(n)]
+    params = {
+        "b": np.zeros((n, cfg.d, rank)),
+        "a": np.stack([0.01 * g.standard_normal((cfg.m, rank)) for g in inits]),
+        "h": np.stack([0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]),
+    }
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    train_x = np.stack([td.train_x for td in suite.tasks])
+    train_y = np.stack([td.train_y for td in suite.tasks])
+    tags = [("finetune", i, "batch", t) for t in range(steps) for i in range(n)]
+    schedule = keyed_integers(seed, tags, cfg.n_train, batch_size).reshape(steps, n, batch_size)
+    rows, cols = np.arange(n)[:, None], np.arange(batch_size)
+    initial_loss = None
+    for t in range(steps):
+        x, y = train_x[rows, schedule[t]], train_y[rows, schedule[t]]
+        w = w0 + scale * params["b"] @ np.swapaxes(params["a"], 1, 2)
+        z = x @ np.swapaxes(w, 1, 2)
+        logits = z @ np.swapaxes(params["h"], 1, 2)
+        e = np.exp(logits - logits.max(-1, keepdims=True))
+        p = e / e.sum(-1, keepdims=True)
+        loss = np.mean(-np.log(np.maximum(p[rows, cols, y], 1e-300)), axis=1)
+        if initial_loss is None:
+            initial_loss = np.maximum(loss, 1e-12)
+        diverged = np.flatnonzero(~(loss <= 10.0 * initial_loss))
+        if diverged.size:
+            j = diverged[0]
+            raise harness.HarnessAbort(f"divergence guard: task{j} loss {loss[j]:.4g} "
+                                       f"exceeds 10x initial at step {t}")
+        dl = p.copy()
+        dl[rows, cols, y] -= 1.0
+        dl /= batch_size
+        dw = np.swapaxes(dl @ params["h"], 1, 2) @ x
+        grads = {
+            "b": scale * dw @ params["a"],
+            "a": scale * np.swapaxes(dw, 1, 2) @ params["b"],
+            "h": np.swapaxes(dl, 1, 2) @ z,
+        }
+        tara.adamw_step(params, grads, m, v, t + 1, lr)
+    refs = []
+    for i in range(n):
+        w = w0 + scale * params["b"][i] @ params["a"][i].T
+        pred = np.argmax(suite.tasks[i].eval_x @ w.T @ params["h"][i].T, axis=1)
+        refs.append(float(np.mean(pred == suite.tasks[i].eval_y)))
+    return params["b"], params["a"], params["h"], refs
+
+
 class TestFinetune:
     @pytest.mark.parametrize("n_tasks", [1, 3])
     def test_batched_matches_per_task_loop(self, n_tasks):
@@ -122,6 +175,34 @@ class TestFinetune:
         with pytest.raises(harness.HarnessAbort) as exc:
             harness.finetune_all(suite(), rank=4, steps=50, lr=100.0)
         assert str(exc.value) == alone[min(alone)]
+
+    @pytest.mark.parametrize("suite_kwargs,train_kwargs", [
+        ({}, {}),
+        ({"seed": 3, "n_tasks": 2, "n_train": 120, "n_eval": 60, "n_adapt": 20},
+         {"rank": 2, "steps": 80}),
+    ], ids=["default", "two_tasks_rank_2"])
+    def test_bits_match_the_reference_loop(self, suite_kwargs, train_kwargs):
+        """The flat Adam buffer and class-major softmax keep every bit of B, A, the
+        heads and the references."""
+        suite = harness.generate_suite(**suite_kwargs)
+        coll = harness.finetune_all(suite, **train_kwargs)
+        b, a, heads, refs = _reference_finetune(harness.generate_suite(**suite_kwargs),
+                                                **train_kwargs)
+        for i, ad in enumerate(coll.adapters["layer0"]):
+            assert np.array_equal(ad.b, b[i]) and np.array_equal(ad.a, a[i])
+            assert np.array_equal(suite.heads[i], heads[i])
+        assert suite.references == refs
+
+    def test_divergence_message_matches_the_reference_loop(self):
+        def suite():
+            return harness.generate_suite(seed=0, n_tasks=2, d=12, m=10, n_train=60,
+                                          n_eval=30, n_adapt=20)
+
+        with pytest.raises(harness.HarnessAbort) as want:
+            _reference_finetune(suite(), rank=4, steps=50, lr=100.0)
+        with pytest.raises(harness.HarnessAbort) as got:
+            harness.finetune_all(suite(), rank=4, steps=50, lr=100.0)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -302,10 +383,11 @@ class _PerTaskSuite:
         ]
         return np.array([f for f, _ in out]), {"layer0": np.stack([g for _, g in out])}
 
-    def factor_scorer(self, base, stacks, n):
+    def factor_scorer(self, base, stacks, pools):
         s = stacks["layer0"]
 
-        def score(coef, batches):  # (P, K) coef
+        def score(coef, idx):  # (P, K) coef
+            batches = pools[np.arange(len(pools))[:, None], idx]
             f, cols = [], []
             for c in coef["layer0"]:
                 fp, g = self.entropy_and_grad(
@@ -315,6 +397,25 @@ class _PerTaskSuite:
             return np.stack(f), {"layer0": np.stack(cols)}
 
         return score
+
+
+def reference_factor_scorer(suite, base, stacks, n):
+    """TaskSuite.factor_scorer as it was before its per-run pool products: its
+    score(coef, batches) multiplies each call's (n, B, m) batches and scores
+    (..., B, C) logits with the reference entropy helper. At C < 8 the suite's
+    score(coef, idx) must match it bit for bit on batches = pools[tasks, idx]."""
+    h, s = suite._stacked_heads(n), stacks["layer0"]
+    hl = h @ s.left
+    hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base["layer0"], -1, -2)
+
+    def score(coef, batches):
+        xr = batches @ s.right                           # (n, B, K)
+        scaled = coef["layer0"][..., None, :, None] * hl_t  # (..., n, K, C)
+        f, dl = reference_entropy_and_dlogits(batches @ hw0_t + xr @ scaled)
+        grad = np.einsum("...nck,nck->...nk", np.swapaxes(dl, -1, -2) @ xr, hl)
+        return f, {"layer0": grad}
+
+    return score
 
 
 def reference_entropy_and_dlogits(logits):
@@ -346,16 +447,36 @@ def _logits(draw):
 
 class TestEntropyHelper:
     @settings(max_examples=300, deadline=None)
-    @given(logits=_logits())
-    def test_bits_match_the_reference(self, logits):
+    @given(logits=_logits(), contiguous=st.booleans())
+    def test_bits_match_the_reference(self, logits, contiguous):
+        """The helper takes class-major logits: a contiguous copy, as the scorer
+        and fine-tuning pass, or a view of (..., B, C) memory, as entropy_and_grad
+        passes."""
+        class_major = np.swapaxes(logits, -1, -2)
         with np.errstate(all="ignore"):
-            got = harness._entropy_and_dlogits(logits)
+            f, dl = harness._entropy_and_dlogits(
+                class_major.copy() if contiguous else class_major)
+            got = f, np.swapaxes(dl, -1, -2)
             want = reference_entropy_and_dlogits(logits)
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
             assert np.array_equal(g, w, equal_nan=True)
             finite = ~np.isnan(w)
             assert np.array_equal(np.signbit(g)[finite], np.signbit(w)[finite])
+
+
+    def test_nine_classes_match_the_reference_to_rounding(self, nine_class_suite):
+        """At C >= 8 numpy sums a contiguous class axis pairwise and a leading one
+        in sequence, so the bits may differ; the values agree to rounding."""
+        suite, _ = nine_class_suite
+        pools = tara.adaptation_pools(suite, 2)
+        heads = np.stack(suite.heads)
+        logits = pools @ suite.base["layer0"].T @ np.swapaxes(heads, -1, -2)  # (2, P, 9)
+        f, dl = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
+        want_f, want_dl = reference_entropy_and_dlogits(logits)
+        assert np.max(np.abs(f - want_f)) <= 1e-12 * np.max(np.abs(want_f))
+        assert (np.max(np.abs(np.swapaxes(dl, -1, -2) - want_dl))
+                <= 1e-12 * np.max(np.abs(want_dl)))
 
 
 class TestEntropyAndGrad:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_collection, assert_weights_close, sub_collection
-from test_harness import reference_entropy_and_dlogits
+from test_harness import reference_factor_scorer
 from loramerge import harness, mergers, tara
 from loramerge.adapters import delta_weight
 from loramerge.rng import substream
@@ -28,8 +28,17 @@ def _psi(f, z, rho, alpha):
     return float(tara._stch(*(np.asarray(x, dtype=np.float64) for x in (f, z, rho)), alpha)[0])
 
 
+_BUILDERS = {"a": build_variant_a, "b": build_variant_b, "adamerging": tara.build_adamerging}
+
+
 def _scorer(suite, basis):
-    return suite.factor_scorer(basis.base, basis.layers, basis.n_tasks)
+    return suite.factor_scorer(basis.base, basis.layers,
+                               tara.adaptation_pools(suite, basis.n_tasks))
+
+
+def _first_rows(n_tasks, rows):
+    """(n_tasks, rows) indices of every pool's first rows."""
+    return np.tile(np.arange(rows), (n_tasks, 1))
 
 
 class TestVariantA:
@@ -202,45 +211,52 @@ def _fd_gradient(value_and_grad, phi, layer, k, h=1e-5):
     return (vp - vm) / (2 * h)
 
 
+def _worst_fd_error(suite, coll, variant):
+    """Largest relative error of d/dphi against central differences over 10
+    random phi, scored on the first 16 rows of each of two pools."""
+    idx = _first_rows(2, 16)
+    if variant == "adamerging":
+        basis = tara.build_adamerging(coll)
+
+        def value_and_grad(phi):
+            return mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), idx)
+    else:
+        basis = build_variant_a(coll) if variant == "a" else build_variant_b(coll, 4)
+        stch = StchConfig(anchors=compute_anchors(coll, suite))
+        rho = np.array([0.3, 0.7])
+
+        def value_and_grad(phi):
+            return stch_value_and_grad(basis, phi, _scorer(suite, basis), rho, stch, idx)
+    worst = 0.0
+    for trial in range(10):
+        gen = substream(50 + trial, variant)
+        phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}
+        _, grad, _ = value_and_grad(phi)
+        layer = basis.layer_ids[0]
+        for k in range(basis.counts[layer]):
+            fd = _fd_gradient(value_and_grad, phi, layer, k)
+            denom = max(abs(fd), 1e-8)
+            worst = max(worst, abs(grad[layer][k] - fd) / denom)
+    return worst
+
+
 class TestGradient:
     @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
     def test_matches_finite_differences(self, variant, small_suite):
-        suite, coll = small_suite
-        batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(2)])
-        if variant == "adamerging":
-            basis = tara.build_adamerging(coll)
+        assert _worst_fd_error(*small_suite, variant) <= 1e-4
 
-            def value_and_grad(phi):
-                return mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), batches)
-        else:
-            basis = (
-                build_variant_a(coll) if variant == "a" else build_variant_b(coll, 4)
-            )
-            stch = StchConfig(anchors=compute_anchors(coll, suite))
-            rho = np.array([0.3, 0.7])
-
-            def value_and_grad(phi):
-                return stch_value_and_grad(basis, phi, _scorer(suite, basis), rho, stch,
-                                           batches)
-        worst = 0.0
-        for trial in range(10):
-            gen = substream(50 + trial, variant)
-            phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}
-            _, grad, _ = value_and_grad(phi)
-            layer = basis.layer_ids[0]
-            for k in range(basis.counts[layer]):
-                fd = _fd_gradient(value_and_grad, phi, layer, k)
-                denom = max(abs(fd), 1e-8)
-                worst = max(worst, abs(grad[layer][k] - fd) / denom)
-        assert worst <= 1e-4
+    @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
+    def test_matches_finite_differences_at_nine_classes(self, variant, nine_class_suite):
+        """At C >= 8 the class sums are pairwise in numpy's (..., B, C) reductions
+        and sequential in the class-major ones; the gradient is exact either way."""
+        assert _worst_fd_error(*nine_class_suite, variant) <= 1e-4
 
     def test_requires_anchors(self, small_suite):
         suite, coll = small_suite
         basis = build_variant_a(coll)
-        batches = np.stack([suite.adaptation_pool(i)[:8] for i in range(2)])
         with pytest.raises(TaraError):
             stch_value_and_grad(basis, basis.init_phi(0.4), _scorer(suite, basis), [0.5, 0.5],
-                                StchConfig(), batches)
+                                StchConfig(), _first_rows(2, 8))
 
     def test_deadband_at_anchor(self, small_suite):
         """When every entropy sits exactly at its anchor, the gradient is zero."""
@@ -251,7 +267,7 @@ class TestGradient:
         f, _ = suite.entropy_and_grad(assemble(basis, phi), batches)
         stch = StchConfig(anchors=f)
         _, grad, _ = stch_value_and_grad(basis, phi, _scorer(suite, basis), [0.5, 0.5], stch,
-                                         batches)
+                                         _first_rows(2, 16))
         for layer in grad:
             assert np.all(grad[layer] == 0.0)
 
@@ -268,14 +284,14 @@ class TestGradient:
         suite, coll = small_suite
         basis = build_variant_a(coll)
         phi = {l: np.full((phi_rows, basis.counts[l] + extra), 0.4) for l in basis.layer_ids}
-        batches = np.stack([suite.adaptation_pool(i)[:8] for i in range(2)])
+        idx = _first_rows(2, 8)
         with pytest.raises(TaraError):
             if objective == "stch":
                 stch_value_and_grad(basis, phi, _scorer(suite, basis),
                                     np.full((rho_rows, 2), 0.5),
-                                    StchConfig(anchors=np.zeros(2)), batches)
+                                    StchConfig(anchors=np.zeros(2)), idx)
             else:
-                mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), batches)
+                mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), idx)
 
 
 def _dense_step(basis, phi, suite, batches, dpsi_df):
@@ -319,20 +335,17 @@ class TestFactoredStep:
         suite = _random_head_suite(*dims)
         coll = random_collection(seed=1, n_tasks=3, layers=("layer0",), d=dims[0], m=dims[1],
                                  rank=4)
-        build = {"a": build_variant_a, "b": build_variant_b,
-                 "adamerging": tara.build_adamerging}[variant]
-        basis = build(coll)
+        basis = _BUILDERS[variant](coll)
         gen = substream(2, variant, points)
         phi = {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids}
-        batches = tara.adaptation_pools(suite, 3)[:, :16]
+        batches, idx = tara.adaptation_pools(suite, 3)[:, :16], _first_rows(3, 16)
         if variant == "adamerging":
-            _, grad, f = mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), batches)
+            _, grad, f = mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), idx)
             dpsi_df = lambda f: np.full(f.shape, 1.0 / 3)
         else:
             rho = gen.dirichlet(np.ones(3), points)
             stch = StchConfig(anchors=compute_anchors(coll, suite))
-            _, grad, f = stch_value_and_grad(basis, phi, _scorer(suite, basis), rho, stch,
-                                             batches)
+            _, grad, f = stch_value_and_grad(basis, phi, _scorer(suite, basis), rho, stch, idx)
             dpsi_df = lambda f: tara._stch(f, stch.anchors, rho, stch.alpha)[1]
         want_f, want_grad = _dense_step(basis, phi, suite, batches, dpsi_df)
         assert f.shape == want_f.shape == (points, 3)
@@ -345,11 +358,47 @@ class TestFactoredStep:
     def test_scorer_refuses_wrong_batch_count(self, small_suite):
         suite, coll = small_suite
         basis = build_variant_a(coll)
-        score = suite.factor_scorer(basis.base, basis.layers, 2)
-        batches = np.stack([suite.adaptation_pool(i)[:4] for i in range(2)])
         with pytest.raises(harness.HarnessError, match="3 batches for a scorer of 2 tasks"):
-            score(tara._coefficients(basis, basis.init_phi(0.4)),
-                  np.concatenate([batches, batches[:1]]))
+            _scorer(suite, basis)(tara._coefficients(basis, basis.init_phi(0.4)),
+                                  _first_rows(3, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["a", "b", "adamerging"]), points=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), repeats=st.booleans())
+    def test_bits_match_the_reference_scorer(self, default_suite, variant, points, seed,
+                                             repeats):
+        """Gathering rows of the per-run pool products and scoring class-major
+        logits keeps every bit of the per-batch scorer on the gathered batches,
+        at the default 5 classes and 16 rows, with rows repeated or not."""
+        suite, coll = default_suite
+        basis = _BUILDERS[variant](coll)
+        pools = tara.adaptation_pools(suite, coll.n_tasks)
+        gen = np.random.default_rng(seed)
+        idx = gen.integers(0, 3 if repeats else pools.shape[1], (coll.n_tasks, 16))
+        coef = tara._coefficients(
+            basis, {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids})
+        f, grad = suite.factor_scorer(basis.base, basis.layers, pools)(coef, idx)
+        want_f, want_grad = reference_factor_scorer(suite, basis.base, basis.layers,
+                                                    coll.n_tasks)(
+            coef, pools[np.arange(coll.n_tasks)[:, None], idx])
+        assert np.array_equal(f, want_f)
+        assert np.array_equal(grad["layer0"], want_grad["layer0"])
+
+    @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
+    def test_nine_classes_match_the_reference_scorer_to_rounding(self, nine_class_suite,
+                                                                 variant):
+        suite, coll = nine_class_suite
+        basis = _BUILDERS[variant](coll)
+        pools = tara.adaptation_pools(suite, 2)
+        idx = substream(3, "rows").integers(0, pools.shape[1], (2, 16))
+        coef = tara._coefficients(basis, {l: substream(4, variant).normal(
+            0.4, 0.3, (2, basis.counts[l])) for l in basis.layer_ids})
+        f, grad = _scorer(suite, basis)(coef, idx)
+        want_f, want_grad = reference_factor_scorer(suite, basis.base, basis.layers, 2)(
+            coef, pools[np.arange(2)[:, None], idx])
+        assert np.max(np.abs(f - want_f)) <= 1e-12 * np.max(np.abs(want_f))
+        err = np.max(np.abs(grad["layer0"] - want_grad["layer0"]))
+        assert err <= 1e-12 * np.max(np.abs(want_grad["layer0"]))
 
 
 class TestAnchors:
@@ -445,13 +494,13 @@ class TestOptimize:
 
     def test_public_objectives_refuse_nan_entropy(self):
         basis = build_variant_a(random_collection(seed=21, n_tasks=2))
-        phi, batches = basis.init_phi(0.5), np.zeros((2, 4, 6))
+        phi, idx = basis.init_phi(0.5), _first_rows(2, 4)
         stch = StchConfig(anchors=np.zeros(2))
         for run in (
             lambda: stch_value_and_grad(basis, phi, _scorer(_ConstantSuite(np.nan), basis),
-                                        [0.5, 0.5], stch, batches),
+                                        [0.5, 0.5], stch, idx),
             lambda: mean_entropy_value_and_grad(basis, phi,
-                                                _scorer(_ConstantSuite(np.inf), basis), batches),
+                                                _scorer(_ConstantSuite(np.inf), basis), idx),
         ):
             with pytest.raises(tara.TaraAbort, match="non-finite entropy"):
                 run()
@@ -466,8 +515,8 @@ class TestOptimize:
             def factor_scorer(self, *args):
                 score = suite.factor_scorer(*args)
 
-                def nan_in_row_1(coef, batches):
-                    f, grads = score(coef, batches)
+                def nan_in_row_1(coef, idx):
+                    f, grads = score(coef, idx)
                     f[1, 0] = np.nan
                     return f, grads
 
@@ -487,14 +536,15 @@ class TestOptimize:
 
 
 def _reference_optimize(basis, suite, rho, cfg, stch):
-    """optimize as first written, without its guards: an Adam that allocates new
-    arrays, and each batch drawn from its own (seed, "batch", step, i) substream.
-    Returns phi and the objective and per-task rows of every step."""
+    """optimize as first written, without its guards: the per-batch reference
+    scorer, an Adam that allocates new arrays, and each batch drawn from its own
+    (seed, "batch", step, i) substream. Returns phi and the objective and
+    per-task rows of every step."""
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
     pools = tara.adaptation_pools(suite, n)
-    score = suite.factor_scorer(basis.base, basis.layers, n)
+    score = reference_factor_scorer(suite, basis.base, basis.layers, n)
     init = basis.init_phi(tara.ADAMERGING_PHI_INIT if mean_entropy else tara.PHI_INIT)
     phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
     m = {l: np.zeros_like(p) for l, p in phi.items()}
@@ -529,23 +579,20 @@ def _reference_optimize(basis, suite, rho, cfg, stch):
 
 
 class TestWholeLoop:
-    """optimize keeps every bit of the reference loop, scored on the reference
-    entropy helper. AdaMerging ignores rho and always runs one point."""
+    """optimize keeps every bit of the reference loop, scored by the per-batch
+    reference scorer. AdaMerging ignores rho and always runs one point."""
 
     @pytest.mark.parametrize("variant,points", [("a", 1), ("a", 3), ("b", 1), ("b", 3),
                                                 ("adamerging", 1)])
-    def test_matches_reference_loop(self, default_suite, monkeypatch, variant, points):
+    def test_matches_reference_loop(self, default_suite, variant, points):
         suite, coll = default_suite
-        basis = {"a": build_variant_a, "b": build_variant_b,
-                 "adamerging": tara.build_adamerging}[variant](coll)
+        basis = _BUILDERS[variant](coll)
         cfg = OptimConfig(iters=30, seed=7)
         rho = substream(8, variant, points).dirichlet(np.ones(coll.n_tasks), points)
         stch = StchConfig(anchors=compute_anchors(coll, suite))
         phi, trace = optimize(basis, suite, rho, cfg, stch)
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "_entropy_and_dlogits", reference_entropy_and_dlogits)
-            want_phi, want_objective, want_per_task = _reference_optimize(
-                basis, suite, rho, cfg, stch)
+        want_phi, want_objective, want_per_task = _reference_optimize(basis, suite, rho, cfg,
+                                                                      stch)
         for layer in basis.layer_ids:
             assert np.array_equal(phi[layer], want_phi[layer])
         assert trace.steps == list(range(cfg.iters))
@@ -642,8 +689,10 @@ class _ConstantSuite:
     def adaptation_pool(self, task):
         return np.zeros((4, 6))
 
-    def factor_scorer(self, base, stacks, n):
-        def score(coef, batches):
+    def factor_scorer(self, base, stacks, pools):
+        n = len(pools)
+
+        def score(coef, idx):
             lead = next(iter(coef.values())).shape[:-1]
             return np.full(lead + (n,), self.entropy), {
                 l: np.zeros(c.shape[:-1] + (n, c.shape[-1])) for l, c in coef.items()
@@ -666,8 +715,8 @@ class _DivergingTask:
     def factor_scorer(self, *args):
         score = self.suite.factor_scorer(*args)
 
-        def diverging(coef, batches):
-            f, grads = score(coef, batches)
+        def diverging(coef, idx):
+            f, grads = score(coef, idx)
             if f.ndim == 2:
                 self.calls += 1
                 f[:, self.task] *= 10.0 ** self.calls
