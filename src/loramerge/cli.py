@@ -370,60 +370,63 @@ def _add_flags(p, table: dict):
         p.add_argument("--" + key.replace("_", "-"), type=typ)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's subparser, with flags only on the named command's, or on
+    all of them when command is None: argparse asks the terminal size for every
+    flag, so main builds only the flags of the command it runs."""
     parser = argparse.ArgumentParser(
         prog="loramerge",
         description="LoRA adapter merging, diagnostics, and preference sweeps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-toy", help="generate a synthetic suite and fine-tune adapters")
-    p.add_argument("--config", help="JSON config file (flags override)")
-    p.add_argument("--out", default="runs", help="output root directory")
-    _add_flags(p, TRAIN_FLAGS)
-    p.set_defaults(func=cmd_train_toy)
+    def add(name, text, func, reads_suite=True):
+        """The subparser to give flags to, or None for a command not built."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if command not in (None, name):
+            return None
+        if reads_suite:
+            p.add_argument("container")
+            p.add_argument("--sidecar", required=True)
+        return p
 
-    p = sub.add_parser("diagnose", help="coverage, misalignment, anisotropy reports")
-    p.add_argument("container")
-    p.add_argument("--sidecar", required=True)
-    p.add_argument("--out", default="runs")
-    p.add_argument("--stacks", action="store_true")
-    p.add_argument("--xi", action="store_true")
-    p.add_argument("--kappa", action="store_true")
-    p.add_argument("--lam", type=float, help="task-arithmetic scale (default: MergeConfig's)")
-    p.set_defaults(func=cmd_diagnose)
+    if p := add("train-toy", "generate a synthetic suite and fine-tune adapters",
+                cmd_train_toy, reads_suite=False):
+        p.add_argument("--config", help="JSON config file (flags override)")
+        p.add_argument("--out", default="runs", help="output root directory")
+        _add_flags(p, TRAIN_FLAGS)
 
-    p = sub.add_parser("merge", help="merge adapters and evaluate")
-    p.add_argument("container")
-    p.add_argument("--sidecar", required=True)
-    p.add_argument("--out", default="runs")
-    p.add_argument("--config")
-    _add_flags(p, MERGE_FLAGS)
-    p.set_defaults(func=cmd_merge)
+    if p := add("diagnose", "coverage, misalignment, anisotropy reports", cmd_diagnose):
+        p.add_argument("--out", default="runs")
+        p.add_argument("--stacks", action="store_true")
+        p.add_argument("--xi", action="store_true")
+        p.add_argument("--kappa", action="store_true")
+        p.add_argument("--lam", type=float, help="task-arithmetic scale (default: MergeConfig's)")
 
-    p = sub.add_parser("sweep", help="preference sweep: merge + eval per point")
-    p.add_argument("container")
-    p.add_argument("--sidecar", required=True)
-    p.add_argument("--out", default="runs")
-    p.add_argument("--method")
-    p.add_argument("--preferences", help="JSON file with a list of preference rows")
-    p.add_argument("--random", type=int, help="sample K random simplex points")
-    p.add_argument("--fixed", help='pin coordinates, e.g. "0:0.125,1:0.125"')
-    p.add_argument("--seed", type=int)
-    p.add_argument("--iters", type=int)
-    p.set_defaults(func=cmd_sweep)
+    if p := add("merge", "merge adapters and evaluate", cmd_merge):
+        p.add_argument("--out", default="runs")
+        p.add_argument("--config")
+        _add_flags(p, MERGE_FLAGS)
 
-    p = sub.add_parser("eval", help="evaluate stored merged weights against a suite")
-    p.add_argument("container")
-    p.add_argument("--sidecar", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--out", default="runs")
-    p.set_defaults(func=cmd_eval)
+    if p := add("sweep", "preference sweep: merge + eval per point", cmd_sweep):
+        p.add_argument("--out", default="runs")
+        p.add_argument("--method")
+        p.add_argument("--preferences", help="JSON file with a list of preference rows")
+        p.add_argument("--random", type=int, help="sample K random simplex points")
+        p.add_argument("--fixed", help='pin coordinates, e.g. "0:0.125,1:0.125"')
+        p.add_argument("--seed", type=int)
+        p.add_argument("--iters", type=int)
+
+    if p := add("eval", "evaluate stored merged weights against a suite", cmd_eval):
+        p.add_argument("--weights", required=True)
+        p.add_argument("--out", default="runs")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

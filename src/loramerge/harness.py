@@ -171,10 +171,11 @@ class TaskSuite:
             rows = first + idx
             xr_b = xr.take(rows, 0)                              # (n, B, K)
             scaled = coef[LAYER_ID][..., None, :, None] * hl_t   # (..., n, K, C)
-            logits = xhw0.take(rows, 0) + xr_b @ scaled          # (..., n, B, C)
-            f, dl = _entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
-            dl_t = np.swapaxes(dl, -1, -2).copy()                # (..., n, B, C)
-            grad = np.einsum("...nck,nck->...nk", np.swapaxes(dl_t, -1, -2) @ xr_b, hl)
+            logits = xr_b @ scaled                               # (..., n, B, C)
+            logits += xhw0.take(rows, 0)
+            f, dl = _entropy_and_dlogits(logits.swapaxes(-1, -2).copy())
+            dl_t = dl.swapaxes(-1, -2).copy()                    # (..., n, B, C)
+            grad = np.einsum("...nck,nck->...nk", dl_t.swapaxes(-1, -2) @ xr_b, hl)
             return f, {LAYER_ID: grad}
 
         return score
@@ -196,20 +197,24 @@ class TaskSuite:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:  # over the C axis of (..., C, B) logits
-    e = np.exp(z - z.max(-2, keepdims=True))
-    return e / e.sum(-2, keepdims=True)
+    e = z - np.maximum.reduce(z, -2, keepdims=True)  # z's memory order
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, -2, keepdims=True)
+    return e
 
 
 def _entropy_and_dlogits(logits: np.ndarray):
     """Mean predictive entropy over the batch axis of class-major (..., C, B)
     logits, and its gradient w.r.t. every logit. A p that underflowed to 0, or
-    is NaN, takes log 1 = 0 for its log p."""
+    is NaN, takes 0 for its log p."""
     p = _softmax(logits)
-    logp = np.log(np.where(p > 0, p, 1.0))
-    ent = -(p * logp).sum(-2)                            # (..., B)
+    dl = np.log(p, out=np.zeros_like(p), where=p > 0)    # log p, then dl in place
+    ent = -np.add.reduce(p * dl, -2)                     # (..., B)
     # dE/dlogit_j = -p_j (log p_j + E) per sample
-    dl = -p * (logp + ent[..., None, :]) / logits.shape[-1]
-    return ent.sum(-1) / ent.shape[-1], dl               # np.mean's own arithmetic
+    dl += ent[..., None, :]
+    dl *= p
+    dl /= -logits.shape[-1]
+    return np.add.reduce(ent, -1) / ent.shape[-1], dl   # np.mean's own arithmetic
 
 
 def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
@@ -287,35 +292,40 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
         for buf in (params, grad))
     a[:] = [0.01 * g.standard_normal((cfg.m, rank)) for g in inits]
     h[:] = [0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]
-    train_x = np.stack([td.train_x for td in suite.tasks])
-    train_y = np.stack([td.train_y for td in suite.tasks])
+    train_x = np.stack([td.train_x for td in suite.tasks]).reshape(n * cfg.n_train, cfg.m)
+    train_y = np.concatenate([td.train_y for td in suite.tasks])
     tags = [("finetune", i, "batch", t) for t in range(steps) for i in range(n)]
-    schedule = keyed_integers(seed, tags, cfg.n_train, FINETUNE_BATCH).reshape(
+    # every step's (N, B) rows of the flattened train arrays, and the flat index of
+    # each row's true-label probability in a step's (N, C, B) p
+    rows = keyed_integers(seed, tags, cfg.n_train, FINETUNE_BATCH).reshape(
         steps, n, FINETUNE_BATCH)
-    rows, cols = np.arange(n)[:, None], np.arange(FINETUNE_BATCH)
-    initial_loss = None
+    rows += cfg.n_train * np.arange(n)[:, None]
+    picks = train_y.take(rows) + cfg.n_classes * np.arange(n)[:, None]
+    picks *= FINETUNE_BATCH
+    picks += np.arange(FINETUNE_BATCH)
+    limit = None
     for t in range(steps):
-        x, y = train_x[rows, schedule[t]], train_y[rows, schedule[t]]   # (N, B, m), (N, B)
-        z = x @ np.swapaxes(w0 + scale * b @ np.swapaxes(a, 1, 2), 1, 2)
+        x = train_x.take(rows[t], 0)                                        # (N, B, m)
+        z = x @ (w0 + scale * b @ a.swapaxes(1, 2)).swapaxes(1, 2)
         # the softmax runs class-major; every product keeps its (N, B, C) operand
-        p = _softmax(np.swapaxes(z @ np.swapaxes(h, 1, 2), 1, 2).copy())  # (N, C, B)
-        loss = np.mean(-np.log(np.maximum(p[rows, y, cols], 1e-300)), axis=1)
-        if initial_loss is None:
-            initial_loss = np.maximum(loss, 1e-12)
-        diverged = np.flatnonzero(~(loss <= 10.0 * initial_loss))  # NaN diverges
-        if diverged.size:
-            j = diverged[0]
+        p = _softmax((z @ h.swapaxes(1, 2)).swapaxes(1, 2).copy())          # (N, C, B)
+        flat, pick = p.reshape(-1), picks[t]
+        loss = np.add.reduce(np.log(np.maximum(flat.take(pick), 1e-300)), 1) / -FINETUNE_BATCH
+        if limit is None:
+            limit = 10.0 * np.maximum(loss, 1e-12)
+        if not (loss <= limit).all():  # NaN diverges
+            j = np.flatnonzero(~(loss <= limit))[0]
             raise HarnessAbort(
                 f"divergence guard: task{j} loss {loss[j]:.4g} exceeds 10x "
                 f"initial at step {t}"
             )
-        p[rows, y, cols] -= 1.0
-        dl = np.swapaxes(p, 1, 2).copy()                                # (N, B, C)
+        flat[pick] -= 1.0
+        dl = p.swapaxes(1, 2).copy()                                        # (N, B, C)
         dl /= FINETUNE_BATCH
-        dw = scale * (np.swapaxes(dl @ h, 1, 2) @ x)
+        dw = scale * ((dl @ h).swapaxes(1, 2) @ x)
         np.matmul(dw, a, out=gb)
-        np.matmul(np.swapaxes(dw, 1, 2), b, out=ga)
-        np.matmul(np.swapaxes(dl, 1, 2), z, out=gh)
+        np.matmul(dw.swapaxes(1, 2), b, out=ga)
+        np.matmul(dl.swapaxes(1, 2), z, out=gh)
         adamw_step(params, grad, m, v, t + 1, lr)
 
     adapters = []

@@ -25,6 +25,22 @@ def _digest(seed: int, tags: tuple) -> bytes:
     return hashlib.blake2b(repr((int(seed),) + tags).encode(), digest_size=16).digest()
 
 
+def _digests(seed: int, tags: list[tuple]) -> bytes:
+    """b"".join(_digest(seed, tag) for tag in tags); when every tag starts with one
+    str, the repr up to it is hashed once and each row hashes only its rest."""
+    head = tags[0][0] if tags and tags[0] else None
+    if type(head) is not str or not all(t and type(t[0]) is str and t[0] == head
+                                        for t in tags):
+        return b"".join(_digest(seed, tag) for tag in tags)
+    root = hashlib.blake2b(f"({int(seed)!r}, {head!r}".encode(), digest_size=16)
+    out = []
+    for t in tags:
+        h = root.copy()
+        h.update((", %r" * (len(t) - 1) % t[1:] + ")").encode())  # a tuple's repr
+        out.append(h.digest())
+    return b"".join(out)
+
+
 def substream(seed: int, *tags) -> np.random.Generator:
     """Return a Generator whose state depends only on (seed, *tags)."""
     key = np.frombuffer(_digest(seed, tags), dtype=np.uint64)
@@ -86,7 +102,7 @@ def keyed_integers(seed: int, tags: list[tuple], high: int, size: int) -> np.nda
     """
     out, redo = np.empty((len(tags), size), dtype=np.int64), range(len(tags))
     if 1 <= high <= 2**32:
-        keys = np.frombuffer(b"".join(_digest(seed, tag) for tag in tags), dtype=np.uint64)
+        keys = np.frombuffer(_digests(seed, tags), dtype=np.uint64)
         words = _philox_words(keys.reshape(-1, 2), -(-size // 8))
         # "<u4" view: low half first. The product must be uint64: numpy 1.x keeps a
         # uint32 array times a uint64 scalar that fits in 32 bits as uint32, and wraps.

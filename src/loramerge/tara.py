@@ -190,8 +190,10 @@ def _coefficients(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str
         if p.shape[-1:] != (basis.counts[layer],):
             raise TaraError(f"phi of shape {p.shape} does not end in {basis.counts[layer]} "
                             f"components at {layer}")
-        # np.take gives C order, unlike p[..., idx]
-        coef[layer] = basis.layers[layer].sigma * np.take(p, basis.groups[layer], axis=-1)
+        if basis.variant == "adamerging":  # A and B: column k is phi entry k
+            # np.take gives C order, unlike p[..., idx]
+            p = np.take(p, basis.groups[layer], axis=-1)
+        coef[layer] = basis.layers[layer].sigma * p
     return coef
 
 
@@ -245,12 +247,17 @@ def _stch(f, z, rho, alpha):
     """alpha * log sum_i exp(rho_i |f_i - z_i| / alpha), stabilized, and dPsi/df_i,
     with a deadband at the anchor; row-wise over (..., N) f and rho."""
     r = f - z
-    t = rho * np.abs(r) / alpha
-    tmax = t.max(axis=-1, keepdims=True)
-    e = np.exp(t - tmax)
-    total = e.sum(axis=-1, keepdims=True)
-    grad = e / total * rho * np.sign(r)
-    np.copyto(grad, 0.0, where=np.abs(r) < RESIDUAL_DEADBAND)
+    a = np.abs(r)
+    t = rho * a
+    t /= alpha
+    tmax = np.maximum.reduce(t, -1, keepdims=True)
+    t -= tmax
+    grad = np.exp(t, out=t)
+    total = np.add.reduce(grad, -1, keepdims=True)
+    grad /= total
+    grad *= rho
+    grad *= np.sign(r)
+    np.copyto(grad, 0.0, where=a < RESIDUAL_DEADBAND)
     return alpha * (tmax + np.log(total))[..., 0], grad
 
 
@@ -263,9 +270,10 @@ def _phi_gradient(basis: DirectionBasis, col_grads: dict, dpsi_df: np.ndarray):
     for layer in basis.layer_ids:
         g, k = col_grads[layer], basis.counts[layer]
         cols = basis.layers[layer].sigma * (c @ g.reshape(len(c), *g.shape[-2:]))[:, 0]
-        bins = basis.groups[layer] + k * np.arange(len(c))[:, None]  # row p: bins p*k...
-        out[layer] = np.bincount(bins.ravel(), cols.ravel(),
-                                 len(c) * k).reshape(dpsi_df.shape[:-1] + (k,))
+        if basis.variant == "adamerging":  # A and B: one column per phi entry
+            bins = basis.groups[layer] + k * np.arange(len(c))[:, None]  # row p: bins p*k...
+            cols = np.bincount(bins.ravel(), cols.ravel(), len(c) * k)
+        out[layer] = cols.reshape(dpsi_df.shape[:-1] + (k,))
     return out
 
 
@@ -310,7 +318,7 @@ def mean_entropy_value_and_grad(basis, phi, scorer, idx):
     """Uniform-mean entropy objective used by the AdaMerging baseline."""
     f, col_grads = _evaluate(basis, phi, scorer, idx)
     dpsi_df = np.full(f.shape, 1.0 / basis.n_tasks)
-    return np.mean(f, axis=-1), _phi_gradient(basis, col_grads, dpsi_df), f
+    return np.add.reduce(f, -1) / f.shape[-1], _phi_gradient(basis, col_grads, dpsi_df), f
 
 
 def adamw_step(params, grads, m, v, t, lr: float):
@@ -319,11 +327,21 @@ def adamw_step(params, grads, m, v, t, lr: float):
     b1, b2 = ADAM_BETAS
     c1, c2 = 1 - b1**t, 1 - b2**t
     for key, g in grads.items():
+        # scratch s: (1 - b1) g, (1 - b2) g g, then sqrt(v / c2) + eps; u: the step
+        s = np.multiply(g, 1 - b1)
         m[key] *= b1
-        m[key] += (1 - b1) * g
+        m[key] += s
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
         v[key] *= b2
-        v[key] += (1 - b2) * g * g
-        params[key] -= lr * (m[key] / c1 / (np.sqrt(v[key] / c2) + ADAM_EPS))
+        v[key] += s
+        np.divide(v[key], c2, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        u = np.divide(m[key], c1)
+        u /= s
+        u *= lr
+        params[key] -= u
 
 
 def batch_schedule(pools: np.ndarray, cfg: OptimConfig) -> np.ndarray:

@@ -97,6 +97,19 @@ class TestTrainToy:
             got = set(sub.choices[command]._option_string_actions)
             assert got == {"-h", "--help", *flags.split()}, command
 
+    def test_only_the_named_command_gets_flags(self):
+        """main builds the flags of the command it runs; build_parser() builds all."""
+        def flags(parser):
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+        every = flags(build_parser())
+        for command in every:
+            got = flags(build_parser(command))
+            assert got.keys() == every.keys()
+            for name in every:
+                assert got[name] == (every[name] if name == command else ["help"]), name
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loramerge.rng import keyed_integers, substream
+from loramerge.rng import _digest, _digests, keyed_integers, substream
 
 TAGS = st.lists(
     st.tuples(st.sampled_from(["batch", "finetune", "x"]), st.integers(0, 10**6)),
@@ -41,6 +41,18 @@ class TestKeyedIntegers:
     def test_empty_range_raises_like_numpy(self):
         with pytest.raises(ValueError):
             keyed_integers(0, [("a", 0)], 0, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), heads=st.lists(
+               st.one_of(st.sampled_from(["batch", "finetune", "b'x'", ""]), st.integers(-3, 3)),
+               min_size=1, max_size=2),
+           tails=st.lists(st.lists(st.one_of(st.integers(-2**70, 2**70), st.text(max_size=4)),
+                                   max_size=3), min_size=0, max_size=6))
+    def test_joined_keys_equal_one_digest_per_tag(self, seed, heads, tails):
+        """Tags of length 1 to 4 whose heads are one string, two values or
+        not strings, with ints (negative ones too) and strings in the tail."""
+        tags = [(heads[i % len(heads)], *tail) for i, tail in enumerate(tails)]
+        assert _digests(seed, tags) == b"".join(_digest(seed, tag) for tag in tags)
 
 
 def _oracle(seed, tags, high, size):

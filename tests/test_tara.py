@@ -535,11 +535,43 @@ class TestOptimize:
                      stch)
 
 
+def _earlier_coefficients(basis, phi):
+    """tara._coefficients before variants A and B skipped their identity take."""
+    return {l: basis.layers[l].sigma * np.take(np.asarray(phi[l], dtype=np.float64),
+                                                basis.groups[l], axis=-1)
+            for l in basis.layer_ids}
+
+
+def _earlier_stch(f, z, rho, alpha):
+    """tara._stch with a new array per operation and the .max/.sum wrappers."""
+    r = f - z
+    t = rho * np.abs(r) / alpha
+    tmax = t.max(axis=-1, keepdims=True)
+    e = np.exp(t - tmax)
+    total = e.sum(axis=-1, keepdims=True)
+    grad = e / total * rho * np.sign(r)
+    np.copyto(grad, 0.0, where=np.abs(r) < tara.RESIDUAL_DEADBAND)
+    return alpha * (tmax + np.log(total))[..., 0], grad
+
+
+def _bincount_phi_gradient(basis, col_grads, dpsi_df):
+    """tara._phi_gradient with every variant's groups summed by one np.bincount."""
+    c = dpsi_df.reshape(-1, 1, dpsi_df.shape[-1])
+    out = {}
+    for layer in basis.layer_ids:
+        g, k = col_grads[layer], basis.counts[layer]
+        cols = basis.layers[layer].sigma * (c @ g.reshape(len(c), *g.shape[-2:]))[:, 0]
+        bins = basis.groups[layer] + k * np.arange(len(c))[:, None]
+        out[layer] = np.bincount(bins.ravel(), cols.ravel(),
+                                 len(c) * k).reshape(dpsi_df.shape[:-1] + (k,))
+    return out
+
+
 def _reference_optimize(basis, suite, rho, cfg, stch):
     """optimize as first written, without its guards: the per-batch reference
-    scorer, an Adam that allocates new arrays, and each batch drawn from its own
-    (seed, "batch", step, i) substream. Returns phi and the objective and
-    per-task rows of every step."""
+    scorer, the earlier step above, an Adam that allocates new arrays, and each
+    batch drawn from its own (seed, "batch", step, i) substream. Returns phi and
+    the objective and per-task rows of every step."""
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
@@ -557,19 +589,15 @@ def _reference_optimize(basis, suite, rho, cfg, stch):
                                                                     cfg.batch_size)]
             for i in range(n)
         ])
-        f, col_grads = score(tara._coefficients(basis, phi), batches)
+        f, col_grads = score(_earlier_coefficients(basis, phi), batches)
         if mean_entropy:
             value, dpsi_df = np.mean(f, axis=-1), np.full(f.shape, 1.0 / n)
         else:
-            value, dpsi_df = tara._stch(f, stch.anchors, rho, stch.alpha)
+            value, dpsi_df = _earlier_stch(f, stch.anchors, rho, stch.alpha)
         objective.append(value)
         per_task.append(np.array(f))
-        c = dpsi_df.reshape(-1, 1, n)
-        for layer in basis.layer_ids:
-            k = basis.counts[layer]
-            cols = basis.layers[layer].sigma * (c @ col_grads[layer])[:, 0]
-            bins = basis.groups[layer] + k * np.arange(len(c))[:, None]
-            g = np.bincount(bins.ravel(), cols.ravel(), len(c) * k).reshape(len(c), k)
+        grad = _bincount_phi_gradient(basis, col_grads, dpsi_df)
+        for layer, g in grad.items():
             m[layer] = b1 * m[layer] + (1 - b1) * g
             v[layer] = b2 * v[layer] + (1 - b2) * g * g
             mhat = m[layer] / (1 - b1 ** (step + 1))
@@ -600,6 +628,50 @@ class TestWholeLoop:
             assert np.array_equal(got, want)
         for got, want in zip(trace.per_task, want_per_task, strict=True):
             assert np.array_equal(got, want)
+
+
+class TestEarlierStep:
+    """The lean step (no identity take or bincount for variants A and B, _stch
+    and Adam updating scratch arrays in place) keeps every bit of the earlier one."""
+
+    @pytest.mark.parametrize("variant,points", [("a", 1), ("b", 1), ("adamerging", 1),
+                                                ("b", 3)])
+    def test_optimize_matches_the_earlier_loop(self, default_suite, variant, points):
+        """The reference loop at alpha = 0.7, where dividing by alpha rounds."""
+        suite, coll = default_suite
+        basis = _BUILDERS[variant](coll)
+        cfg = OptimConfig(iters=40, seed=5)
+        rho = substream(6, variant, points).dirichlet(np.ones(coll.n_tasks), points)
+        stch = StchConfig(alpha=0.7, anchors=compute_anchors(coll, suite))
+        phi, trace = optimize(basis, suite, rho, cfg, stch)
+        want_phi, want_objective, want_per_task = _reference_optimize(basis, suite, rho, cfg,
+                                                                      stch)
+        for layer in basis.layer_ids:
+            assert np.array_equal(phi[layer], want_phi[layer])
+        for got, want in zip(trace.objective, want_objective, strict=True):
+            assert np.array_equal(got, want)
+        for got, want in zip(trace.per_task, want_per_task, strict=True):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["a", "b", "adamerging"]), points=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+    def test_identity_groups_match_the_bincount(self, variant, points, seed, zeros):
+        """Variants A and B skip the bincount of their identity groups; with some
+        gradients zero (a deadband row), the sums still equal the bincount's."""
+        coll = random_collection(seed=seed % 7, n_tasks=3, layers=("l0", "l1"), rank=2)
+        basis = _BUILDERS[variant](coll)
+        gen = np.random.default_rng(seed)
+        k = {l: basis.layers[l].sigma.size for l in basis.layer_ids}
+        col_grads = {l: gen.normal(size=(points, 3, k[l])) for l in basis.layer_ids}
+        dpsi_df = gen.normal(size=(points, 3))
+        if zeros:
+            dpsi_df[0] = 0.0
+        got = tara._phi_gradient(basis, col_grads, dpsi_df)
+        want = _bincount_phi_gradient(basis, col_grads, dpsi_df)
+        for layer in basis.layer_ids:
+            assert got[layer].shape == want[layer].shape == (points, basis.counts[layer])
+            assert np.array_equal(got[layer], want[layer])
 
 
 class TestSweep:
