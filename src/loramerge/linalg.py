@@ -68,14 +68,20 @@ def svd(x) -> SvdResult:
     largest magnitude in each left singular vector is positive (ties broken
     by lowest index); the right vector is flipped to match.
     """
-    a = _as_matrix(x)
+    u, sigma, vt = _lapack_svd(_as_matrix(x), compute_uv=True)
+    return _sign_normalized(u, sigma, vt.T)
+
+
+def _lapack_svd(a: np.ndarray, compute_uv: bool):
+    """np.linalg.svd of a checked matrix, thin; non-convergence and
+    non-finite singular values are aborts."""
     try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise LinalgAbort(f"SVD did not converge: {exc}") from exc
-    if not np.isfinite(sigma).all():
+    if not np.isfinite(out[1] if compute_uv else out).all():
         raise LinalgAbort("singular values overflow the float range")
-    return _sign_normalized(u, sigma, vt.T)
+    return out
 
 
 def _sign_normalized(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> SvdResult:
@@ -140,12 +146,13 @@ def singular_values_from_gram(gram: np.ndarray) -> np.ndarray:
     """Singular values of a matrix X given G = X X^T (rows as samples).
 
     G is symmetric PSD; its singular values equal its eigenvalues, so the
-    singular values of X are their square roots.
+    singular values of X are their square roots. LAPACK computes the values
+    only: no singular vectors are built or sign-normalized.
     """
     g = _as_matrix(gram, "gram")
     if g.shape[0] != g.shape[1]:
         raise LinalgError("gram matrix must be square")
-    eig = svd(g).sigma
+    eig = _lapack_svd(g, compute_uv=False)
     return np.sqrt(np.maximum(eig, 0.0))
 
 

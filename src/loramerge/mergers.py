@@ -103,14 +103,17 @@ def _trim_top_mass(delta: np.ndarray, trim_fraction: float,
 def _ties_combine(deltas: list[np.ndarray], trim_fraction: float,
                   size: int | None = None) -> np.ndarray:
     """Trim per task, elect signs by summed magnitude, average matching survivors;
-    size as in _trim_top_mass."""
+    size as in _trim_top_mass. The clipped sums P = sum max(t, 0) and
+    Q = sum min(t, 0) = -(negative mass) add the matching survivors in task
+    order, so they are also the elected sign's total; the zero terms can only
+    change the sign of a zero sum, whose entry has no survivor."""
     trimmed = np.stack([_trim_top_mass(d, trim_fraction, size) for d in deltas])
-    pos_mass = np.sum(np.where(trimmed > 0, trimmed, 0.0), axis=0)
-    neg_mass = np.sum(np.where(trimmed < 0, -trimmed, 0.0), axis=0)
-    sign = np.where(pos_mass >= neg_mass, 1.0, -1.0)  # ties break positive
-    match = (trimmed * sign) > 0
-    count = np.sum(match, axis=0)
-    total = np.sum(np.where(match, trimmed, 0.0), axis=0)
+    clipped = np.maximum(trimmed, 0.0)
+    pos = clipped.sum(axis=0)
+    neg = np.minimum(trimmed, 0.0, out=clipped).sum(axis=0)
+    up = pos >= -neg  # ties break positive
+    count = np.where(up, (trimmed > 0).sum(axis=0), (trimmed < 0).sum(axis=0))
+    total = np.where(up, pos, neg)
     return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
@@ -248,16 +251,21 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     for _ in range(100):
         dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(dists, axis=1)
-        inertia = float(np.sum(dists[np.arange(n), assign]))
+        own = dists[np.arange(n), assign]
+        inertia = float(np.sum(own))
+        sizes = np.bincount(assign, minlength=k)
         for c in range(k):
-            members = points[assign == c]
-            if len(members) == 0:
-                # reseed from the point farthest from its centroid (lowest index on ties)
-                far = int(np.argmax(dists[np.arange(n), assign]))
+            if sizes[c] == 0:
+                # reseed from the point farthest from its centroid (lowest index on
+                # ties) among those whose cluster keeps another member; a point
+                # handed out here is alone in its new cluster, so none goes twice
+                far = int(np.argmax(np.where(sizes[assign] > 1, own, -np.inf)))
+                sizes[assign[far]] -= 1
+                sizes[c] = 1
                 centers[c] = points[far]
                 assign[far] = c
             else:
-                centers[c] = members.mean(axis=0)
+                centers[c] = points[assign == c].mean(axis=0)
         if prev_inertia < np.inf and abs(prev_inertia - inertia) <= 1e-8 * max(
             prev_inertia, 1e-300
         ):

@@ -265,6 +265,39 @@ class TestGramPath:
             linalg.singular_values_from_gram(np.ones((2, 3)))
 
 
+class TestGramValuesOnly:
+    """The values-only LAPACK call keeps svd()'s spectrum and its checks."""
+
+    @given(reasonable_matrices(max_dim=16))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_full_svd(self, x):
+        gram = x @ x.T
+        want = linalg.svd(gram).sigma
+        got = linalg.singular_values_from_gram(gram)
+        assert got.shape == want.shape
+        # compare eigenvalues: the square root amplifies rounding near zero
+        assert np.max(np.abs(got**2 - want)) <= 1e-13 * max(want[0], 1e-300)
+
+    @pytest.mark.parametrize("gram", [[[np.nan, 0.0], [0.0, 1.0]], np.full((2, 2), 1e308)],
+                             ids=["nan", "overflowing_sigma"])
+    def test_non_finite_is_an_abort(self, gram):
+        with pytest.raises(linalg.LinalgAbort):
+            linalg.singular_values_from_gram(np.array(gram))
+
+    def test_non_convergence_is_an_abort(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(linalg.LinalgAbort):
+            linalg.singular_values_from_gram(np.eye(3))
+
+    def test_non_square_is_a_usage_error(self):
+        with pytest.raises(linalg.LinalgError) as info:
+            linalg.singular_values_from_gram(np.ones((3, 2)))
+        assert not isinstance(info.value, linalg.LinalgAbort)
+
+
 class TestEffectiveRank:
     def test_flat_spectrum_counts(self):
         for n in (1, 3, 7):

@@ -1,4 +1,6 @@
 import itertools
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_collection, assert_weights_close
 from loramerge import mergers
-from loramerge.adapters import delta_weight
+from loramerge.adapters import AdapterCollection, delta_weight
 from loramerge.mergers import MergeConfig, MergeError
 from loramerge.rng import substream
 
@@ -166,6 +168,62 @@ class TestDare:
         assert_weights_close(a, b, tol=0.0)
 
 
+def ties_combine_by_where(deltas, trim_fraction, size=None):
+    """The combine by masks: sum each sign's mass, elect, then sum and count
+    the survivors matching the elected sign. The clipped sums must give its
+    bits."""
+    trimmed = np.stack([mergers._trim_top_mass(d, trim_fraction, size) for d in deltas])
+    pos_mass = np.sum(np.where(trimmed > 0, trimmed, 0.0), axis=0)
+    neg_mass = np.sum(np.where(trimmed < 0, -trimmed, 0.0), axis=0)
+    sign = np.where(pos_mass >= neg_mass, 1.0, -1.0)  # ties break positive
+    match = (trimmed * sign) > 0
+    count = np.sum(match, axis=0)
+    total = np.sum(np.where(match, trimmed, 0.0), axis=0)
+    return np.where(count > 0, total / np.maximum(count, 1), 0.0)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTiesClippedSums:
+    @given(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5)).flatmap(
+               lambda s: st.lists(hnp.arrays(np.float64, s[:2], elements=tied_values),
+                                  min_size=s[2], max_size=s[2])),
+           st.floats(0.0, 0.999), st.sampled_from([0.0, 0.3, 0.7]),
+           st.one_of(st.none(), st.integers(0, 40)), st.integers(0, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_masked_combine(self, deltas, trim_fraction, drop_prob, extra, seed):
+        """Tie-heavy tasks with -0.0, DARE zeros and a trim count taken over a
+        larger (zero-padded) entry count."""
+        deltas = [mergers._dare_drop(d, drop_prob, seed, f"task{i}", "l")
+                  for i, d in enumerate(deltas)]
+        size = None if extra is None else deltas[0].size + extra
+        assert_same_bits(mergers._ties_combine(deltas, trim_fraction, size),
+                         ties_combine_by_where(deltas, trim_fraction, size))
+
+    @pytest.mark.parametrize("method", ["ties", "dare_ties", "knots_ties", "knots_dare_ties"])
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_merges_match_the_masked_combine(self, method, d, monkeypatch):
+        coll = random_collection(seed=d, n_tasks=4, layers=("l0",), d=d, m=d, rank=16)
+        cfg = MergeConfig(method=method, lam=1.0, seed=5)
+        got = mergers.run_merge(coll, cfg)
+        monkeypatch.setattr(mergers, "_ties_combine", ties_combine_by_where)
+        assert_same_bits(got["l0"], mergers.run_merge(coll, cfg)["l0"])
+
+    def test_more_tasks_than_a_narrow_count_holds(self):
+        """130 agreeing tasks and 260 mixed ones: an 8-bit count would wrap."""
+        gen = substream(7, "many-tasks")
+        agree = [np.full((2, 3), 1.0 + i % 3) for i in range(130)]
+        got = mergers._ties_combine(agree, 0.0)
+        assert np.array_equal(got, np.full((2, 3), sum(1.0 + i % 3 for i in range(130)) / 130))
+        mixed = agree + [gen.standard_normal((2, 3)) for _ in range(130)]
+        assert_same_bits(mergers._ties_combine(mixed, 0.0),
+                         ties_combine_by_where(mixed, 0.0))
+
+
 class TestLinear:
     def test_factor_sum_definition(self):
         coll = random_collection(seed=7, layers=("l0",))
@@ -307,6 +365,23 @@ class TestKmeans:
             if len(members):
                 assert np.allclose(centers[c], members.mean(axis=0), atol=1e-9)
 
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 24), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_no_cluster_is_empty(self, seed, distinct, n, data):
+        """Duplicate-heavy points leave several clusters empty at once; each
+        reseed takes a different point, from a cluster that keeps a member."""
+        k = data.draw(st.integers(1, n))
+        gen = substream(seed, "km-dup")
+        pts = gen.standard_normal((distinct, 2))[gen.integers(0, distinct, n)]
+        _, assign = mergers._kmeans(pts, k, substream(seed, "k"))
+        assert np.all(np.bincount(assign, minlength=k) > 0)
+        assert assign.max() < k
+
+    def test_two_points_four_times_over_fill_five_clusters(self):
+        pts = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 4)
+        _, assign = mergers._kmeans(pts, 5, substream(0, "lego", "l"))
+        assert sorted(np.bincount(assign, minlength=5)) == [1, 1, 1, 1, 4]
+
 
 def lego_oracle(coll, layer, k, reweight, seed):
     """Recompute the merged update from the clustering, independently applying
@@ -342,6 +417,20 @@ class TestLoraLego:
         want = lego_oracle(coll, "l0", 4, reweight, 2)
         got = delta_weight(merged)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(np.max(np.abs(want)), 1.0)
+
+    def test_identical_adapters_with_parameter_reweighting(self):
+        """Four copies of one rank-2 adapter have two distinct units for five
+        clusters: every cluster must keep a member for its mean norm."""
+        one = random_collection(seed=19, n_tasks=1, layers=("l0",), d=6, m=6, rank=2)
+        tasks = [f"task{i}" for i in range(4)]
+        coll = AdapterCollection(
+            layer_ids=["l0"], task_ids=tasks, base=one.base,
+            adapters={"l0": [replace(one.adapters["l0"][0], task_id=t) for t in tasks]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            merged = mergers.merge_lora_lego(coll, k_clusters=5,
+                                             lego_reweight="parameter")["l0"]
+        assert np.isfinite(merged.b).all() and np.isfinite(merged.a).all()
 
     def test_k_too_large(self):
         coll = random_collection(seed=16, layers=("l0",), rank=2, n_tasks=2)
