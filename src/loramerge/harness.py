@@ -22,7 +22,7 @@ from .adapters import (
     save_collection,
 )
 from .linalg import CodedError, NumericalAbort
-from .rng import keyed_integers, substream
+from .rng import substream, task_integers
 from .tara import adamw_step, adaptation_pools
 
 LAYER_ID = "layer0"
@@ -268,9 +268,11 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
 def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float = 0.02,
                  seed: int = 0) -> AdapterCollection:
     """Train (B, A, head) of every task by cross-entropy, all tasks in one loop
-    over (N, ...) stacks; each task draws from its own (seed, "finetune", i)
-    streams. Stores each head and fine-tuned eval accuracy on the suite as the
-    normalization reference. These keyword defaults are the only ones."""
+    over (N, ...) stacks; task i draws its initial factors and head from the
+    (seed, "finetune", i) stream and its batches for every step from the
+    (seed, "finetune", i, "batch") stream. Stores each head and fine-tuned eval
+    accuracy on the suite as the normalization reference. These keyword defaults
+    are the only ones."""
     cfg = suite.config
     if not (is_integer(rank) and 1 <= rank <= min(cfg.d, cfg.m)):
         raise HarnessError(f"rank {rank!r} is not an integer in [1, min(d, m) = "
@@ -294,11 +296,10 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
     h[:] = [0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]
     train_x = np.stack([td.train_x for td in suite.tasks]).reshape(n * cfg.n_train, cfg.m)
     train_y = np.concatenate([td.train_y for td in suite.tasks])
-    tags = [("finetune", i, "batch", t) for t in range(steps) for i in range(n)]
     # every step's (N, B) rows of the flattened train arrays, and the flat index of
     # each row's true-label probability in a step's (N, C, B) p
-    rows = keyed_integers(seed, tags, cfg.n_train, FINETUNE_BATCH).reshape(
-        steps, n, FINETUNE_BATCH)
+    rows = task_integers(seed, [("finetune", i, "batch") for i in range(n)], cfg.n_train,
+                         steps, FINETUNE_BATCH)
     rows += cfg.n_train * np.arange(n)[:, None]
     picks = train_y.take(rows) + cfg.n_classes * np.arange(n)[:, None]
     picks *= FINETUNE_BATCH

@@ -31,7 +31,7 @@ from .adapters import (
 )
 from .diagnostics import _check_simplex
 from .linalg import CodedError, NumericalAbort
-from .rng import keyed_integers
+from .rng import task_integers
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
 PHI_INIT = 0.4  # TARA's starting phi; optimize picks it or the next by basis variant
@@ -348,13 +348,13 @@ def batch_schedule(pools: np.ndarray, cfg: OptimConfig) -> np.ndarray:
     """(iters, N, B) indices into the (N, pool, m) adaptation pools of every
     step's batches, drawn up front.
 
-    Step t's batch for task i comes from the (seed, "batch", t, i) stream, so the
-    schedule does not depend on the preference and a sweep can share it.
+    Task i's rows for every step come from its one (seed, "batch", i) stream, so
+    the schedule does not depend on the preference (a sweep shares it), on the
+    other tasks or on their count, and its first t rows do not depend on iters.
     """
     n_tasks, pool = pools.shape[:2]
-    tags = [("batch", step, i) for step in range(cfg.iters) for i in range(n_tasks)]
-    idx = keyed_integers(cfg.seed, tags, pool, cfg.batch_size)
-    return idx.reshape(cfg.iters, n_tasks, cfg.batch_size)
+    return task_integers(cfg.seed, [("batch", i) for i in range(n_tasks)], pool,
+                         cfg.iters, cfg.batch_size)
 
 
 def optimize(

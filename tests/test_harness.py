@@ -12,7 +12,7 @@ from conftest import sub_collection
 from loramerge import harness, mergers, tara
 from loramerge.adapters import AdapterCollection, ContainerError
 from loramerge.harness import HarnessError, SuiteConfig
-from loramerge.rng import keyed_integers, substream
+from loramerge.rng import substream
 
 
 class TestGeneration:
@@ -51,8 +51,8 @@ class TestGeneration:
 
 def _per_task_finetune(suite, task, rank, steps, lr, seed, lora_alpha=16.0, batch_size=32):
     """Per-task reference for the batched fine-tuning loop: one task, 2-D
-    arrays, one fresh substream per step, and the same guard against 10x the
-    initial loss. Returns (b, a, head, reference)."""
+    arrays, step t's batch from row t of the task's one batch stream, and the
+    same guard against 10x the initial loss. Returns (b, a, head, reference)."""
     cfg = suite.config
     w0 = suite.base["layer0"]
     scale = lora_alpha / rank
@@ -65,9 +65,10 @@ def _per_task_finetune(suite, task, rank, steps, lr, seed, lora_alpha=16.0, batc
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     td = suite.tasks[task]
+    batches = substream(seed, "finetune", task, "batch").integers(0, cfg.n_train,
+                                                                   (steps, batch_size))
     for t in range(steps):
-        idx = substream(seed, "finetune", task, "batch", t).integers(0, cfg.n_train,
-                                                                      batch_size)
+        idx = batches[t]
         x, y = td.train_x[idx], td.train_y[idx]
         z = x @ (w0 + scale * params["b"] @ params["a"].T).T
         logits = z @ params["h"].T
@@ -109,8 +110,10 @@ def _reference_finetune(suite, rank=16, steps=300, lr=0.02, seed=0, batch_size=3
     v = {k: np.zeros_like(p) for k, p in params.items()}
     train_x = np.stack([td.train_x for td in suite.tasks])
     train_y = np.stack([td.train_y for td in suite.tasks])
-    tags = [("finetune", i, "batch", t) for t in range(steps) for i in range(n)]
-    schedule = keyed_integers(seed, tags, cfg.n_train, batch_size).reshape(steps, n, batch_size)
+    schedule = np.stack([
+        substream(seed, "finetune", i, "batch").integers(0, cfg.n_train, (steps, batch_size))
+        for i in range(n)
+    ], axis=1)
     rows, cols = np.arange(n)[:, None], np.arange(batch_size)
     initial_loss = None
     for t in range(steps):

@@ -569,9 +569,10 @@ def _bincount_phi_gradient(basis, col_grads, dpsi_df):
 
 def _reference_optimize(basis, suite, rho, cfg, stch):
     """optimize as first written, without its guards: the per-batch reference
-    scorer, the earlier step above, an Adam that allocates new arrays, and each
-    batch drawn from its own (seed, "batch", step, i) substream. Returns phi and
-    the objective and per-task rows of every step."""
+    scorer, the earlier step above, an Adam that allocates new arrays, and task
+    i's batch at each step taken from that step's row of an (iters, B) draw of its
+    own (seed, "batch", i) substream. Returns phi and the objective and per-task
+    rows of every step."""
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
@@ -582,13 +583,12 @@ def _reference_optimize(basis, suite, rho, cfg, stch):
     m = {l: np.zeros_like(p) for l, p in phi.items()}
     v = {l: np.zeros_like(p) for l, p in phi.items()}
     b1, b2 = tara.ADAM_BETAS
+    rows = [substream(cfg.seed, "batch", i).integers(0, pools.shape[1],
+                                                     (cfg.iters, cfg.batch_size))
+            for i in range(n)]
     objective, per_task = [], []
     for step in range(cfg.iters):
-        batches = np.stack([
-            pools[i][substream(cfg.seed, "batch", step, i).integers(0, pools.shape[1],
-                                                                    cfg.batch_size)]
-            for i in range(n)
-        ])
+        batches = np.stack([pools[i][rows[i][step]] for i in range(n)])
         f, col_grads = score(_earlier_coefficients(basis, phi), batches)
         if mean_entropy:
             value, dpsi_df = np.mean(f, axis=-1), np.full(f.shape, 1.0 / n)
@@ -745,11 +745,10 @@ class TestSweep:
         cfg = OptimConfig(iters=5, batch_size=7, seed=9)
         idx = tara.batch_schedule(tara.adaptation_pools(suite, 2), cfg)
         assert idx.shape == (5, 2, 7)
-        for step in range(5):
-            for i in range(2):
-                pool = suite.adaptation_pool(i).shape[0]
-                want = substream(9, "batch", step, i).integers(0, pool, 7)
-                assert np.array_equal(idx[step, i], want)
+        for i in range(2):
+            pool = suite.adaptation_pool(i).shape[0]
+            want = substream(9, "batch", i).integers(0, pool, (5, 7))
+            assert np.array_equal(idx[:, i], want)
 
 
 class _ConstantSuite:
