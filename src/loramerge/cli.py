@@ -163,25 +163,17 @@ def cmd_diagnose(args) -> int:
         docs["coverage.json"] = {
             layer: asdict(rep) for layer, rep in diagnostics.coverage_report(coll).items()
         }
+    if args.xi or args.kappa:  # one raw Jacobian per layer serves both
+        raw = {l: diagnostics.ta_jacobian(coll, suite, l, lam) for l in coll.layer_ids}
     if args.xi:
-        docs["xi.json"] = {
-            layer: diagnostics.xi_protocol(coll, suite, layer, lam=lam)
-            for layer in coll.layer_ids
-        }
+        docs["xi.json"] = {l: diagnostics.xi_protocol(j) for l, j in raw.items()}
     if args.kappa:
-        doc = docs["kappa.json"] = {}
-        grads = suite.task_loss_gradients(mergers.merge_ta(coll, lam))
         basis_b = tara.build_variant_b(coll)
-        for layer in coll.layer_ids:
-            raw_dirs = diagnostics.layer_directions(coll, layer)
-            _, kappa_raw = diagnostics.anisotropy(
-                diagnostics.jacobian(raw_dirs, grads[layer])
-            )
-            shared = basis_b.layers[layer]
-            _, kappa_shared = diagnostics.anisotropy(
-                diagnostics.jacobian(shared, grads[layer])
-            )
-            doc[layer] = {"raw": kappa_raw, "shared_svd": kappa_shared}
+        docs["kappa.json"] = {
+            l: {"raw": diagnostics.anisotropy(j)[1], "shared_svd": diagnostics.anisotropy(
+                diagnostics.ta_jacobian(coll, suite, l, lam, basis_b.layers[l]))[1]}
+            for l, j in raw.items()
+        }
     run = _run_dir(args.out, suite.config.seed)
     for name, doc in docs.items():
         (run / name).write_text(json.dumps(doc, indent=1))

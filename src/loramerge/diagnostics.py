@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, mergers
+from . import linalg
 from .adapters import AdapterCollection, FactorStack, LoraAdapter, rank1_stack
 
 SIMPLEX_TOL = 1e-9
@@ -166,23 +166,39 @@ def layer_directions(coll: AdapterCollection, layer_id: str) -> FactorStack:
     return rank1_stack(coll.adapters[layer_id])
 
 
-def xi_protocol(coll: AdapterCollection, suite, layer_id: str, lam: float = 0.3) -> float:
-    """Misalignment between uniform and one-hot preferences at the scaled-sum merge.
+def ta_jacobian(coll: AdapterCollection, suite, layer_id: str, lam: float,
+                stack: FactorStack | None = None) -> Jacobian:
+    """J[i, k] = sigma_k df_i/dcoef_k: the gradient of collection task i's
+    label-free loss on its whole adaptation pool along column k of the stack, at
+    the scaled-sum merge W0 + lam sum_i dW_i, from one call of the suite's factor
+    scorer. No (d, m) gradient is formed.
 
-    Gradients are task-loss gradients at W0 + lam * sum_i dW_i, taken from the
-    suite row of each collection task: fine-tuning names suite task i "task{i}".
-    Returns the mean xi(uniform, e_i) over tasks; exactly 0 for a single task.
-    The profile of e_i is row i of the one Jacobian.
+    The stack defaults to the raw directions, which reach the merge at coef = lam
+    times each column's adapter scale; a given stack must reach it at
+    coef = lam sigma, as variant B's shared basis does. Row i is the suite row of
+    collection task i: fine-tuning names suite task i "task{i}".
     """
-    n = coll.n_tasks
     rows = {f"task{i}": i for i in range(suite.n_tasks)}
     unknown = [t for t in coll.task_ids if t not in rows]
     if unknown:
         raise DiagnosticsError(
             f"tasks {unknown} are not in a suite of {suite.n_tasks} tasks", code="unknown_task"
         )
-    weights = mergers.merge_ta(coll, lam)
-    grads = suite.task_loss_gradients(weights)[layer_id][[rows[t] for t in coll.task_ids]]
-    j = jacobian(layer_directions(coll, layer_id), grads)
+    if stack is None:
+        stack = layer_directions(coll, layer_id)
+        coef = lam * rank1_stack(coll.adapters[layer_id], scaled=True).sigma
+    else:
+        coef = lam * stack.sigma
+    pools = suite.adaptation_pools(suite.n_tasks)
+    score = suite.factor_scorer({layer_id: coll.base[layer_id]}, {layer_id: stack}, pools)
+    _, grad = score({layer_id: coef}, np.tile(np.arange(pools.shape[1]), (len(pools), 1)))
+    return Jacobian(entries=stack.sigma * grad[layer_id][[rows[t] for t in coll.task_ids]])
+
+
+def xi_protocol(j: Jacobian) -> float:
+    """Misalignment between uniform and one-hot preferences: the mean
+    xi(uniform, e_i) over the rows of J, ta_jacobian's at the scaled-sum merge.
+    The profile of e_i is row i; exactly 0 for a single task."""
+    n = len(j.entries)
     h_uniform = sensitivity_profile(j, np.full(n, 1.0 / n))
     return float(np.mean([misalignment_xi(h_uniform, row) for row in j.entries]))

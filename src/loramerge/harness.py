@@ -12,6 +12,7 @@ All gradients through the entropy and cross-entropy losses are analytic.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields, asdict
 
@@ -23,7 +24,7 @@ from .adapters import (
 )
 from .linalg import CodedError, NumericalAbort
 from .rng import substream, task_integers
-from .tara import adamw_step, adaptation_pools
+from .tara import adamw_step
 
 LAYER_ID = "layer0"
 LORA_ALPHA = 16.0     # every fine-tuned adapter's lora_alpha
@@ -108,8 +109,16 @@ class TaskSuite:
     def n_tasks(self) -> int:
         return self.config.n_tasks
 
-    def adaptation_pool(self, task: int) -> np.ndarray:
-        return self.tasks[task].adapt_x
+    def adaptation_pools(self, n: int) -> np.ndarray:
+        """(n, P, m) stack of the first n tasks' adaptation pools. Every pool must
+        be nonempty and all of one size P."""
+        pools = [self.tasks[i].adapt_x for i in range(n)]
+        sizes = [pool.shape[0] for pool in pools]
+        if 0 in sizes:
+            raise HarnessError(f"task {sizes.index(0)} has no adaptation batches")
+        if len(set(sizes)) > 1:
+            raise HarnessError(f"adaptation pools differ in size, rows per task: {sizes}")
+        return np.stack(pools)
 
     def _logits(self, task: int, weights: dict, x: np.ndarray) -> np.ndarray:
         if self.heads[task] is None:
@@ -119,30 +128,11 @@ class TaskSuite:
     def _stacked_heads(self, n: int) -> np.ndarray:
         """(n, C, d) stack of the first n tasks' heads."""
         if n > self.n_tasks:
-            raise HarnessError(f"{n} batches for a suite of {self.n_tasks} tasks")
+            raise HarnessError(f"{n} pools for a suite of {self.n_tasks} tasks")
         missing = [i for i, h in enumerate(self.heads[:n]) if h is None]
         if missing:
             raise HarnessError(f"tasks {missing} have no trained head")
         return np.stack(self.heads[:n])
-
-    def entropy_and_grad(self, weights: dict, batches: np.ndarray):
-        """Mean predictive entropy of tasks 0..n-1, each on its own batch, and
-        its gradient w.r.t. W, in one call.
-
-        batches is (n, B, m), row i scored by head i; n may be below n_tasks
-        when a merge covers only the first n tasks. weights[LAYER_ID] is one
-        (d, m) matrix shared by those tasks or an (n, d, m) stack, one per task.
-        Returns f (n,) and {LAYER_ID: (n, d, m)}.
-        """
-        w, n = weights[LAYER_ID], batches.shape[0]
-        if w.ndim == 3 and w.shape[0] != n:
-            raise HarnessError(f"{w.shape[0]} per-task weights for {n} batches")
-        h = self._stacked_heads(n)
-        z = batches @ np.swapaxes(w, -1, -2)            # (n, B, d)
-        # a class-major view: the helper's dl keeps the (n, B, C) memory of the logits
-        f, dl = _entropy_and_dlogits(np.swapaxes(z @ np.swapaxes(h, -1, -2), -1, -2))
-        dz = np.swapaxes(dl, -1, -2) @ h                 # (n, B, d)
-        return f, {LAYER_ID: np.swapaxes(dz, -1, -2) @ batches}
 
     def factor_scorer(self, base: dict, stacks: dict, pools: np.ndarray):
         """Scorer of tasks 0..n-1 of the (n, pool, m) pools at W = W0 + left
@@ -150,13 +140,8 @@ class TaskSuite:
 
         logits = X (H W0)^T + (X right) (coef * (H left)^T): the scorer holds H left
         (n, C, K) and the pool products X right (n, pool, K) and X (H W0)^T
-        (n, pool, C), made once per run. score(coef, idx) takes {LAYER_ID: (..., K)}
-        coef and (n, B) row indices in [0, pool), unchecked, as batch_schedule draws
-        them; row i is scored by head i. It returns the mean entropies f (..., n) and
-        {LAYER_ID: (..., n, K)} df_i/dcoef_k = sum_c (H left)_ck (dlogits^T X right)_ck.
-        The entropy helper gets a class-major copy of the logits; every GEMM keeps
-        the operand layout of a per-batch product, stacked one per (point, task), so
-        a point's bits depend neither on the leading axes nor on gathering rows.
+        (n, pool, C), made once per run. It is entropy_and_grad bound to them, so
+        scorer(coef, idx) scores one step.
         """
         n, pool = pools.shape[:2]
         h, s = self._stacked_heads(n), stacks[LAYER_ID]
@@ -164,27 +149,32 @@ class TaskSuite:
         hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base[LAYER_ID], -1, -2)
         xr, xhw0 = ((pools @ x).reshape(n * pool, -1) for x in (s.right, hw0_t))
         first = pool * np.arange(n)[:, None]  # flat row of each task's row 0
+        return functools.partial(self.entropy_and_grad, (hl, hl_t, xr, xhw0, first))
 
-        def score(coef: dict, idx: np.ndarray):
-            if len(idx) != n:
-                raise HarnessError(f"{len(idx)} batches for a scorer of {n} tasks")
-            rows = first + idx
-            xr_b = xr.take(rows, 0)                              # (n, B, K)
-            scaled = coef[LAYER_ID][..., None, :, None] * hl_t   # (..., n, K, C)
-            logits = xr_b @ scaled                               # (..., n, B, C)
-            logits += xhw0.take(rows, 0)
-            f, dl = _entropy_and_dlogits(logits.swapaxes(-1, -2).copy())
-            dl_t = dl.swapaxes(-1, -2).copy()                    # (..., n, B, C)
-            grad = np.einsum("...nck,nck->...nk", dl_t.swapaxes(-1, -2) @ xr_b, hl)
-            return f, {LAYER_ID: grad}
+    def entropy_and_grad(self, products: tuple, coef: dict, idx: np.ndarray):
+        """Mean entropies of tasks 0..n-1 and their gradients along the columns,
+        on the pool rows idx, from the per-run products of factor_scorer.
 
-        return score
-
-    def task_loss_gradients(self, weights: dict) -> dict:
-        """Gradient of every task's label-free loss on its whole adaptation pool,
-        {LAYER_ID: (N, d, m)}."""
-        _, grad = self.entropy_and_grad(weights, adaptation_pools(self, self.n_tasks))
-        return grad
+        coef is {LAYER_ID: (..., K)}, and idx (n, B) row indices in [0, pool),
+        unchecked, as batch_schedule draws them; row i is scored by head i. Returns
+        the mean entropies f (..., n) and {LAYER_ID: (..., n, K)} df_i/dcoef_k =
+        sum_c (H left)_ck (dlogits^T X right)_ck. The entropy helper gets a
+        class-major copy of the logits; every GEMM keeps the operand layout of a
+        per-batch product, stacked one per (point, task), so a point's bits depend
+        neither on the leading axes nor on gathering rows.
+        """
+        hl, hl_t, xr, xhw0, first = products
+        if len(idx) != len(first):
+            raise HarnessError(f"{len(idx)} batches for a scorer of {len(first)} tasks")
+        rows = first + idx
+        xr_b = xr.take(rows, 0)                              # (n, B, K)
+        scaled = coef[LAYER_ID][..., None, :, None] * hl_t   # (..., n, K, C)
+        logits = xr_b @ scaled                               # (..., n, B, C)
+        logits += xhw0.take(rows, 0)
+        f, dl = _entropy_and_dlogits(logits.swapaxes(-1, -2).copy())
+        dl_t = dl.swapaxes(-1, -2).copy()                    # (..., n, B, C)
+        grad = np.einsum("...nck,nck->...nk", dl_t.swapaxes(-1, -2) @ xr_b, hl)
+        return f, {LAYER_ID: grad}
 
     def accuracy(self, task: int, weights: dict) -> float:
         """Eval-split accuracy; non-finite logits raise HarnessAbort rather than

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .adapters import (
-    AdapterCollection, FactorStack, delta_weight, is_integer, is_real, rank1_stack,
+    AdapterCollection, FactorStack, is_integer, is_real, rank1_stack,
 )
 from .diagnostics import _check_simplex
 from .linalg import CodedError, NumericalAbort
@@ -141,33 +141,27 @@ def build_variant_a(coll: AdapterCollection) -> DirectionBasis:
     return _basis(coll, "a", _adapter_stacks(coll))
 
 
-def build_variant_b(coll: AdapterCollection, shared_rank: int | None = None) -> DirectionBasis:
+def build_variant_b(coll: AdapterCollection) -> DirectionBasis:
     """Shared singular-direction basis from the SVD of [dW_1, ..., dW_N].
 
     Each retained singular triplet (sigma_k, u_k, v_k) yields N components
     sigma_k * u_k v_ki^T, one per task block of v_k. At full rank with
     phi == 1 the components reconstruct every task update exactly. The shared
-    rank defaults to the aggregate adapter capacity, capped at the
-    concatenation's max rank. The SVD is taken in factor space: the
+    rank is the aggregate adapter capacity, capped at the concatenation's max
+    rank, the smallest over layers. The SVD is taken in factor space: the
     concatenation is [B_1 ... B_N] @ blockdiag(s_i A_i)^T, whose right factor
-    svd_product QRs block by block unless shared_rank pads it.
+    svd_product QRs block by block.
     """
     n = coll.n_tasks
-    r = shared_rank
-    if r is None:
-        r = min(min(sum(ad.rank for ad in coll.adapters[l]),
-                    coll.base[l].shape[0], coll.base[l].shape[1] * n)
-                for l in coll.layer_ids)
+    r = min(min(sum(ad.rank for ad in coll.adapters[l]),
+                coll.base[l].shape[0], coll.base[l].shape[1] * n)
+            for l in coll.layer_ids)
     layers = {}
     for layer in coll.layer_ids:
         ads = coll.adapters[layer]
-        d, m = coll.base[layer].shape
-        if r > min(d, m * n):
-            raise TaraError(
-                f"shared rank {r} exceeds available spectrum min{d, m * n} at {layer}"
-            )
+        m = coll.base[layer].shape[1]
         res = linalg.svd_product(np.hstack([ad.b for ad in ads]),
-                                 [ad.scale * ad.a for ad in ads], r)
+                                 [ad.scale * ad.a for ad in ads])
         layers[layer] = FactorStack(
             left=np.tile(res.u[:, :r], n),
             right=np.hstack([res.v[i * m : (i + 1) * m, :r] for i in range(n)]),
@@ -209,18 +203,6 @@ def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.
     }
 
 
-def adaptation_pools(suite, n_tasks: int) -> np.ndarray:
-    """(n, P, m) stack of the first n_tasks adaptation pools of the suite.
-    Every pool must be nonempty and all of one size P."""
-    pools = [suite.adaptation_pool(i) for i in range(n_tasks)]
-    sizes = [pool.shape[0] for pool in pools]
-    if 0 in sizes:
-        raise TaraError(f"task {sizes.index(0)} has no adaptation batches")
-    if len(set(sizes)) > 1:
-        raise TaraError(f"adaptation pools differ in size, rows per task: {sizes}")
-    return np.stack(pools)
-
-
 def _check_suite_order(task_ids: list[str]) -> None:
     """Suite calls score row i with suite task i, named "task{i}" by fine-tuning,
     so a collection must hold the suite's first n tasks in order."""
@@ -232,15 +214,17 @@ def _check_suite_order(task_ids: list[str]) -> None:
 
 
 def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
-    """z_i: mean entropy on task i's adaptation pool with only adapter i applied,
-    for all tasks in one suite call."""
+    """z_i: mean entropy on task i's whole adaptation pool with only adapter i
+    applied, for all tasks in one scorer call: point i of the scaled adapter
+    stack keeps adapter i's columns, and z is the diagonal of the (n, n) result."""
     _check_suite_order(coll.task_ids)
-    weights = {
-        layer: np.stack([coll.base[layer] + delta_weight(ad) for ad in coll.adapters[layer]])
-        for layer in coll.layer_ids
-    }
-    z, _ = suite.entropy_and_grad(weights, adaptation_pools(suite, coll.n_tasks))
-    return z
+    n, stacks = coll.n_tasks, _adapter_stacks(coll)
+    pools = suite.adaptation_pools(n)
+    own = np.arange(n)[:, None]
+    coef = {l: np.where(own == s.owner, s.sigma, 0.0) for l, s in stacks.items()}
+    f, _ = suite.factor_scorer(coll.base, stacks, pools)(
+        coef, np.tile(np.arange(pools.shape[1]), (n, 1)))
+    return f.diagonal().copy()
 
 
 def _stch(f, z, rho, alpha):
@@ -382,7 +366,7 @@ def optimize(
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
     for row in rho:
         _check_simplex(row, n)
-    pools = adaptation_pools(suite, n)
+    pools = suite.adaptation_pools(n)
     schedule = batch_schedule(pools, cfg)
     scorer = suite.factor_scorer(basis.base, basis.layers, pools)
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)

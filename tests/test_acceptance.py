@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import random_collection
+from conftest import leading_variant_b, random_collection
 from loramerge import diagnostics, harness, linalg, mergers, tara
 from loramerge.adapters import FactorStack, delta_weight
 from loramerge.rng import substream
@@ -138,14 +138,10 @@ def test_gradient_correctness():
     coll = harness.finetune_all(suite, rank=4, steps=200, seed=0)
     stch = tara.StchConfig(anchors=tara.compute_anchors(coll, suite))
     rho = np.array([0.3, 0.7])
-    pools, idx = tara.adaptation_pools(suite, 2), np.tile(np.arange(16), (2, 1))
+    pools, idx = suite.adaptation_pools(2), np.tile(np.arange(16), (2, 1))
     worst = {"a": 0.0, "b": 0.0}
     for variant in ("a", "b"):
-        basis = (
-            tara.build_variant_a(coll)
-            if variant == "a"
-            else tara.build_variant_b(coll, 4)
-        )
+        basis = tara.build_variant_a(coll) if variant == "a" else leading_variant_b(coll, 4)
         layer = basis.layer_ids[0]
         scorer = suite.factor_scorer(basis.base, basis.layers, pools)
         for trial in range(50):
@@ -384,14 +380,14 @@ def test_xi_protocol(five_seed_runs):
     in_range = True
     for suite, coll in five_seed_runs:
         for layer in coll.layer_ids:
-            xi = diagnostics.xi_protocol(coll, suite, layer, lam=0.3)
+            xi = diagnostics.xi_protocol(diagnostics.ta_jacobian(coll, suite, layer, lam=0.3))
             if not (0.0 <= xi <= 1.0):
                 in_range = False
     single = harness.generate_suite(
         seed=0, n_tasks=1, n_train=100, n_eval=60, n_adapt=40
     )
     scoll = harness.finetune_all(single, rank=4, steps=100, seed=0)
-    xi1 = diagnostics.xi_protocol(scoll, single, "layer0", lam=0.3)
+    xi1 = diagnostics.xi_protocol(diagnostics.ta_jacobian(scoll, single, "layer0", lam=0.3))
     _report(
         "xi protocol",
         in_range and xi1 == 0.0,

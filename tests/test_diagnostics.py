@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_collection, sub_collection
-from loramerge import diagnostics, linalg
+from test_harness import _per_task_entropy_and_grad
+from test_tara import _random_head_suite
+from loramerge import diagnostics, linalg, mergers, tara
 from loramerge.adapters import AdapterCollection, FactorStack, delta_weight
 from loramerge.diagnostics import DiagnosticsError
 from loramerge.rng import substream
@@ -161,16 +163,21 @@ class TestPreferenceValidation:
             diagnostics.sensitivity_profile(j, [1.0])
 
 
+def _xi(coll, suite):
+    """xi of the raw directions of layer0 at the lam = 0.3 scaled sum."""
+    return diagnostics.xi_protocol(diagnostics.ta_jacobian(coll, suite, "layer0", 0.3))
+
+
 class TestXiProtocol:
     def test_single_task_exactly_zero(self, small_suite):
         suite, coll = small_suite
         sub = sub_collection(coll, ["task0"])
-        assert diagnostics.xi_protocol(sub, suite, "layer0") == 0.0
+        assert _xi(sub, suite) == 0.0
 
     def test_in_unit_interval(self, small_suite):
         suite, coll = small_suite
         for layer in coll.layer_ids:
-            xi = diagnostics.xi_protocol(coll, suite, layer)
+            xi = diagnostics.xi_protocol(diagnostics.ta_jacobian(coll, suite, layer, 0.3))
             assert 0.0 <= xi <= 1.0
 
     def test_picks_suite_rows_by_task_id(self, default_suite):
@@ -187,10 +194,10 @@ class TestXiProtocol:
             adapters={l: [dataclasses.replace(ad, task_id=f"task{i}")
                           for i, ad in enumerate(sub.adapters[l])] for l in coll.layer_ids},
         )
-        want = diagnostics.xi_protocol(renamed, pair, "layer0")
-        assert diagnostics.xi_protocol(sub, suite, "layer0") == pytest.approx(want, abs=1e-12)
+        want = _xi(renamed, pair)
+        assert _xi(sub, suite) == pytest.approx(want, abs=1e-12)
         first_two = sub_collection(coll, ["task0", "task1"])
-        assert abs(diagnostics.xi_protocol(first_two, suite, "layer0") - want) > 1e-3
+        assert abs(_xi(first_two, suite) - want) > 1e-3
 
     def test_task_outside_the_suite(self, small_suite):
         suite, coll = small_suite
@@ -200,5 +207,44 @@ class TestXiProtocol:
                           zip(coll.adapters[l], ["task0", "task5"])] for l in coll.layer_ids},
         )
         with pytest.raises(DiagnosticsError) as exc:
-            diagnostics.xi_protocol(renamed, suite, "layer0")
+            _xi(renamed, suite)
         assert exc.value.code == "unknown_task"
+
+
+@pytest.fixture(scope="module")
+def random_head_256():
+    """A d = m = 256 suite with random heads, and a random rank-4 collection."""
+    coll = random_collection(seed=1, n_tasks=3, layers=("layer0",), d=256, m=256, rank=4)
+    return _random_head_suite(256, 256), coll
+
+
+class TestFactorSpaceAgainstDense:
+    """The anchors, both Jacobians, kappa and xi come from the factor-space
+    scorer; each matches the per-task dense reference, whose (d, m) weight
+    gradients FactorStack.project contracts, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("suite_name", ["default_suite", "random_head_256"])
+    def test_matches_the_dense_reference(self, request, suite_name):
+        suite, coll = request.getfixturevalue(suite_name)
+        lam, n, w0 = 0.3, coll.n_tasks, coll.base["layer0"]
+        heads, pools = suite.heads, [td.adapt_x for td in suite.tasks]
+        want_z = [_per_task_entropy_and_grad(heads[i], w0 + delta_weight(ad), pools[i])[0]
+                  for i, ad in enumerate(coll.adapters["layer0"])]
+        w = mergers.merge_ta(coll, lam)["layer0"]
+        grads = np.stack([_per_task_entropy_and_grad(heads[i], w, pools[i])[1]
+                          for i in range(n)])
+        shared = tara.build_variant_b(coll).layers["layer0"]
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        assert close(tara.compute_anchors(coll, suite), np.array(want_z))
+        raw = diagnostics.Jacobian(diagnostics.layer_directions(coll, "layer0").project(grads))
+        for stack, want in ((None, raw), (shared, diagnostics.Jacobian(shared.project(grads)))):
+            got = diagnostics.ta_jacobian(coll, suite, "layer0", lam, stack)
+            assert close(got.entries, want.entries)
+            assert close(diagnostics.anisotropy(got)[1], diagnostics.anisotropy(want)[1])
+        h = diagnostics.sensitivity_profile(raw, np.full(n, 1.0 / n))
+        want_xi = np.mean([diagnostics.misalignment_xi(h, row) for row in raw.entries])
+        assert close(diagnostics.xi_protocol(diagnostics.ta_jacobian(coll, suite, "layer0", lam)),
+                     want_xi)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sub_collection
 from loramerge import harness, mergers, tara
-from loramerge.adapters import AdapterCollection, ContainerError
+from loramerge.adapters import AdapterCollection, ContainerError, FactorStack
 from loramerge.harness import HarnessError, SuiteConfig
 from loramerge.rng import substream
 
@@ -368,22 +368,21 @@ def _per_task_entropy_and_grad(head, w, batch):
 
 
 class _PerTaskSuite:
-    """The suite scored one task per call by the per-task reference; its factor
-    scorer assembles each point's W and projects each task's weight gradient
-    onto the columns."""
+    """The suite scored one task per call by the per-task reference: the only
+    dense form. Its factor scorer assembles each point's W and projects each
+    task's weight gradient onto the columns."""
 
     def __init__(self, suite):
         self.suite = suite
 
-    def adaptation_pool(self, task):
-        return self.suite.adaptation_pool(task)
+    def adaptation_pools(self, n):
+        return self.suite.adaptation_pools(n)
 
-    def entropy_and_grad(self, weights, batches):
-        w = weights["layer0"]
-        out = [
-            _per_task_entropy_and_grad(self.suite.heads[i], w[i] if w.ndim == 3 else w, b)
-            for i, b in enumerate(batches)
-        ]
+    def dense_entropy_and_grad(self, weights, batches):
+        """f (n,) and {"layer0": (n, d, m)} weight gradients of tasks 0..n-1 at
+        one (d, m) W, each task on its own batch."""
+        out = [_per_task_entropy_and_grad(self.suite.heads[i], weights["layer0"], b)
+               for i, b in enumerate(batches)]
         return np.array([f for f, _ in out]), {"layer0": np.stack([g for _, g in out])}
 
     def factor_scorer(self, base, stacks, pools):
@@ -393,7 +392,7 @@ class _PerTaskSuite:
             batches = pools[np.arange(len(pools))[:, None], idx]
             f, cols = [], []
             for c in coef["layer0"]:
-                fp, g = self.entropy_and_grad(
+                fp, g = self.dense_entropy_and_grad(
                     {"layer0": base["layer0"] + (s.left * c) @ s.right.T}, batches)
                 f.append(fp)
                 cols.append(np.sum(s.left * (g["layer0"] @ s.right), axis=-2))
@@ -406,7 +405,7 @@ def reference_factor_scorer(suite, base, stacks, n):
     """TaskSuite.factor_scorer as it was before its per-run pool products: its
     score(coef, batches) multiplies each call's (n, B, m) batches and scores
     (..., B, C) logits with the reference entropy helper. At C < 8 the suite's
-    score(coef, idx) must match it bit for bit on batches = pools[tasks, idx]."""
+    scorer(coef, idx) must match it bit for bit on batches = pools[tasks, idx]."""
     h, s = suite._stacked_heads(n), stacks["layer0"]
     hl = h @ s.left
     hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base["layer0"], -1, -2)
@@ -453,8 +452,7 @@ class TestEntropyHelper:
     @given(logits=_logits(), contiguous=st.booleans())
     def test_bits_match_the_reference(self, logits, contiguous):
         """The helper takes class-major logits: a contiguous copy, as the scorer
-        and fine-tuning pass, or a view of (..., B, C) memory, as entropy_and_grad
-        passes."""
+        and fine-tuning pass, or a view of (..., B, C) memory."""
         class_major = np.swapaxes(logits, -1, -2)
         with np.errstate(all="ignore"):
             f, dl = harness._entropy_and_dlogits(
@@ -472,7 +470,7 @@ class TestEntropyHelper:
         """At C >= 8 numpy sums a contiguous class axis pairwise and a leading one
         in sequence, so the bits may differ; the values agree to rounding."""
         suite, _ = nine_class_suite
-        pools = tara.adaptation_pools(suite, 2)
+        pools = suite.adaptation_pools(2)
         heads = np.stack(suite.heads)
         logits = pools @ suite.base["layer0"].T @ np.swapaxes(heads, -1, -2)  # (2, P, 9)
         f, dl = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
@@ -485,19 +483,23 @@ class TestEntropyHelper:
 class TestEntropyAndGrad:
     @pytest.mark.parametrize("per_task", [False, True], ids=["shared", "per_task"])
     def test_matches_per_task_loop(self, default_suite, per_task):
+        """The scorer's entropies and column gradients, at one point or at one
+        point per task, match the dense per-task loop."""
         suite, _ = default_suite
-        n, w0 = suite.n_tasks, suite.base["layer0"]
+        n, (d, m) = suite.n_tasks, suite.base["layer0"].shape
         gen = substream(31, "weights")
-        w = w0 + 0.3 * gen.standard_normal(((n,) if per_task else ()) + w0.shape)
-        batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(n)])
-        f, grads = suite.entropy_and_grad({"layer0": w}, batches)
-        assert f.shape == (n,) and grads["layer0"].shape == (n,) + w0.shape
-        for i in range(n):
-            want_f, want_g = _per_task_entropy_and_grad(
-                suite.heads[i], w[i] if per_task else w, batches[i]
-            )
-            assert abs(f[i] - want_f) <= 1e-12
-            assert np.max(np.abs(grads["layer0"][i] - want_g)) <= 1e-12
+        stack = FactorStack(left=gen.standard_normal((d, 6)), right=gen.standard_normal((m, 6)),
+                            sigma=np.ones(6), owner=np.zeros(6, dtype=int))
+        coef = {"layer0": 0.1 * gen.standard_normal((n, 6) if per_task else (6,))}
+        pools, idx = suite.adaptation_pools(n), np.tile(np.arange(16), (n, 1))
+        f, grads = suite.factor_scorer(suite.base, {"layer0": stack}, pools)(coef, idx)
+        assert f.shape == coef["layer0"].shape[:-1] + (n,)
+        assert grads["layer0"].shape == f.shape + (6,)
+        want_f, want_g = _PerTaskSuite(suite).factor_scorer(suite.base, {"layer0": stack}, pools)(
+            {"layer0": np.atleast_2d(coef["layer0"])}, idx)
+        assert np.max(np.abs(f - want_f.reshape(f.shape))) <= 1e-12
+        want_g = want_g["layer0"].reshape(grads["layer0"].shape)
+        assert np.max(np.abs(grads["layer0"] - want_g)) <= 1e-12 * np.max(np.abs(want_g))
 
     @pytest.mark.parametrize("tasks", [["task0"], ["task0", "task1"]], ids=["one", "two"])
     def test_merge_of_fewer_tasks_than_the_suite(self, default_suite, tasks):
@@ -515,19 +517,18 @@ class TestEntropyAndGrad:
         assert np.max(np.abs(got["layer0"] - want["layer0"])) <= 1e-10
 
     def test_rows_must_fit_the_suite(self, small_suite):
-        suite, _ = small_suite
-        batches = np.stack([suite.adaptation_pool(i)[:4] for i in range(2)])
-        with pytest.raises(HarnessError, match="suite of 2 tasks"):
-            suite.entropy_and_grad(dict(suite.base), np.concatenate([batches, batches[:1]]))
-        stacked = np.stack([suite.base["layer0"]] * 3)
-        with pytest.raises(HarnessError, match="3 per-task weights for 2 batches"):
-            suite.entropy_and_grad({"layer0": stacked}, batches)
+        suite, coll = small_suite
+        stacks = tara.build_variant_a(coll).layers
+        pools = suite.adaptation_pools(2)
+        with pytest.raises(HarnessError, match="3 pools for a suite of 2 tasks"):
+            suite.factor_scorer(suite.base, stacks, np.concatenate([pools, pools[:1]]))
 
     def test_missing_head(self):
         suite = harness.generate_suite(seed=0, n_tasks=2, n_train=20, n_eval=10, n_adapt=10)
-        batches = np.stack([suite.adaptation_pool(i) for i in range(2)])
+        stacks = {"layer0": FactorStack(left=np.ones((32, 1)), right=np.ones((24, 1)),
+                                        sigma=np.ones(1), owner=np.zeros(1, dtype=int))}
         with pytest.raises(HarnessError, match="no trained head"):
-            suite.entropy_and_grad(dict(suite.base), batches)
+            suite.factor_scorer(suite.base, stacks, suite.adaptation_pools(2))
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,12 +1,13 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_collection, assert_weights_close, sub_collection
-from test_harness import reference_factor_scorer
-from loramerge import harness, mergers, tara
+from conftest import assert_weights_close, leading_variant_b, random_collection, sub_collection
+from test_harness import _PerTaskSuite, _per_task_entropy_and_grad, reference_factor_scorer
+from loramerge import diagnostics, harness, mergers, tara
 from loramerge.adapters import delta_weight
 from loramerge.rng import substream
 from loramerge.tara import (
@@ -32,8 +33,7 @@ _BUILDERS = {"a": build_variant_a, "b": build_variant_b, "adamerging": tara.buil
 
 
 def _scorer(suite, basis):
-    return suite.factor_scorer(basis.base, basis.layers,
-                               tara.adaptation_pools(suite, basis.n_tasks))
+    return suite.factor_scorer(basis.base, basis.layers, suite.adaptation_pools(basis.n_tasks))
 
 
 def _first_rows(n_tasks, rows):
@@ -94,36 +94,18 @@ class TestVariantB:
         )
         assert np.allclose(lefts @ lefts.T, np.eye(r), atol=1e-10)
 
-    def test_rank_one_matches_top_singular_triplet(self):
+    def test_components_are_the_svd_triplets(self):
+        """Every component of task i is sigma_k u_k v_ki^T of the concatenation's
+        SVD, at the default rank: the aggregate capacity N r."""
         coll = random_collection(seed=5, n_tasks=2, layers=("l0",), d=7, m=4, rank=2)
-        basis = build_variant_b(coll, shared_rank=1)
-        deltas = [delta_weight(ad) for ad in coll.adapters["l0"]]
-        u, s, vt = np.linalg.svd(np.hstack(deltas), full_matrices=False)
-        for i in range(2):
-            comp = basis.layers["l0"].directions[i]
-            want = s[0] * np.outer(u[:, 0], vt[0, i * 4 : (i + 1) * 4])
-            assert np.allclose(comp.matrix(), want, atol=1e-9 * s[0])
-
-    def test_padded_rank_matches_numpy_and_reconstructs_each_task(self):
-        """shared_rank above N*r zero-pads the block-list right factor, so
-        svd_product takes the dense path and completes the bases."""
-        coll = random_collection(seed=9, n_tasks=3, layers=("l0",), d=9, m=5, rank=2)
-        r = 3 * 2 + 1
-        basis = build_variant_b(coll, shared_rank=r)
-        stack = basis.layers["l0"]
-        deltas = [delta_weight(ad) for ad in coll.adapters["l0"]]
-        want = np.linalg.svd(np.hstack(deltas), compute_uv=False)[:r]
-        assert stack.sigma.shape == (3 * r,)
-        assert np.max(np.abs(stack.sigma[:r] - want)) <= 1e-12 * want[0]
-        for i, delta in enumerate(deltas):
-            phi = {"l0": (stack.owner == i).astype(np.float64)}
-            got = assemble(basis, phi)["l0"] - coll.base["l0"]
-            assert np.linalg.norm(got - delta) <= 1e-10 * np.linalg.norm(delta)
-
-    def test_rank_exceeds_spectrum(self):
-        coll = random_collection(seed=6, layers=("l0",), d=6, m=4, rank=2)
-        with pytest.raises(TaraError):
-            build_variant_b(coll, shared_rank=7)
+        stack = build_variant_b(coll).layers["l0"]
+        u, s, vt = np.linalg.svd(np.hstack([delta_weight(ad) for ad in coll.adapters["l0"]]))
+        assert stack.sigma.shape == (8,)
+        for c in range(8):
+            i, k = divmod(c, 4)
+            got = stack.sigma[c] * np.outer(stack.left[:, c], stack.right[:, c])
+            want = s[k] * np.outer(u[:, k], vt[k, i * 4 : (i + 1) * 4])
+            assert np.max(np.abs(got - want)) <= 1e-10 * s[0]
 
     def test_assemble_linear_in_phi(self):
         coll = random_collection(seed=7, layers=("l0",))
@@ -221,7 +203,7 @@ def _worst_fd_error(suite, coll, variant):
         def value_and_grad(phi):
             return mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), idx)
     else:
-        basis = build_variant_a(coll) if variant == "a" else build_variant_b(coll, 4)
+        basis = build_variant_a(coll) if variant == "a" else leading_variant_b(coll, 4)
         stch = StchConfig(anchors=compute_anchors(coll, suite))
         rho = np.array([0.3, 0.7])
 
@@ -263,8 +245,7 @@ class TestGradient:
         suite, coll = small_suite
         basis = build_variant_a(coll)
         phi = basis.init_phi(0.4)
-        batches = np.stack([suite.adaptation_pool(i)[:16] for i in range(2)])
-        f, _ = suite.entropy_and_grad(assemble(basis, phi), batches)
+        f, _ = _scorer(suite, basis)(tara._coefficients(basis, phi), _first_rows(2, 16))
         stch = StchConfig(anchors=f)
         _, grad, _ = stch_value_and_grad(basis, phi, _scorer(suite, basis), [0.5, 0.5], stch,
                                          _first_rows(2, 16))
@@ -296,11 +277,12 @@ class TestGradient:
 
 def _dense_step(basis, phi, suite, batches, dpsi_df):
     """The step through full weights, the reference for the factored one: per
-    point, assemble W(phi), take its (N, d, m) weight gradient, project it onto
-    the columns and sum each phi entry's columns. Returns f and d/dphi."""
+    point, assemble W(phi), take each task's (d, m) weight gradient from the
+    per-task reference, project it onto the columns and sum each phi entry's
+    columns. Returns f and d/dphi."""
     points = range(len(phi[basis.layer_ids[0]]))
-    scored = [suite.entropy_and_grad(assemble(basis, {l: p[j] for l, p in phi.items()}), batches)
-              for j in points]
+    dense = _PerTaskSuite(suite).dense_entropy_and_grad
+    scored = [dense(assemble(basis, {l: p[j] for l, p in phi.items()}), batches) for j in points]
     f = np.stack([fp for fp, _ in scored])
     c = dpsi_df(f)
     grad = {}
@@ -338,7 +320,7 @@ class TestFactoredStep:
         basis = _BUILDERS[variant](coll)
         gen = substream(2, variant, points)
         phi = {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids}
-        batches, idx = tara.adaptation_pools(suite, 3)[:, :16], _first_rows(3, 16)
+        batches, idx = suite.adaptation_pools(3)[:, :16], _first_rows(3, 16)
         if variant == "adamerging":
             _, grad, f = mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), idx)
             dpsi_df = lambda f: np.full(f.shape, 1.0 / 3)
@@ -372,7 +354,7 @@ class TestFactoredStep:
         at the default 5 classes and 16 rows, with rows repeated or not."""
         suite, coll = default_suite
         basis = _BUILDERS[variant](coll)
-        pools = tara.adaptation_pools(suite, coll.n_tasks)
+        pools = suite.adaptation_pools(coll.n_tasks)
         gen = np.random.default_rng(seed)
         idx = gen.integers(0, 3 if repeats else pools.shape[1], (coll.n_tasks, 16))
         coef = tara._coefficients(
@@ -389,7 +371,7 @@ class TestFactoredStep:
                                                                  variant):
         suite, coll = nine_class_suite
         basis = _BUILDERS[variant](coll)
-        pools = tara.adaptation_pools(suite, 2)
+        pools = suite.adaptation_pools(2)
         idx = substream(3, "rows").integers(0, pools.shape[1], (2, 16))
         coef = tara._coefficients(basis, {l: substream(4, variant).normal(
             0.4, 0.3, (2, basis.counts[l])) for l in basis.layer_ids})
@@ -406,23 +388,43 @@ class TestAnchors:
         suite, coll = small_suite
         z = compute_anchors(coll, suite)
         assert z.shape == (2,)
-        pools = np.stack([suite.adaptation_pool(i) for i in range(2)])
         for i in range(2):
-            weights = {
-                l: coll.base[l] + delta_weight(coll.adapters[l][i])
-                for l in coll.layer_ids
-            }
-            want, _ = suite.entropy_and_grad(weights, pools)
-            assert z[i] == pytest.approx(want[i], abs=1e-15)
+            w = coll.base["layer0"] + delta_weight(coll.adapters["layer0"][i])
+            want, _ = _per_task_entropy_and_grad(suite.heads[i], w, suite.tasks[i].adapt_x)
+            assert z[i] == pytest.approx(want, abs=1e-15)
 
     def test_anchor_not_above_base_entropy(self, small_suite):
         """A fine-tuned adapter should be at least as confident as the base."""
         suite, coll = small_suite
         z = compute_anchors(coll, suite)
-        pools = np.stack([suite.adaptation_pool(i) for i in range(2)])
-        base_ent, _ = suite.entropy_and_grad(dict(coll.base), pools)
         for i in range(2):
-            assert z[i] <= base_ent[i] + 1e-9
+            base_ent, _ = _per_task_entropy_and_grad(suite.heads[i], coll.base["layer0"],
+                                                     suite.tasks[i].adapt_x)
+            assert z[i] <= base_ent + 1e-9
+
+
+class TestScorerCalls:
+    """Every optimizer step, the anchors and a diagnostic Jacobian score through
+    the one method TaskSuite.entropy_and_grad, which the benchmark's tracer wraps on the
+    class: a counting wrapper installed there sees every call."""
+
+    def test_steps_go_through_the_method(self, small_suite, monkeypatch):
+        suite, coll = small_suite
+        calls, real = [], harness.TaskSuite.entropy_and_grad
+
+        @functools.wraps(real)
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness.TaskSuite, "entropy_and_grad", counting)
+        stch = StchConfig(anchors=compute_anchors(coll, suite))
+        assert len(calls) == 1
+        optimize(build_variant_b(coll), suite, [[0.5, 0.5], [0.9, 0.1]], OptimConfig(iters=7),
+                 stch)
+        assert len(calls) == 1 + 7
+        diagnostics.ta_jacobian(coll, suite, "layer0", 0.3)
+        assert len(calls) == 1 + 7 + 1
 
 
 class TestOptimize:
@@ -453,7 +455,7 @@ class TestOptimize:
         suite, coll = small_suite
         cfg = OptimConfig(iters=15, seed=0)
         stch = StchConfig(anchors=compute_anchors(coll, suite))
-        basis = build_variant_b(coll, 4)
+        basis = build_variant_b(coll)
         _, trace = optimize(basis, suite, np.array([0.5, 0.5]), cfg, stch)
         assert trace.steps == list(range(15))
         assert all(np.isfinite(v) for v in trace.objective)
@@ -462,7 +464,7 @@ class TestOptimize:
         suite, coll = small_suite
         cfg = OptimConfig(iters=150, seed=1)
         stch = StchConfig(anchors=compute_anchors(coll, suite))
-        basis = build_variant_b(coll, 4)
+        basis = build_variant_b(coll)
         _, trace = optimize(basis, suite, np.array([0.5, 0.5]), cfg, stch)
         head = np.mean(trace.objective[:20])
         tail = np.mean(trace.objective[-20:])
@@ -510,7 +512,7 @@ class TestOptimize:
         suite, coll = small_suite
 
         class NanInRow1:
-            adaptation_pool = suite.adaptation_pool
+            adaptation_pools = suite.adaptation_pools
 
             def factor_scorer(self, *args):
                 score = suite.factor_scorer(*args)
@@ -576,7 +578,7 @@ def _reference_optimize(basis, suite, rho, cfg, stch):
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
-    pools = tara.adaptation_pools(suite, n)
+    pools = suite.adaptation_pools(n)
     score = reference_factor_scorer(suite, basis.base, basis.layers, n)
     init = basis.init_phi(tara.ADAMERGING_PHI_INIT if mean_entropy else tara.PHI_INIT)
     phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
@@ -721,7 +723,7 @@ class TestSweep:
         suite, coll = small_suite
         short = dataclasses.replace(suite.tasks[1], adapt_x=suite.tasks[1].adapt_x[:-1])
         uneven = dataclasses.replace(suite, tasks=[suite.tasks[0], short])
-        with pytest.raises(TaraError, match="differ in size"):
+        with pytest.raises(harness.HarnessError, match="differ in size"):
             list(tara.merge(coll, uneven, [[0.5, 0.5]], optim=OptimConfig(iters=2)))
 
     def test_unknown_variant_is_refused_before_anchors(self, small_suite, monkeypatch):
@@ -743,10 +745,10 @@ class TestSweep:
     def test_schedule_matches_streams(self, small_suite):
         suite, _ = small_suite
         cfg = OptimConfig(iters=5, batch_size=7, seed=9)
-        idx = tara.batch_schedule(tara.adaptation_pools(suite, 2), cfg)
+        idx = tara.batch_schedule(suite.adaptation_pools(2), cfg)
         assert idx.shape == (5, 2, 7)
         for i in range(2):
-            pool = suite.adaptation_pool(i).shape[0]
+            pool = suite.tasks[i].adapt_x.shape[0]
             want = substream(9, "batch", i).integers(0, pool, (5, 7))
             assert np.array_equal(idx[:, i], want)
 
@@ -757,8 +759,8 @@ class _ConstantSuite:
     def __init__(self, entropy):
         self.entropy = entropy
 
-    def adaptation_pool(self, task):
-        return np.zeros((4, 6))
+    def adaptation_pools(self, n):
+        return np.zeros((n, 4, 6))
 
     def factor_scorer(self, base, stacks, pools):
         n = len(pools)
