@@ -122,12 +122,12 @@ def _write_report(run: Path, name: str, report: harness.EvalReport):
 
 
 def _write_trace(run: Path, name: str, trace: tara.OptimTrace):
+    # the bytes csv.writer writes: no field needs quoting, rows end in \r\n
     with open(run / name, "w", newline="") as fh:
-        writer = csv.writer(fh)
         n = len(trace.per_task[0]) if trace.per_task else 0
-        writer.writerow(["step", "objective"] + [f"f{i}" for i in range(n)])
+        fh.write(",".join(["step", "objective"] + [f"f{i}" for i in range(n)]) + "\r\n")
         for step, val, f in zip(trace.steps, trace.objective, trace.per_task):
-            writer.writerow([step, repr(val)] + [repr(float(x)) for x in f])
+            fh.write(",".join([str(step), repr(val), *map(repr, f.tolist())]) + "\r\n")
 
 
 def cmd_train_toy(args) -> int:

@@ -242,16 +242,36 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return np.stack(centroids)
 
 
+def _nearest(points: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray):
+    """Each point's nearest center (lowest index on ties) and its squared
+    distance, with the bits of the direct form sum((p - c) ** 2).
+
+    The ranking takes ||p||^2 - 2 p.c + ||c||^2, one GEMM per call. That value
+    and the direct one each lie within about dim * eps/2 * (||p|| + ||c||)^2 of
+    the exact distance, so the two forms can rank a point's centers differently
+    only where its runner-up lies within twice that of its best; those rows are
+    ranked again in the direct form. The distances returned are direct, so a
+    point on its center scores exactly 0."""
+    c_norms = np.einsum("ij,ij->i", centers, centers)
+    d2 = sq_norms[:, None] - 2.0 * (points @ centers.T) + c_norms
+    assign = np.argmin(d2, axis=1)
+    best = d2[np.arange(points.shape[0]), assign]
+    slack = 4 * (points.shape[1] + 3) * np.finfo(float).eps * (
+        np.sqrt(sq_norms) + np.sqrt(c_norms.max())) ** 2
+    near = np.count_nonzero(d2 <= (best + slack)[:, None], axis=1) > 1
+    if near.any():
+        diff = points[near, None, :] - centers[None, :, :]
+        assign[near] = np.argmin(np.sum(diff**2, axis=2), axis=1)
+    return assign, np.sum((points - centers[assign]) ** 2, axis=1)
+
+
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Seeded k-means++ with deterministic empty-cluster reseeding."""
-    n = points.shape[0]
     centers = _kmeans_pp(points, k, rng)
+    sq_norms = np.einsum("ij,ij->i", points, points)
     prev_inertia = np.inf
-    assign = np.zeros(n, dtype=int)
     for _ in range(100):
-        dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(dists, axis=1)
-        own = dists[np.arange(n), assign]
+        assign, own = _nearest(points, sq_norms, centers)
         inertia = float(np.sum(own))
         sizes = np.bincount(assign, minlength=k)
         for c in range(k):
@@ -287,13 +307,8 @@ def merge_lora_lego(
         ads = coll.adapters[layer]
         rank, alpha = _require_uniform(ads, "lora_lego")
         m = ads[0].a.shape[0]
-        units = np.stack(
-            [
-                np.concatenate([ad.a[:, j], ad.b[:, j]])
-                for ad in ads
-                for j in range(ad.rank)
-            ]
-        )
+        # rows [a_j; b_j], C-ordered so that each unit's sums run along its row
+        units = np.concatenate([np.vstack((ad.a, ad.b)) for ad in ads], axis=1).T.copy()
         if k_clusters > units.shape[0]:
             raise MergeError(
                 f"k_clusters {k_clusters} exceeds unit count {units.shape[0]}"

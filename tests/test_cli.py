@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import loramerge
-from loramerge import harness, mergers, tara
+from loramerge import cli, harness, mergers, tara
 from loramerge.adapters import read_container, save_collection
 from loramerge.cli import METHOD_KEYS, build_parser, main
 
@@ -142,6 +142,19 @@ class TestMerge:
             rows = list(csv.reader(fh))
         assert len(rows) == 21  # header + 20 steps
         assert rows[0][:2] == ["step", "objective"]
+
+    def test_trace_bytes_are_the_csv_writer_rows(self, tmp_path):
+        values = [-0.0, 1e-05, 0.1, 1.0, -2.5e-300, 123456789.0, float("inf"), float("nan")]
+        trace = tara.OptimTrace()
+        for step in range(len(values) - 2):
+            trace.append(step, values[step + 2], np.array(values[step : step + 3]))
+        cli._write_trace(tmp_path, "trace.csv", trace)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "objective", "f0", "f1", "f2"])
+            for step, val, f in zip(trace.steps, trace.objective, trace.per_task):
+                writer.writerow([step, repr(val)] + [repr(float(x)) for x in f])
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_optimizer_keys_are_the_optim_config_fields(self):
         """Every OptimConfig field is a merge flag typed by its default, and a config

@@ -334,6 +334,55 @@ def kmeans_pp_by_restacking(points, k, rng):
     return np.stack(centroids)
 
 
+def nearest_by_direct_distances(points, centers):
+    """A Lloyd step's scoring over the (n, k, dim) difference array: each point's
+    nearest center, lowest index on ties, and its squared distance. The reference
+    for the GEMM form."""
+    dists = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    assign = np.argmin(dists, axis=1)
+    return assign, dists[np.arange(points.shape[0]), assign]
+
+
+def kmeans_by_direct_distances(points, k, rng):
+    """_kmeans with every Lloyd step scored by nearest_by_direct_distances."""
+    centers = mergers._kmeans_pp(points, k, rng)
+    prev_inertia = np.inf
+    for _ in range(100):
+        assign, own = nearest_by_direct_distances(points, centers)
+        inertia = float(np.sum(own))
+        sizes = np.bincount(assign, minlength=k)
+        for c in range(k):
+            if sizes[c] == 0:
+                far = int(np.argmax(np.where(sizes[assign] > 1, own, -np.inf)))
+                sizes[assign[far]] -= 1
+                sizes[c] = 1
+                centers[c] = points[far]
+                assign[far] = c
+            else:
+                centers[c] = points[assign == c].mean(axis=0)
+        if prev_inertia < np.inf and abs(prev_inertia - inertia) <= 1e-8 * max(
+            prev_inertia, 1e-300
+        ):
+            break
+        prev_inertia = inertia
+    return centers, assign
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(seed, points, k): random points at scales 1e-3 to 1e3, or duplicate-heavy
+    ones drawn as in test_no_cluster_is_empty."""
+    seed = draw(st.integers(0, 10_000))
+    gen = substream(seed, "km-ref")
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        pts = gen.standard_normal((n, draw(st.integers(1, 9)))) * 10.0 ** draw(st.integers(-3, 3))
+    else:
+        distinct, n = draw(st.integers(1, 4)), draw(st.integers(1, 24))
+        pts = gen.standard_normal((distinct, 2))[gen.integers(0, distinct, n)]
+    return seed, pts, draw(st.integers(1, n))
+
+
 class TestKmeans:
     @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
@@ -363,7 +412,42 @@ class TestKmeans:
         for c in range(4):
             members = pts[assign == c]
             if len(members):
-                assert np.allclose(centers[c], members.mean(axis=0), atol=1e-9)
+                assert np.array_equal(centers[c], members.mean(axis=0))
+
+    @given(kmeans_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_direct_distances(self, inputs):
+        """The GEMM-form Lloyd steps give the direct form's clusters and centers
+        bit for bit, also where duplicates tie or nearly tie."""
+        seed, pts, k = inputs
+        centers, assign = mergers._kmeans(pts, k, substream(seed, "k"))
+        want_centers, want_assign = kmeans_by_direct_distances(pts, k, substream(seed, "k"))
+        assert np.array_equal(assign, want_assign)
+        assert np.array_equal(centers, want_centers)
+
+    @given(kmeans_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_step_matches_direct_distances(self, inputs):
+        """Centers on the points and one ulp off them leave rows whose two best
+        distances the GEMM form cannot tell apart; the step must rank them as
+        the direct form does."""
+        seed, pts, k = inputs
+        on = pts[substream(seed, "km-centers").integers(0, pts.shape[0], k)]
+        centers = np.vstack([np.nextafter(on, np.inf), on])
+        got = mergers._nearest(pts, np.einsum("ij,ij->i", pts, pts), centers)
+        want = nearest_by_direct_distances(pts, centers)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_exact_duplicates_score_zero(self):
+        """At a scale of 1e3 the GEMM form puts these points +9.3e-10 and
+        -1.9e-9 from their centers; a point on its center still scores exactly
+        0, so no distance and no inertia is negative."""
+        pts = np.repeat(substream(3, "km").standard_normal((3, 5)) * 1e3, 4, axis=0)
+        assign, own = mergers._nearest(pts, np.einsum("ij,ij->i", pts, pts),
+                                       pts[[0, 4, 8, 0]])
+        assert np.array_equal(assign, np.repeat([0, 1, 2], 4))
+        assert np.array_equal(own, np.zeros(12))
 
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 24), st.data())
     @settings(max_examples=150, deadline=None)
@@ -431,6 +515,25 @@ class TestLoraLego:
             merged = mergers.merge_lora_lego(coll, k_clusters=5,
                                              lego_reweight="parameter")["l0"]
         assert np.isfinite(merged.b).all() and np.isfinite(merged.a).all()
+
+    @pytest.mark.parametrize("reweight", ["output", "parameter"])
+    def test_wide_layer_matches_direct_kmeans(self, reweight, monkeypatch):
+        """At the benchmark's 128x128, N = 4, r = 16 shape the merge is the one the
+        direct k-means drives, bit for bit, on the per-column C-ordered units."""
+        coll = random_collection(seed=20, n_tasks=4, layers=("l0",), d=128, m=128, rank=16)
+        got = mergers.merge_lora_lego(coll, k_clusters=16, lego_reweight=reweight)["l0"]
+        seen = []
+
+        def direct(points, k, rng):
+            seen.append(points)
+            return kmeans_by_direct_distances(points, k, rng)
+
+        monkeypatch.setattr(mergers, "_kmeans", direct)
+        want = mergers.merge_lora_lego(coll, k_clusters=16, lego_reweight=reweight)["l0"]
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+        units = np.stack([np.concatenate([ad.a[:, j], ad.b[:, j]])
+                          for ad in coll.adapters["l0"] for j in range(16)])
+        assert np.array_equal(seen[0], units) and seen[0].flags.c_contiguous
 
     def test_k_too_large(self):
         coll = random_collection(seed=16, layers=("l0",), rank=2, n_tasks=2)
