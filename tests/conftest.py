@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from loramerge import harness, tara
-from loramerge.adapters import AdapterCollection, FactorStack, LoraAdapter
+from loramerge import harness
+from loramerge.adapters import AdapterCollection, LoraAdapter
 from loramerge.rng import substream
 
 
@@ -39,17 +39,6 @@ def sub_collection(coll, task_ids):
         layer_ids=list(coll.layer_ids), task_ids=list(task_ids), base=dict(coll.base),
         adapters={l: [coll.adapters[l][i] for i in idx] for l in coll.layer_ids},
     )
-
-
-def leading_variant_b(coll, r):
-    """The variant-B basis cut to its r leading singular directions per task.
-    Below the default rank the SVD and its sign rule are the same, so these are
-    the bits of a basis built at shared rank r."""
-    layers = {}
-    for l, s in tara.build_variant_b(coll).layers.items():
-        keep = np.flatnonzero(np.tile(np.arange(s.sigma.size // coll.n_tasks) < r, coll.n_tasks))
-        layers[l] = FactorStack(s.left[:, keep], s.right[:, keep], s.sigma[keep], s.owner[keep])
-    return tara._basis(coll, "b", layers)
 
 
 @pytest.fixture(scope="session")

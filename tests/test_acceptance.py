@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import leading_variant_b, random_collection
+from conftest import random_collection
 from loramerge import diagnostics, harness, linalg, mergers, tara
 from loramerge.adapters import FactorStack, delta_weight
 from loramerge.rng import substream
@@ -130,7 +130,7 @@ def test_variant_a_degeneracy():
 
 def test_gradient_correctness():
     """Analytic d/dphi matches central finite differences on 50 random
-    configurations per variant."""
+    configurations per variant, entry k stepping by 1e-5 / sigma_k."""
     t0 = time.monotonic()
     suite = harness.generate_suite(
         seed=0, n_tasks=2, d=12, m=10, n_train=150, n_eval=100, n_adapt=60
@@ -141,15 +141,16 @@ def test_gradient_correctness():
     pools, idx = suite.adaptation_pools(2), np.tile(np.arange(16), (2, 1))
     worst = {"a": 0.0, "b": 0.0}
     for variant in ("a", "b"):
-        basis = tara.build_variant_a(coll) if variant == "a" else leading_variant_b(coll, 4)
+        basis = tara.build_variant_a(coll) if variant == "a" else tara.build_variant_b(coll)
         layer = basis.layer_ids[0]
+        steps = 1e-5 / basis.layers[layer].sigma  # equal weight moves per entry
         scorer = suite.factor_scorer(basis.base, basis.layers, pools)
         for trial in range(50):
             gen = substream(300 + trial, variant)
             phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}
             _, grad, _ = tara.stch_value_and_grad(basis, phi, scorer, rho, stch, idx)
             for k in range(basis.counts[layer]):
-                h = 1e-5
+                h = steps[k]
                 pp = {layer: phi[layer].copy()}
                 pm = {layer: phi[layer].copy()}
                 pp[layer][k] += h

@@ -55,17 +55,21 @@ def ties_oracle_1d(values, trim_fraction=0.7):
     return sum(matching) / len(matching) if matching else 0.0
 
 
-def trim_by_stable_sort(delta, trim_fraction):
+def trim_by_stable_sort(delta, trim_fraction, size=None):
     """The reference trim rule: a stable sort by descending |value| keeps the
-    first n_keep entries, so ties at the cut go to the lowest indices."""
+    first n_keep entries, so ties at the cut go to the lowest indices. With
+    size, delta is padded with zeros past its end to size entries, trimmed,
+    and cut back."""
     flat = delta.ravel()
-    n_keep = int(np.ceil((1.0 - trim_fraction) * flat.size))
-    if n_keep >= flat.size:
+    padded = np.zeros(max(flat.size, size or 0))
+    padded[: flat.size] = flat
+    n_keep = int(np.ceil((1.0 - trim_fraction) * padded.size))
+    if n_keep >= padded.size:
         return delta.copy()
-    keep = np.argsort(-np.abs(flat), kind="stable")[:n_keep]
-    out = np.zeros_like(flat)
-    out[keep] = flat[keep]
-    return out.reshape(delta.shape)
+    keep = np.argsort(-np.abs(padded), kind="stable")[:n_keep]
+    out = np.zeros_like(padded)
+    out[keep] = padded[keep]
+    return out[: flat.size].reshape(delta.shape)
 
 
 # heavy ties: a few quantized magnitudes of both signs, DARE zeros and -0.0
@@ -87,6 +91,22 @@ class TestTies:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("size_factor", [None, 2])
+    @pytest.mark.parametrize("trim_fraction", [0.2, 0.7, 0.9])
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (128, 64), (256, 256)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_trim_matches_the_stable_sort_rule_at_layer_sizes(self, shape, drop_prob,
+                                                              trim_fraction, size_factor):
+        """The sizes the merges trim, with DARE's exact zeros: quantized values
+        of both signs and -0.0, and a KnOTS-style count over twice the block."""
+        gen = substream(sum(shape), "trim-sizes", drop_prob)
+        delta = gen.choice(np.array([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0]), shape)
+        delta = mergers._dare_drop(delta, drop_prob, 3, "t", "l")
+        size = None if size_factor is None else size_factor * delta.size
+        assert_same_bits(mergers._trim_top_mass(delta, trim_fraction, size),
+                         trim_by_stable_sort(delta, trim_fraction, size))
 
     def test_exhaustive_one_coordinate(self):
         """Every sign pattern for up to 3 tasks on 1x1 models."""
@@ -204,11 +224,14 @@ class TestTiesClippedSums:
         assert_same_bits(mergers._ties_combine(deltas, trim_fraction, size),
                          ties_combine_by_where(deltas, trim_fraction, size))
 
-    @pytest.mark.parametrize("method", ["ties", "dare_ties", "knots_ties", "knots_dare_ties"])
+    @pytest.mark.parametrize("method, drop_prob", [
+        *(pytest.param(m, 0.5, id=m)
+          for m in ("ties", "dare_ties", "knots_ties", "knots_dare_ties")),
+        *(pytest.param(m, 0.9, id=f"{m}-p0.9") for m in ("dare_ties", "knots_dare_ties"))])
     @pytest.mark.parametrize("d", [64, 128])
-    def test_merges_match_the_masked_combine(self, method, d, monkeypatch):
+    def test_merges_match_the_masked_combine(self, method, drop_prob, d, monkeypatch):
         coll = random_collection(seed=d, n_tasks=4, layers=("l0",), d=d, m=d, rank=16)
-        cfg = MergeConfig(method=method, lam=1.0, seed=5)
+        cfg = MergeConfig(method=method, lam=1.0, drop_prob=drop_prob, seed=5)
         got = mergers.run_merge(coll, cfg)
         monkeypatch.setattr(mergers, "_ties_combine", ties_combine_by_where)
         assert_same_bits(got["l0"], mergers.run_merge(coll, cfg)["l0"])
