@@ -191,7 +191,7 @@ def ta_jacobian(coll: AdapterCollection, suite, layer_id: str, lam: float,
         coef = lam * stack.sigma
     pools = suite.adaptation_pools(suite.n_tasks)
     score = suite.factor_scorer({layer_id: coll.base[layer_id]}, {layer_id: stack}, pools)
-    _, grad = score({layer_id: coef}, np.tile(np.arange(pools.shape[1]), (len(pools), 1)))
+    _, grad = score({layer_id: coef}, None)
     return Jacobian(entries=stack.sigma * grad[layer_id][[rows[t] for t in coll.task_ids]])
 
 

@@ -151,12 +151,13 @@ class TaskSuite:
         first = pool * np.arange(n)[:, None]  # flat row of each task's row 0
         return functools.partial(self.entropy_and_grad, (hl, hl_t, xr, xhw0, first))
 
-    def entropy_and_grad(self, products: tuple, coef: dict, idx: np.ndarray):
+    def entropy_and_grad(self, products: tuple, coef: dict, idx: np.ndarray | None):
         """Mean entropies of tasks 0..n-1 and their gradients along the columns,
         on the pool rows idx, from the per-run products of factor_scorer.
 
         coef is {LAYER_ID: (..., K)}, and idx (n, B) row indices in [0, pool),
-        unchecked, as batch_schedule draws them; row i is scored by head i. Returns
+        unchecked, as batch_schedule draws them, or None for every pool row in
+        order, read as views of the products; row i is scored by head i. Returns
         the mean entropies f (..., n) and {LAYER_ID: (..., n, K)} df_i/dcoef_k =
         sum_c (H left)_ck (dlogits^T X right)_ck. The entropy helper gets a
         class-major copy of the logits; every GEMM keeps the operand layout of a
@@ -164,13 +165,16 @@ class TaskSuite:
         neither on the leading axes nor on gathering rows.
         """
         hl, hl_t, xr, xhw0, first = products
-        if len(idx) != len(first):
+        if idx is None:
+            xr_b, xhw0_b = (x.reshape(len(first), -1, x.shape[-1]) for x in (xr, xhw0))
+        elif len(idx) != len(first):
             raise HarnessError(f"{len(idx)} batches for a scorer of {len(first)} tasks")
-        rows = first + idx
-        xr_b = xr.take(rows, 0)                              # (n, B, K)
+        else:
+            rows = first + idx
+            xr_b, xhw0_b = xr.take(rows, 0), xhw0.take(rows, 0)  # (n, B, K), (n, B, C)
         scaled = coef[LAYER_ID][..., None, :, None] * hl_t   # (..., n, K, C)
         logits = xr_b @ scaled                               # (..., n, B, C)
-        logits += xhw0.take(rows, 0)
+        logits += xhw0_b
         f, dl = _entropy_and_dlogits(logits.swapaxes(-1, -2).copy())
         dl_t = dl.swapaxes(-1, -2).copy()                    # (..., n, B, C)
         grad = np.einsum("...nck,nck->...nk", dl_t.swapaxes(-1, -2) @ xr_b, hl)
@@ -195,16 +199,23 @@ def _softmax(z: np.ndarray) -> np.ndarray:  # over the C axis of (..., C, B) log
 
 def _entropy_and_dlogits(logits: np.ndarray):
     """Mean predictive entropy over the batch axis of class-major (..., C, B)
-    logits, and its gradient w.r.t. every logit. A p that underflowed to 0, or
-    is NaN, takes 0 for its log p."""
-    p = _softmax(logits)
-    dl = np.log(p, out=np.zeros_like(p), where=p > 0)    # log p, then dl in place
-    ent = -np.add.reduce(p * dl, -2)                     # (..., B)
-    # dE/dlogit_j = -p_j (log p_j + E) per sample
-    dl += ent[..., None, :]
-    dl *= p
-    dl /= -logits.shape[-1]
-    return np.add.reduce(ent, -1) / ent.shape[-1], dl   # np.mean's own arithmetic
+    logits, and its gradient w.r.t. every logit, in log-sum-exp form: with
+    z = logits - max and s = sum e^z, log p = z - log s and E = log s - sum p z.
+    z is clipped at -800, below exp's underflow, so a p of 0 (a -inf logit
+    included) adds exactly 0 to E and its gradient; a NaN logit gives NaN."""
+    z = logits - np.maximum.reduce(logits, -2, keepdims=True)  # logits untouched
+    np.maximum(z, -800.0, out=z)
+    p = np.exp(z)
+    s = np.add.reduce(p, -2, keepdims=True)
+    p /= s
+    log_s = np.log(s)
+    ent = log_s[..., 0, :] - np.add.reduce(p * z, -2)   # (..., B)
+    # dE/dlogit_j = -p_j (log p_j + E) per sample, built in z
+    z -= log_s
+    z += ent[..., None, :]
+    z *= p
+    z /= -logits.shape[-1]
+    return np.add.reduce(ent, -1) / ent.shape[-1], z    # np.mean's own arithmetic
 
 
 def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
@@ -369,18 +380,19 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks=(1, 3, 5)) -> dict[int, f
     if max(ks) > union.size:
         raise HarnessError(f"k={max(ks)} exceeds union label count {union.size}")
     col_of = {lab: j for j, lab in enumerate(union)}
+    # a task's labels are unique, so one fancy-indexed maximum per head is exact
+    cols = [np.array([col_of[lab] for lab in td.labels]) for td in suite.tasks]
+    heads_t = [h.T for h in suite._stacked_heads(suite.n_tasks)]
 
     hits = {k: 0 for k in ks}
     total = 0
     for i, td in enumerate(suite.tasks):
         n = td.eval_x.shape[0]
         scores = np.full((n, union.size), -np.inf)
-        for j in range(suite.n_tasks):
-            logits = suite._logits(j, weights, td.eval_x)
-            for c, lab in enumerate(suite.tasks[j].labels):
-                col = col_of[lab]
-                scores[:, col] = np.maximum(scores[:, col], logits[:, c])
-        true_cols = np.array([col_of[lab] for lab in td.labels])[td.eval_y]
+        features = td.eval_x @ weights[LAYER_ID].T       # once per eval set
+        for j, head_t in enumerate(heads_t):
+            scores[:, cols[j]] = np.maximum(scores[:, cols[j]], features @ head_t)
+        true_cols = cols[i][td.eval_y]
         order = np.argsort(-scores, axis=1, kind="stable")
         for k in ks:
             hits[k] += int(np.sum(np.any(order[:, :k] == true_cols[:, None], axis=1)))

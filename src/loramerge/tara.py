@@ -222,8 +222,7 @@ def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
     pools = suite.adaptation_pools(n)
     own = np.arange(n)[:, None]
     coef = {l: np.where(own == s.owner, s.sigma, 0.0) for l, s in stacks.items()}
-    f, _ = suite.factor_scorer(coll.base, stacks, pools)(
-        coef, np.tile(np.arange(pools.shape[1]), (n, 1)))
+    f, _ = suite.factor_scorer(coll.base, stacks, pools)(coef, None)
     return f.diagonal().copy()
 
 

@@ -388,8 +388,8 @@ class _PerTaskSuite:
     def factor_scorer(self, base, stacks, pools):
         s = stacks["layer0"]
 
-        def score(coef, idx):  # (P, K) coef
-            batches = pools[np.arange(len(pools))[:, None], idx]
+        def score(coef, idx):  # (P, K) coef; idx None scores the whole pools
+            batches = pools if idx is None else pools[np.arange(len(pools))[:, None], idx]
             f, cols = [], []
             for c in coef["layer0"]:
                 fp, g = self.dense_entropy_and_grad(
@@ -404,7 +404,7 @@ class _PerTaskSuite:
 def reference_factor_scorer(suite, base, stacks, n):
     """TaskSuite.factor_scorer as it was before its per-run pool products: its
     score(coef, batches) multiplies each call's (n, B, m) batches and scores
-    (..., B, C) logits with the reference entropy helper. At C < 8 the suite's
+    (..., B, C) logits with the log-sum-exp reference helper. At C < 8 the suite's
     scorer(coef, idx) must match it bit for bit on batches = pools[tasks, idx]."""
     h, s = suite._stacked_heads(n), stacks["layer0"]
     hl = h @ s.left
@@ -413,16 +413,31 @@ def reference_factor_scorer(suite, base, stacks, n):
     def score(coef, batches):
         xr = batches @ s.right                           # (n, B, K)
         scaled = coef["layer0"][..., None, :, None] * hl_t  # (..., n, K, C)
-        f, dl = reference_entropy_and_dlogits(batches @ hw0_t + xr @ scaled)
+        f, dl = reference_lse_entropy_and_dlogits(batches @ hw0_t + xr @ scaled)
         grad = np.einsum("...nck,nck->...nk", np.swapaxes(dl, -1, -2) @ xr, hl)
         return f, {"layer0": grad}
 
     return score
 
 
+def reference_lse_entropy_and_dlogits(logits):
+    """The entropy helper's log-sum-exp form over (..., B, C) logits, with
+    numpy's wrappers: log p = z - log s, E = log s - sum p z, z clipped at -800.
+    harness._entropy_and_dlogits must match it bit for bit."""
+    z = np.maximum(logits - np.max(logits, axis=-1, keepdims=True), -800.0)
+    e = np.exp(z)
+    s = np.sum(e, axis=-1, keepdims=True)
+    p = e / s
+    log_s = np.log(s)
+    ent = log_s[..., 0] - np.sum(p * z, axis=-1)
+    dl = -p * (z - log_s + ent[..., None]) / logits.shape[-2]
+    return np.mean(ent, axis=-1), dl
+
+
 def reference_entropy_and_dlogits(logits):
     """The entropy helper as first written, with numpy's wrappers and a masked
-    log: harness._entropy_and_dlogits must match it bit for bit."""
+    log of the normalized p: harness._entropy_and_dlogits must match it to
+    rounding."""
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / np.sum(e, axis=-1, keepdims=True)
@@ -452,19 +467,33 @@ class TestEntropyHelper:
     @given(logits=_logits(), contiguous=st.booleans())
     def test_bits_match_the_reference(self, logits, contiguous):
         """The helper takes class-major logits: a contiguous copy, as the scorer
-        and fine-tuning pass, or a view of (..., B, C) memory."""
+        passes, or a view of (..., B, C) memory."""
         class_major = np.swapaxes(logits, -1, -2)
         with np.errstate(all="ignore"):
             f, dl = harness._entropy_and_dlogits(
                 class_major.copy() if contiguous else class_major)
             got = f, np.swapaxes(dl, -1, -2)
-            want = reference_entropy_and_dlogits(logits)
+            want = reference_lse_entropy_and_dlogits(logits)
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
             assert np.array_equal(g, w, equal_nan=True)
             finite = ~np.isnan(w)
             assert np.array_equal(np.signbit(g)[finite], np.signbit(w)[finite])
 
+    @settings(max_examples=300, deadline=None)
+    @given(logits=_logits())
+    def test_masked_log_form_to_rounding(self, logits):
+        """The log-sum-exp form agrees with the masked log of the normalized p:
+        the same NaNs, and finite entries to rounding. The absolute term covers
+        near-zero entropies, where log p of a p near 1 rounds."""
+        with np.errstate(all="ignore"):
+            f, dl = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
+            got = f, np.swapaxes(dl, -1, -2)
+            want = reference_entropy_and_dlogits(logits)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+            finite = np.isfinite(w)
+            assert np.all(np.abs(g - w)[finite] <= 1e-12 * np.abs(w)[finite] + 1e-15)
 
     def test_nine_classes_match_the_reference_to_rounding(self, nine_class_suite):
         """At C >= 8 numpy sums a contiguous class axis pairwise and a leading one
@@ -515,6 +544,19 @@ class TestEntropyAndGrad:
         [(got, _, _)] = tara.merge(sub, suite, [rho], optim=cfg)
         [(want, _, _)] = tara.merge(sub, reference, [rho], optim=cfg)
         assert np.max(np.abs(got["layer0"] - want["layer0"])) <= 1e-10
+
+    def test_whole_pools_keep_the_bits_of_gathered_rows(self, default_suite):
+        """idx None reads every pool row in order from views of the pool
+        products: the bits of gathering rows 0..pool-1 of every pool."""
+        suite, coll = default_suite
+        basis = tara.build_variant_b(coll)
+        pools = suite.adaptation_pools(coll.n_tasks)
+        score = suite.factor_scorer(basis.base, basis.layers, pools)
+        coef = tara._coefficients(basis, basis.init_phi(0.4))
+        f, grads = score(coef, None)
+        want_f, want_g = score(coef, np.tile(np.arange(pools.shape[1]), (len(pools), 1)))
+        assert np.array_equal(f, want_f)
+        assert np.array_equal(grads["layer0"], want_g["layer0"])
 
     def test_rows_must_fit_the_suite(self, small_suite):
         suite, coll = small_suite
