@@ -8,10 +8,10 @@ Every setting's name, type and default is declared once, by the dataclass or
 signature that uses it; the flag tables below are read from those.
 
 Exit codes: 0 success; 1 runtime failure: an I/O error, or a numerical abort
-(linalg.NumericalAbort: optimizer or fine-tuning divergence, a non-finite
-entropy, logit, SVD input or merged weight, SVD non-convergence); 2 usage or validation error: bad flags,
-config, preference or method parameters, or a malformed container
-(ContainerError).
+(linalg.NumericalAbort: fine-tuning divergence, a non-finite anchor, entropy,
+logit, SVD input or merged weight, SVD non-convergence); 2 usage or validation
+error: bad flags, config, preference or method parameters, or a malformed
+container (ContainerError).
 """
 
 from __future__ import annotations
@@ -123,11 +123,12 @@ def _write_report(run: Path, name: str, report: harness.EvalReport):
 
 def _write_trace(run: Path, name: str, trace: tara.OptimTrace):
     # the bytes csv.writer writes: no field needs quoting, rows end in \r\n
+    n = trace.per_task.shape[-1]
     with open(run / name, "w", newline="") as fh:
-        n = len(trace.per_task[0]) if trace.per_task else 0
         fh.write(",".join(["step", "objective"] + [f"f{i}" for i in range(n)]) + "\r\n")
-        for step, val, f in zip(trace.steps, trace.objective, trace.per_task):
-            fh.write(",".join([str(step), repr(val), *map(repr, f.tolist())]) + "\r\n")
+        for step, val, f in zip(trace.steps.tolist(), trace.objective.tolist(),
+                                trace.per_task.tolist()):
+            fh.write(",".join([str(step), repr(val), *map(repr, f)]) + "\r\n")
 
 
 def cmd_train_toy(args) -> int:

@@ -120,11 +120,6 @@ class TaskSuite:
             raise HarnessError(f"adaptation pools differ in size, rows per task: {sizes}")
         return np.stack(pools)
 
-    def _logits(self, task: int, weights: dict, x: np.ndarray) -> np.ndarray:
-        if self.heads[task] is None:
-            raise HarnessError(f"task {task} has no trained head")
-        return x @ weights[LAYER_ID].T @ self.heads[task].T
-
     def _stacked_heads(self, n: int) -> np.ndarray:
         """(n, C, d) stack of the first n tasks' heads."""
         if n > self.n_tasks:
@@ -184,7 +179,9 @@ class TaskSuite:
         """Eval-split accuracy; non-finite logits raise HarnessAbort rather than
         let argmax pick a class."""
         td = self.tasks[task]
-        logits = self._logits(task, weights, td.eval_x)
+        if self.heads[task] is None:
+            raise HarnessError(f"task {task} has no trained head")
+        logits = td.eval_x @ weights[LAYER_ID].T @ self.heads[task].T
         if not np.isfinite(logits).all():
             raise HarnessAbort(f"task{task}: weights give non-finite logits")
         return float(np.mean(np.argmax(logits, axis=1) == td.eval_y))
@@ -367,16 +364,16 @@ def evaluate(weights: dict, suite: TaskSuite) -> EvalReport:
     )
 
 
-def evaluate_joint(weights: dict, suite: TaskSuite, ks=(1, 3, 5)) -> dict[int, float]:
+def evaluate_joint(weights: dict, suite: TaskSuite, ks) -> dict[int, float]:
     """Hits@k over the union label space.
 
     Each eval sample is scored by every task head; columns sharing a global
     label id are merged by max logit. Hits@k is the fraction of samples whose
-    true global label ranks in the top k.
+    true global label ranks in the top k: the count of higher scores and of
+    equal scores in earlier columns, a stable sort's rank for finite scores.
     """
-    all_labels = np.concatenate([td.labels for td in suite.tasks])
     # sorted set, not np.unique, which imports numpy.ma (about 1 MB peak RSS)
-    union = np.array(sorted(set(all_labels.tolist())))
+    union = np.array(sorted({lab for td in suite.tasks for lab in td.labels.tolist()}))
     if max(ks) > union.size:
         raise HarnessError(f"k={max(ks)} exceeds union label count {union.size}")
     col_of = {lab: j for j, lab in enumerate(union)}
@@ -384,20 +381,20 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks=(1, 3, 5)) -> dict[int, f
     cols = [np.array([col_of[lab] for lab in td.labels]) for td in suite.tasks]
     heads_t = [h.T for h in suite._stacked_heads(suite.n_tasks)]
 
-    hits = {k: 0 for k in ks}
-    total = 0
+    ranks = []
     for i, td in enumerate(suite.tasks):
-        n = td.eval_x.shape[0]
-        scores = np.full((n, union.size), -np.inf)
+        scores = np.full((td.eval_x.shape[0], union.size), -np.inf)
         features = td.eval_x @ weights[LAYER_ID].T       # once per eval set
         for j, head_t in enumerate(heads_t):
             scores[:, cols[j]] = np.maximum(scores[:, cols[j]], features @ head_t)
-        true_cols = cols[i][td.eval_y]
-        order = np.argsort(-scores, axis=1, kind="stable")
-        for k in ks:
-            hits[k] += int(np.sum(np.any(order[:, :k] == true_cols[:, None], axis=1)))
-        total += n
-    return {k: hits[k] / total for k in ks}
+        if not np.isfinite(scores).all():  # a sort and the count rank a NaN apart
+            raise HarnessAbort(f"task{i}: weights give non-finite joint scores")
+        true_cols = cols[i][td.eval_y][:, None]
+        true = np.take_along_axis(scores, true_cols, axis=1)
+        earlier = np.arange(union.size) < true_cols
+        ranks.append(np.count_nonzero((scores > true) | ((scores == true) & earlier), axis=1))
+    ranks = np.concatenate(ranks)
+    return {k: int(np.count_nonzero(ranks < k)) / ranks.size for k in ks}
 
 
 def _suite_key(task: int, name: str) -> str:

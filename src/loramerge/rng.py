@@ -13,9 +13,16 @@ import hashlib
 
 import numpy as np
 
+from .linalg import CodedError
+
 
 def _digest(seed: int, tags: tuple) -> bytes:
-    return hashlib.blake2b(repr((int(seed),) + tags).encode(), digest_size=16).digest()
+    """Keys a str subclass as its str, a numpy integer as its int; refuses the rest."""
+    bad = [t for t in tags if isinstance(t, bool) or not isinstance(t, (str, int, np.integer))]
+    if bad:
+        raise CodedError(f"stream tag {bad[0]!r} is neither a str nor an integer", code="bad_tag")
+    key = (int(seed), *(str(t) if isinstance(t, str) else int(t) for t in tags))
+    return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
 
 
 def substream(seed: int, *tags) -> np.random.Generator:

@@ -5,7 +5,7 @@ diagnose --stacks --xi --kappa, every merge method, a preference merge, four
 sweeps and eval. Every artifact's sha256 must match when the environment
 recorded in the golden file (numpy, BLAS, machine, BLAS thread variables)
 equals the running one; elsewhere the numbers decoded from the text artifacts
-must match to 1e-9 relative, and their other fields exactly. manifest.json,
+must match in type and to 1e-9 relative, and their other fields exactly. manifest.json,
 which records run paths, stays out.
 
 A change that moves a bit rewrites the file with its one writer,
@@ -76,14 +76,14 @@ def _commands(out: Path):
 
 
 def _decode(path: Path):
-    """The parsed text of a JSON or CSV artifact, numbers as floats; None for a
-    binary one."""
+    """The parsed text of a JSON or CSV artifact, each CSV cell read as a JSON
+    number, so an int cell stays an int; None for a binary one."""
     if path.suffix == ".json":
         return json.loads(path.read_text())
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
             header, *rows = csv.reader(fh)
-        return [header] + [[float(cell) for cell in row] for row in rows]
+        return [header] + [[json.loads(cell) for cell in row] for row in rows]
     return None
 
 
@@ -114,10 +114,11 @@ def write(path: Path = GOLDEN) -> None:
 
 
 def _mismatches(got, want, where: str):
-    """Every place where got differs from want: a number by more than RTOL
-    relative, anything else at all."""
+    """Every place where got differs from want: a number in its type or by more
+    than RTOL relative, anything else at all."""
     if isinstance(want, (int, float)) and isinstance(got, (int, float)):
-        if not abs(got - want) <= RTOL * max(abs(got), abs(want)):
+        if type(got) is not type(want) or not abs(got - want) <= RTOL * max(abs(got),
+                                                                            abs(want)):
             yield f"{where}: {got!r} != {want!r}"
     elif isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
         for key in want:

@@ -288,12 +288,15 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_logits_abort(self, small_suite, bad):
-        """argmax of NaN logits picks class 0, so evaluate refuses them."""
+        """argmax of NaN logits picks class 0, and a sort and a rank count place
+        a NaN score differently, so both evaluations refuse them."""
         suite, _ = small_suite
         w = suite.base["layer0"].copy()
         w[0, 0] = bad
         with pytest.raises(harness.HarnessAbort, match="non-finite logits"):
             harness.evaluate({"layer0": w}, suite)
+        with pytest.raises(harness.HarnessAbort, match="non-finite joint scores"):
+            harness.evaluate_joint({"layer0": w}, suite, ks=(1,))
 
     @pytest.mark.parametrize("reference", [0.0, -0.5])
     def test_non_positive_reference(self, small_suite, reference):
@@ -321,29 +324,32 @@ class TestJointEval:
             harness.evaluate_joint(dict(suite.base), suite, ks=(100,))
 
     def test_matches_brute_force(self, small_suite):
-        """Independent top-k scorer over explicitly built union logits."""
+        """Independent top-k scorer over explicitly built union logits, at the
+        TA merge and at zero weights, which tie every score: a stable sort
+        ranks tied labels in label order."""
         suite, coll = small_suite
-        weights = mergers.merge_ta(coll, 0.3)
-        got = harness.evaluate_joint(weights, suite, ks=(1, 2))
-        union = sorted({lab for td in suite.tasks for lab in td.labels.tolist()})
-        hits = {1: 0, 2: 0}
-        total = 0
-        for i, td in enumerate(suite.tasks):
-            for s in range(td.eval_x.shape[0]):
-                scores = {lab: -np.inf for lab in union}
-                for j in range(suite.n_tasks):
-                    logits = (
-                        suite.heads[j] @ weights["layer0"] @ td.eval_x[s]
-                    )
-                    for c, lab in enumerate(suite.tasks[j].labels):
-                        scores[lab] = max(scores[lab], logits[c])
-                ranked = sorted(union, key=lambda lab: -scores[lab])
-                true = td.labels[td.eval_y[s]]
-                for k in (1, 2):
-                    hits[k] += true in ranked[:k]
-                total += 1
-        for k in (1, 2):
-            assert got[k] == pytest.approx(hits[k] / total, abs=1e-12)
+        ta = mergers.merge_ta(coll, 0.3)
+        for weights in (ta, {"layer0": np.zeros_like(ta["layer0"])}):
+            got = harness.evaluate_joint(weights, suite, ks=(1, 2))
+            union = sorted({lab for td in suite.tasks for lab in td.labels.tolist()})
+            hits = {1: 0, 2: 0}
+            total = 0
+            for i, td in enumerate(suite.tasks):
+                for s in range(td.eval_x.shape[0]):
+                    scores = {lab: -np.inf for lab in union}
+                    for j in range(suite.n_tasks):
+                        logits = (
+                            suite.heads[j] @ weights["layer0"] @ td.eval_x[s]
+                        )
+                        for c, lab in enumerate(suite.tasks[j].labels):
+                            scores[lab] = max(scores[lab], logits[c])
+                    ranked = sorted(union, key=lambda lab: -scores[lab])
+                    true = td.labels[td.eval_y[s]]
+                    for k in (1, 2):
+                        hits[k] += true in ranked[:k]
+                    total += 1
+            for k in (1, 2):
+                assert got[k] == pytest.approx(hits[k] / total, abs=1e-12)
 
     def test_overlapping_labels_merge_columns(self):
         suite = harness.generate_suite(
@@ -448,14 +454,16 @@ def reference_entropy_and_dlogits(logits):
 
 
 @st.composite
-def _logits(draw):
-    """(..., B, C) logits with +-inf and NaN entries, and entries more than 745
-    from the rest of their row, so that exp underflows and p is exactly 0."""
+def _logits(draw, finite=False):
+    """(..., B, C) logits with +-inf and NaN entries (unless finite), and entries
+    more than 745 from the rest of their row, so that exp underflows and p is
+    exactly 0."""
     shape = draw(st.sampled_from([(1, 1), (3, 5), (2, 4, 3), (2, 3, 16, 5)]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     logits = gen.normal(0.0, draw(st.sampled_from([1.0, 30.0])), shape)
     flat = logits.reshape(-1)
-    specials = st.sampled_from([np.inf, -np.inf, np.nan, 800.0, -800.0, -1e4])
+    specials = st.sampled_from([800.0, -800.0, -1e4] if finite
+                               else [np.inf, -np.inf, np.nan, 800.0, -800.0, -1e4])
     for where, value in draw(st.lists(st.tuples(st.integers(0, flat.size - 1), specials),
                                       max_size=8)):
         flat[where] = value
@@ -494,6 +502,14 @@ class TestEntropyHelper:
             assert np.array_equal(np.isnan(g), np.isnan(w))
             finite = np.isfinite(w)
             assert np.all(np.abs(g - w)[finite] <= 1e-12 * np.abs(w)[finite] + 1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=_logits(finite=True))
+    def test_mean_entropy_is_bounded(self, logits):
+        """The bound TARA's objective rests on: for finite logits the mean
+        entropy lies in [0, log C], up to rounding."""
+        f, _ = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
+        assert np.all(f >= 0) and np.all(f <= np.log(logits.shape[-1]) + 1e-12)
 
     def test_nine_classes_match_the_reference_to_rounding(self, nine_class_suite):
         """At C >= 8 numpy sums a contiguous class axis pairwise and a leading one

@@ -101,7 +101,7 @@ class TestTies:
                                                               trim_fraction, size_factor):
         """The sizes the merges trim, with DARE's exact zeros: quantized values
         of both signs and -0.0, and a KnOTS-style count over twice the block."""
-        gen = substream(sum(shape), "trim-sizes", drop_prob)
+        gen = substream(sum(shape), "trim-sizes", repr(drop_prob))  # a float is no tag
         delta = gen.choice(np.array([-0.0, 0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0]), shape)
         delta = mergers._dare_drop(delta, drop_prob, 3, "t", "l")
         size = None if size_factor is None else size_factor * delta.size

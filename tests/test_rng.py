@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from loramerge import harness, tara
+from conftest import random_collection
+from loramerge import harness, mergers, tara
+from loramerge.adapters import AdapterCollection
+from loramerge.linalg import CodedError
 from loramerge.rng import substream, task_integers
 from loramerge.tara import OptimConfig
 
@@ -81,6 +86,37 @@ class TestScheduleSizes:
         got = task_integers(3, [], high, 5, 16)
         want = _oracle(3, [], high, 5, 16)
         assert got.shape == want.shape == (5, 0, 16) and got.dtype == want.dtype
+
+
+class TestStreamKeys:
+    """A tag keys its stream by its plain str or int value."""
+
+    @pytest.mark.parametrize("tags", [(np.str_("task2"), np.int64(3)),
+                                      ("task2", np.int32(3)), (np.str_("task2"), 3)])
+    def test_numpy_scalars_key_their_python_values(self, tags):
+        assert np.array_equal(substream(5, *tags).random(4), substream(5, "task2", 3).random(4))
+
+    @pytest.mark.parametrize("tag", [True, np.bool_(False), 1.0, np.float64(2.0), None,
+                                     ("task", 1), b"task"])
+    def test_other_tag_types_are_refused(self, tag):
+        with pytest.raises(CodedError) as exc:
+            substream(0, "dare", tag)
+        assert exc.value.code == "bad_tag"
+
+    def test_dare_masks_ignore_the_task_id_type(self):
+        """np.str_ task ids compare equal to their str ids, and draw the same
+        DARE masks."""
+        coll = random_collection(seed=3, n_tasks=3)
+        numpy_ids = AdapterCollection(
+            layer_ids=list(coll.layer_ids), task_ids=[np.str_(t) for t in coll.task_ids],
+            base=dict(coll.base),
+            adapters={l: [dataclasses.replace(ad, task_id=np.str_(ad.task_id)) for ad in ads]
+                      for l, ads in coll.adapters.items()},
+        )
+        cfg = mergers.MergeConfig("dare_ties")
+        got, want = mergers.run_merge(numpy_ids, cfg), mergers.run_merge(coll, cfg)
+        for layer in coll.layer_ids:
+            assert np.array_equal(got[layer], want[layer])
 
 
 def _pools(n_tasks, pool):
