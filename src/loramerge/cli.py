@@ -137,7 +137,7 @@ def cmd_train_toy(args) -> int:
     suite = harness.generate_suite(
         harness.SuiteConfig(**{k: v for k, v in config.items() if k in suite_keys}))
     # a set, since numpy's first np.unique call raises the peak RSS by about 2 MB
-    labels = len({lab for td in suite.tasks for lab in td.labels.tolist()})
+    labels = len(set(suite.labels.ravel().tolist()))
     if labels < max(HITS_AT):
         raise UsageError(f"the suite has {labels} labels; Hits@{max(HITS_AT)} needs at "
                          f"least {max(HITS_AT)}")

@@ -189,8 +189,8 @@ def ta_jacobian(coll: AdapterCollection, suite, layer_id: str, lam: float,
         coef = lam * rank1_stack(coll.adapters[layer_id], scaled=True).sigma
     else:
         coef = lam * stack.sigma
-    pools = suite.adaptation_pools(suite.n_tasks)
-    score = suite.factor_scorer({layer_id: coll.base[layer_id]}, {layer_id: stack}, pools)
+    score = suite.factor_scorer({layer_id: coll.base[layer_id]}, {layer_id: stack},
+                                suite.adapt_x)
     _, grad = score({layer_id: coef}, None)
     return Jacobian(entries=stack.sigma * grad[layer_id][[rows[t] for t in coll.task_ids]])
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
@@ -75,19 +75,6 @@ class SuiteConfig:
 
 
 @dataclass
-class TaskData:
-    train_x: np.ndarray
-    train_y: np.ndarray
-    eval_x: np.ndarray
-    eval_y: np.ndarray
-    adapt_x: np.ndarray
-    labels: np.ndarray      # global label ids, one per local class
-
-
-TASK_FIELDS = tuple(f.name for f in fields(TaskData))
-
-
-@dataclass
 class EvalReport:
     task_ids: list[str]
     absolute: list[float]
@@ -99,35 +86,29 @@ class EvalReport:
 
 @dataclass
 class TaskSuite:
+    """Task-major arrays, row i task i's: train_x (N, n_train, m), train_y
+    (N, n_train), eval_x (N, n_eval, m), eval_y (N, n_eval), the unlabeled
+    adaptation pools adapt_x (N, n_adapt, m), labels (N, C) the global label id of
+    each local class, and heads (N, C, d), None until finetune_all sets them."""
     config: SuiteConfig
     base: dict[str, np.ndarray]           # {LAYER_ID: W0}
-    tasks: list[TaskData]
-    heads: list[np.ndarray | None] = field(default_factory=list)
-    references: list[float | None] = field(default_factory=list)
+    train_x: np.ndarray
+    train_y: np.ndarray
+    eval_x: np.ndarray
+    eval_y: np.ndarray
+    adapt_x: np.ndarray
+    labels: np.ndarray
+    heads: np.ndarray | None
+    references: list[float | None]
 
     @property
     def n_tasks(self) -> int:
         return self.config.n_tasks
 
-    def adaptation_pools(self, n: int) -> np.ndarray:
-        """(n, P, m) stack of the first n tasks' adaptation pools. Every pool must
-        be nonempty and all of one size P."""
-        pools = [self.tasks[i].adapt_x for i in range(n)]
-        sizes = [pool.shape[0] for pool in pools]
-        if 0 in sizes:
-            raise HarnessError(f"task {sizes.index(0)} has no adaptation batches")
-        if len(set(sizes)) > 1:
-            raise HarnessError(f"adaptation pools differ in size, rows per task: {sizes}")
-        return np.stack(pools)
-
-    def _stacked_heads(self, n: int) -> np.ndarray:
-        """(n, C, d) stack of the first n tasks' heads."""
-        if n > self.n_tasks:
-            raise HarnessError(f"{n} pools for a suite of {self.n_tasks} tasks")
-        missing = [i for i, h in enumerate(self.heads[:n]) if h is None]
-        if missing:
-            raise HarnessError(f"tasks {missing} have no trained head")
-        return np.stack(self.heads[:n])
+    def _trained_heads(self) -> np.ndarray:
+        if self.heads is None:
+            raise HarnessError("the suite has no trained heads")
+        return self.heads
 
     def factor_scorer(self, base: dict, stacks: dict, pools: np.ndarray):
         """Scorer of tasks 0..n-1 of the (n, pool, m) pools at W = W0 + left
@@ -139,7 +120,7 @@ class TaskSuite:
         scorer(coef, idx) scores one step.
         """
         n, pool = pools.shape[:2]
-        h, s = self._stacked_heads(n), stacks[LAYER_ID]
+        h, s = self._trained_heads()[:n], stacks[LAYER_ID]
         hl = h @ s.left
         hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base[LAYER_ID], -1, -2)
         xr, xhw0 = ((pools @ x).reshape(n * pool, -1) for x in (s.right, hw0_t))
@@ -178,13 +159,10 @@ class TaskSuite:
     def accuracy(self, task: int, weights: dict) -> float:
         """Eval-split accuracy; non-finite logits raise HarnessAbort rather than
         let argmax pick a class."""
-        td = self.tasks[task]
-        if self.heads[task] is None:
-            raise HarnessError(f"task {task} has no trained head")
-        logits = td.eval_x @ weights[LAYER_ID].T @ self.heads[task].T
+        logits = self.eval_x[task] @ weights[LAYER_ID].T @ self._trained_heads()[task].T
         if not np.isfinite(logits).all():
             raise HarnessAbort(f"task{task}: weights give non-finite logits")
-        return float(np.mean(np.argmax(logits, axis=1) == td.eval_y))
+        return float(np.mean(np.argmax(logits, axis=1) == self.eval_y[task]))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:  # over the C axis of (..., C, B) logits
@@ -227,39 +205,30 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
     if len(offsets) != cfg.n_tasks:
         raise HarnessError("label_offsets length must equal n_tasks")
 
-    tasks = []
-    for i in range(cfg.n_tasks):
+    n, sizes = cfg.n_tasks, {"train": cfg.n_train, "eval": cfg.n_eval, "adapt": cfg.n_adapt}
+    x = {split: np.empty((n, size, cfg.m)) for split, size in sizes.items()}
+    y = {split: np.empty((n, sizes[split]), dtype=np.int64) for split in ("train", "eval")}
+    for i in range(n):
         mgen = substream(cfg.seed, "task", i, "means")
         raw = mgen.standard_normal((cfg.n_classes, cfg.m))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         inside = (raw @ q) @ q.T
         means = cfg.mean_scale * (raw - inside + cfg.leak_scale * inside)
-
-        def draw(tag, n):
-            sgen = substream(cfg.seed, "task", i, tag)
-            y = sgen.integers(0, cfg.n_classes, n)
-            x = means[y] + cfg.noise_std * sgen.standard_normal((n, cfg.m))
-            return x, y
-
-        train_x, train_y = draw("train", cfg.n_train)
-        eval_x, eval_y = draw("eval", cfg.n_eval)
-        adapt_x, _ = draw("adapt", cfg.n_adapt)
-        tasks.append(
-            TaskData(
-                train_x=train_x,
-                train_y=train_y,
-                eval_x=eval_x,
-                eval_y=eval_y,
-                adapt_x=adapt_x,
-                labels=np.arange(cfg.n_classes) + offsets[i],
-            )
-        )
+        for split, size in sizes.items():  # the adaptation pool's labels are dropped
+            sgen = substream(cfg.seed, "task", i, split)
+            classes = sgen.integers(0, cfg.n_classes, size)
+            x[split][i] = means[classes] + cfg.noise_std * sgen.standard_normal((size, cfg.m))
+            if split in y:
+                y[split][i] = classes
     return TaskSuite(
         config=cfg,
         base={LAYER_ID: w0},
-        tasks=tasks,
-        heads=[None] * cfg.n_tasks,
-        references=[None] * cfg.n_tasks,
+        train_x=x["train"], train_y=y["train"],
+        eval_x=x["eval"], eval_y=y["eval"],
+        adapt_x=x["adapt"],
+        labels=np.add.outer(np.asarray(offsets, dtype=np.int64), np.arange(cfg.n_classes)),
+        heads=None,
+        references=[None] * n,
     )
 
 
@@ -292,14 +261,13 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
         for buf in (params, grad))
     a[:] = [0.01 * g.standard_normal((cfg.m, rank)) for g in inits]
     h[:] = [0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]
-    train_x = np.stack([td.train_x for td in suite.tasks]).reshape(n * cfg.n_train, cfg.m)
-    train_y = np.concatenate([td.train_y for td in suite.tasks])
+    train_x = suite.train_x.reshape(n * cfg.n_train, cfg.m)
     # every step's (N, B) rows of the flattened train arrays, and the flat index of
     # each row's true-label probability in a step's (N, C, B) p
     rows = task_integers(seed, [("finetune", i, "batch") for i in range(n)], cfg.n_train,
                          steps, FINETUNE_BATCH)
     rows += cfg.n_train * np.arange(n)[:, None]
-    picks = train_y.take(rows) + cfg.n_classes * np.arange(n)[:, None]
+    picks = suite.train_y.take(rows) + cfg.n_classes * np.arange(n)[:, None]
     picks *= FINETUNE_BATCH
     picks += np.arange(FINETUNE_BATCH)
     limit = None
@@ -327,13 +295,11 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
         np.matmul(dl.swapaxes(1, 2), z, out=gh)
         adamw_step(params, grad, m, v, t + 1, lr)
 
-    adapters = []
-    for i in range(n):
-        ad = LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=b[i], a=a[i], rank=rank,
-                         lora_alpha=LORA_ALPHA)
-        suite.heads[i] = h[i]
-        suite.references[i] = suite.accuracy(i, {LAYER_ID: w0 + scale * ad.b @ ad.a.T})
-        adapters.append(ad)
+    suite.heads = h
+    suite.references = [suite.accuracy(i, {LAYER_ID: w0 + scale * b[i] @ a[i].T})
+                        for i in range(n)]
+    adapters = [LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=b[i], a=a[i], rank=rank,
+                            lora_alpha=LORA_ALPHA) for i in range(n)]
     return AdapterCollection(
         layer_ids=[LAYER_ID],
         task_ids=[ad.task_id for ad in adapters],
@@ -373,23 +339,23 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks) -> dict[int, float]:
     equal scores in earlier columns, a stable sort's rank for finite scores.
     """
     # sorted set, not np.unique, which imports numpy.ma (about 1 MB peak RSS)
-    union = np.array(sorted({lab for td in suite.tasks for lab in td.labels.tolist()}))
+    union = np.array(sorted(set(suite.labels.ravel().tolist())))
     if max(ks) > union.size:
         raise HarnessError(f"k={max(ks)} exceeds union label count {union.size}")
-    col_of = {lab: j for j, lab in enumerate(union)}
-    # a task's labels are unique, so one fancy-indexed maximum per head is exact
-    cols = [np.array([col_of[lab] for lab in td.labels]) for td in suite.tasks]
-    heads_t = [h.T for h in suite._stacked_heads(suite.n_tasks)]
+    # (N, C) union column of every local class; a task's labels are unique, so one
+    # fancy-indexed maximum per head is exact
+    cols = np.searchsorted(union, suite.labels)
+    heads_t = suite._trained_heads().swapaxes(1, 2)
 
     ranks = []
-    for i, td in enumerate(suite.tasks):
-        scores = np.full((td.eval_x.shape[0], union.size), -np.inf)
-        features = td.eval_x @ weights[LAYER_ID].T       # once per eval set
+    for i, (eval_x, eval_y) in enumerate(zip(suite.eval_x, suite.eval_y)):
+        scores = np.full((len(eval_y), union.size), -np.inf)
+        features = eval_x @ weights[LAYER_ID].T          # once per eval set
         for j, head_t in enumerate(heads_t):
             scores[:, cols[j]] = np.maximum(scores[:, cols[j]], features @ head_t)
         if not np.isfinite(scores).all():  # a sort and the count rank a NaN apart
             raise HarnessAbort(f"task{i}: weights give non-finite joint scores")
-        true_cols = cols[i][td.eval_y][:, None]
+        true_cols = cols[i][eval_y][:, None]
         true = np.take_along_axis(scores, true_cols, axis=1)
         earlier = np.arange(union.size) < true_cols
         ranks.append(np.count_nonzero((scores > true) | ((scores == true) & earlier), axis=1))
@@ -397,31 +363,35 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks) -> dict[int, float]:
     return {k: int(np.count_nonzero(ranks < k)) / ranks.size for k in ks}
 
 
-def _suite_key(task: int, name: str) -> str:
-    return f"__suite__/task{task}/{name}"
+SUITE_KEY = "__suite__/"  # container key prefix of every suite field
 
 
-def _check_suite_tensors(cfg: SuiteConfig, tensors: dict, path) -> None:
-    """Every task field with the dtype and shape cfg implies, labels in range,
-    and a head of shape (n_classes, d) or none."""
-    if not tensors:
+def _suite_fields(cfg: SuiteConfig) -> dict:
+    """{field: (dtype, shape)} of every TaskSuite array under cfg."""
+    n, c = cfg.n_tasks, cfg.n_classes
+    return {
+        "train_x": (np.float64, (n, cfg.n_train, cfg.m)),
+        "train_y": (np.int64, (n, cfg.n_train)),
+        "eval_x": (np.float64, (n, cfg.n_eval, cfg.m)),
+        "eval_y": (np.int64, (n, cfg.n_eval)),
+        "adapt_x": (np.float64, (n, cfg.n_adapt, cfg.m)),
+        "labels": (np.int64, (n, c)),
+        "heads": (np.float64, (n, c, cfg.d)),
+    }
+
+
+def _check_suite(cfg: SuiteConfig, coll: AdapterCollection, tensors: dict, path) -> None:
+    """A base of shape (d, m), the adapters of tasks task0..task{N-1}, and every
+    suite field with the dtype and shape cfg implies, heads also absent, labels
+    in range."""
+    want = {SUITE_KEY + name: spec for name, spec in _suite_fields(cfg).items()}
+    if not want.keys() & tensors.keys():
         raise HarnessError(
-            f"{path} holds no suite tensors; suite files written before the suite "
-            "arrays moved into the container must be re-created with train-toy",
+            f"{path} holds none of the suite tensors {list(want)}; suite files of an "
+            "earlier layout must be re-created with train-toy",
             code="no_suite_tensors",
         )
-    layout = {
-        "train_x": (np.float64, (cfg.n_train, cfg.m)),
-        "train_y": (np.int64, (cfg.n_train,)),
-        "eval_x": (np.float64, (cfg.n_eval, cfg.m)),
-        "eval_y": (np.int64, (cfg.n_eval,)),
-        "adapt_x": (np.float64, (cfg.n_adapt, cfg.m)),
-        "labels": (np.int64, (cfg.n_classes,)),
-        "head": (np.float64, (cfg.n_classes, cfg.d)),
-    }
-    want = {_suite_key(i, name): spec
-            for i in range(cfg.n_tasks) for name, spec in layout.items()}
-    missing = [k for k in want if k not in tensors and not k.endswith("/head")]
+    missing = [k for k in want if k not in tensors and k != SUITE_KEY + "heads"]
     unknown = [k for k in tensors if k not in want]
     if missing or unknown:
         raise HarnessError(
@@ -438,18 +408,21 @@ def _check_suite_tensors(cfg: SuiteConfig, tensors: dict, path) -> None:
         if key.endswith("_y") and (arr.min() < 0 or arr.max() >= cfg.n_classes):
             raise HarnessError(f"{path}: {key} holds labels outside [0, n_classes)",
                                code="bad_suite")
+    if coll.layer_ids != [LAYER_ID] or coll.base[LAYER_ID].shape != (cfg.d, cfg.m):
+        raise HarnessError(f"{path}: base weights do not fit a d={cfg.d}, m={cfg.m} suite",
+                           code="bad_suite")
+    tasks = [f"task{i}" for i in range(cfg.n_tasks)]
+    if coll.task_ids != tasks:
+        raise HarnessError(f"{path}: adapters of tasks {coll.task_ids}, not of the suite's "
+                           f"{tasks}", code="bad_suite")
 
 
 def save_suite(suite: TaskSuite, coll: AdapterCollection, container_path, sidecar_path):
     """One LMK1 container for base, adapters and the suite's arrays and heads;
     a JSON sidecar for the config and references."""
-    tensors = {}
-    for i, td in enumerate(suite.tasks):
-        for name in TASK_FIELDS:
-            tensors[_suite_key(i, name)] = getattr(td, name)
-        if suite.heads[i] is not None:
-            tensors[_suite_key(i, "head")] = suite.heads[i]
-    _check_suite_tensors(suite.config, tensors, container_path)
+    tensors = {SUITE_KEY + name: getattr(suite, name) for name in _suite_fields(suite.config)
+               if getattr(suite, name) is not None}
+    _check_suite(suite.config, coll, tensors, container_path)
     save_collection(coll, container_path, tensors)
     with open(sidecar_path, "w") as fh:
         json.dump({"config": asdict(suite.config), "references": suite.references}, fh)
@@ -489,18 +462,11 @@ def load_suite(container_path, sidecar_path):
     """Inverse of save_suite; returns (suite, collection)."""
     coll, tensors = read_container(container_path)
     cfg, references = _read_sidecar(sidecar_path)
-    _check_suite_tensors(cfg, tensors, container_path)
-    if coll.layer_ids != [LAYER_ID] or coll.base[LAYER_ID].shape != (cfg.d, cfg.m):
-        raise HarnessError(f"{container_path}: base weights do not fit a d={cfg.d}, "
-                           f"m={cfg.m} suite", code="bad_suite")
+    _check_suite(cfg, coll, tensors, container_path)
     suite = TaskSuite(
         config=cfg,
         base=dict(coll.base),
-        tasks=[
-            TaskData(**{name: tensors[_suite_key(i, name)] for name in TASK_FIELDS})
-            for i in range(cfg.n_tasks)
-        ],
-        heads=[tensors.get(_suite_key(i, "head")) for i in range(cfg.n_tasks)],
         references=references,
+        **{name: tensors.get(SUITE_KEY + name) for name in _suite_fields(cfg)},
     )
     return suite, coll

@@ -27,11 +27,11 @@ from .rng import substream
 # test double or a tracing wrapper) takes effect.
 _MERGERS = {
     "ta": ("merge_ta", {}, ("lam",)),
-    "ties": ("merge_dare_ties", {"drop_prob": 0.0}, ("lam", "trim_fraction")),
+    "ties": ("merge_dare_ties", {"drop_prob": 0.0}, ("lam", "trim_fraction", "seed")),
     "dare_ties": ("merge_dare_ties", {}, ("lam", "trim_fraction", "drop_prob", "seed")),
     "linear": ("merge_linear", {}, ("lam",)),
     "svd": ("merge_svd", {}, ("lam", "target_rank")),
-    "knots_ties": ("merge_knots", {"drop_prob": 0.0}, ("lam", "trim_fraction")),
+    "knots_ties": ("merge_knots", {"drop_prob": 0.0}, ("lam", "trim_fraction", "seed")),
     "knots_dare_ties": ("merge_knots", {}, ("lam", "trim_fraction", "drop_prob", "seed")),
     "lora_lego": ("merge_lora_lego", {}, ("k_clusters", "lego_reweight", "seed")),
 }
@@ -75,7 +75,7 @@ class MergeConfig:
                                  code="bad_config")
 
 
-def merge_ta(coll: AdapterCollection, lam: float = 0.3) -> dict[str, np.ndarray]:
+def merge_ta(coll: AdapterCollection, lam: float) -> dict[str, np.ndarray]:
     """W0 + lam * sum of task updates, per layer."""
     return {
         layer: coll.base[layer] + lam * sum(delta_weight(ad) for ad in coll.adapters[layer])
@@ -133,11 +133,7 @@ def _dare_drop(delta: np.ndarray, p: float, seed: int, task: str, layer: str,
 
 
 def merge_dare_ties(
-    coll: AdapterCollection,
-    lam: float = 1.0,
-    trim_fraction: float = 0.7,
-    drop_prob: float = 0.5,
-    seed: int = 0,
+    coll: AdapterCollection, lam: float, trim_fraction: float, drop_prob: float, seed: int
 ) -> dict[str, np.ndarray]:
     """DARE drop-and-rescale of each task update, then TIES; TIES at drop_prob 0."""
     merged = {}
@@ -158,7 +154,7 @@ def _require_uniform(adapters: list[LoraAdapter], what: str) -> tuple[int, float
     return ranks.pop(), alphas.pop()
 
 
-def merge_linear(coll: AdapterCollection, lam: float = 0.3) -> dict[str, LoraAdapter]:
+def merge_linear(coll: AdapterCollection, lam: float) -> dict[str, LoraAdapter]:
     """Sum factors instead of updates: B = lam * sum B_i, A = sum A_i.
 
     lam multiplies only the B sum so it enters the update once.
@@ -175,9 +171,7 @@ def merge_linear(coll: AdapterCollection, lam: float = 0.3) -> dict[str, LoraAda
     return merged
 
 
-def merge_svd(
-    coll: AdapterCollection, lam: float = 0.3, target_rank: int = 16
-) -> dict[str, LoraAdapter]:
+def merge_svd(coll: AdapterCollection, lam: float, target_rank: int) -> dict[str, LoraAdapter]:
     """Truncated SVD of the scaled update sum, refactored as a rank-r adapter.
     The SVD is taken in factor space: the sum is [B_i] @ [lam s_i A_i]^T."""
     merged = {}
@@ -197,11 +191,7 @@ def merge_svd(
 
 
 def merge_knots(
-    coll: AdapterCollection,
-    lam: float = 1.0,
-    trim_fraction: float = 0.7,
-    drop_prob: float = 0.0,
-    seed: int = 0,
+    coll: AdapterCollection, lam: float, trim_fraction: float, drop_prob: float, seed: int
 ) -> dict[str, np.ndarray]:
     """Shared-basis merge: SVD of row-concatenated updates, DARE-TIES merge of
     per-task coefficient blocks U_i Sigma, reconstruction against V^T; the
@@ -299,16 +289,14 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
 
 
 def merge_lora_lego(
-    coll: AdapterCollection,
-    k_clusters: int = 16,
-    lego_reweight: str = "output",
-    seed: int = 0,
+    coll: AdapterCollection, k_clusters: int, lego_reweight: str, seed: int
 ) -> dict[str, LoraAdapter]:
     """Cluster minimal semantic units [a_j; b_j] pooled across tasks; centroids
-    form a rank-k adapter with the chosen reweighting."""
+    form a rank-k adapter with the chosen reweighting. Units are pooled in task-id
+    order, so the k-means++ seeding does not depend on the collection's order."""
     merged = {}
     for layer in coll.layer_ids:
-        ads = coll.adapters[layer]
+        ads = sorted(coll.adapters[layer], key=lambda ad: ad.task_id)
         rank, alpha = _require_uniform(ads, "lora_lego")
         m = ads[0].a.shape[0]
         # rows [a_j; b_j], C-ordered so that each unit's sums run along its row

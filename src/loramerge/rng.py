@@ -13,12 +13,16 @@ import hashlib
 
 import numpy as np
 
+from .adapters import is_integer
 from .linalg import CodedError
 
 
 def _digest(seed: int, tags: tuple) -> bytes:
-    """Keys a str subclass as its str, a numpy integer as its int; refuses the rest."""
-    bad = [t for t in tags if isinstance(t, bool) or not isinstance(t, (str, int, np.integer))]
+    """Keys a str subclass as its str, a numpy integer as its int; refuses a
+    seed that is not an integer and a tag that is neither."""
+    if not is_integer(seed):
+        raise CodedError(f"stream seed {seed!r} is not an integer", code="bad_tag")
+    bad = [t for t in tags if not (isinstance(t, str) or is_integer(t))]
     if bad:
         raise CodedError(f"stream tag {bad[0]!r} is neither a str nor an integer", code="bad_tag")
     key = (int(seed), *(str(t) if isinstance(t, str) else int(t) for t in tags))

@@ -197,12 +197,14 @@ def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.
     }
 
 
-def _check_suite_order(task_ids: list[str]) -> None:
+def _check_suite_order(task_ids: list[str], suite) -> None:
     """Suite calls score row i with suite task i, named "task{i}" by fine-tuning,
-    so a collection must hold the suite's first n tasks in order."""
-    if task_ids != [f"task{i}" for i in range(len(task_ids))]:
+    so a collection must hold the suite's first n tasks in order, n <= N: the
+    pools are the rows suite.adapt_x[:n]."""
+    n = len(task_ids)
+    if n > suite.n_tasks or task_ids != [f"task{i}" for i in range(n)]:
         raise TaraError(
-            f"tasks {task_ids} are not the suite's first {len(task_ids)} in order",
+            f"tasks {task_ids} are not the first {n} of a suite of {suite.n_tasks} in order",
             code="task_order",
         )
 
@@ -211,12 +213,11 @@ def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
     """z_i: mean entropy on task i's whole adaptation pool with only adapter i
     applied, for all tasks in one scorer call: point i of the scaled adapter
     stack keeps adapter i's columns, and z is the diagonal of the (n, n) result."""
-    _check_suite_order(coll.task_ids)
+    _check_suite_order(coll.task_ids, suite)
     n, stacks = coll.n_tasks, _adapter_stacks(coll)
-    pools = suite.adaptation_pools(n)
     own = np.arange(n)[:, None]
     coef = {l: np.where(own == s.owner, s.sigma, 0.0) for l, s in stacks.items()}
-    f, _ = suite.factor_scorer(coll.base, stacks, pools)(coef, None)
+    f, _ = suite.factor_scorer(coll.base, stacks, suite.adapt_x[:n])(coef, None)
     return f.diagonal().copy()
 
 
@@ -354,7 +355,7 @@ def optimize(
     every entropy lies in [0, log C], no objective can diverge. Returns (phi,
     trace); trace.point(j) is row j's own trace.
     """
-    _check_suite_order(basis.task_ids)
+    _check_suite_order(basis.task_ids, suite)
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
@@ -363,7 +364,7 @@ def optimize(
     anchors = None if mean_entropy or stch is None else stch.anchors
     if anchors is not None and not np.isfinite(anchors).all():
         raise TaraAbort(f"non-finite anchors {anchors}")
-    pools = suite.adaptation_pools(n)
+    pools = suite.adapt_x[:n]
     schedule = batch_schedule(pools, cfg)
     scorer = suite.factor_scorer(basis.base, basis.layers, pools)
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)

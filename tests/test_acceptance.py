@@ -138,7 +138,7 @@ def test_gradient_correctness():
     coll = harness.finetune_all(suite, rank=4, steps=200, seed=0)
     stch = tara.StchConfig(anchors=tara.compute_anchors(coll, suite))
     rho = np.array([0.3, 0.7])
-    pools, idx = suite.adaptation_pools(2), np.tile(np.arange(16), (2, 1))
+    pools, idx = suite.adapt_x, np.tile(np.arange(16), (2, 1))
     worst = {"a": 0.0, "b": 0.0}
     for variant in ("a", "b"):
         basis = tara.build_variant_a(coll) if variant == "a" else tara.build_variant_b(coll)
@@ -280,7 +280,8 @@ def test_merger_oracles():
     lego_err = 0.0
     for seed in range(10):
         coll = random_collection(seed=3000 + seed, layers=("l0",), d=6, m=5, rank=2)
-        got = mergers.merge_knots(coll, lam=0.7, trim_fraction=0.6)["l0"]
+        got = mergers.merge_knots(coll, lam=0.7, trim_fraction=0.6, drop_prob=0.0,
+                                   seed=0)["l0"]
         want = knots_oracle(coll, "l0", 0.7, 0.6)
         knots_err = max(
             knots_err, np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1.0)

@@ -631,6 +631,13 @@ def _edit(name, fn):
     return edit
 
 
+def _per_task_layout(tensors):
+    """The suite tensors under the keys of the earlier per-task layout,
+    __suite__/task{i}/<field> with a head per task."""
+    return {k.replace("__suite__/", f"__suite__/task{i}/").replace("heads", "head"): row
+            for k, arr in tensors.items() for i, row in enumerate(arr)}
+
+
 @pytest.fixture(scope="module")
 def trained_and_merged(tmp_path_factory):
     """A trained suite and a ta merge of it, shared by the malformed-suite cases."""
@@ -667,7 +674,7 @@ def test_merge_does_not_import_numpy_ma(tmp_path, trained_and_merged):
 
 
 class TestMalformedSuite:
-    """eval on a malformed sidecar or suite container exits 2 with a coded error."""
+    """A malformed sidecar or suite container exits 2 with a coded error."""
 
     @pytest.mark.parametrize(
         "edit_sidecar,edit_tensors,code",
@@ -691,16 +698,17 @@ class TestMalformedSuite:
             (lambda doc: {**doc, "references": [-0.5, doc["references"][1]]}, None,
              "bad_references"),
             (None, lambda t: {}, "no_suite_tensors"),
-            (None, _edit("task1/eval_y", lambda a: None), "bad_suite"),
-            (None, _edit("task0/train_x", lambda a: a[1:]), "bad_suite"),
-            (None, _edit("task0/eval_y", lambda a: a + 9), "bad_suite"),
-            (None, _edit("task0/head", lambda a: a.T.copy()), "bad_suite"),
+            (None, _per_task_layout, "no_suite_tensors"),
+            (None, _edit("eval_y", lambda a: None), "bad_suite"),
+            (None, _edit("train_x", lambda a: a[:, 1:]), "bad_suite"),
+            (None, _edit("eval_y", lambda a: a + 9), "bad_suite"),
+            (None, _edit("heads", lambda a: a.swapaxes(1, 2).copy()), "bad_suite"),
         ],
         ids=["empty", "list", "no_references", "string_n_tasks", "unknown_field",
              "null_float", "zero_tasks", "short_references", "string_reference",
              "zero_reference", "negative_reference",
-             "no_suite_tensors", "missing_tensor", "short_train_x", "label_range",
-             "head_shape"],
+             "no_suite_tensors", "per_task_layout", "missing_tensor", "short_train_x",
+             "label_range", "head_shape"],
     )
     def test_eval_exits_2(self, tmp_path, capsys, trained_and_merged, edit_sidecar,
                           edit_tensors, code):
@@ -720,6 +728,27 @@ class TestMalformedSuite:
         assert err.startswith(f"error: {code}: ")
         if code == "no_suite_tensors":
             assert "train-toy" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["merge", "--method", "ta"],
+        ["merge", "--method", "tara-b", "--iters", "2"],
+        ["diagnose", "--xi"],
+    ], ids=["ta", "tara-b", "diagnose"])
+    def test_extra_adapter_exits_2(self, tmp_path, capsys, trained_and_merged, argv):
+        """A container whose adapters are not exactly the suite's tasks task0..task{N-1}
+        is refused before any command reads a row of it."""
+        coll, tensors = read_container(trained_and_merged[0])
+        extra = dataclasses.replace(coll.adapters["layer0"][0], task_id="task2")
+        coll = dataclasses.replace(coll, task_ids=[*coll.task_ids, "task2"],
+                                   adapters={"layer0": [*coll.adapters["layer0"], extra]})
+        container = tmp_path / "suite.lmk"
+        save_collection(coll, container, tensors)
+        capsys.readouterr()
+        assert main([argv[0], str(container), "--sidecar", str(trained_and_merged[1]),
+                     *argv[1:], "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad_suite: ")
+        assert not (tmp_path / "runs").exists()
 
 
 class TestDeterminism:

@@ -187,7 +187,9 @@ class TestXiProtocol:
         sub = sub_collection(coll, ["task1", "task2"])
         pair = dataclasses.replace(
             suite, config=dataclasses.replace(suite.config, n_tasks=2),
-            tasks=suite.tasks[1:3], heads=suite.heads[1:3], references=suite.references[1:3],
+            **{name: getattr(suite, name)[1:3] for name in (
+                "train_x", "train_y", "eval_x", "eval_y", "adapt_x", "labels", "heads",
+                "references")},
         )
         renamed = AdapterCollection(
             layer_ids=coll.layer_ids, task_ids=["task0", "task1"], base=coll.base,
@@ -227,7 +229,7 @@ class TestFactorSpaceAgainstDense:
     def test_matches_the_dense_reference(self, request, suite_name):
         suite, coll = request.getfixturevalue(suite_name)
         lam, n, w0 = 0.3, coll.n_tasks, coll.base["layer0"]
-        heads, pools = suite.heads, [td.adapt_x for td in suite.tasks]
+        heads, pools = suite.heads, suite.adapt_x
         want_z = [_per_task_entropy_and_grad(heads[i], w0 + delta_weight(ad), pools[i])[0]
                   for i, ad in enumerate(coll.adapters["layer0"])]
         w = mergers.merge_ta(coll, lam)["layer0"]

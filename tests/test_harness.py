@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sub_collection
 from loramerge import harness, mergers, tara
-from loramerge.adapters import AdapterCollection, ContainerError, FactorStack
+from loramerge.adapters import ContainerError, FactorStack
 from loramerge.harness import HarnessError, SuiteConfig
 from loramerge.rng import substream
 
@@ -20,14 +20,13 @@ class TestGeneration:
         s1 = harness.generate_suite(seed=5, n_tasks=2, n_train=50, n_eval=30, n_adapt=20)
         s2 = harness.generate_suite(seed=5, n_tasks=2, n_train=50, n_eval=30, n_adapt=20)
         assert np.array_equal(s1.base["layer0"], s2.base["layer0"])
-        for t1, t2 in zip(s1.tasks, s2.tasks):
-            assert np.array_equal(t1.train_x, t2.train_x)
-            assert np.array_equal(t1.eval_y, t2.eval_y)
+        assert np.array_equal(s1.train_x, s2.train_x)
+        assert np.array_equal(s1.eval_y, s2.eval_y)
 
     def test_seed_changes_data(self):
         s1 = harness.generate_suite(seed=0, n_tasks=1, n_train=50, n_eval=30, n_adapt=20)
         s2 = harness.generate_suite(seed=1, n_tasks=1, n_train=50, n_eval=30, n_adapt=20)
-        assert not np.array_equal(s1.tasks[0].train_x, s2.tasks[0].train_x)
+        assert not np.array_equal(s1.train_x, s2.train_x)
 
     def test_base_is_low_rank(self):
         suite = harness.generate_suite(seed=0)
@@ -37,8 +36,8 @@ class TestGeneration:
     def test_disjoint_default_labels(self):
         suite = harness.generate_suite(seed=0, n_tasks=3)
         seen = set()
-        for td in suite.tasks:
-            labels = set(td.labels.tolist())
+        for row in suite.labels:
+            labels = set(row.tolist())
             assert not labels & seen
             seen |= labels
 
@@ -64,12 +63,12 @@ def _per_task_finetune(suite, task, rank, steps, lr, seed, lora_alpha=16.0, batc
     }
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
-    td = suite.tasks[task]
+    train_x, train_y = suite.train_x[task], suite.train_y[task]
     batches = substream(seed, "finetune", task, "batch").integers(0, cfg.n_train,
                                                                    (steps, batch_size))
     for t in range(steps):
         idx = batches[t]
-        x, y = td.train_x[idx], td.train_y[idx]
+        x, y = train_x[idx], train_y[idx]
         z = x @ (w0 + scale * params["b"] @ params["a"].T).T
         logits = z @ params["h"].T
         e = np.exp(logits - np.max(logits, axis=1, keepdims=True))
@@ -90,8 +89,8 @@ def _per_task_finetune(suite, task, rank, steps, lr, seed, lora_alpha=16.0, batc
         }
         tara.adamw_step(params, grads, m, v, t + 1, lr)
     w = w0 + scale * params["b"] @ params["a"].T
-    pred = np.argmax(td.eval_x @ w.T @ params["h"].T, axis=1)
-    return params["b"], params["a"], params["h"], float(np.mean(pred == td.eval_y))
+    pred = np.argmax(suite.eval_x[task] @ w.T @ params["h"].T, axis=1)
+    return params["b"], params["a"], params["h"], float(np.mean(pred == suite.eval_y[task]))
 
 
 def _reference_finetune(suite, rank=16, steps=300, lr=0.02, seed=0, batch_size=32):
@@ -108,8 +107,7 @@ def _reference_finetune(suite, rank=16, steps=300, lr=0.02, seed=0, batch_size=3
     }
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
-    train_x = np.stack([td.train_x for td in suite.tasks])
-    train_y = np.stack([td.train_y for td in suite.tasks])
+    train_x, train_y = suite.train_x, suite.train_y
     schedule = np.stack([
         substream(seed, "finetune", i, "batch").integers(0, cfg.n_train, (steps, batch_size))
         for i in range(n)
@@ -144,8 +142,8 @@ def _reference_finetune(suite, rank=16, steps=300, lr=0.02, seed=0, batch_size=3
     refs = []
     for i in range(n):
         w = w0 + scale * params["b"][i] @ params["a"][i].T
-        pred = np.argmax(suite.tasks[i].eval_x @ w.T @ params["h"][i].T, axis=1)
-        refs.append(float(np.mean(pred == suite.tasks[i].eval_y)))
+        pred = np.argmax(suite.eval_x[i] @ w.T @ params["h"][i].T, axis=1)
+        refs.append(float(np.mean(pred == suite.eval_y[i])))
     return params["b"], params["a"], params["h"], refs
 
 
@@ -219,7 +217,7 @@ class TestFinetune:
         with pytest.raises(ValueError) as exc:
             harness.finetune_all(suite, **{"rank": 4, "steps": 5, **kwargs})
         assert exc.value.code == "bad_config"
-        assert suite.heads == [None] and suite.references == [None]
+        assert suite.heads is None and suite.references == [None]
 
     def test_references_meet_bar(self, default_suite):
         suite, _ = default_suite
@@ -311,7 +309,7 @@ class TestJointEval:
     def test_hits_monotone_and_saturate(self, default_suite):
         suite, coll = default_suite
         weights = mergers.merge_ta(coll, 0.3)
-        union = len({lab for td in suite.tasks for lab in td.labels.tolist()})
+        union = len(set(suite.labels.ravel().tolist()))
         hits = harness.evaluate_joint(weights, suite, ks=(1, 3, 5, union))
         ks = sorted(hits)
         for a, b in zip(ks, ks[1:]):
@@ -331,20 +329,20 @@ class TestJointEval:
         ta = mergers.merge_ta(coll, 0.3)
         for weights in (ta, {"layer0": np.zeros_like(ta["layer0"])}):
             got = harness.evaluate_joint(weights, suite, ks=(1, 2))
-            union = sorted({lab for td in suite.tasks for lab in td.labels.tolist()})
+            union = sorted(set(suite.labels.ravel().tolist()))
             hits = {1: 0, 2: 0}
             total = 0
-            for i, td in enumerate(suite.tasks):
-                for s in range(td.eval_x.shape[0]):
+            for i in range(suite.n_tasks):
+                for s in range(suite.eval_x.shape[1]):
                     scores = {lab: -np.inf for lab in union}
                     for j in range(suite.n_tasks):
                         logits = (
-                            suite.heads[j] @ weights["layer0"] @ td.eval_x[s]
+                            suite.heads[j] @ weights["layer0"] @ suite.eval_x[i, s]
                         )
-                        for c, lab in enumerate(suite.tasks[j].labels):
+                        for c, lab in enumerate(suite.labels[j]):
                             scores[lab] = max(scores[lab], logits[c])
                     ranked = sorted(union, key=lambda lab: -scores[lab])
-                    true = td.labels[td.eval_y[s]]
+                    true = suite.labels[i, suite.eval_y[i, s]]
                     for k in (1, 2):
                         hits[k] += true in ranked[:k]
                     total += 1
@@ -379,10 +377,7 @@ class _PerTaskSuite:
     task's weight gradient onto the columns."""
 
     def __init__(self, suite):
-        self.suite = suite
-
-    def adaptation_pools(self, n):
-        return self.suite.adaptation_pools(n)
+        self.suite, self.n_tasks, self.adapt_x = suite, suite.n_tasks, suite.adapt_x
 
     def dense_entropy_and_grad(self, weights, batches):
         """f (n,) and {"layer0": (n, d, m)} weight gradients of tasks 0..n-1 at
@@ -412,7 +407,7 @@ def reference_factor_scorer(suite, base, stacks, n):
     score(coef, batches) multiplies each call's (n, B, m) batches and scores
     (..., B, C) logits with the log-sum-exp reference helper. At C < 8 the suite's
     scorer(coef, idx) must match it bit for bit on batches = pools[tasks, idx]."""
-    h, s = suite._stacked_heads(n), stacks["layer0"]
+    h, s = suite.heads[:n], stacks["layer0"]
     hl = h @ s.left
     hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base["layer0"], -1, -2)
 
@@ -515,9 +510,7 @@ class TestEntropyHelper:
         """At C >= 8 numpy sums a contiguous class axis pairwise and a leading one
         in sequence, so the bits may differ; the values agree to rounding."""
         suite, _ = nine_class_suite
-        pools = suite.adaptation_pools(2)
-        heads = np.stack(suite.heads)
-        logits = pools @ suite.base["layer0"].T @ np.swapaxes(heads, -1, -2)  # (2, P, 9)
+        logits = suite.adapt_x @ suite.base["layer0"].T @ np.swapaxes(suite.heads, -1, -2)
         f, dl = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
         want_f, want_dl = reference_entropy_and_dlogits(logits)
         assert np.max(np.abs(f - want_f)) <= 1e-12 * np.max(np.abs(want_f))
@@ -536,7 +529,7 @@ class TestEntropyAndGrad:
         stack = FactorStack(left=gen.standard_normal((d, 6)), right=gen.standard_normal((m, 6)),
                             sigma=np.ones(6), owner=np.zeros(6, dtype=int))
         coef = {"layer0": 0.1 * gen.standard_normal((n, 6) if per_task else (6,))}
-        pools, idx = suite.adaptation_pools(n), np.tile(np.arange(16), (n, 1))
+        pools, idx = suite.adapt_x, np.tile(np.arange(16), (n, 1))
         f, grads = suite.factor_scorer(suite.base, {"layer0": stack}, pools)(coef, idx)
         assert f.shape == coef["layer0"].shape[:-1] + (n,)
         assert grads["layer0"].shape == f.shape + (6,)
@@ -566,7 +559,7 @@ class TestEntropyAndGrad:
         products: the bits of gathering rows 0..pool-1 of every pool."""
         suite, coll = default_suite
         basis = tara.build_variant_b(coll)
-        pools = suite.adaptation_pools(coll.n_tasks)
+        pools = suite.adapt_x
         score = suite.factor_scorer(basis.base, basis.layers, pools)
         coef = tara._coefficients(basis, basis.init_phi(0.4))
         f, grads = score(coef, None)
@@ -574,19 +567,12 @@ class TestEntropyAndGrad:
         assert np.array_equal(f, want_f)
         assert np.array_equal(grads["layer0"], want_g["layer0"])
 
-    def test_rows_must_fit_the_suite(self, small_suite):
-        suite, coll = small_suite
-        stacks = tara.build_variant_a(coll).layers
-        pools = suite.adaptation_pools(2)
-        with pytest.raises(HarnessError, match="3 pools for a suite of 2 tasks"):
-            suite.factor_scorer(suite.base, stacks, np.concatenate([pools, pools[:1]]))
-
     def test_missing_head(self):
         suite = harness.generate_suite(seed=0, n_tasks=2, n_train=20, n_eval=10, n_adapt=10)
         stacks = {"layer0": FactorStack(left=np.ones((32, 1)), right=np.ones((24, 1)),
                                         sigma=np.ones(1), owner=np.zeros(1, dtype=int))}
         with pytest.raises(HarnessError, match="no trained head"):
-            suite.factor_scorer(suite.base, stacks, suite.adaptation_pools(2))
+            suite.factor_scorer(suite.base, stacks, suite.adapt_x)
 
 
 @functools.lru_cache(maxsize=1)
@@ -608,30 +594,23 @@ class TestSerialization:
         loaded, lcoll = harness.load_suite(tmp_path / "s.lmk", tmp_path / "s.json")
         assert loaded.config == suite.config
         assert loaded.references == suite.references
-        assert len(loaded.tasks) == len(suite.tasks)
-        for t1, t2 in zip(loaded.tasks, suite.tasks):
-            for f in dataclasses.fields(harness.TaskData):
-                got, want = getattr(t1, f.name), getattr(t2, f.name)
-                assert (got.dtype, got.shape) == (want.dtype, want.shape), f.name
-                assert got.tobytes() == want.tobytes(), f.name
-        assert len(loaded.heads) == len(suite.heads)
-        for h1, h2 in zip(loaded.heads, suite.heads):
-            assert (h1.dtype, h1.shape) == (h2.dtype, h2.shape)
-            assert h1.tobytes() == h2.tobytes()
+        for name in ("train_x", "train_y", "eval_x", "eval_y", "adapt_x", "labels", "heads"):
+            got, want = getattr(loaded, name), getattr(suite, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
         assert lcoll.task_ids == coll.task_ids
         assert json.loads((tmp_path / "s.json").read_text()).keys() == {
             "config", "references"
         }
 
     def test_untrained_suite_round_trips(self, tmp_path):
-        """Tasks without a head or a reference load as None."""
+        """A suite without heads or references loads with heads None."""
         suite = harness.generate_suite(seed=1, n_tasks=2, n_train=8, n_eval=5, n_adapt=4)
-        empty = AdapterCollection(layer_ids=["layer0"], task_ids=[], base=dict(suite.base),
-                                  adapters={"layer0": []})
-        harness.save_suite(suite, empty, tmp_path / "s.lmk", tmp_path / "s.json")
+        coll = harness.finetune_all(harness.generate_suite(suite.config), rank=2, steps=1)
+        harness.save_suite(suite, coll, tmp_path / "s.lmk", tmp_path / "s.json")
         loaded, _ = harness.load_suite(tmp_path / "s.lmk", tmp_path / "s.json")
-        assert loaded.heads == [None, None] and loaded.references == [None, None]
-        assert np.array_equal(loaded.tasks[1].eval_y, suite.tasks[1].eval_y)
+        assert loaded.heads is None and loaded.references == [None, None]
+        assert np.array_equal(loaded.eval_y, suite.eval_y)
 
     def test_saved_bytes_stable(self, tmp_path, small_suite):
         suite, coll = small_suite
@@ -642,8 +621,7 @@ class TestSerialization:
 
     def test_tensors_must_fit_the_config(self, tmp_path, small_suite):
         suite, coll = small_suite
-        short = dataclasses.replace(suite.tasks[0], train_y=suite.tasks[0].train_y[:-1])
-        bad = dataclasses.replace(suite, tasks=[short, suite.tasks[1]])
+        bad = dataclasses.replace(suite, train_y=suite.train_y[:, :-1])
         with pytest.raises(HarnessError) as exc:
             harness.save_suite(bad, coll, tmp_path / "s.lmk", tmp_path / "s.json")
         assert exc.value.code == "bad_suite"

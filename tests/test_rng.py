@@ -89,7 +89,8 @@ class TestScheduleSizes:
 
 
 class TestStreamKeys:
-    """A tag keys its stream by its plain str or int value."""
+    """A tag keys its stream by its plain str or int value; the seed must be an
+    integer."""
 
     @pytest.mark.parametrize("tags", [(np.str_("task2"), np.int64(3)),
                                       ("task2", np.int32(3)), (np.str_("task2"), 3)])
@@ -101,6 +102,13 @@ class TestStreamKeys:
     def test_other_tag_types_are_refused(self, tag):
         with pytest.raises(CodedError) as exc:
             substream(0, "dare", tag)
+        assert exc.value.code == "bad_tag"
+
+    @pytest.mark.parametrize("seed", [2.7, np.float64(2.0), True, "2", None])
+    def test_non_integer_seeds_are_refused(self, seed):
+        """A float seed is not truncated to the integer seed's stream."""
+        with pytest.raises(CodedError) as exc:
+            substream(seed, "x")
         assert exc.value.code == "bad_tag"
 
     def test_dare_masks_ignore_the_task_id_type(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 
 import numpy as np
@@ -33,7 +32,7 @@ _BUILDERS = {"a": build_variant_a, "b": build_variant_b, "adamerging": tara.buil
 
 
 def _scorer(suite, basis):
-    return suite.factor_scorer(basis.base, basis.layers, suite.adaptation_pools(basis.n_tasks))
+    return suite.factor_scorer(basis.base, basis.layers, suite.adapt_x[:basis.n_tasks])
 
 
 def _first_rows(n_tasks, rows):
@@ -321,9 +320,7 @@ def _random_head_suite(d, m, n_tasks=3):
     """A suite with random heads, scaled so the entropies sit inside (0, log C)."""
     suite = harness.generate_suite(seed=0, n_tasks=n_tasks, d=d, m=m, n_train=1, n_eval=1,
                                    n_adapt=32)
-    gen = substream(0, "heads")
-    for i in range(n_tasks):
-        suite.heads[i] = gen.standard_normal((suite.config.n_classes, d)) / d
+    suite.heads = substream(0, "heads").standard_normal((n_tasks, suite.config.n_classes, d)) / d
     return suite
 
 
@@ -341,7 +338,7 @@ class TestFactoredStep:
         basis = _BUILDERS[variant](coll)
         gen = substream(2, variant, points)
         phi = {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids}
-        batches, idx = suite.adaptation_pools(3)[:, :16], _first_rows(3, 16)
+        batches, idx = suite.adapt_x[:, :16], _first_rows(3, 16)
         if variant == "adamerging":
             _, grad, f = mean_entropy_value_and_grad(basis, phi, _scorer(suite, basis), idx)
             dpsi_df = lambda f: np.full(f.shape, 1.0 / 3)
@@ -375,7 +372,7 @@ class TestFactoredStep:
         at the default 5 classes and 16 rows, with rows repeated or not."""
         suite, coll = default_suite
         basis = _BUILDERS[variant](coll)
-        pools = suite.adaptation_pools(coll.n_tasks)
+        pools = suite.adapt_x
         gen = np.random.default_rng(seed)
         idx = gen.integers(0, 3 if repeats else pools.shape[1], (coll.n_tasks, 16))
         coef = tara._coefficients(
@@ -392,7 +389,7 @@ class TestFactoredStep:
                                                                  variant):
         suite, coll = nine_class_suite
         basis = _BUILDERS[variant](coll)
-        pools = suite.adaptation_pools(2)
+        pools = suite.adapt_x
         idx = substream(3, "rows").integers(0, pools.shape[1], (2, 16))
         coef = tara._coefficients(basis, {l: substream(4, variant).normal(
             0.4, 0.3, (2, basis.counts[l])) for l in basis.layer_ids})
@@ -411,7 +408,7 @@ class TestAnchors:
         assert z.shape == (2,)
         for i in range(2):
             w = coll.base["layer0"] + delta_weight(coll.adapters["layer0"][i])
-            want, _ = _per_task_entropy_and_grad(suite.heads[i], w, suite.tasks[i].adapt_x)
+            want, _ = _per_task_entropy_and_grad(suite.heads[i], w, suite.adapt_x[i])
             assert z[i] == pytest.approx(want, abs=1e-15)
 
     def test_anchor_not_above_base_entropy(self, small_suite):
@@ -420,7 +417,7 @@ class TestAnchors:
         z = compute_anchors(coll, suite)
         for i in range(2):
             base_ent, _ = _per_task_entropy_and_grad(suite.heads[i], coll.base["layer0"],
-                                                     suite.tasks[i].adapt_x)
+                                                     suite.adapt_x[i])
             assert z[i] <= base_ent + 1e-9
 
 
@@ -537,7 +534,7 @@ class TestOptimize:
         suite, coll = small_suite
 
         class NanInRow1:
-            adaptation_pools = suite.adaptation_pools
+            n_tasks, adapt_x = suite.n_tasks, suite.adapt_x
 
             def factor_scorer(self, *args):
                 score = suite.factor_scorer(*args)
@@ -604,7 +601,7 @@ def _reference_optimize(basis, suite, rho, cfg, stch):
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
-    pools = suite.adaptation_pools(n)
+    pools = suite.adapt_x[:n]
     score = reference_factor_scorer(suite, basis.base, basis.layers, n)
     init = basis.init_phi(tara.ADAMERGING_PHI_INIT if mean_entropy else tara.PHI_INIT)
     phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
@@ -733,13 +730,6 @@ class TestSweep:
             assert np.array_equal(phi["layer0"], want_phi["layer0"])
             assert np.array_equal(trace.objective, want_trace.objective)
 
-    def test_unequal_pools_are_rejected(self, small_suite):
-        suite, coll = small_suite
-        short = dataclasses.replace(suite.tasks[1], adapt_x=suite.tasks[1].adapt_x[:-1])
-        uneven = dataclasses.replace(suite, tasks=[suite.tasks[0], short])
-        with pytest.raises(harness.HarnessError, match="differ in size"):
-            list(tara.merge(coll, uneven, [[0.5, 0.5]], optim=OptimConfig(iters=2)))
-
     def test_unknown_variant_is_refused_before_anchors(self, small_suite, monkeypatch):
         suite, coll = small_suite
         calls = []
@@ -759,22 +749,20 @@ class TestSweep:
     def test_schedule_matches_streams(self, small_suite):
         suite, _ = small_suite
         cfg = OptimConfig(iters=5, batch_size=7, seed=9)
-        idx = tara.batch_schedule(suite.adaptation_pools(2), cfg)
+        idx = tara.batch_schedule(suite.adapt_x, cfg)
         assert idx.shape == (5, 2, 7)
         for i in range(2):
-            pool = suite.tasks[i].adapt_x.shape[0]
-            want = substream(9, "batch", i).integers(0, pool, (5, 7))
+            want = substream(9, "batch", i).integers(0, suite.config.n_adapt, (5, 7))
             assert np.array_equal(idx[:, i], want)
 
 
 class _ConstantSuite:
     """Suite stand-in whose scorer gives a fixed entropy and zero column gradients."""
 
+    n_tasks, adapt_x = 2, np.zeros((2, 4, 6))
+
     def __init__(self, entropy):
         self.entropy = entropy
-
-    def adaptation_pools(self, n):
-        return np.zeros((n, 4, 6))
 
     def factor_scorer(self, base, stacks, pools):
         n = len(pools)
@@ -790,12 +778,14 @@ class _ConstantSuite:
 
 class TestSuiteOrder:
     """Suite row i scores suite task i, so TARA and AdaMerging refuse a collection
-    that is not the suite's first n tasks in order."""
+    that is not the suite's first n tasks in order, n at most the suite's N."""
 
-    @pytest.mark.parametrize("tasks", [["task1"], ["task1", "task0"]],
-                             ids=["second", "reordered"])
+    @pytest.mark.parametrize("tasks", [["task1"], ["task1", "task0"],
+                                       ["task0", "task1", "task2"]],
+                             ids=["second", "reordered", "more_than_the_suite"])
     def test_rejected(self, small_suite, tasks):
-        suite, coll = small_suite
+        suite, _ = small_suite
+        coll = random_collection(seed=0, n_tasks=3, layers=("layer0",), d=12, m=10, rank=4)
         sub = sub_collection(coll, tasks)
         rho = np.full(len(tasks), 1.0 / len(tasks))
         cfg = OptimConfig(iters=1)
