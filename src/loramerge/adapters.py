@@ -21,19 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import CodedError, is_integer, is_real
+
 MAGIC = b"LMK1"
 FORMAT_VERSION = 1
 BASE_TASK_KEY = "__base__"
 DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "i64": np.dtype("<i8")}
 _DTYPE_CODES = {dt.name: code for code, dt in DTYPES.items()}
-
-
-class ContainerError(ValueError):
-    """Container parse/validation failure with a stable error code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -184,27 +178,19 @@ def save_collection(coll: AdapterCollection, path, extra: dict | None = None):
     extra = extra or {}
     clash = sorted(set(extra) & {key for key, *_ in entries})
     if clash:
-        raise ContainerError("duplicate_key", f"extra tensors clash with collection keys {clash}")
+        raise CodedError(f"extra tensors clash with collection keys {clash}",
+                         code="duplicate_key")
     for key in sorted(extra):
         arr = np.asarray(extra[key])
         if arr.dtype.name not in _DTYPE_CODES:
-            raise ContainerError("bad_dtype", f"{key}: cannot store dtype {arr.dtype}")
+            raise CodedError(f"{key}: cannot store dtype {arr.dtype}", code="bad_dtype")
         entries.append((key, _DTYPE_CODES[arr.dtype.name], arr, None))
-    tensors = []
-    payload = bytearray()
-    meta = {}
+    tensors, meta, offset = [], {}, 0
     for key, code, arr, ad in entries:
-        data = np.ascontiguousarray(arr, dtype=DTYPES[code]).tobytes()
-        tensors.append(
-            {
-                "key": key,
-                "dtype": code,
-                "shape": list(arr.shape),
-                "offset": len(payload),
-                "length": len(data),
-            }
-        )
-        payload.extend(data)
+        length = DTYPES[code].itemsize * arr.size
+        tensors.append({"key": key, "dtype": code, "shape": list(arr.shape),
+                        "offset": offset, "length": length})
+        offset += length
         if ad is not None:
             meta.setdefault(ad.task_id, {})[ad.layer_id] = {
                 "rank": ad.rank,
@@ -223,72 +209,58 @@ def save_collection(coll: AdapterCollection, path, extra: dict | None = None):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(hdr)))
         fh.write(hdr)
-        fh.write(bytes(payload))
-
-
-def is_integer(v) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def is_real(v) -> bool:
-    """A Python or numpy integer or float, not a bool, that converts to a finite
-    float (False for NaN, inf and integers beyond the float range)."""
-    return bool((is_integer(v) or isinstance(v, (float, np.floating))) and abs(v) < 1e308)
+        for _, code, arr, _ in entries:  # one converted tensor at a time
+            fh.write(np.ascontiguousarray(arr, dtype=DTYPES[code]).data)
 
 
 def _check_header(header, payload_len: int) -> None:
     """Validate the whole LMK1 header before any tensor is read."""
     if not isinstance(header, dict):
-        raise ContainerError("bad_header", "header must be a JSON object")
+        raise CodedError("header must be a JSON object", code="bad_header")
     for name, kind in (("version", int), ("layer_order", list), ("task_order", list),
                        ("tensors", list), ("adapters", dict)):
         if name not in header:
-            raise ContainerError("missing_field", f"header has no {name!r}")
+            raise CodedError(f"header has no {name!r}", code="missing_field")
         if type(header[name]) is not kind:
-            raise ContainerError("bad_header", f"{name!r} must be {kind.__name__}")
+            raise CodedError(f"{name!r} must be {kind.__name__}", code="bad_header")
     if header["version"] != FORMAT_VERSION:
-        raise ContainerError("bad_version", f"unsupported version {header['version']}")
+        raise CodedError(f"unsupported version {header['version']}", code="bad_version")
     if not all(isinstance(i, str) for i in header["layer_order"] + header["task_order"]):
-        raise ContainerError("bad_header", "layer and task ids must be strings")
+        raise CodedError("layer and task ids must be strings", code="bad_header")
     spans: dict[str, tuple[int, int]] = {}
     for rec in header["tensors"]:
         if not (isinstance(rec, dict) and isinstance(rec.get("key"), str)
                 and isinstance(rec.get("shape"), list)
                 and all(is_integer(n) and n >= 0
                         for n in [*rec["shape"], rec.get("offset"), rec.get("length")])):
-            raise ContainerError("bad_tensor", f"malformed tensor record {rec!r}")
+            raise CodedError(f"malformed tensor record {rec!r}", code="bad_tensor")
         key = rec["key"]
         if key in spans:
-            raise ContainerError("duplicate_key", key)
+            raise CodedError(key, code="duplicate_key")
         if not (isinstance(rec.get("dtype"), str) and rec["dtype"] in DTYPES):
-            raise ContainerError("bad_dtype", f"{key}: unsupported dtype {rec.get('dtype')!r}")
+            raise CodedError(f"{key}: unsupported dtype {rec.get('dtype')!r}", code="bad_dtype")
         size = DTYPES[rec["dtype"]].itemsize
         if rec["length"] != size * math.prod(rec["shape"]):
-            raise ContainerError(
-                "size_mismatch",
-                f"{key}: header declares shape {rec['shape']} but payload holds "
-                f"{rec['length'] // size} values",
-            )
+            raise CodedError(f"{key}: header declares shape {rec['shape']} but payload "
+                             f"holds {rec['length'] // size} values", code="size_mismatch")
         if rec["offset"] + rec["length"] > payload_len:
-            raise ContainerError("truncated", f"{key}: payload extends past end of file")
+            raise CodedError(f"{key}: payload extends past end of file", code="truncated")
         spans[key] = (rec["offset"], rec["offset"] + rec["length"])
     ordered = sorted((start, end, key) for key, (start, end) in spans.items())
     for (_, end, prev), (start, _, key) in zip(ordered, ordered[1:]):
         if start < end:
-            raise ContainerError("overlap", f"{key} overlaps {prev}")
+            raise CodedError(f"{key} overlaps {prev}", code="overlap")
     meta = header["adapters"]
     for task in header["task_order"]:
         for layer in header["layer_order"]:
             m = meta[task].get(layer) if isinstance(meta.get(task), dict) else None
             if not (isinstance(m, dict) and {"rank", "lora_alpha", "dropout"} <= m.keys()):
-                raise ContainerError("missing_field", f"no adapter metadata for {task}/{layer}")
+                raise CodedError(f"no adapter metadata for {task}/{layer}",
+                                 code="missing_field")
             if not (is_integer(m["rank"]) and is_real(m["lora_alpha"])
                     and is_real(m["dropout"])):
-                raise ContainerError(
-                    "bad_metadata", f"{task}/{layer}: rank must be an integer, lora_alpha "
-                    f"and dropout finite numbers, got {m!r}"
-                )
+                raise CodedError(f"{task}/{layer}: rank must be an integer, lora_alpha and "
+                                 f"dropout finite numbers, got {m!r}", code="bad_metadata")
 
 
 def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
@@ -297,16 +269,16 @@ def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
-        raise ContainerError("bad_magic", f"expected {MAGIC!r}, got {blob[:4]!r}")
+        raise CodedError(f"expected {MAGIC!r}, got {blob[:4]!r}", code="bad_magic")
     if len(blob) < 8:
-        raise ContainerError("truncated", "file shorter than header length field")
+        raise CodedError("file shorter than header length field", code="truncated")
     (hdr_len,) = struct.unpack("<I", blob[4:8])
     if len(blob) < 8 + hdr_len:
-        raise ContainerError("truncated", "header extends past end of file")
+        raise CodedError("header extends past end of file", code="truncated")
     try:
         header = json.loads(blob[8 : 8 + hdr_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError("bad_header", str(exc)) from exc
+        raise CodedError(str(exc), code="bad_header") from exc
     payload = memoryview(blob)[8 + hdr_len :]
     _check_header(header, len(payload))
 
@@ -315,7 +287,7 @@ def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
         raw = payload[rec["offset"] : rec["offset"] + rec["length"]]
         arr = np.frombuffer(raw, dtype=DTYPES[rec["dtype"]]).reshape(rec["shape"])
         if not np.all(np.isfinite(arr)):
-            raise ContainerError("non_finite", f"{rec['key']} holds NaN or infinite values")
+            raise CodedError(f"{rec['key']} holds NaN or infinite values", code="non_finite")
         arrays[rec["key"]] = arr
 
     layer_ids = header["layer_order"]
@@ -326,7 +298,7 @@ def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
     for layer in layer_ids:
         bkey = f"{BASE_TASK_KEY}/{layer}/W"
         if bkey not in arrays:
-            raise ContainerError("size_mismatch", f"missing base tensor {bkey}")
+            raise CodedError(f"missing base tensor {bkey}", code="size_mismatch")
         own.add(bkey)
         base[layer] = arrays[bkey].astype(np.float64)
         for task in task_ids:
@@ -334,7 +306,7 @@ def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
             try:
                 b, a = (arrays[key].astype(np.float64) for key in keys)
             except KeyError as exc:
-                raise ContainerError("size_mismatch", f"missing tensor {exc}") from exc
+                raise CodedError(f"missing tensor {exc}", code="size_mismatch") from exc
             own.update(keys)
             m = header["adapters"][task][layer]
             try:
@@ -350,13 +322,13 @@ def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
                     )
                 )
             except ValueError as exc:  # rank or factor shapes that do not fit
-                raise ContainerError("bad_adapter", f"{task}/{layer}: {exc}") from exc
+                raise CodedError(f"{task}/{layer}: {exc}", code="bad_adapter") from exc
     try:
         coll = AdapterCollection(
             layer_ids=layer_ids, task_ids=task_ids, base=base, adapters=adapters
         )
     except ValueError as exc:  # duplicate ids, factors that do not fit the base
-        raise ContainerError("bad_collection", str(exc)) from exc
+        raise CodedError(str(exc), code="bad_collection") from exc
     return coll, {k: arr.copy() for k, arr in arrays.items() if k not in own}
 
 

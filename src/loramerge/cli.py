@@ -8,10 +8,11 @@ Every setting's name, type and default is declared once, by the dataclass or
 signature that uses it; the flag tables below are read from those.
 
 Exit codes: 0 success; 1 runtime failure: an I/O error, or a numerical abort
-(linalg.NumericalAbort: fine-tuning divergence, a non-finite anchor, entropy,
+(checks.NumericalAbort: fine-tuning divergence, a non-finite anchor, entropy,
 logit, SVD input or merged weight, SVD non-convergence); 2 usage or validation
-error: bad flags, config, preference or method parameters, or a malformed
-container (ContainerError).
+error (checks.CodedError): bad flags, config, preference or method parameters,
+a malformed container or sidecar, or a weights file that is not merged weights
+for the suite.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, harness, mergers, tara
-from .adapters import AdapterCollection, is_real, load_collection, save_collection
-from .linalg import NumericalAbort
+from .adapters import AdapterCollection, load_collection, save_collection
+from .checks import CodedError, NumericalAbort, check_simplex, is_real
 from .rng import substream
 
 # optimizer config keys: the OptimConfig fields
@@ -60,10 +61,6 @@ METHOD_KEYS = {
 }
 ALL_METHODS = tuple(METHOD_KEYS)
 HITS_AT = (1, 3, 5)  # the k of every Hits@k report
-
-
-class UsageError(ValueError):
-    pass
 
 
 def _sha256(path: Path) -> str:
@@ -97,12 +94,12 @@ def _resolve(args, keys) -> dict:
         try:
             config = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+            raise CodedError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
-            raise UsageError("config file must hold a JSON object")
+            raise CodedError("config file must hold a JSON object")
         unknown = set(config) - set(keys)
         if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise CodedError(f"unknown config keys: {sorted(unknown)}")
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
@@ -113,8 +110,8 @@ def _resolve(args, keys) -> dict:
 def _preference(values, n: int) -> np.ndarray:
     """A list of n finite numbers on the simplex, checked by the one simplex rule."""
     if not (isinstance(values, list) and all(is_real(v) for v in values)):
-        raise UsageError(f"bad preference {values!r}: expected a list of finite numbers")
-    return diagnostics._check_simplex(values, n)
+        raise CodedError(f"bad preference {values!r}: expected a list of finite numbers")
+    return check_simplex(values, n)
 
 
 def _write_report(run: Path, name: str, report: harness.EvalReport):
@@ -139,7 +136,7 @@ def cmd_train_toy(args) -> int:
     # a set, since numpy's first np.unique call raises the peak RSS by about 2 MB
     labels = len(set(suite.labels.ravel().tolist()))
     if labels < max(HITS_AT):
-        raise UsageError(f"the suite has {labels} labels; Hits@{max(HITS_AT)} needs at "
+        raise CodedError(f"the suite has {labels} labels; Hits@{max(HITS_AT)} needs at "
                          f"least {max(HITS_AT)}")
     seed = suite.config.seed
     coll = harness.finetune_all(
@@ -156,7 +153,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_diagnose(args) -> int:
     if not (args.stacks or args.xi or args.kappa):
-        raise UsageError("diagnose needs at least one of --stacks, --xi, --kappa")
+        raise CodedError("diagnose needs at least one of --stacks, --xi, --kappa")
     suite, coll = harness.load_suite(args.container, args.sidecar)
     lam = mergers.MergeConfig("ta", **({} if args.lam is None else {"lam": args.lam})).lam
     docs = {}
@@ -207,10 +204,10 @@ def _check_method(method, config: dict) -> int:
     """Refuse an unknown method, a key the method does not read, or a bad merger or
     optimizer setting before any input is read; returns the run's seed."""
     if method not in ALL_METHODS:
-        raise UsageError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+        raise CodedError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     irrelevant = set(config) - {"seed", *METHOD_KEYS[method]}
     if irrelevant:
-        raise UsageError(
+        raise CodedError(
             f"parameters {sorted(irrelevant)} are not relevant to method {method!r}"
         )
     if method in mergers.METHODS:
@@ -235,7 +232,7 @@ def cmd_merge(args) -> int:
     config = _resolve(args, MERGE_FLAGS)
     method = config.pop("method", None)
     if method is None:
-        raise UsageError("merge requires --method")
+        raise CodedError("merge requires --method")
     seed = _check_method(method, {k: v for k, v in config.items() if k != "preference"})
     suite, coll = harness.load_suite(args.container, args.sidecar)
     if "preference" in config:
@@ -244,7 +241,7 @@ def cmd_merge(args) -> int:
             try:
                 values = [float(v) for v in values.split(",")]
             except ValueError as exc:
-                raise UsageError(f"bad preference: {exc}") from exc
+                raise CodedError(f"bad preference: {exc}") from exc
         rho = _preference(values, suite.n_tasks)
     else:
         rho = np.full(suite.n_tasks, 1.0 / suite.n_tasks)
@@ -271,21 +268,21 @@ def _check_rows(args) -> dict:
     """Row-flag checks that need no task count; returns the --fixed pins {index: value}."""
     if args.preferences is not None:
         if args.random is not None or args.fixed is not None:
-            raise UsageError("--preferences takes neither --random nor --fixed")
+            raise CodedError("--preferences takes neither --random nor --fixed")
         return {}
     if args.random is None:
-        raise UsageError("sweep needs --preferences FILE or --random K")
+        raise CodedError("sweep needs --preferences FILE or --random K")
     if args.random < 1:
-        raise UsageError("--random must be positive")
+        raise CodedError("--random must be positive")
     fixed = {}
     for pair in [] if args.fixed is None else args.fixed.split(","):
         try:
             idx, val = pair.split(":")
             idx, val = int(idx), float(val)
         except ValueError as exc:
-            raise UsageError(f"bad --fixed entry {pair!r}") from exc
+            raise CodedError(f"bad --fixed entry {pair!r}") from exc
         if idx in fixed:
-            raise UsageError(f"--fixed pins coordinate {idx} twice")
+            raise CodedError(f"--fixed pins coordinate {idx} twice")
         fixed[idx] = val
     return fixed
 
@@ -295,16 +292,16 @@ def _sweep_preferences(args, fixed: dict, n_tasks: int, seed: int) -> list[np.nd
         try:
             rows = json.loads(Path(args.preferences).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read preferences: {exc}") from exc
+            raise CodedError(f"cannot read preferences: {exc}") from exc
         if not (isinstance(rows, list) and rows):
-            raise UsageError("preferences file must hold a nonempty list of rows")
+            raise CodedError("preferences file must hold a nonempty list of rows")
         return [_preference(row, n_tasks) for row in rows]
     if any(i < 0 or i >= n_tasks for i in fixed):
-        raise UsageError("--fixed index out of range")
+        raise CodedError("--fixed index out of range")
     budget = 1.0 - sum(fixed.values())
     free = [i for i in range(n_tasks) if i not in fixed]
     if not free:
-        raise UsageError("no free coordinates left to sample")
+        raise CodedError("no free coordinates left to sample")
     prefs = []
     for k in range(args.random):
         gen = substream(seed, "sweep", k)
@@ -313,7 +310,7 @@ def _sweep_preferences(args, fixed: dict, n_tasks: int, seed: int) -> list[np.nd
         rho = np.zeros(n_tasks)
         rho[list(fixed)] = list(fixed.values())
         rho[free] = sample
-        prefs.append(diagnostics._check_simplex(rho, n_tasks))
+        prefs.append(check_simplex(rho, n_tasks))
     return prefs
 
 
@@ -348,6 +345,12 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     suite, _ = harness.load_suite(args.container, args.sidecar)
     merged = load_collection(args.weights)
+    got = [(l, merged.base[l].shape) for l in merged.layer_ids]
+    want = [(l, w.shape) for l, w in suite.base.items()]
+    if merged.task_ids or got != want:
+        raise CodedError(f"{args.weights} holds adapters of {len(merged.task_ids)} tasks and "
+                         f"layers {got}; merged weights for this suite hold no adapters and "
+                         f"layers {want}", code="bad_weights")
     weights = {l: merged.base[l] for l in merged.layer_ids}
     report = harness.evaluate(weights, suite)
     report.hits_at = harness.evaluate_joint(weights, suite, ks=HITS_AT)
@@ -428,10 +431,10 @@ def main(argv=None) -> int:
         # a finiteness check catches every overflow; no warning precedes its abort
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except NumericalAbort as exc:  # before ValueError: each abort also subclasses it
+    except NumericalAbort as exc:  # before ValueError: an abort is also a CodedError
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # UsageError, MergeError and the other coded errors
+    except ValueError as exc:  # CodedError, and any other value error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # other runtime failures (IO)

@@ -19,17 +19,9 @@ import numpy as np
 
 from . import linalg
 from .adapters import AdapterCollection, FactorStack, LoraAdapter, rank1_stack
+from .checks import CodedError, NumericalAbort, check_simplex
 
-SIMPLEX_TOL = 1e-9
 PROFILE_ZERO_TOL = 1e-12
-
-
-class DiagnosticsError(linalg.CodedError):
-    pass
-
-
-class DiagnosticsAbort(DiagnosticsError, linalg.NumericalAbort):
-    """A sensitivity profile holds non-finite entries."""
 
 
 @dataclass
@@ -69,7 +61,7 @@ def _stack_erank(gram: np.ndarray) -> float | None:
 def coverage_stacks(layer_adapters: list[LoraAdapter]) -> CoverageReport:
     """Per-task, LoRA-aware, and LoRA-agnostic effective ranks for one layer."""
     if not layer_adapters:
-        raise DiagnosticsError("coverage needs at least one adapter")
+        raise CodedError("coverage needs at least one adapter")
     warnings = []
     per_task = []
     stack = rank1_stack(layer_adapters)
@@ -108,11 +100,11 @@ def jacobian(directions: FactorStack, grads) -> Jacobian:
 
     grads is a list of (d, m) gradients or an (N, d, m) stack."""
     if directions.sigma.size == 0 or len(grads) == 0:
-        raise DiagnosticsError("need at least one direction and one gradient")
+        raise CodedError("need at least one direction and one gradient")
     shape = np.shape(grads[0])
     for i, g in enumerate(grads):
         if np.shape(g) != shape:
-            raise DiagnosticsError(f"gradient {i} shape {np.shape(g)} != {shape}")
+            raise CodedError(f"gradient {i} shape {np.shape(g)} != {shape}")
     return Jacobian(entries=directions.project(np.asarray(grads, dtype=np.float64)))
 
 
@@ -125,25 +117,16 @@ def anisotropy(j: Jacobian) -> tuple[np.ndarray, float]:
     """
     entries = np.asarray(j.entries, dtype=np.float64)
     if not np.any(entries):
-        raise DiagnosticsError("zero Jacobian has no anisotropy")
+        raise CodedError("zero Jacobian has no anisotropy")
     sigma = linalg.svd(entries).sigma
     positive = sigma[sigma > linalg.EPS_ZERO * sigma[0]]
     kappa = float(sigma[0] / positive[-1])
     return sigma, kappa
 
 
-def _check_simplex(rho, n: int) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.float64).ravel()
-    if rho.size != n:
-        raise DiagnosticsError(f"preference length {rho.size} != number of tasks {n}")
-    if not (np.all(rho >= 0) and abs(float(np.sum(rho)) - 1.0) <= SIMPLEX_TOL):  # NaN fails
-        raise DiagnosticsError("preference must be nonnegative and sum to 1")
-    return rho
-
-
 def sensitivity_profile(j: Jacobian, rho) -> np.ndarray:
     """h = J^T rho: projection of the preference-scalarized gradient."""
-    return j.entries.T @ _check_simplex(rho, len(j.entries))
+    return j.entries.T @ check_simplex(rho, len(j.entries))
 
 
 def misalignment_xi(h1, h2) -> float:
@@ -151,10 +134,10 @@ def misalignment_xi(h1, h2) -> float:
     a = np.asarray(h1, dtype=np.float64).ravel()
     b = np.asarray(h2, dtype=np.float64).ravel()
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise DiagnosticsAbort("undefined misalignment: non-finite sensitivity profile")
+        raise NumericalAbort("undefined misalignment: non-finite sensitivity profile")
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na < PROFILE_ZERO_TOL or nb < PROFILE_ZERO_TOL:
-        raise DiagnosticsError("undefined misalignment: zero sensitivity profile")
+        raise CodedError("undefined misalignment: zero sensitivity profile")
     if np.array_equal(a, b) or np.array_equal(a, -b):
         return 0.0
     xi = 1.0 - abs(float(a @ b)) / (na * nb)
@@ -181,7 +164,7 @@ def ta_jacobian(coll: AdapterCollection, suite, layer_id: str, lam: float,
     rows = {f"task{i}": i for i in range(suite.n_tasks)}
     unknown = [t for t in coll.task_ids if t not in rows]
     if unknown:
-        raise DiagnosticsError(
+        raise CodedError(
             f"tasks {unknown} are not in a suite of {suite.n_tasks} tasks", code="unknown_task"
         )
     if stack is None:

@@ -18,25 +18,14 @@ from dataclasses import dataclass, fields, asdict
 
 import numpy as np
 
-from .adapters import (
-    AdapterCollection, LoraAdapter, is_integer, is_real, read_container,
-    save_collection,
-)
-from .linalg import CodedError, NumericalAbort
+from .adapters import AdapterCollection, LoraAdapter, read_container, save_collection
+from .checks import CodedError, NumericalAbort, check_fields, is_integer, is_real
 from .rng import substream, task_integers
 from .tara import adamw_step
 
 LAYER_ID = "layer0"
 LORA_ALPHA = 16.0     # every fine-tuned adapter's lora_alpha
 FINETUNE_BATCH = 32   # fine-tuning minibatch size
-
-
-class HarnessError(CodedError):
-    pass
-
-
-class HarnessAbort(HarnessError, NumericalAbort):
-    """Fine-tuning diverged, or weights gave non-finite logits."""
 
 
 @dataclass(frozen=True)
@@ -56,22 +45,23 @@ class SuiteConfig:
     label_offsets: tuple | None = None  # global label id of class 0 per task
 
     def __post_init__(self):
-        """Each field is checked by the type of its default: integers (sizes >= 1),
-        finite numbers, and null or integer label offsets."""
+        check_fields(vars(self), self._rules())
+
+    def _rules(self):
+        """(name, ok, rule) of each field, by the type of its default: integers
+        (sizes >= 1), finite numbers, and null or integer label offsets."""
         for f in fields(self):
-            value = getattr(self, f.name)
+            v = getattr(self, f.name)
             if f.name == "label_offsets":
-                ok = value is None or (isinstance(value, (tuple, list))
-                                       and all(map(is_integer, value)))
-                rule = "null or a list of integers"
+                yield (f.name, v is None or (isinstance(v, (tuple, list))
+                                             and all(map(is_integer, v))),
+                       "null or a list of integers")
+            elif f.name == "seed":
+                yield f.name, is_integer(v), "an integer"
             elif type(f.default) is int:
-                ok = is_integer(value) and (f.name == "seed" or value >= 1)
-                rule = "an integer" if f.name == "seed" else "an integer >= 1"
+                yield f.name, is_integer(v) and v >= 1, "an integer >= 1"
             else:
-                ok, rule = is_real(value), "a finite number"
-            if not ok:
-                raise HarnessError(f"{f.name} must be {rule}, got {value!r}",
-                                   code="bad_config")
+                yield f.name, is_real(v), "a finite number"
 
 
 @dataclass
@@ -107,7 +97,7 @@ class TaskSuite:
 
     def _trained_heads(self) -> np.ndarray:
         if self.heads is None:
-            raise HarnessError("the suite has no trained heads")
+            raise CodedError("the suite has no trained heads")
         return self.heads
 
     def factor_scorer(self, base: dict, stacks: dict, pools: np.ndarray):
@@ -144,7 +134,7 @@ class TaskSuite:
         if idx is None:
             xr_b, xhw0_b = (x.reshape(len(first), -1, x.shape[-1]) for x in (xr, xhw0))
         elif len(idx) != len(first):
-            raise HarnessError(f"{len(idx)} batches for a scorer of {len(first)} tasks")
+            raise CodedError(f"{len(idx)} batches for a scorer of {len(first)} tasks")
         else:
             rows = first + idx
             xr_b, xhw0_b = xr.take(rows, 0), xhw0.take(rows, 0)  # (n, B, K), (n, B, C)
@@ -157,11 +147,11 @@ class TaskSuite:
         return f, {LAYER_ID: grad}
 
     def accuracy(self, task: int, weights: dict) -> float:
-        """Eval-split accuracy; non-finite logits raise HarnessAbort rather than
+        """Eval-split accuracy; non-finite logits raise NumericalAbort rather than
         let argmax pick a class."""
         logits = self.eval_x[task] @ weights[LAYER_ID].T @ self._trained_heads()[task].T
         if not np.isfinite(logits).all():
-            raise HarnessAbort(f"task{task}: weights give non-finite logits")
+            raise NumericalAbort(f"task{task}: weights give non-finite logits")
         return float(np.mean(np.argmax(logits, axis=1) == self.eval_y[task]))
 
 
@@ -203,7 +193,7 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
     w0 = gen.standard_normal((cfg.d, cfg.base_rank)) @ q.T / np.sqrt(cfg.base_rank)
     offsets = cfg.label_offsets or tuple(i * cfg.n_classes for i in range(cfg.n_tasks))
     if len(offsets) != cfg.n_tasks:
-        raise HarnessError("label_offsets length must equal n_tasks")
+        raise CodedError("label_offsets length must equal n_tasks")
 
     n, sizes = cfg.n_tasks, {"train": cfg.n_train, "eval": cfg.n_eval, "adapt": cfg.n_adapt}
     x = {split: np.empty((n, size, cfg.m)) for split, size in sizes.items()}
@@ -242,12 +232,12 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
     are the only ones."""
     cfg = suite.config
     if not (is_integer(rank) and 1 <= rank <= min(cfg.d, cfg.m)):
-        raise HarnessError(f"rank {rank!r} is not an integer in [1, min(d, m) = "
-                           f"{min(cfg.d, cfg.m)}]", code="bad_config")
-    if not (is_integer(steps) and steps >= 0):
-        raise HarnessError(f"steps must be an integer >= 0, got {steps!r}", code="bad_config")
-    if not (is_real(lr) and lr > 0):
-        raise HarnessError(f"lr must be a finite number > 0, got {lr!r}", code="bad_config")
+        raise CodedError(f"rank {rank!r} is not an integer in [1, min(d, m) = "
+                         f"{min(cfg.d, cfg.m)}]", code="bad_config")
+    check_fields({"steps": steps, "lr": lr}, (
+        ("steps", is_integer(steps) and steps >= 0, "an integer >= 0"),
+        ("lr", is_real(lr) and lr > 0, "a finite number > 0"),
+    ))
     w0, n = suite.base[LAYER_ID], suite.n_tasks
     scale = LORA_ALPHA / rank
     inits = [substream(seed, "finetune", i) for i in range(n)]
@@ -282,7 +272,7 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
             limit = 10.0 * np.maximum(loss, 1e-12)
         if not (loss <= limit).all():  # NaN diverges
             j = np.flatnonzero(~(loss <= limit))[0]
-            raise HarnessAbort(
+            raise NumericalAbort(
                 f"divergence guard: task{j} loss {loss[j]:.4g} exceeds 10x "
                 f"initial at step {t}"
             )
@@ -314,10 +304,10 @@ def evaluate(weights: dict, suite: TaskSuite) -> EvalReport:
     absolute, normalized = [], []
     for i in range(suite.n_tasks):
         if suite.references[i] is None:
-            raise HarnessError(f"task {i} has no fine-tuned reference accuracy")
+            raise CodedError(f"task {i} has no fine-tuned reference accuracy")
         if not suite.references[i] > 0:
-            raise HarnessError(f"task {i} has reference accuracy {suite.references[i]!r}; "
-                               "normalizing needs a positive one", code="bad_references")
+            raise CodedError(f"task {i} has reference accuracy {suite.references[i]!r}; "
+                             "normalizing needs a positive one", code="bad_references")
         acc = suite.accuracy(i, weights)
         absolute.append(acc)
         normalized.append(acc / suite.references[i])
@@ -341,7 +331,7 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks) -> dict[int, float]:
     # sorted set, not np.unique, which imports numpy.ma (about 1 MB peak RSS)
     union = np.array(sorted(set(suite.labels.ravel().tolist())))
     if max(ks) > union.size:
-        raise HarnessError(f"k={max(ks)} exceeds union label count {union.size}")
+        raise CodedError(f"k={max(ks)} exceeds union label count {union.size}")
     # (N, C) union column of every local class; a task's labels are unique, so one
     # fancy-indexed maximum per head is exact
     cols = np.searchsorted(union, suite.labels)
@@ -354,7 +344,7 @@ def evaluate_joint(weights: dict, suite: TaskSuite, ks) -> dict[int, float]:
         for j, head_t in enumerate(heads_t):
             scores[:, cols[j]] = np.maximum(scores[:, cols[j]], features @ head_t)
         if not np.isfinite(scores).all():  # a sort and the count rank a NaN apart
-            raise HarnessAbort(f"task{i}: weights give non-finite joint scores")
+            raise NumericalAbort(f"task{i}: weights give non-finite joint scores")
         true_cols = cols[i][eval_y][:, None]
         true = np.take_along_axis(scores, true_cols, axis=1)
         earlier = np.arange(union.size) < true_cols
@@ -386,7 +376,7 @@ def _check_suite(cfg: SuiteConfig, coll: AdapterCollection, tensors: dict, path)
     in range."""
     want = {SUITE_KEY + name: spec for name, spec in _suite_fields(cfg).items()}
     if not want.keys() & tensors.keys():
-        raise HarnessError(
+        raise CodedError(
             f"{path} holds none of the suite tensors {list(want)}; suite files of an "
             "earlier layout must be re-created with train-toy",
             code="no_suite_tensors",
@@ -394,27 +384,27 @@ def _check_suite(cfg: SuiteConfig, coll: AdapterCollection, tensors: dict, path)
     missing = [k for k in want if k not in tensors and k != SUITE_KEY + "heads"]
     unknown = [k for k in tensors if k not in want]
     if missing or unknown:
-        raise HarnessError(
+        raise CodedError(
             f"{path}: suite tensors missing {missing}, unexpected {unknown}", code="bad_suite"
         )
     for key, arr in tensors.items():
         dtype, shape = want[key]
         if arr.dtype != dtype or arr.shape != shape:
-            raise HarnessError(
+            raise CodedError(
                 f"{path}: {key} is {arr.dtype} {arr.shape}, config implies "
                 f"{np.dtype(dtype)} {shape}",
                 code="bad_suite",
             )
         if key.endswith("_y") and (arr.min() < 0 or arr.max() >= cfg.n_classes):
-            raise HarnessError(f"{path}: {key} holds labels outside [0, n_classes)",
+            raise CodedError(f"{path}: {key} holds labels outside [0, n_classes)",
                                code="bad_suite")
     if coll.layer_ids != [LAYER_ID] or coll.base[LAYER_ID].shape != (cfg.d, cfg.m):
-        raise HarnessError(f"{path}: base weights do not fit a d={cfg.d}, m={cfg.m} suite",
-                           code="bad_suite")
+        raise CodedError(f"{path}: base weights do not fit a d={cfg.d}, m={cfg.m} suite",
+                         code="bad_suite")
     tasks = [f"task{i}" for i in range(cfg.n_tasks)]
     if coll.task_ids != tasks:
-        raise HarnessError(f"{path}: adapters of tasks {coll.task_ids}, not of the suite's "
-                           f"{tasks}", code="bad_suite")
+        raise CodedError(f"{path}: adapters of tasks {coll.task_ids}, not of the suite's "
+                         f"{tasks}", code="bad_suite")
 
 
 def save_suite(suite: TaskSuite, coll: AdapterCollection, container_path, sidecar_path):
@@ -434,23 +424,23 @@ def _read_sidecar(path) -> tuple[SuiteConfig, list]:
         with open(path) as fh:
             doc = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HarnessError(f"{path}: {exc}", code="bad_sidecar") from exc
+        raise CodedError(f"{path}: {exc}", code="bad_sidecar") from exc
     if not (isinstance(doc, dict) and {"config", "references"} <= doc.keys()):
-        raise HarnessError(f"{path} must be an object with config and references",
-                           code="bad_sidecar")
+        raise CodedError(f"{path} must be an object with config and references",
+                         code="bad_sidecar")
     raw, names = doc["config"], {f.name for f in fields(SuiteConfig)}
     if not (isinstance(raw, dict) and raw.keys() == names):
-        raise HarnessError(f"config must hold exactly the fields {sorted(names)}",
-                           code="bad_config")
+        raise CodedError(f"config must hold exactly the fields {sorted(names)}",
+                         code="bad_config")
     offsets = raw["label_offsets"]
     if not (offsets is None or isinstance(offsets, list)):
-        raise HarnessError(f"config field label_offsets must be null or a list, got "
-                           f"{offsets!r}", code="bad_config")
+        raise CodedError(f"config field label_offsets must be null or a list, got "
+                         f"{offsets!r}", code="bad_config")
     cfg = SuiteConfig(**{**raw, "label_offsets": None if offsets is None else tuple(offsets)})
     refs = doc["references"]
     if not (isinstance(refs, list) and len(refs) == cfg.n_tasks
             and all(r is None or (is_real(r) and r > 0) for r in refs)):
-        raise HarnessError(
+        raise CodedError(
             f"references must be {cfg.n_tasks} finite positive numbers or nulls, "
             f"got {refs!r}",
             code="bad_references",

@@ -12,31 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import CodedError, NumericalAbort
+
 # Relative threshold below which singular values are treated as zero.
 EPS_ZERO = 1e-12
 
 
-class CodedError(ValueError):
-    """A validation error; one with a stable code reads "code: message"."""
-
-    def __init__(self, message: str, code: str | None = None):
-        super().__init__(f"{code}: {message}" if code else message)
-        self.code = code
-
-
-class NumericalAbort(Exception):
-    """A computation on valid input that failed numerically: divergence,
-    non-finite values or non-convergence. The CLI reports it as a runtime
-    failure (exit 1), although each module's abort also subclasses that
-    module's ValueError-based error."""
-
-
-class LinalgError(ValueError):
-    pass
-
-
-class LinalgAbort(LinalgError, NumericalAbort):
-    """LAPACK did not converge, or its input or singular values are not finite."""
+class LinalgError(CodedError):
+    """A matrix or spectrum that the routines below do not accept."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +40,7 @@ def _as_matrix(x, name: str = "matrix") -> np.ndarray:
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise LinalgError(f"{name} must have positive dimensions, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise LinalgAbort(f"{name} contains non-finite entries")
+        raise NumericalAbort(f"{name} contains non-finite entries")
     return a
 
 
@@ -78,9 +61,9 @@ def _lapack_svd(a: np.ndarray, compute_uv: bool):
     try:
         out = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
-        raise LinalgAbort(f"SVD did not converge: {exc}") from exc
+        raise NumericalAbort(f"SVD did not converge: {exc}") from exc
     if not np.isfinite(out[1] if compute_uv else out).all():
-        raise LinalgAbort("singular values overflow the float range")
+        raise NumericalAbort("singular values overflow the float range")
     return out
 
 

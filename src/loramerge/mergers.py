@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .adapters import AdapterCollection, LoraAdapter, delta_weight, is_integer, is_real
-from .linalg import CodedError
+from .adapters import AdapterCollection, LoraAdapter, delta_weight
+from .checks import CodedError, check_fields, is_integer, is_real
 from .rng import substream
 
 # method: (merger, fixed keywords, the MergeConfig fields it reads). run_merge
@@ -38,10 +38,6 @@ _MERGERS = {
 METHODS = tuple(_MERGERS)
 
 
-class MergeError(CodedError):
-    pass
-
-
 @dataclass
 class MergeConfig:
     method: str
@@ -55,8 +51,8 @@ class MergeConfig:
 
     def __post_init__(self):
         if self.method not in _MERGERS:
-            raise MergeError(f"unknown merge method {self.method!r}")
-        for name, ok, rule in (
+            raise CodedError(f"unknown merge method {self.method!r}")
+        check_fields(vars(self), (
             ("lam", is_real(self.lam), "a finite number"),
             ("trim_fraction", is_real(self.trim_fraction) and 0 <= self.trim_fraction < 1,
              "a number in [0, 1)"),
@@ -69,10 +65,7 @@ class MergeConfig:
             ("seed", is_integer(self.seed), "an integer"),
             ("target_rank", is_integer(self.target_rank) and self.target_rank >= 1,
              "an integer >= 1"),
-        ):
-            if not ok:
-                raise MergeError(f"{name} must be {rule}, got {getattr(self, name)!r}",
-                                 code="bad_config")
+        ))
 
 
 def merge_ta(coll: AdapterCollection, lam: float) -> dict[str, np.ndarray]:
@@ -150,7 +143,7 @@ def _require_uniform(adapters: list[LoraAdapter], what: str) -> tuple[int, float
     ranks = {ad.rank for ad in adapters}
     alphas = {ad.lora_alpha for ad in adapters}
     if len(ranks) != 1 or len(alphas) != 1:
-        raise MergeError(f"{what} requires uniform rank and lora_alpha across tasks")
+        raise CodedError(f"{what} requires uniform rank and lora_alpha across tasks")
     return ranks.pop(), alphas.pop()
 
 
@@ -179,7 +172,7 @@ def merge_svd(coll: AdapterCollection, lam: float, target_rank: int) -> dict[str
         ads = coll.adapters[layer]
         d, m = coll.base[layer].shape
         if target_rank > min(d, m):
-            raise MergeError(f"target_rank {target_rank} exceeds min{d, m}")
+            raise CodedError(f"target_rank {target_rank} exceeds min{d, m}")
         res = linalg.svd_product(np.hstack([ad.b for ad in ads]),
                                  np.hstack([lam * ad.scale * ad.a for ad in ads]), target_rank)
         top = slice(target_rank)
@@ -302,9 +295,7 @@ def merge_lora_lego(
         # rows [a_j; b_j], C-ordered so that each unit's sums run along its row
         units = np.concatenate([np.vstack((ad.a, ad.b)) for ad in ads], axis=1).T.copy()
         if k_clusters > units.shape[0]:
-            raise MergeError(
-                f"k_clusters {k_clusters} exceeds unit count {units.shape[0]}"
-            )
+            raise CodedError(f"k_clusters {k_clusters} exceeds unit count {units.shape[0]}")
         centers, assign = _kmeans(units, k_clusters, substream(seed, "lego", layer))
 
         if lego_reweight == "parameter":

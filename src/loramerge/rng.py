@@ -13,8 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .adapters import is_integer
-from .linalg import CodedError
+from .checks import CodedError, is_integer
 
 
 def _digest(seed: int, tags: tuple) -> bytes:

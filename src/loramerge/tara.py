@@ -26,11 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .adapters import (
-    AdapterCollection, FactorStack, is_integer, is_real, rank1_stack,
-)
-from .diagnostics import _check_simplex
-from .linalg import CodedError, NumericalAbort
+from .adapters import AdapterCollection, FactorStack, rank1_stack
+from .checks import CodedError, NumericalAbort, check_fields, check_simplex, is_integer, is_real
 from .rng import task_integers
 
 RESIDUAL_DEADBAND = 1e-8  # |f - z| below this contributes zero gradient
@@ -38,14 +35,6 @@ PHI_INIT = 0.4  # TARA's starting phi; optimize picks it or the next by basis va
 ADAMERGING_PHI_INIT = 0.3  # AdaMerging starts at the lam = 0.3 task-arithmetic merge
 ADAM_BETAS = (0.9, 0.999)  # Adam's fixed constants, shared by TARA and fine-tuning
 ADAM_EPS = 1e-8
-
-
-class TaraError(CodedError):
-    pass
-
-
-class TaraAbort(TaraError, NumericalAbort):
-    """The optimizer met a non-finite anchor or entropy."""
 
 
 @dataclass
@@ -72,8 +61,8 @@ class StchConfig:
     anchors: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (is_real(self.alpha) and self.alpha > 0):
-            raise TaraError(f"alpha must be positive and finite, got {self.alpha!r}")
+        check_fields(vars(self), [("alpha", is_real(self.alpha) and self.alpha > 0,
+                                   "a finite number > 0")])
 
 
 @dataclass
@@ -84,16 +73,13 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, ok, rule in (
+        check_fields(vars(self), (
             ("lr", is_real(self.lr) and self.lr > 0, "a finite number > 0"),
             ("batch_size", is_integer(self.batch_size) and self.batch_size >= 1,
              "an integer >= 1"),
             ("iters", is_integer(self.iters) and self.iters >= 1, "an integer >= 1"),
             ("seed", is_integer(self.seed), "an integer"),
-        ):
-            if not ok:
-                raise TaraError(f"{name} must be {rule}, got {getattr(self, name)!r}",
-                                code="bad_config")
+        ))
 
 
 @dataclass
@@ -176,8 +162,8 @@ def _coefficients(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str
     for layer in basis.layer_ids:
         p = np.asarray(phi[layer], dtype=np.float64)
         if p.shape[-1:] != (basis.counts[layer],):
-            raise TaraError(f"phi of shape {p.shape} does not end in {basis.counts[layer]} "
-                            f"components at {layer}")
+            raise CodedError(f"phi of shape {p.shape} does not end in {basis.counts[layer]} "
+                             f"components at {layer}")
         if basis.variant == "adamerging":  # A and B: column k is phi entry k
             # np.take gives C order, unlike p[..., idx]
             p = np.take(p, basis.groups[layer], axis=-1)
@@ -203,7 +189,7 @@ def _check_suite_order(task_ids: list[str], suite) -> None:
     pools are the rows suite.adapt_x[:n]."""
     n = len(task_ids)
     if n > suite.n_tasks or task_ids != [f"task{i}" for i in range(n)]:
-        raise TaraError(
+        raise CodedError(
             f"tasks {task_ids} are not the first {n} of a suite of {suite.n_tasks} in order",
             code="task_order",
         )
@@ -259,10 +245,10 @@ def _evaluate(basis, phi, scorer, idx):
     """Per-task entropies f (..., N) and column gradients {layer: (..., N, K)}
     at W(phi) of a (K,) or (P, K) phi on the (N, B) pool rows idx, in one call
     of the suite's factor_scorer for this basis. A non-finite entropy raises
-    TaraAbort, whose .point is the first such row."""
+    NumericalAbort, whose .point is the first such row."""
     f, col_grads = scorer(_coefficients(basis, phi), idx)
     if not np.isfinite(f).all():
-        err = TaraAbort("non-finite entropy encountered")
+        err = NumericalAbort("non-finite entropy encountered")
         err.point = int(np.flatnonzero(~np.isfinite(f).reshape(-1, f.shape[-1]).all(-1))[0])
         raise err
     return f, col_grads
@@ -283,11 +269,11 @@ def stch_value_and_grad(
     rho rows must be simplex vectors of length N; optimize checks them once per run.
     """
     if cfg is None or cfg.anchors is None:
-        raise TaraError("anchors must be computed before optimization")
+        raise CodedError("anchors must be computed before optimization")
     f, col_grads = _evaluate(basis, phi, scorer, idx)
     if np.shape(rho) != f.shape:
-        raise TaraError(f"rho of shape {np.shape(rho)} does not give one preference per "
-                        f"phi row: {f.shape} wanted")
+        raise CodedError(f"rho of shape {np.shape(rho)} does not give one preference per "
+                         f"phi row: {f.shape} wanted")
     psi, dpsi_df = _stch(f, cfg.anchors, rho, cfg.alpha)
     return psi, _phi_gradient(basis, col_grads, dpsi_df), f
 
@@ -360,10 +346,10 @@ def optimize(
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
     for row in rho:
-        _check_simplex(row, n)
+        check_simplex(row, n)
     anchors = None if mean_entropy or stch is None else stch.anchors
     if anchors is not None and not np.isfinite(anchors).all():
-        raise TaraAbort(f"non-finite anchors {anchors}")
+        raise NumericalAbort(f"non-finite anchors {anchors}")
     pools = suite.adapt_x[:n]
     schedule = batch_schedule(pools, cfg)
     scorer = suite.factor_scorer(basis.base, basis.layers, pools)
@@ -379,9 +365,9 @@ def optimize(
                 value, grad, f = mean_entropy_value_and_grad(basis, phi, scorer, idx)
             else:
                 value, grad, f = stch_value_and_grad(basis, phi, scorer, rho, stch, idx)
-        except TaraAbort as err:
-            raise TaraAbort(f"non-finite entropy encountered at point {err.point}, "
-                            f"step {step}") from None
+        except NumericalAbort as err:
+            raise NumericalAbort(f"non-finite entropy encountered at point {err.point}, "
+                                 f"step {step}") from None
         trace.objective[step] = value
         trace.per_task[step] = f
         adamw_step(phi, grad, m, v, step + 1, cfg.lr)
@@ -399,7 +385,7 @@ def merge(coll: AdapterCollection, suite, rhos, variant: str = "b",
     # looked up per call, so a rebound builder is the one that runs
     builders = {"a": build_variant_a, "b": build_variant_b, "adamerging": build_adamerging}
     if variant not in builders:
-        raise TaraError(f"unknown variant {variant!r}")
+        raise CodedError(f"unknown variant {variant!r}")
     stch = StchConfig(alpha=alpha)
     basis = builders[variant](coll)
     if variant == "adamerging":

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_collection
 from loramerge.adapters import (
-    ContainerError,
     LoraAdapter,
     delta_weight,
     load_collection,
     read_container,
     save_collection,
 )
+from loramerge.checks import CodedError
 from loramerge.rng import substream
 
 
@@ -117,14 +117,14 @@ class TestContainer:
     )
     def test_extra_tensors_refused(self, tmp_path, extra, code):
         coll = random_collection(seed=10, n_tasks=2, layers=("l0",), d=6, m=5)
-        with pytest.raises(ContainerError) as exc:
+        with pytest.raises(CodedError) as exc:
             save_collection(coll, tmp_path / "c.lmk", extra)
         assert exc.value.code == code
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.lmk"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ContainerError) as exc:
+        with pytest.raises(CodedError) as exc:
             load_collection(p)
         assert exc.value.code == "bad_magic"
 
@@ -134,7 +134,7 @@ class TestContainer:
         save_collection(coll, p)
         blob = p.read_bytes()
         p.write_bytes(blob[: len(blob) - 10])
-        with pytest.raises(ContainerError) as exc:
+        with pytest.raises(CodedError) as exc:
             load_collection(p)
         assert exc.value.code == "truncated"
 
@@ -142,7 +142,7 @@ class TestContainer:
         p = tmp_path / "x.lmk"
         hdr = b"{not json"
         p.write_bytes(b"LMK1" + struct.pack("<I", len(hdr)) + hdr)
-        with pytest.raises(ContainerError) as exc:
+        with pytest.raises(CodedError) as exc:
             load_collection(p)
         assert exc.value.code == "bad_header"
 
@@ -157,7 +157,7 @@ class TestContainer:
         header = header.replace('"shape":[8,6]', '"shape":[8,7]', 1)
         p.write_bytes(b"LMK1" + struct.pack("<I", len(header)) + header.encode()
                       + bytes(blob[8 + hdr_len:]))
-        with pytest.raises(ContainerError) as exc:
+        with pytest.raises(CodedError) as exc:
             load_collection(p)
         assert exc.value.code == "size_mismatch"
 
@@ -193,7 +193,7 @@ class TestContainer:
         header = json.dumps(mutate(json.loads(blob[8 : 8 + hdr_len]))).encode()
         p.write_bytes(b"LMK1" + struct.pack("<I", len(header)) + header
                       + blob[8 + hdr_len:])
-        with pytest.raises(ContainerError) as exc:
+        with pytest.raises(CodedError) as exc:
             load_collection(p)
         assert exc.value.code == code
 
@@ -208,7 +208,7 @@ class TestContainer:
         at = 8 + hdr_len + rec["offset"] + 4
         blob[at : at + 4] = struct.pack("<f", value)
         p.write_bytes(bytes(blob))
-        with pytest.raises(ContainerError) as exc:
+        with pytest.raises(CodedError) as exc:
             load_collection(p)
         assert exc.value.code == "non_finite"
 
@@ -216,7 +216,7 @@ class TestContainer:
     @settings(max_examples=300, deadline=None)
     def test_byte_mutation_loads_or_raises_container_error(self, data):
         """Any one-byte replacement, insertion or deletion of a valid container
-        either loads or raises ContainerError, and nothing else."""
+        either loads or raises a coded CodedError, and nothing else."""
         import tempfile
         from pathlib import Path
 
@@ -231,8 +231,8 @@ class TestContainer:
             p.write_bytes(blob[:pos] + byte + blob[pos + (kind != "insert"):])
             try:
                 load_collection(p)
-            except ContainerError:
-                pass
+            except CodedError as exc:
+                assert exc.code is not None
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)

@@ -12,7 +12,7 @@ import pytest
 
 import loramerge
 from loramerge import cli, harness, mergers, tara
-from loramerge.adapters import read_container, save_collection
+from loramerge.adapters import AdapterCollection, read_container, save_collection
 from loramerge.cli import METHOD_KEYS, build_parser, main
 
 FAST_TRAIN = [
@@ -311,7 +311,8 @@ class TestExitCodes:
             "merge", str(container), "--sidecar", str(sidecar), "--method", "tara-b",
             "--alpha", "-1", "--iters", "3", "--out", str(out),
         ]) == 2
-        assert capsys.readouterr().err.startswith("error: alpha must be positive")
+        assert capsys.readouterr().err.startswith(
+            "error: bad_config: alpha must be a finite number > 0, got -1.0")
 
     @pytest.mark.parametrize(
         "argv",
@@ -749,6 +750,26 @@ class TestMalformedSuite:
                      *argv[1:], "--out", str(tmp_path / "runs")]) == 2
         assert capsys.readouterr().err.startswith("error: bad_suite: ")
         assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("weights", ["suite", "no_layer0", "wrong_shape"])
+def test_eval_refuses_what_is_not_merged_weights(tmp_path, capsys, trained_and_merged,
+                                                 weights):
+    """The suite container itself, weights of another layer and weights of
+    another shape are each refused before the run directory is made."""
+    container, sidecar, _ = trained_and_merged
+    path = container
+    if weights != "suite":
+        layer, shape = ("other", (12, 10)) if weights == "no_layer0" else ("layer0", (16, 10))
+        path = tmp_path / "weights.lmk"
+        save_collection(AdapterCollection(layer_ids=[layer], task_ids=[],
+                                          base={layer: np.zeros(shape)},
+                                          adapters={layer: []}), path)
+    capsys.readouterr()
+    assert main(["eval", str(container), "--sidecar", str(sidecar), "--weights", str(path),
+                 "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad_weights: ")
+    assert not (tmp_path / "runs").exists()
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ from test_harness import _per_task_entropy_and_grad
 from test_tara import _random_head_suite
 from loramerge import diagnostics, linalg, mergers, tara
 from loramerge.adapters import AdapterCollection, FactorStack, delta_weight
-from loramerge.diagnostics import DiagnosticsError
+from loramerge.checks import CodedError, NumericalAbort
 from loramerge.rng import substream
 
 
@@ -64,7 +64,7 @@ class TestCoverage:
         assert any("zero" in w for w in rep.warnings)
 
     def test_empty_errors(self):
-        with pytest.raises(DiagnosticsError):
+        with pytest.raises(CodedError, match="coverage needs at least one adapter"):
             diagnostics.coverage_stacks([])
 
 
@@ -82,7 +82,7 @@ class TestJacobian:
     def test_shape_mismatch(self):
         gen = substream(5, "jac")
         dirs = _random_directions(gen, 2, 4, 3)
-        with pytest.raises(DiagnosticsError):
+        with pytest.raises(CodedError, match=r"gradient 1 shape \(5, 3\) != \(4, 3\)"):
             diagnostics.jacobian(dirs, [np.zeros((4, 3)), np.zeros((5, 3))])
 
     @given(st.integers(0, 10_000))
@@ -110,7 +110,7 @@ class TestJacobian:
 
     def test_zero_jacobian_errors(self):
         j = diagnostics.Jacobian(entries=np.zeros((2, 3)))
-        with pytest.raises(DiagnosticsError):
+        with pytest.raises(CodedError, match="zero Jacobian has no anisotropy"):
             diagnostics.anisotropy(j)
 
 
@@ -136,16 +136,15 @@ class TestMisalignment:
         assert 0.0 <= xi <= 1.0
 
     def test_zero_profile_errors(self):
-        with pytest.raises(DiagnosticsError):
+        with pytest.raises(CodedError, match="zero sensitivity profile"):
             diagnostics.misalignment_xi([0.0], [1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_profile_aborts(self, bad):
         """A NaN norm passes the zero-profile guard, so non-finite entries are
         checked first and reported as a numerical abort."""
-        with pytest.raises(diagnostics.DiagnosticsAbort) as exc:
+        with pytest.raises(NumericalAbort, match="non-finite sensitivity profile"):
             diagnostics.misalignment_xi([1.0, bad], [1.0, 0.0])
-        assert isinstance(exc.value, linalg.NumericalAbort)
 
 
 class TestPreferenceValidation:
@@ -155,11 +154,11 @@ class TestPreferenceValidation:
         grads = [gen.standard_normal((4, 3)) for _ in range(2)]
         j = diagnostics.jacobian(dirs, grads)
         diagnostics.sensitivity_profile(j, [0.5, 0.5])
-        with pytest.raises(DiagnosticsError):
+        with pytest.raises(CodedError, match="nonnegative and sum to 1"):
             diagnostics.sensitivity_profile(j, [0.5, 0.6])
-        with pytest.raises(DiagnosticsError):
+        with pytest.raises(CodedError, match="nonnegative and sum to 1"):
             diagnostics.sensitivity_profile(j, [-0.1, 1.1])
-        with pytest.raises(DiagnosticsError):
+        with pytest.raises(CodedError, match="preference length 1 != number of tasks 2"):
             diagnostics.sensitivity_profile(j, [1.0])
 
 
@@ -208,7 +207,7 @@ class TestXiProtocol:
             adapters={l: [dataclasses.replace(ad, task_id=t) for ad, t in
                           zip(coll.adapters[l], ["task0", "task5"])] for l in coll.layer_ids},
         )
-        with pytest.raises(DiagnosticsError) as exc:
+        with pytest.raises(CodedError) as exc:
             _xi(renamed, suite)
         assert exc.value.code == "unknown_task"
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import sub_collection
 from loramerge import harness, mergers, tara
-from loramerge.adapters import ContainerError, FactorStack
-from loramerge.harness import HarnessError, SuiteConfig
+from loramerge.adapters import FactorStack
+from loramerge.checks import CodedError, NumericalAbort
+from loramerge.harness import SuiteConfig
 from loramerge.rng import substream
 
 
@@ -42,9 +44,9 @@ class TestGeneration:
             seen |= labels
 
     def test_config_validation(self):
-        with pytest.raises(HarnessError):
+        with pytest.raises(CodedError, match="bad_config: n_tasks must be an integer >= 1"):
             SuiteConfig(n_tasks=0)
-        with pytest.raises(HarnessError):
+        with pytest.raises(CodedError, match="label_offsets length must equal n_tasks"):
             harness.generate_suite(seed=0, n_tasks=2, label_offsets=(0,))
 
 
@@ -77,8 +79,8 @@ def _per_task_finetune(suite, task, rank, steps, lr, seed, lora_alpha=16.0, batc
         if t == 0:
             initial = max(loss, 1e-12)
         if not loss <= 10.0 * initial:
-            raise harness.HarnessAbort(f"divergence guard: task{task} loss {loss:.4g} "
-                                       f"exceeds 10x initial at step {t}")
+            raise NumericalAbort(f"divergence guard: task{task} loss {loss:.4g} "
+                                 f"exceeds 10x initial at step {t}")
         dl[np.arange(batch_size), y] -= 1.0
         dl /= batch_size
         dw = (dl @ params["h"]).T @ x
@@ -127,8 +129,8 @@ def _reference_finetune(suite, rank=16, steps=300, lr=0.02, seed=0, batch_size=3
         diverged = np.flatnonzero(~(loss <= 10.0 * initial_loss))
         if diverged.size:
             j = diverged[0]
-            raise harness.HarnessAbort(f"divergence guard: task{j} loss {loss[j]:.4g} "
-                                       f"exceeds 10x initial at step {t}")
+            raise NumericalAbort(f"divergence guard: task{j} loss {loss[j]:.4g} "
+                                 f"exceeds 10x initial at step {t}")
         dl = p.copy()
         dl[rows, cols, y] -= 1.0
         dl /= batch_size
@@ -169,11 +171,11 @@ class TestFinetune:
 
         alone = {}
         for i in range(2):
-            with pytest.raises(harness.HarnessAbort, match=f"task{i} loss") as exc:
+            with pytest.raises(NumericalAbort, match=f"task{i} loss") as exc:
                 _per_task_finetune(suite(), i, 4, 50, 100.0, seed=0)
             step = int(str(exc.value).rsplit("step ", 1)[1])
             alone[(step, i)] = str(exc.value)
-        with pytest.raises(harness.HarnessAbort) as exc:
+        with pytest.raises(NumericalAbort) as exc:
             harness.finetune_all(suite(), rank=4, steps=50, lr=100.0)
         assert str(exc.value) == alone[min(alone)]
 
@@ -199,9 +201,9 @@ class TestFinetune:
             return harness.generate_suite(seed=0, n_tasks=2, d=12, m=10, n_train=60,
                                           n_eval=30, n_adapt=20)
 
-        with pytest.raises(harness.HarnessAbort) as want:
+        with pytest.raises(NumericalAbort) as want:
             _reference_finetune(suite(), rank=4, steps=50, lr=100.0)
-        with pytest.raises(harness.HarnessAbort) as got:
+        with pytest.raises(NumericalAbort) as got:
             harness.finetune_all(suite(), rank=4, steps=50, lr=100.0)
         assert str(got.value) == str(want.value)
 
@@ -248,13 +250,13 @@ class TestFinetune:
         instead of reaching the adapter's finiteness check."""
         suite = harness.generate_suite(seed=0, n_tasks=2, d=12, m=10, n_train=60,
                                        n_eval=30, n_adapt=20)
-        with pytest.raises(harness.HarnessAbort, match="task0 loss nan"):
+        with pytest.raises(NumericalAbort, match="task0 loss nan"):
             harness.finetune_all(suite, rank=4, steps=5, lr=1e300)
 
     def test_rank_bound(self):
         suite = harness.generate_suite(seed=0, n_tasks=1, n_train=40, n_eval=20,
                                        n_adapt=10)
-        with pytest.raises(HarnessError):
+        with pytest.raises(CodedError, match=r"rank 25 is not an integer in \[1, min"):
             harness.finetune_all(suite, rank=25)
 
 
@@ -281,7 +283,7 @@ class TestEvaluate:
     def test_missing_reference(self):
         suite = harness.generate_suite(seed=3, n_tasks=1, n_train=40, n_eval=20,
                                        n_adapt=10)
-        with pytest.raises(HarnessError):
+        with pytest.raises(CodedError, match="task 0 has no fine-tuned reference accuracy"):
             harness.evaluate(dict(suite.base), suite)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -291,16 +293,16 @@ class TestEvaluate:
         suite, _ = small_suite
         w = suite.base["layer0"].copy()
         w[0, 0] = bad
-        with pytest.raises(harness.HarnessAbort, match="non-finite logits"):
+        with pytest.raises(NumericalAbort, match="non-finite logits"):
             harness.evaluate({"layer0": w}, suite)
-        with pytest.raises(harness.HarnessAbort, match="non-finite joint scores"):
+        with pytest.raises(NumericalAbort, match="non-finite joint scores"):
             harness.evaluate_joint({"layer0": w}, suite, ks=(1,))
 
     @pytest.mark.parametrize("reference", [0.0, -0.5])
     def test_non_positive_reference(self, small_suite, reference):
         suite, _ = small_suite
         bad = dataclasses.replace(suite, references=[suite.references[0], reference])
-        with pytest.raises(HarnessError) as exc:
+        with pytest.raises(CodedError) as exc:
             harness.evaluate(dict(suite.base), bad)
         assert exc.value.code == "bad_references"
 
@@ -318,7 +320,7 @@ class TestJointEval:
 
     def test_k_too_large(self, default_suite):
         suite, coll = default_suite
-        with pytest.raises(HarnessError):
+        with pytest.raises(CodedError, match="k=100 exceeds union label count"):
             harness.evaluate_joint(dict(suite.base), suite, ks=(100,))
 
     def test_matches_brute_force(self, small_suite):
@@ -571,7 +573,7 @@ class TestEntropyAndGrad:
         suite = harness.generate_suite(seed=0, n_tasks=2, n_train=20, n_eval=10, n_adapt=10)
         stacks = {"layer0": FactorStack(left=np.ones((32, 1)), right=np.ones((24, 1)),
                                         sigma=np.ones(1), owner=np.zeros(1, dtype=int))}
-        with pytest.raises(HarnessError, match="no trained head"):
+        with pytest.raises(CodedError, match="no trained head"):
             suite.factor_scorer(suite.base, stacks, suite.adapt_x)
 
 
@@ -619,10 +621,22 @@ class TestSerialization:
         assert (tmp_path / "a.lmk").read_bytes() == (tmp_path / "b.lmk").read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
+    def test_save_holds_no_copy_of_the_payload(self, tmp_path, default_suite):
+        """Each tensor goes to the file as it is converted, so saving allocates
+        less than the file holds."""
+        suite, coll = default_suite
+        tracemalloc.start()
+        try:
+            harness.save_suite(suite, coll, tmp_path / "s.lmk", tmp_path / "s.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "s.lmk").stat().st_size
+
     def test_tensors_must_fit_the_config(self, tmp_path, small_suite):
         suite, coll = small_suite
         bad = dataclasses.replace(suite, train_y=suite.train_y[:, :-1])
-        with pytest.raises(HarnessError) as exc:
+        with pytest.raises(CodedError) as exc:
             harness.save_suite(bad, coll, tmp_path / "s.lmk", tmp_path / "s.json")
         assert exc.value.code == "bad_suite"
 
@@ -630,7 +644,7 @@ class TestSerialization:
     @settings(max_examples=300, deadline=None)
     def test_byte_mutation_loads_or_raises_coded_error(self, data):
         """Any one-byte replacement, insertion or deletion of a saved suite
-        container either loads or raises ContainerError or HarnessError."""
+        container either loads or raises a coded CodedError."""
         blob, sidecar = _tiny_suite_files()
         pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
         kind = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="kind")
@@ -641,5 +655,5 @@ class TestSerialization:
             side.write_bytes(sidecar)
             try:
                 harness.load_suite(lmk, side)
-            except (ContainerError, HarnessError):
-                pass
+            except CodedError as exc:
+                assert exc.code is not None

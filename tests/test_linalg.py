@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from loramerge import linalg
+from loramerge.checks import NumericalAbort
 from loramerge.rng import substream
 
 
@@ -76,17 +77,20 @@ class TestSvd:
         assert np.array_equal(a.v, b.v)
 
     def test_rejects_bad_input(self):
-        with pytest.raises(linalg.LinalgError):
+        with pytest.raises(linalg.LinalgError, match="must be 2-D"):
             linalg.svd(np.array([1.0, 2.0]))
-        with pytest.raises(linalg.LinalgError):
+        with pytest.raises(NumericalAbort, match="non-finite entries"):
             linalg.svd(np.array([[np.nan]]))
 
-    @pytest.mark.parametrize("x", [[[np.nan]], [[np.inf, 0.0]], np.full((2, 2), 1e308)],
-                             ids=["nan", "inf", "overflowing_sigma"])
-    def test_non_finite_is_an_abort(self, x):
+    @pytest.mark.parametrize("x,message", [
+        ([[np.nan]], "non-finite entries"),
+        ([[np.inf, 0.0]], "non-finite entries"),
+        (np.full((2, 2), 1e308), "singular values overflow"),
+    ], ids=["nan", "inf", "overflowing_sigma"])
+    def test_non_finite_is_an_abort(self, x, message):
         """Every caller passes a computed matrix, so a non-finite input or
         singular value is a numerical abort (CLI exit 1), not a usage error."""
-        with pytest.raises(linalg.LinalgAbort):
+        with pytest.raises(NumericalAbort, match=message):
             linalg.svd(np.array(x))
 
     def test_non_convergence_raises(self, monkeypatch):
@@ -94,7 +98,7 @@ class TestSvd:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(linalg.LinalgError):
+        with pytest.raises(NumericalAbort, match="SVD did not converge"):
             linalg.svd(np.eye(3))
 
 
@@ -159,11 +163,11 @@ class TestSvdProduct:
     def test_non_finite_is_an_abort(self, side, bad):
         left, right = random_factors(7, 5, 4, 2)
         (left if side == "left" else right)[1, 1] = bad
-        with pytest.raises(linalg.LinalgAbort):
+        with pytest.raises(NumericalAbort, match=f"{side} factor contains non-finite"):
             linalg.svd_product(left, right)
 
     def test_overflowing_core_is_an_abort(self):
-        with pytest.raises(linalg.LinalgAbort), np.errstate(over="ignore"):
+        with pytest.raises(NumericalAbort, match="non-finite"), np.errstate(over="ignore"):
             linalg.svd_product(np.full((3, 2), 1e200), np.full((4, 2), 1e200))
 
     def test_mismatched_factors(self):
@@ -215,16 +219,17 @@ class TestSvdProduct:
         assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-12 * want.sigma[0]
         assert np.max(np.abs(_product(got) - dense @ right.T)) <= 1e-12 * want.sigma[0] * q
 
-    @pytest.mark.parametrize("blocks,error", [
-        ([], linalg.LinalgError),
-        ([np.ones((3, 2)), np.ones(2)], linalg.LinalgError),
-        ([np.ones((3, 2)), np.full((2, 1), np.nan)], linalg.LinalgAbort),
-        ([np.ones((3, 2)), np.ones((2, 2))], linalg.LinalgError),
+    @pytest.mark.parametrize("blocks,error,message", [
+        ([], linalg.LinalgError, "has no blocks"),
+        ([np.ones((3, 2)), np.ones(2)], linalg.LinalgError, "block 1 must be 2-D"),
+        ([np.ones((3, 2)), np.full((2, 1), np.nan)], NumericalAbort,
+         "block 1 contains non-finite entries"),
+        ([np.ones((3, 2)), np.ones((2, 2))], linalg.LinalgError, "factors have"),
     ], ids=["empty", "1d_block", "non_finite_block", "column_total"])
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_bad_blocks(self, blocks, error, side):
+    def test_bad_blocks(self, blocks, error, message, side):
         other = np.ones((4, 3))
-        with pytest.raises(error):
+        with pytest.raises(error, match=message):
             linalg.svd_product(*((blocks, other) if side == "left" else (other, blocks)))
 
 
@@ -278,10 +283,12 @@ class TestGramValuesOnly:
         # compare eigenvalues: the square root amplifies rounding near zero
         assert np.max(np.abs(got**2 - want)) <= 1e-13 * max(want[0], 1e-300)
 
-    @pytest.mark.parametrize("gram", [[[np.nan, 0.0], [0.0, 1.0]], np.full((2, 2), 1e308)],
-                             ids=["nan", "overflowing_sigma"])
-    def test_non_finite_is_an_abort(self, gram):
-        with pytest.raises(linalg.LinalgAbort):
+    @pytest.mark.parametrize("gram,message", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "gram contains non-finite entries"),
+        (np.full((2, 2), 1e308), "singular values overflow"),
+    ], ids=["nan", "overflowing_sigma"])
+    def test_non_finite_is_an_abort(self, gram, message):
+        with pytest.raises(NumericalAbort, match=message):
             linalg.singular_values_from_gram(np.array(gram))
 
     def test_non_convergence_is_an_abort(self, monkeypatch):
@@ -289,13 +296,13 @@ class TestGramValuesOnly:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(linalg.LinalgAbort):
+        with pytest.raises(NumericalAbort, match="SVD did not converge"):
             linalg.singular_values_from_gram(np.eye(3))
 
     def test_non_square_is_a_usage_error(self):
         with pytest.raises(linalg.LinalgError) as info:
             linalg.singular_values_from_gram(np.ones((3, 2)))
-        assert not isinstance(info.value, linalg.LinalgAbort)
+        assert not isinstance(info.value, NumericalAbort)
 
 
 class TestEffectiveRank:

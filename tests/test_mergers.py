@@ -10,21 +10,22 @@ from hypothesis.extra import numpy as hnp
 from conftest import random_collection, assert_weights_close, sub_collection
 from loramerge import mergers
 from loramerge.adapters import AdapterCollection, delta_weight
-from loramerge.mergers import MergeConfig, MergeError
+from loramerge.checks import CodedError
+from loramerge.mergers import MergeConfig
 from loramerge.rng import substream
 
 
 class TestConfig:
     def test_rejects_unknown_method(self):
-        with pytest.raises(MergeError):
+        with pytest.raises(CodedError, match="unknown merge method 'nope'"):
             MergeConfig(method="nope")
 
     def test_parameter_ranges(self):
-        with pytest.raises(MergeError):
+        with pytest.raises(CodedError, match=r"bad_config: trim_fraction must be a number in \["):
             MergeConfig(method="ties", trim_fraction=1.0)
-        with pytest.raises(MergeError):
+        with pytest.raises(CodedError, match=r"bad_config: drop_prob must be a number in \["):
             MergeConfig(method="dare_ties", drop_prob=-0.1)
-        with pytest.raises(MergeError):
+        with pytest.raises(CodedError, match="bad_config: lego_reweight must be 'parameter' or"):
             MergeConfig(method="lora_lego", lego_reweight="nope")
 
 
@@ -274,7 +275,7 @@ class TestLinear:
             base=coll.base,
             adapters={"l0": [odd] + coll.adapters["l0"][1:]},
         )
-        with pytest.raises(MergeError):
+        with pytest.raises(CodedError, match="linear merge requires uniform rank"):
             mergers.merge_linear(coll2, lam=0.3)
 
 
@@ -307,7 +308,7 @@ class TestSvdMerge:
 
     def test_rank_too_large(self):
         coll = random_collection(seed=10, layers=("l0",), d=6, m=5, rank=2)
-        with pytest.raises(MergeError):
+        with pytest.raises(CodedError, match="target_rank 6 exceeds"):
             mergers.merge_svd(coll, lam=0.3, target_rank=6)
 
 
@@ -564,7 +565,7 @@ class TestLoraLego:
 
     def test_k_too_large(self):
         coll = random_collection(seed=16, layers=("l0",), rank=2, n_tasks=2)
-        with pytest.raises(MergeError):
+        with pytest.raises(CodedError, match="k_clusters 5 exceeds unit count 4"):
             mergers.merge_lora_lego(coll, k_clusters=5, lego_reweight="output", seed=0)
 
 
@@ -603,3 +604,48 @@ class TestDispatch:
         for layer in coll.layer_ids:
             scale = np.max(np.abs(want[layer] - coll.base[layer]))
             assert np.max(np.abs(got[layer] - want[layer])) <= 1e-12 * scale
+
+
+# the relative bound of both metamorphic relations below, set before either ran
+METAMORPHIC_TOL = 1e-12
+# square, N * r below min(d, m), N * r above it, and wide
+METAMORPHIC_SHAPES = [(8, 8, 2), (12, 10, 1), (6, 7, 3), (5, 9, 2)]
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("method", [m for m in mergers.METHODS if m != "lora_lego"])
+    @given(n_tasks=st.integers(1, 4), shape=st.sampled_from(METAMORPHIC_SHAPES),
+           c=st.sampled_from([0.37, 2.0, 3.1]), drop_prob=st.sampled_from([0.5, 0.9]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_scaling_every_b_scales_the_delta(self, method, n_tasks, shape, c, drop_prob,
+                                              seed):
+        """Every merger but LoRA-LEGO, whose k-means is not scale-equivariant, is
+        positively homogeneous in the B factors: B_i -> c B_i for c > 0 takes
+        the merged delta to c times itself, DARE's masks being keyed by task."""
+        d, m, rank = shape
+        coll = random_collection(seed=seed, n_tasks=n_tasks, d=d, m=m, rank=rank)
+        scaled = replace(coll, adapters={l: [replace(ad, b=c * ad.b) for ad in ads]
+                                         for l, ads in coll.adapters.items()})
+        cfg = MergeConfig(method=method, drop_prob=drop_prob, target_rank=2)
+        want, got = mergers.run_merge(coll, cfg), mergers.run_merge(scaled, cfg)
+        for layer in coll.layer_ids:
+            delta = c * (want[layer] - coll.base[layer])
+            err = np.max(np.abs(got[layer] - coll.base[layer] - delta))
+            assert err <= METAMORPHIC_TOL * np.max(np.abs(delta))
+
+    @pytest.mark.parametrize("method", ["ties", "knots_ties"])
+    @given(shape=st.sampled_from(METAMORPHIC_SHAPES), lam=st.sampled_from([0.3, 1.0]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_one_untrimmed_task_is_task_arithmetic(self, method, shape, lam, seed):
+        """With one task and nothing trimmed, every sign election keeps that
+        task's entry, so TIES and KnOTS-TIES (through its exact shared-basis
+        reconstruction) give the task-arithmetic merge."""
+        d, m, rank = shape
+        coll = random_collection(seed=seed, n_tasks=1, d=d, m=m, rank=rank)
+        want = mergers.run_merge(coll, MergeConfig(method="ta", lam=lam))
+        got = mergers.run_merge(coll, MergeConfig(method=method, lam=lam, trim_fraction=0.0))
+        for layer in coll.layer_ids:
+            scale = np.max(np.abs(want[layer] - coll.base[layer]))
+            assert np.max(np.abs(got[layer] - want[layer])) <= METAMORPHIC_TOL * scale

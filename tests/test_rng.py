@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_collection
 from loramerge import harness, mergers, tara
 from loramerge.adapters import AdapterCollection
-from loramerge.linalg import CodedError
+from loramerge.checks import CodedError
 from loramerge.rng import substream, task_integers
 from loramerge.tara import OptimConfig
 

@@ -8,11 +8,11 @@ from conftest import assert_weights_close, random_collection, sub_collection
 from test_harness import _PerTaskSuite, _per_task_entropy_and_grad, reference_factor_scorer
 from loramerge import diagnostics, harness, mergers, tara
 from loramerge.adapters import delta_weight
+from loramerge.checks import CodedError, NumericalAbort
 from loramerge.rng import substream
 from loramerge.tara import (
     OptimConfig,
     StchConfig,
-    TaraError,
     assemble,
     build_variant_a,
     build_variant_b,
@@ -119,7 +119,7 @@ class TestVariantB:
     def test_phi_length_mismatch(self):
         coll = random_collection(seed=8, layers=("l0",))
         basis = build_variant_b(coll)
-        with pytest.raises(TaraError):
+        with pytest.raises(CodedError, match=r"phi of shape \(3,\) does not end in"):
             assemble(basis, {"l0": np.zeros(3)})
 
 
@@ -194,7 +194,7 @@ class TestStch:
 
     def test_alpha_must_be_positive(self):
         for alpha in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(TaraError):
+            with pytest.raises(CodedError, match="bad_config: alpha must be a finite number > 0"):
                 StchConfig(alpha=alpha)
 
 
@@ -256,7 +256,7 @@ class TestGradient:
     def test_requires_anchors(self, small_suite):
         suite, coll = small_suite
         basis = build_variant_a(coll)
-        with pytest.raises(TaraError):
+        with pytest.raises(CodedError, match="anchors must be computed"):
             stch_value_and_grad(basis, basis.init_phi(0.4), _scorer(suite, basis), [0.5, 0.5],
                                 StchConfig(), _first_rows(2, 8))
 
@@ -286,7 +286,7 @@ class TestGradient:
         basis = build_variant_a(coll)
         phi = {l: np.full((phi_rows, basis.counts[l] + extra), 0.4) for l in basis.layer_ids}
         idx = _first_rows(2, 8)
-        with pytest.raises(TaraError):
+        with pytest.raises(CodedError, match="(phi|rho) of shape"):
             if objective == "stch":
                 stch_value_and_grad(basis, phi, _scorer(suite, basis),
                                     np.full((rho_rows, 2), 0.5),
@@ -358,7 +358,7 @@ class TestFactoredStep:
     def test_scorer_refuses_wrong_batch_count(self, small_suite):
         suite, coll = small_suite
         basis = build_variant_a(coll)
-        with pytest.raises(harness.HarnessError, match="3 batches for a scorer of 2 tasks"):
+        with pytest.raises(CodedError, match="3 batches for a scorer of 2 tasks"):
             _scorer(suite, basis)(tara._coefficients(basis, basis.init_phi(0.4)),
                                   _first_rows(3, 4))
 
@@ -498,13 +498,13 @@ class TestOptimize:
          ("seed", 2.7), ("seed", "x")],
     )
     def test_config_out_of_range(self, field, value):
-        with pytest.raises(TaraError) as exc:
+        with pytest.raises(CodedError) as exc:
             OptimConfig(**{field: value})
         assert exc.value.code == "bad_config" and field in str(exc.value)
 
     def test_stch_without_anchors(self, small_suite):
         suite, coll = small_suite
-        with pytest.raises(TaraError, match="anchors"):
+        with pytest.raises(CodedError, match="anchors"):
             optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(iters=1))
 
     @pytest.mark.parametrize("build", [build_variant_a, tara.build_adamerging],
@@ -512,7 +512,7 @@ class TestOptimize:
     def test_nan_entropy_aborts(self, build):
         basis = build(random_collection(seed=21, n_tasks=2))
         stch = StchConfig(anchors=np.zeros(2))
-        with pytest.raises(TaraError, match="non-finite entropy"):
+        with pytest.raises(NumericalAbort, match="non-finite entropy"):
             optimize(basis, _ConstantSuite(np.nan), [0.5, 0.5],
                      OptimConfig(iters=3), stch)
 
@@ -526,7 +526,7 @@ class TestOptimize:
             lambda: mean_entropy_value_and_grad(basis, phi,
                                                 _scorer(_ConstantSuite(np.inf), basis), idx),
         ):
-            with pytest.raises(tara.TaraAbort, match="non-finite entropy"):
+            with pytest.raises(NumericalAbort, match="non-finite entropy"):
                 run()
 
     def test_nan_entropy_names_its_point(self, small_suite):
@@ -548,14 +548,14 @@ class TestOptimize:
 
         rhos = [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]
         stch = StchConfig(anchors=compute_anchors(coll, suite))
-        with pytest.raises(tara.TaraAbort, match="entropy encountered at point 1, step 0"):
+        with pytest.raises(NumericalAbort, match="entropy encountered at point 1, step 0"):
             optimize(build_variant_a(coll), NanInRow1(), rhos, OptimConfig(iters=3), stch)
 
     def test_nan_anchors_abort_before_step_0(self):
         """Step 0 would abort on the NaN entropy; the anchors are checked first."""
         basis = build_variant_a(random_collection(seed=22, n_tasks=2))
         stch = StchConfig(anchors=np.full(2, np.nan))
-        with pytest.raises(tara.TaraAbort, match="non-finite anchors"):
+        with pytest.raises(NumericalAbort, match="non-finite anchors"):
             optimize(basis, _ConstantSuite(np.nan), [0.5, 0.5], OptimConfig(iters=3),
                      stch)
 
@@ -734,7 +734,7 @@ class TestSweep:
         suite, coll = small_suite
         calls = []
         monkeypatch.setattr(tara, "compute_anchors", lambda *args: calls.append(args))
-        with pytest.raises(TaraError, match="unknown variant 'c'"):
+        with pytest.raises(CodedError, match="unknown variant 'c'"):
             next(tara.merge(coll, suite, [np.array([0.5, 0.5])], variant="c"))
         assert calls == []
 
@@ -795,7 +795,7 @@ class TestSuiteOrder:
                              StchConfig(anchors=np.zeros(len(tasks)))),
             lambda: list(tara.merge(sub, suite, None, "adamerging", cfg)),
         ):
-            with pytest.raises(TaraError) as exc:
+            with pytest.raises(CodedError) as exc:
                 run()
             assert exc.value.code == "task_order"
 
