@@ -32,6 +32,7 @@ _DTYPE_CODES = {dt.name: code for code, dt in DTYPES.items()}
 
 @dataclass(frozen=True)
 class LoraAdapter:
+    """One task's LoRA factors at one layer: update scale * b @ a.T, scale = lora_alpha / rank."""
     task_id: str
     layer_id: str
     b: np.ndarray          # (d, r)

@@ -26,6 +26,7 @@ PROFILE_ZERO_TOL = 1e-12
 
 @dataclass
 class CoverageReport:
+    """One layer's effective ranks: per task, their sum, LoRA-aware and LoRA-agnostic."""
     per_task: list[float]
     per_task_sum: float
     aware_erank: float | None
@@ -35,6 +36,7 @@ class CoverageReport:
 
 @dataclass
 class Jacobian:
+    """J[i, k]: the derivative of task i's loss along direction k."""
     entries: np.ndarray                      # (N, K)
 
 
@@ -151,16 +153,13 @@ def layer_directions(coll: AdapterCollection, layer_id: str) -> FactorStack:
 
 def ta_jacobian(coll: AdapterCollection, suite, layer_id: str, lam: float,
                 stack: FactorStack | None = None) -> Jacobian:
-    """J[i, k] = sigma_k df_i/dcoef_k: the gradient of collection task i's
-    label-free loss on its whole adaptation pool along column k of the stack, at
-    the scaled-sum merge W0 + lam sum_i dW_i, from one call of the suite's factor
-    scorer. No (d, m) gradient is formed.
-
-    The stack defaults to the raw directions, which reach the merge at coef = lam
-    times each column's adapter scale; a given stack must reach it at
-    coef = lam sigma, as variant B's shared basis does. Row i is the suite row of
-    collection task i: fine-tuning names suite task i "task{i}".
-    """
+    """J[i, k] = df_i/dphi_k: the gradient of collection task i's label-free loss
+    on its whole adaptation pool along the stack's column k, sigma_k left_k
+    right_k^T, at the scaled-sum merge W0 + lam sum_i dW_i, from one call of the
+    suite's factor scorer; no (d, m) gradient is formed. The stack defaults to the
+    raw directions (sigma 1), at phi = lam times each column's adapter scale; a
+    given stack must reach the merge at phi = lam, as variant B's shared basis
+    does. Row i is the suite row of collection task i, "task{i}"."""
     rows = {f"task{i}": i for i in range(suite.n_tasks)}
     unknown = [t for t in coll.task_ids if t not in rows]
     if unknown:
@@ -169,13 +168,13 @@ def ta_jacobian(coll: AdapterCollection, suite, layer_id: str, lam: float,
         )
     if stack is None:
         stack = layer_directions(coll, layer_id)
-        coef = lam * rank1_stack(coll.adapters[layer_id], scaled=True).sigma
+        phi = lam * rank1_stack(coll.adapters[layer_id], scaled=True).sigma
     else:
-        coef = lam * stack.sigma
+        phi = np.full(stack.sigma.size, lam)
     score = suite.factor_scorer({layer_id: coll.base[layer_id]}, {layer_id: stack},
                                 suite.adapt_x)
-    _, grad = score({layer_id: coef}, None)
-    return Jacobian(entries=stack.sigma * grad[layer_id][[rows[t] for t in coll.task_ids]])
+    _, grad = score({layer_id: phi}, None)
+    return Jacobian(entries=grad[layer_id][[rows[t] for t in coll.task_ids]])
 
 
 def xi_protocol(j: Jacobian) -> float:

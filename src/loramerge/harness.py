@@ -30,6 +30,7 @@ FINETUNE_BATCH = 32   # fine-tuning minibatch size
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Sizes, scales and seed of a synthetic suite; every field is checked."""
     n_tasks: int = 4
     d: int = 32                # feature dimension
     m: int = 24                # input dimension
@@ -66,6 +67,7 @@ class SuiteConfig:
 
 @dataclass
 class EvalReport:
+    """Per-task eval accuracies, absolute and normalized by the fine-tuned references."""
     task_ids: list[str]
     absolute: list[float]
     normalized: list[float]
@@ -102,16 +104,16 @@ class TaskSuite:
 
     def factor_scorer(self, base: dict, stacks: dict, pools: np.ndarray):
         """Scorer of tasks 0..n-1 of the (n, pool, m) pools at W = W0 + left
-        diag(coef) right^T, in factor space: no (d, m) weight or gradient is formed.
+        diag(sigma coef) right^T, in factor space: no (d, m) weight or gradient.
 
-        logits = X (H W0)^T + (X right) (coef * (H left)^T): the scorer holds H left
-        (n, C, K) and the pool products X right (n, pool, K) and X (H W0)^T
-        (n, pool, C), made once per run. It is entropy_and_grad bound to them, so
-        scorer(coef, idx) scores one step.
+        logits = X (H W0)^T + (X right) (coef * (H left sigma)^T): the scorer holds
+        H left sigma (n, C, K) and the pool products X right (n, pool, K) and
+        X (H W0)^T (n, pool, C), made once per run. It is entropy_and_grad bound to
+        them, so scorer(coef, idx) scores one step.
         """
         n, pool = pools.shape[:2]
         h, s = self._trained_heads()[:n], stacks[LAYER_ID]
-        hl = h @ s.left
+        hl = h @ (s.left * s.sigma)
         hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base[LAYER_ID], -1, -2)
         xr, xhw0 = ((pools @ x).reshape(n * pool, -1) for x in (s.right, hw0_t))
         first = pool * np.arange(n)[:, None]  # flat row of each task's row 0
@@ -121,15 +123,15 @@ class TaskSuite:
         """Mean entropies of tasks 0..n-1 and their gradients along the columns,
         on the pool rows idx, from the per-run products of factor_scorer.
 
-        coef is {LAYER_ID: (..., K)}, and idx (n, B) row indices in [0, pool),
-        unchecked, as batch_schedule draws them, or None for every pool row in
-        order, read as views of the products; row i is scored by head i. Returns
-        the mean entropies f (..., n) and {LAYER_ID: (..., n, K)} df_i/dcoef_k =
-        sum_c (H left)_ck (dlogits^T X right)_ck. The entropy helper gets a
-        class-major copy of the logits; every GEMM keeps the operand layout of a
-        per-batch product, stacked one per (point, task), so a point's bits depend
-        neither on the leading axes nor on gathering rows.
-        """
+        coef is {LAYER_ID: (..., K)}, each sigma-scaled column's multiplier (phi of
+        variants A and B), and idx (n, B) row indices in [0, pool), unchecked, as
+        batch_schedule draws them, or None for every pool row in order, read as
+        views of the products; row i is scored by head i. Returns f (..., n) and
+        {LAYER_ID: (..., n, K)} df_i/dcoef_k = sum_c (H left sigma)_ck (dlogits X
+        right)_ck. The entropy helper gets a class-first copy of the logits, and
+        the backward GEMM reads its dlogits as a class-major (..., n, C, B) view.
+        Every GEMM keeps the per-batch kernel, one per (point, task), so a point's
+        bits depend neither on the leading axes nor on gathering rows."""
         hl, hl_t, xr, xhw0, first = products
         if idx is None:
             xr_b, xhw0_b = (x.reshape(len(first), -1, x.shape[-1]) for x in (xr, xhw0))
@@ -138,13 +140,13 @@ class TaskSuite:
         else:
             rows = first + idx
             xr_b, xhw0_b = xr.take(rows, 0), xhw0.take(rows, 0)  # (n, B, K), (n, B, C)
-        scaled = coef[LAYER_ID][..., None, :, None] * hl_t   # (..., n, K, C)
-        logits = xr_b @ scaled                               # (..., n, B, C)
+        logits = xr_b @ (coef[LAYER_ID][..., None, :, None] * hl_t)  # (..., n, B, C)
         logits += xhw0_b
-        f, dl = _entropy_and_dlogits(logits.swapaxes(-1, -2).copy())
-        dl_t = dl.swapaxes(-1, -2).copy()                    # (..., n, B, C)
-        grad = np.einsum("...nck,nck->...nk", dl_t.swapaxes(-1, -2) @ xr_b, hl)
-        return f, {LAYER_ID: grad}
+        lead, (b, c) = logits.shape[:-2], logits.shape[-2:]
+        f, dl = _entropy_and_dlogits(logits.reshape(-1, b, c).transpose(2, 0, 1).copy())
+        dl = dl.transpose(1, 0, 2).reshape(lead + (c, b))           # (..., n, C, B)
+        grad = np.einsum("...nck,nck->...nk", dl @ xr_b, hl)
+        return f.reshape(lead), {LAYER_ID: grad}
 
     def accuracy(self, task: int, weights: dict) -> float:
         """Eval-split accuracy; non-finite logits raise NumericalAbort rather than
@@ -163,24 +165,30 @@ def _softmax(z: np.ndarray) -> np.ndarray:  # over the C axis of (..., C, B) log
 
 
 def _entropy_and_dlogits(logits: np.ndarray):
-    """Mean predictive entropy over the batch axis of class-major (..., C, B)
+    """Mean predictive entropy over the batch axis of class-first (C, ..., B)
     logits, and its gradient w.r.t. every logit, in log-sum-exp form: with
     z = logits - max and s = sum e^z, log p = z - log s and E = log s - sum p z.
     z is clipped at -800, below exp's underflow, so a p of 0 (a -inf logit
     included) adds exactly 0 to E and its gradient; a NaN logit gives NaN."""
-    z = logits - np.maximum.reduce(logits, -2, keepdims=True)  # logits untouched
+    z = logits - np.maximum.reduce(logits, 0, keepdims=True)  # logits untouched
     np.maximum(z, -800.0, out=z)
     p = np.exp(z)
-    s = np.add.reduce(p, -2, keepdims=True)
+    s = np.add.reduce(p, 0, keepdims=True)
     p /= s
     log_s = np.log(s)
-    ent = log_s[..., 0, :] - np.add.reduce(p * z, -2)   # (..., B)
+    ent = log_s[0] - np.add.reduce(p * z, 0)   # (..., B)
     # dE/dlogit_j = -p_j (log p_j + E) per sample, built in z
     z -= log_s
-    z += ent[..., None, :]
+    z += ent
     z *= p
     z /= -logits.shape[-1]
     return np.add.reduce(ent, -1) / ent.shape[-1], z    # np.mean's own arithmetic
+
+
+def _labels(cfg: SuiteConfig) -> np.ndarray:
+    """Global label id of each class, a row per label offset (task i's: i * C)."""
+    offsets = cfg.label_offsets or tuple(i * cfg.n_classes for i in range(cfg.n_tasks))
+    return np.add.outer(np.asarray(offsets, dtype=np.int64), np.arange(cfg.n_classes))
 
 
 def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
@@ -191,8 +199,7 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
     # into in-row-space and complement components
     q, _ = np.linalg.qr(gen.standard_normal((cfg.m, cfg.base_rank)))  # (m, base_rank)
     w0 = gen.standard_normal((cfg.d, cfg.base_rank)) @ q.T / np.sqrt(cfg.base_rank)
-    offsets = cfg.label_offsets or tuple(i * cfg.n_classes for i in range(cfg.n_tasks))
-    if len(offsets) != cfg.n_tasks:
+    if len(labels := _labels(cfg)) != cfg.n_tasks:
         raise CodedError("label_offsets length must equal n_tasks")
 
     n, sizes = cfg.n_tasks, {"train": cfg.n_train, "eval": cfg.n_eval, "adapt": cfg.n_adapt}
@@ -216,7 +223,7 @@ def generate_suite(config: SuiteConfig | None = None, **overrides) -> TaskSuite:
         train_x=x["train"], train_y=y["train"],
         eval_x=x["eval"], eval_y=y["eval"],
         adapt_x=x["adapt"],
-        labels=np.add.outer(np.asarray(offsets, dtype=np.int64), np.arange(cfg.n_classes)),
+        labels=labels,
         heads=None,
         references=[None] * n,
     )
@@ -373,7 +380,7 @@ def _suite_fields(cfg: SuiteConfig) -> dict:
 def _check_suite(cfg: SuiteConfig, coll: AdapterCollection, tensors: dict, path) -> None:
     """A base of shape (d, m), the adapters of tasks task0..task{N-1}, and every
     suite field with the dtype and shape cfg implies, heads also absent, labels
-    in range."""
+    in range, and the label ids of cfg's label_offsets."""
     want = {SUITE_KEY + name: spec for name, spec in _suite_fields(cfg).items()}
     if not want.keys() & tensors.keys():
         raise CodedError(
@@ -398,6 +405,9 @@ def _check_suite(cfg: SuiteConfig, coll: AdapterCollection, tensors: dict, path)
         if key.endswith("_y") and (arr.min() < 0 or arr.max() >= cfg.n_classes):
             raise CodedError(f"{path}: {key} holds labels outside [0, n_classes)",
                                code="bad_suite")
+    if not np.array_equal(tensors[SUITE_KEY + "labels"], _labels(cfg)):
+        raise CodedError(f"{path}: {SUITE_KEY}labels are not those of label_offsets "
+                         f"{cfg.label_offsets} for {cfg.n_tasks} tasks", code="bad_suite")
     if coll.layer_ids != [LAYER_ID] or coll.base[LAYER_ID].shape != (cfg.d, cfg.m):
         raise CodedError(f"{path}: base weights do not fit a d={cfg.d}, m={cfg.m} suite",
                          code="bad_suite")

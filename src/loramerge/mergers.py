@@ -40,6 +40,7 @@ METHODS = tuple(_MERGERS)
 
 @dataclass
 class MergeConfig:
+    """A baseline merge method and every setting the mergers read."""
     method: str
     lam: float = 0.3
     trim_fraction: float = 0.7

@@ -39,6 +39,7 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class DirectionBasis:
+    """Per layer, the rank-1 columns TARA or AdaMerging weights and the phi entry of each."""
     variant: str                          # "a", "b", or "adamerging"
     layer_ids: list[str]
     base: dict[str, np.ndarray]
@@ -57,6 +58,7 @@ class DirectionBasis:
 
 @dataclass
 class StchConfig:
+    """Smoothing temperature alpha and per-task anchors of the Tchebycheff objective."""
     alpha: float = 1.0
     anchors: np.ndarray | None = None
 
@@ -67,6 +69,7 @@ class StchConfig:
 
 @dataclass
 class OptimConfig:
+    """Adam step size, batch size, step count and batch-schedule seed."""
     lr: float = 0.001
     batch_size: int = 16
     iters: int = 500
@@ -84,6 +87,7 @@ class OptimConfig:
 
 @dataclass
 class OptimTrace:
+    """Every step's objective and per-task entropies, one column per point."""
     steps: np.ndarray      # (iters,)
     objective: np.ndarray  # (iters, P); a point's: (iters,)
     per_task: np.ndarray   # (iters, P, N); a point's: (iters, N)
@@ -157,17 +161,15 @@ def build_adamerging(coll: AdapterCollection) -> DirectionBasis:
 
 
 def _coefficients(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """coef_k = sigma_k phi_{group_k} of every column per layer, (..., K) from (..., counts)."""
+    """phi_{group_k} of every sigma-scaled column per layer, (..., K) from (..., counts)."""
     coef = {}
     for layer in basis.layer_ids:
-        p = np.asarray(phi[layer], dtype=np.float64)
+        p = coef[layer] = np.asarray(phi[layer], dtype=np.float64)  # A and B: phi itself
         if p.shape[-1:] != (basis.counts[layer],):
             raise CodedError(f"phi of shape {p.shape} does not end in {basis.counts[layer]} "
                              f"components at {layer}")
-        if basis.variant == "adamerging":  # A and B: column k is phi entry k
-            # np.take gives C order, unlike p[..., idx]
-            p = np.take(p, basis.groups[layer], axis=-1)
-        coef[layer] = basis.layers[layer].sigma * p
+        if basis.variant == "adamerging":  # np.take gives C order, unlike p[..., idx]
+            coef[layer] = np.take(p, basis.groups[layer], axis=-1)
     return coef
 
 
@@ -176,11 +178,11 @@ def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.
     A (P, K) phi gives (P, d, m) weights, one per row. The stacked product makes
     one (d, K) @ (K, m) GEMM per row, the call a single row makes, so a row's bits
     do not depend on P (one 2-D GEMM over P*d rows may pick another kernel)."""
-    return {
-        layer: basis.base[layer] + (basis.layers[layer].left * c[..., None, :])
-        @ basis.layers[layer].right.T
-        for layer, c in _coefficients(basis, phi).items()
-    }
+    out = {}
+    for layer, c in _coefficients(basis, phi).items():
+        s = basis.layers[layer]
+        out[layer] = basis.base[layer] + (s.left * (s.sigma * c)[..., None, :]) @ s.right.T
+    return out
 
 
 def _check_suite_order(task_ids: list[str], suite) -> None:
@@ -197,12 +199,12 @@ def _check_suite_order(task_ids: list[str], suite) -> None:
 
 def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
     """z_i: mean entropy on task i's whole adaptation pool with only adapter i
-    applied, for all tasks in one scorer call: point i of the scaled adapter
-    stack keeps adapter i's columns, and z is the diagonal of the (n, n) result."""
+    applied, for all tasks in one scorer call: point i of the scaled adapter stack
+    weights adapter i's columns 1 and the rest 0; z is the (n, n) result's diagonal."""
     _check_suite_order(coll.task_ids, suite)
     n, stacks = coll.n_tasks, _adapter_stacks(coll)
     own = np.arange(n)[:, None]
-    coef = {l: np.where(own == s.owner, s.sigma, 0.0) for l, s in stacks.items()}
+    coef = {l: (own == s.owner).astype(np.float64) for l, s in stacks.items()}
     f, _ = suite.factor_scorer(coll.base, stacks, suite.adapt_x[:n])(coef, None)
     return f.diagonal().copy()
 
@@ -220,20 +222,20 @@ def _stch(f, z, rho, alpha):
     total = np.add.reduce(grad, -1, keepdims=True)
     grad /= total
     grad *= rho
-    grad *= np.sign(r)
+    np.copysign(grad, r, out=grad)
     np.copyto(grad, 0.0, where=a < RESIDUAL_DEADBAND)
     return alpha * (tmax + np.log(total))[..., 0], grad
 
 
 def _phi_gradient(basis: DirectionBasis, col_grads: dict, dpsi_df: np.ndarray):
-    """g = sigma_k sum_i c_i df_i/dcoef_k for every column, summed over the
-    columns that share each phi entry; (..., counts) from (..., N) c and
-    (..., N, K) column gradients."""
+    """g = sum_i c_i df_i/dcoef_k for every column, summed over the columns that
+    share each phi entry; (..., counts) from (..., N) c and (..., N, K) column
+    gradients."""
     c = dpsi_df.reshape(-1, 1, dpsi_df.shape[-1])  # (P, 1, N)
     out = {}
     for layer in basis.layer_ids:
         g, k = col_grads[layer], basis.counts[layer]
-        cols = basis.layers[layer].sigma * (c @ g.reshape(len(c), *g.shape[-2:]))[:, 0]
+        cols = (c @ g.reshape(len(c), *g.shape[-2:]))[:, 0]
         if basis.variant == "adamerging":  # A and B: one column per phi entry
             bins = basis.groups[layer] + k * np.arange(len(c))[:, None]  # row p: bins p*k...
             cols = np.bincount(bins.ravel(), cols.ravel(), len(c) * k)

@@ -704,12 +704,16 @@ class TestMalformedSuite:
             (None, _edit("train_x", lambda a: a[:, 1:]), "bad_suite"),
             (None, _edit("eval_y", lambda a: a + 9), "bad_suite"),
             (None, _edit("heads", lambda a: a.swapaxes(1, 2).copy()), "bad_suite"),
+            (lambda doc: {**doc, "config": {**doc["config"], "label_offsets": [0, 0, 0]}},
+             None, "bad_suite"),
+            (lambda doc: {**doc, "config": {**doc["config"], "label_offsets": [7, 7]}},
+             None, "bad_suite"),
         ],
         ids=["empty", "list", "no_references", "string_n_tasks", "unknown_field",
              "null_float", "zero_tasks", "short_references", "string_reference",
              "zero_reference", "negative_reference",
              "no_suite_tensors", "per_task_layout", "missing_tensor", "short_train_x",
-             "label_range", "head_shape"],
+             "label_range", "head_shape", "label_offsets_length", "label_offsets_values"],
     )
     def test_eval_exits_2(self, tmp_path, capsys, trained_and_merged, edit_sidecar,
                           edit_tensors, code):

@@ -391,26 +391,27 @@ class _PerTaskSuite:
     def factor_scorer(self, base, stacks, pools):
         s = stacks["layer0"]
 
-        def score(coef, idx):  # (P, K) coef; idx None scores the whole pools
+        def score(coef, idx):  # (P, K) coef of sigma-scaled columns; idx None: whole pools
             batches = pools if idx is None else pools[np.arange(len(pools))[:, None], idx]
             f, cols = [], []
             for c in coef["layer0"]:
                 fp, g = self.dense_entropy_and_grad(
-                    {"layer0": base["layer0"] + (s.left * c) @ s.right.T}, batches)
+                    {"layer0": base["layer0"] + (s.left * (s.sigma * c)) @ s.right.T}, batches)
                 f.append(fp)
-                cols.append(np.sum(s.left * (g["layer0"] @ s.right), axis=-2))
+                cols.append(s.project(g["layer0"]))
             return np.stack(f), {"layer0": np.stack(cols)}
 
         return score
 
 
 def reference_factor_scorer(suite, base, stacks, n):
-    """TaskSuite.factor_scorer as it was before its per-run pool products: its
-    score(coef, batches) multiplies each call's (n, B, m) batches and scores
-    (..., B, C) logits with the log-sum-exp reference helper. At C < 8 the suite's
-    scorer(coef, idx) must match it bit for bit on batches = pools[tasks, idx]."""
+    """TaskSuite.factor_scorer as it was before its per-run pool products, with
+    sigma folded into H left: its score(coef, batches) multiplies each call's
+    (n, B, m) batches and scores (..., B, C) logits with the log-sum-exp reference
+    helper. At C < 8 the suite's scorer(coef, idx) must match it bit for bit on
+    batches = pools[tasks, idx]."""
     h, s = suite.heads[:n], stacks["layer0"]
-    hl = h @ s.left
+    hl = h @ (s.left * s.sigma)
     hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base["layer0"], -1, -2)
 
     def score(coef, batches):
@@ -471,13 +472,13 @@ class TestEntropyHelper:
     @settings(max_examples=300, deadline=None)
     @given(logits=_logits(), contiguous=st.booleans())
     def test_bits_match_the_reference(self, logits, contiguous):
-        """The helper takes class-major logits: a contiguous copy, as the scorer
+        """The helper takes class-first logits: a contiguous copy, as the scorer
         passes, or a view of (..., B, C) memory."""
-        class_major = np.swapaxes(logits, -1, -2)
+        class_first = np.moveaxis(logits, -1, 0)
         with np.errstate(all="ignore"):
             f, dl = harness._entropy_and_dlogits(
-                class_major.copy() if contiguous else class_major)
-            got = f, np.swapaxes(dl, -1, -2)
+                class_first.copy() if contiguous else class_first)
+            got = f, np.moveaxis(dl, 0, -1)
             want = reference_lse_entropy_and_dlogits(logits)
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
@@ -492,8 +493,8 @@ class TestEntropyHelper:
         the same NaNs, and finite entries to rounding. The absolute term covers
         near-zero entropies, where log p of a p near 1 rounds."""
         with np.errstate(all="ignore"):
-            f, dl = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
-            got = f, np.swapaxes(dl, -1, -2)
+            f, dl = harness._entropy_and_dlogits(np.moveaxis(logits, -1, 0).copy())
+            got = f, np.moveaxis(dl, 0, -1)
             want = reference_entropy_and_dlogits(logits)
         for g, w in zip(got, want):
             assert np.array_equal(np.isnan(g), np.isnan(w))
@@ -505,7 +506,7 @@ class TestEntropyHelper:
     def test_mean_entropy_is_bounded(self, logits):
         """The bound TARA's objective rests on: for finite logits the mean
         entropy lies in [0, log C], up to rounding."""
-        f, _ = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
+        f, _ = harness._entropy_and_dlogits(np.moveaxis(logits, -1, 0).copy())
         assert np.all(f >= 0) and np.all(f <= np.log(logits.shape[-1]) + 1e-12)
 
     def test_nine_classes_match_the_reference_to_rounding(self, nine_class_suite):
@@ -513,10 +514,10 @@ class TestEntropyHelper:
         in sequence, so the bits may differ; the values agree to rounding."""
         suite, _ = nine_class_suite
         logits = suite.adapt_x @ suite.base["layer0"].T @ np.swapaxes(suite.heads, -1, -2)
-        f, dl = harness._entropy_and_dlogits(np.swapaxes(logits, -1, -2).copy())
+        f, dl = harness._entropy_and_dlogits(np.moveaxis(logits, -1, 0).copy())
         want_f, want_dl = reference_entropy_and_dlogits(logits)
         assert np.max(np.abs(f - want_f)) <= 1e-12 * np.max(np.abs(want_f))
-        assert (np.max(np.abs(np.swapaxes(dl, -1, -2) - want_dl))
+        assert (np.max(np.abs(np.moveaxis(dl, 0, -1) - want_dl))
                 <= 1e-12 * np.max(np.abs(want_dl)))
 
 

@@ -111,9 +111,14 @@ class TestStreamKeys:
             substream(seed, "x")
         assert exc.value.code == "bad_tag"
 
-    def test_dare_masks_ignore_the_task_id_type(self):
-        """np.str_ task ids compare equal to their str ids, and draw the same
-        DARE masks."""
+    @pytest.mark.parametrize("method,drop_prob", [
+        (method, p) for method in mergers.METHODS
+        for p in ((0.5, 0.9) if "dare" in method else (0.5,))
+    ])
+    def test_merges_ignore_the_task_id_type(self, method, drop_prob):
+        """np.str_ task ids compare equal to their str ids, and every method
+        merges them to the same bits, DARE's masks and LoRA-LEGO's seeding and
+        task-id order included."""
         coll = random_collection(seed=3, n_tasks=3)
         numpy_ids = AdapterCollection(
             layer_ids=list(coll.layer_ids), task_ids=[np.str_(t) for t in coll.task_ids],
@@ -121,7 +126,7 @@ class TestStreamKeys:
             adapters={l: [dataclasses.replace(ad, task_id=np.str_(ad.task_id)) for ad in ads]
                       for l, ads in coll.adapters.items()},
         )
-        cfg = mergers.MergeConfig("dare_ties")
+        cfg = mergers.MergeConfig(method, drop_prob=drop_prob, k_clusters=4, target_rank=4)
         got, want = mergers.run_merge(numpy_ids, cfg), mergers.run_merge(coll, cfg)
         for layer in coll.layer_ids:
             assert np.array_equal(got[layer], want[layer])

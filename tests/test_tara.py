@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -250,7 +251,7 @@ class TestGradient:
     @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
     def test_matches_finite_differences_at_nine_classes(self, variant, nine_class_suite):
         """At C >= 8 the class sums are pairwise in numpy's (..., B, C) reductions
-        and sequential in the class-major ones; the gradient is exact either way."""
+        and sequential in the class-first ones; the gradient is exact either way."""
         assert _worst_fd_error(*nine_class_suite, variant) <= 1e-4
 
     def test_requires_anchors(self, small_suite):
@@ -324,6 +325,16 @@ def _random_head_suite(d, m, n_tasks=3):
     return suite
 
 
+PHI_FORM_RTOL = 1e-12  # phi coordinates against the coefficient form, relative to its max
+
+
+@functools.lru_cache(maxsize=1)
+def _sigma_suite():
+    """A random-head suite and rank-4 adapters, whose columns have sigma 4."""
+    coll = random_collection(seed=1, n_tasks=3, layers=("layer0",), d=32, m=24, rank=4)
+    return _random_head_suite(32, 24), coll
+
+
 class TestFactoredStep:
     """The factored step scores and differentiates phi through X right and
     H left; it matches the dense step to rounding."""
@@ -367,7 +378,7 @@ class TestFactoredStep:
            seed=st.integers(0, 2**32 - 1), repeats=st.booleans())
     def test_bits_match_the_reference_scorer(self, default_suite, variant, points, seed,
                                              repeats):
-        """Gathering rows of the per-run pool products and scoring class-major
+        """Gathering rows of the per-run pool products and scoring class-first
         logits keeps every bit of the per-batch scorer on the gathered batches,
         at the default 5 classes and 16 rows, with rows repeated or not."""
         suite, coll = default_suite
@@ -383,6 +394,31 @@ class TestFactoredStep:
             coef, pools[np.arange(coll.n_tasks)[:, None], idx])
         assert np.array_equal(f, want_f)
         assert np.array_equal(grad["layer0"], want_grad["layer0"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(["a", "b", "adamerging"]), points=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_phi_coordinates_match_the_coefficient_form(self, variant, points, seed):
+        """The scorer takes phi and folds each column's sigma into H left: it
+        matches the coefficient-space form, the same columns at unit sigma scored
+        at coef = sigma * phi, with its gradient times sigma, to PHI_FORM_RTOL. The
+        rank-4 adapters make sigma = lora_alpha / rank = 4 in variants A and
+        AdaMerging too."""
+        suite, coll = _sigma_suite()
+        basis = _BUILDERS[variant](coll)
+        stack, n = basis.layers["layer0"], coll.n_tasks
+        gen = np.random.default_rng(seed)
+        coef = tara._coefficients(
+            basis, {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids})
+        idx = gen.integers(0, suite.adapt_x.shape[1], (n, 16))
+        f, grad = _scorer(suite, basis)(coef, idx)
+        unit = {"layer0": dataclasses.replace(stack, sigma=np.ones_like(stack.sigma))}
+        want_f, want_grad = reference_factor_scorer(suite, basis.base, unit, n)(
+            {"layer0": stack.sigma * coef["layer0"]}, suite.adapt_x[np.arange(n)[:, None], idx])
+        want_grad = stack.sigma * want_grad["layer0"]
+        assert np.max(np.abs(f - want_f)) <= PHI_FORM_RTOL * np.max(np.abs(want_f))
+        err = np.max(np.abs(grad["layer0"] - want_grad))
+        assert err <= PHI_FORM_RTOL * np.max(np.abs(want_grad))
 
     @pytest.mark.parametrize("variant", ["a", "b", "adamerging"])
     def test_nine_classes_match_the_reference_scorer_to_rounding(self, nine_class_suite,
@@ -562,8 +598,7 @@ class TestOptimize:
 
 def _earlier_coefficients(basis, phi):
     """tara._coefficients before variants A and B skipped their identity take."""
-    return {l: basis.layers[l].sigma * np.take(np.asarray(phi[l], dtype=np.float64),
-                                                basis.groups[l], axis=-1)
+    return {l: np.take(np.asarray(phi[l], dtype=np.float64), basis.groups[l], axis=-1)
             for l in basis.layer_ids}
 
 
@@ -585,7 +620,7 @@ def _bincount_phi_gradient(basis, col_grads, dpsi_df):
     out = {}
     for layer in basis.layer_ids:
         g, k = col_grads[layer], basis.counts[layer]
-        cols = basis.layers[layer].sigma * (c @ g.reshape(len(c), *g.shape[-2:]))[:, 0]
+        cols = (c @ g.reshape(len(c), *g.shape[-2:]))[:, 0]
         bins = basis.groups[layer] + k * np.arange(len(c))[:, None]
         out[layer] = np.bincount(bins.ravel(), cols.ravel(),
                                  len(c) * k).reshape(dpsi_df.shape[:-1] + (k,))
