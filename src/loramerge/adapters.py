@@ -46,16 +46,18 @@ class LoraAdapter:
         a = np.asarray(self.a, dtype=np.float64)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "a", a)
+        where = f"{self.task_id}/{self.layer_id}"
         if b.ndim != 2 or a.ndim != 2:
-            raise ValueError("adapter factors must be 2-D")
+            raise CodedError(f"{where}: adapter factors must be 2-D", code="bad_adapter")
         if b.shape[1] != self.rank or a.shape[1] != self.rank:
-            raise ValueError(
-                f"factor columns must equal rank {self.rank}: B {b.shape}, A {a.shape}"
-            )
+            raise CodedError(f"{where}: factor columns must equal rank {self.rank}: "
+                             f"B {b.shape}, A {a.shape}", code="bad_adapter")
         if self.rank < 1 or self.rank > min(b.shape[0], a.shape[0]):
-            raise ValueError(f"rank {self.rank} outside [1, min(d, m)]")
+            raise CodedError(f"{where}: rank {self.rank} outside [1, min(d, m)]",
+                             code="bad_adapter")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
-            raise ValueError("adapter factors contain non-finite entries")
+            raise CodedError(f"{where}: adapter factors contain non-finite entries",
+                             code="bad_adapter")
 
     @property
     def scale(self) -> float:
@@ -135,27 +137,26 @@ class AdapterCollection:
 
     def validate(self):
         if len(set(self.layer_ids)) != len(self.layer_ids):
-            raise ValueError("duplicate layer ids")
+            raise CodedError("duplicate layer ids", code="bad_collection")
         if len(set(self.task_ids)) != len(self.task_ids):
-            raise ValueError("duplicate task ids")
+            raise CodedError("duplicate task ids", code="bad_collection")
         for layer in self.layer_ids:
             if layer not in self.base:
-                raise ValueError(f"missing base weight for layer {layer!r}")
+                raise CodedError(f"missing base weight for layer {layer!r}", code="bad_collection")
             w0 = np.asarray(self.base[layer], dtype=np.float64)
             if w0.ndim != 2:
-                raise ValueError(f"base weight of layer {layer!r} has shape {w0.shape}")
+                raise CodedError(f"base weight of layer {layer!r} has shape {w0.shape}",
+                                 code="bad_collection")
             self.base[layer] = w0
             ads = self.adapters.get(layer, [])
             if [ad.task_id for ad in ads] != self.task_ids:
-                raise ValueError(
-                    f"layer {layer!r} task order differs from collection task order"
-                )
+                raise CodedError(f"layer {layer!r} task order differs from collection task "
+                                 "order", code="bad_collection")
             d, m = w0.shape
             for ad in ads:
                 if ad.b.shape[0] != d or ad.a.shape[0] != m:
-                    raise ValueError(
-                        f"adapter {ad.task_id}/{layer} shape mismatch with base {w0.shape}"
-                    )
+                    raise CodedError(f"adapter {ad.task_id}/{layer} shape mismatch with base "
+                                     f"{w0.shape}", code="bad_collection")
 
     @property
     def n_tasks(self) -> int:
@@ -310,26 +311,20 @@ def read_container(path) -> tuple[AdapterCollection, dict[str, np.ndarray]]:
                 raise CodedError(f"missing tensor {exc}", code="size_mismatch") from exc
             own.update(keys)
             m = header["adapters"][task][layer]
-            try:
-                adapters[layer].append(
-                    LoraAdapter(
-                        task_id=task,
-                        layer_id=layer,
-                        b=b,
-                        a=a,
-                        rank=m["rank"],
-                        lora_alpha=float(m["lora_alpha"]),
-                        dropout_meta=float(m["dropout"]),
-                    )
+            adapters[layer].append(
+                LoraAdapter(
+                    task_id=task,
+                    layer_id=layer,
+                    b=b,
+                    a=a,
+                    rank=m["rank"],
+                    lora_alpha=float(m["lora_alpha"]),
+                    dropout_meta=float(m["dropout"]),
                 )
-            except ValueError as exc:  # rank or factor shapes that do not fit
-                raise CodedError(f"{task}/{layer}: {exc}", code="bad_adapter") from exc
-    try:
-        coll = AdapterCollection(
-            layer_ids=layer_ids, task_ids=task_ids, base=base, adapters=adapters
-        )
-    except ValueError as exc:  # duplicate ids, factors that do not fit the base
-        raise CodedError(str(exc), code="bad_collection") from exc
+            )
+    coll = AdapterCollection(
+        layer_ids=layer_ids, task_ids=task_ids, base=base, adapters=adapters
+    )
     return coll, {k: arr.copy() for k, arr in arrays.items() if k not in own}
 
 

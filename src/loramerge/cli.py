@@ -143,7 +143,7 @@ def cmd_train_toy(args) -> int:
         suite, seed=seed, **{k: v for k, v in config.items() if k not in suite_keys})
     run = _run_dir(args.out, seed)
     harness.save_suite(suite, coll, run / "suite.lmk", run / "suite.json")
-    refs = {f"task{i}": suite.references[i] for i in range(suite.n_tasks)}
+    refs = dict(zip(harness.task_ids(suite.n_tasks), suite.references))
     (run / "references.json").write_text(json.dumps(refs, indent=1))
     for task, acc in refs.items():
         print(f"{task}: fine-tuned eval accuracy {acc:.4f}")

@@ -153,28 +153,21 @@ def layer_directions(coll: AdapterCollection, layer_id: str) -> FactorStack:
 
 def ta_jacobian(coll: AdapterCollection, suite, layer_id: str, lam: float,
                 stack: FactorStack | None = None) -> Jacobian:
-    """J[i, k] = df_i/dphi_k: the gradient of collection task i's label-free loss
-    on its whole adaptation pool along the stack's column k, sigma_k left_k
-    right_k^T, at the scaled-sum merge W0 + lam sum_i dW_i, from one call of the
-    suite's factor scorer; no (d, m) gradient is formed. The stack defaults to the
+    """J[i, k] = df_i/dphi_k: the gradient of task i's label-free loss on its
+    whole adaptation pool along the stack's column k, sigma_k left_k right_k^T,
+    at the scaled-sum merge W0 + lam sum_i dW_i, from one call of the suite's
+    factor scorer, which refuses a collection other than the suite's tasks and
+    layer (bad_suite); no (d, m) gradient is formed. The stack defaults to the
     raw directions (sigma 1), at phi = lam times each column's adapter scale; a
     given stack must reach the merge at phi = lam, as variant B's shared basis
-    does. Row i is the suite row of collection task i, "task{i}"."""
-    rows = {f"task{i}": i for i in range(suite.n_tasks)}
-    unknown = [t for t in coll.task_ids if t not in rows]
-    if unknown:
-        raise CodedError(
-            f"tasks {unknown} are not in a suite of {suite.n_tasks} tasks", code="unknown_task"
-        )
+    does."""
     if stack is None:
         stack = layer_directions(coll, layer_id)
         phi = lam * rank1_stack(coll.adapters[layer_id], scaled=True).sigma
     else:
         phi = np.full(stack.sigma.size, lam)
-    score = suite.factor_scorer({layer_id: coll.base[layer_id]}, {layer_id: stack},
-                                suite.adapt_x)
-    _, grad = score({layer_id: phi}, None)
-    return Jacobian(entries=grad[layer_id][[rows[t] for t in coll.task_ids]])
+    _, grad = suite.factor_scorer(coll, {layer_id: stack})({layer_id: phi}, None)
+    return Jacobian(entries=grad[layer_id])
 
 
 def xi_protocol(j: Jacobian) -> float:

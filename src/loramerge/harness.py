@@ -102,34 +102,37 @@ class TaskSuite:
             raise CodedError("the suite has no trained heads")
         return self.heads
 
-    def factor_scorer(self, base: dict, stacks: dict, pools: np.ndarray):
-        """Scorer of tasks 0..n-1 of the (n, pool, m) pools at W = W0 + left
+    def factor_scorer(self, coll, stacks: dict):
+        """Scorer of every suite task on its adaptation pool at W = W0 + left
         diag(sigma coef) right^T, in factor space: no (d, m) weight or gradient.
+        W0 is the base of coll, an AdapterCollection or a DirectionBasis, which
+        must pass _check_collection, applied here once per run.
 
         logits = X (H W0)^T + (X right) (coef * (H left sigma)^T): the scorer holds
-        H left sigma (n, C, K) and the pool products X right (n, pool, K) and
-        X (H W0)^T (n, pool, C), made once per run. It is entropy_and_grad bound to
+        H left sigma (N, C, K) and the pool products X right (N, pool, K) and
+        X (H W0)^T (N, pool, C), made once per run. It is entropy_and_grad bound to
         them, so scorer(coef, idx) scores one step.
         """
-        n, pool = pools.shape[:2]
-        h, s = self._trained_heads()[:n], stacks[LAYER_ID]
+        _check_collection(self.config, coll)
+        h, s = self._trained_heads(), stacks[LAYER_ID]
         hl = h @ (s.left * s.sigma)
-        hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base[LAYER_ID], -1, -2)
-        xr, xhw0 = ((pools @ x).reshape(n * pool, -1) for x in (s.right, hw0_t))
+        hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ coll.base[LAYER_ID], -1, -2)
+        n, pool = self.adapt_x.shape[:2]
+        xr, xhw0 = ((self.adapt_x @ x).reshape(n * pool, -1) for x in (s.right, hw0_t))
         first = pool * np.arange(n)[:, None]  # flat row of each task's row 0
         return functools.partial(self.entropy_and_grad, (hl, hl_t, xr, xhw0, first))
 
     def entropy_and_grad(self, products: tuple, coef: dict, idx: np.ndarray | None):
-        """Mean entropies of tasks 0..n-1 and their gradients along the columns,
+        """Mean entropies of the N tasks and their gradients along the columns,
         on the pool rows idx, from the per-run products of factor_scorer.
 
         coef is {LAYER_ID: (..., K)}, each sigma-scaled column's multiplier (phi of
-        variants A and B), and idx (n, B) row indices in [0, pool), unchecked, as
+        variants A and B), and idx (N, B) row indices in [0, pool), unchecked, as
         batch_schedule draws them, or None for every pool row in order, read as
-        views of the products; row i is scored by head i. Returns f (..., n) and
-        {LAYER_ID: (..., n, K)} df_i/dcoef_k = sum_c (H left sigma)_ck (dlogits X
+        views of the products; row i is scored by head i. Returns f (..., N) and
+        {LAYER_ID: (..., N, K)} df_i/dcoef_k = sum_c (H left sigma)_ck (dlogits X
         right)_ck. The entropy helper gets a class-first copy of the logits, and
-        the backward GEMM reads its dlogits as a class-major (..., n, C, B) view.
+        the backward GEMM reads its dlogits as a class-major (..., N, C, B) view.
         Every GEMM keeps the per-batch kernel, one per (point, task), so a point's
         bits depend neither on the leading axes nor on gathering rows."""
         hl, hl_t, xr, xhw0, first = products
@@ -139,12 +142,12 @@ class TaskSuite:
             raise CodedError(f"{len(idx)} batches for a scorer of {len(first)} tasks")
         else:
             rows = first + idx
-            xr_b, xhw0_b = xr.take(rows, 0), xhw0.take(rows, 0)  # (n, B, K), (n, B, C)
-        logits = xr_b @ (coef[LAYER_ID][..., None, :, None] * hl_t)  # (..., n, B, C)
+            xr_b, xhw0_b = xr.take(rows, 0), xhw0.take(rows, 0)  # (N, B, K), (N, B, C)
+        logits = xr_b @ (coef[LAYER_ID][..., None, :, None] * hl_t)  # (..., N, B, C)
         logits += xhw0_b
         lead, (b, c) = logits.shape[:-2], logits.shape[-2:]
         f, dl = _entropy_and_dlogits(logits.reshape(-1, b, c).transpose(2, 0, 1).copy())
-        dl = dl.transpose(1, 0, 2).reshape(lead + (c, b))           # (..., n, C, B)
+        dl = dl.transpose(1, 0, 2).reshape(lead + (c, b))           # (..., N, C, B)
         grad = np.einsum("...nck,nck->...nk", dl @ xr_b, hl)
         return f.reshape(lead), {LAYER_ID: grad}
 
@@ -157,10 +160,10 @@ class TaskSuite:
         return float(np.mean(np.argmax(logits, axis=1) == self.eval_y[task]))
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:  # over the C axis of (..., C, B) logits
-    e = z - np.maximum.reduce(z, -2, keepdims=True)  # z's memory order
+def _softmax(z: np.ndarray) -> np.ndarray:  # over the C axis of (C, ..., B) logits
+    e = z - np.maximum.reduce(z, 0, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, -2, keepdims=True)
+    e /= np.add.reduce(e, 0, keepdims=True)
     return e
 
 
@@ -260,19 +263,22 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
     h[:] = [0.01 * g.standard_normal((cfg.n_classes, cfg.d)) for g in inits]
     train_x = suite.train_x.reshape(n * cfg.n_train, cfg.m)
     # every step's (N, B) rows of the flattened train arrays, and the flat index of
-    # each row's true-label probability in a step's (N, C, B) p
+    # each row's true-label probability in a step's (C, N, B) p, built in place (a
+    # freed (steps, N, B) temporary raised the process's peak RSS by 0.5 MB)
     rows = task_integers(seed, [("finetune", i, "batch") for i in range(n)], cfg.n_train,
                          steps, FINETUNE_BATCH)
     rows += cfg.n_train * np.arange(n)[:, None]
-    picks = suite.train_y.take(rows) + cfg.n_classes * np.arange(n)[:, None]
+    picks = suite.train_y.take(rows)
+    picks *= n
+    picks += np.arange(n)[:, None]
     picks *= FINETUNE_BATCH
     picks += np.arange(FINETUNE_BATCH)
     limit = None
     for t in range(steps):
         x = train_x.take(rows[t], 0)                                        # (N, B, m)
         z = x @ (w0 + scale * b @ a.swapaxes(1, 2)).swapaxes(1, 2)
-        # the softmax runs class-major; every product keeps its (N, B, C) operand
-        p = _softmax((z @ h.swapaxes(1, 2)).swapaxes(1, 2).copy())          # (N, C, B)
+        # the softmax runs class-first; every product keeps its (N, B, C) operand
+        p = _softmax((z @ h.swapaxes(1, 2)).transpose(2, 0, 1).copy())      # (C, N, B)
         flat, pick = p.reshape(-1), picks[t]
         loss = np.add.reduce(np.log(np.maximum(flat.take(pick), 1e-300)), 1) / -FINETUNE_BATCH
         if limit is None:
@@ -284,7 +290,7 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
                 f"initial at step {t}"
             )
         flat[pick] -= 1.0
-        dl = p.swapaxes(1, 2).copy()                                        # (N, B, C)
+        dl = p.transpose(1, 2, 0).copy()                                    # (N, B, C)
         dl /= FINETUNE_BATCH
         dw = scale * ((dl @ h).swapaxes(1, 2) @ x)
         np.matmul(dw, a, out=gb)
@@ -295,8 +301,8 @@ def finetune_all(suite: TaskSuite, rank: int = 16, steps: int = 300, lr: float =
     suite.heads = h
     suite.references = [suite.accuracy(i, {LAYER_ID: w0 + scale * b[i] @ a[i].T})
                         for i in range(n)]
-    adapters = [LoraAdapter(task_id=f"task{i}", layer_id=LAYER_ID, b=b[i], a=a[i], rank=rank,
-                            lora_alpha=LORA_ALPHA) for i in range(n)]
+    adapters = [LoraAdapter(task_id=t, layer_id=LAYER_ID, b=b[i], a=a[i], rank=rank,
+                            lora_alpha=LORA_ALPHA) for i, t in enumerate(task_ids(n))]
     return AdapterCollection(
         layer_ids=[LAYER_ID],
         task_ids=[ad.task_id for ad in adapters],
@@ -319,7 +325,7 @@ def evaluate(weights: dict, suite: TaskSuite) -> EvalReport:
         absolute.append(acc)
         normalized.append(acc / suite.references[i])
     return EvalReport(
-        task_ids=[f"task{i}" for i in range(suite.n_tasks)],
+        task_ids=task_ids(suite.n_tasks),
         absolute=absolute,
         normalized=normalized,
         avg_absolute=float(np.mean(absolute)),
@@ -377,10 +383,29 @@ def _suite_fields(cfg: SuiteConfig) -> dict:
     }
 
 
+def task_ids(n: int) -> list[str]:
+    """The ids of a suite's n tasks: fine-tuning names suite task i "task{i}"."""
+    return [f"task{i}" for i in range(n)]
+
+
+def _check_collection(cfg: SuiteConfig, coll, where: str = "") -> None:
+    """The one rule for what a suite scores or stores, as suite row i scores
+    task i: coll, an AdapterCollection or a DirectionBasis, holds exactly the
+    suite's one layer LAYER_ID, with a (d, m) base, and exactly the tasks
+    task_ids(N) in order. where prefixes the bad_suite message."""
+    if coll.layer_ids != [LAYER_ID] or coll.base[LAYER_ID].shape != (cfg.d, cfg.m):
+        raise CodedError(f"{where}base weights of layers {coll.layer_ids} do not fit the "
+                         f"suite's one layer {LAYER_ID} of shape ({cfg.d}, {cfg.m})",
+                         code="bad_suite")
+    if coll.task_ids != (tasks := task_ids(cfg.n_tasks)):
+        raise CodedError(f"{where}tasks {coll.task_ids} are not the suite's {tasks} in order",
+                         code="bad_suite")
+
+
 def _check_suite(cfg: SuiteConfig, coll: AdapterCollection, tensors: dict, path) -> None:
-    """A base of shape (d, m), the adapters of tasks task0..task{N-1}, and every
-    suite field with the dtype and shape cfg implies, heads also absent, labels
-    in range, and the label ids of cfg's label_offsets."""
+    """Every suite field with the dtype and shape cfg implies, heads also absent,
+    labels in range, the label ids of cfg's label_offsets, and a collection that
+    passes _check_collection."""
     want = {SUITE_KEY + name: spec for name, spec in _suite_fields(cfg).items()}
     if not want.keys() & tensors.keys():
         raise CodedError(
@@ -408,13 +433,7 @@ def _check_suite(cfg: SuiteConfig, coll: AdapterCollection, tensors: dict, path)
     if not np.array_equal(tensors[SUITE_KEY + "labels"], _labels(cfg)):
         raise CodedError(f"{path}: {SUITE_KEY}labels are not those of label_offsets "
                          f"{cfg.label_offsets} for {cfg.n_tasks} tasks", code="bad_suite")
-    if coll.layer_ids != [LAYER_ID] or coll.base[LAYER_ID].shape != (cfg.d, cfg.m):
-        raise CodedError(f"{path}: base weights do not fit a d={cfg.d}, m={cfg.m} suite",
-                         code="bad_suite")
-    tasks = [f"task{i}" for i in range(cfg.n_tasks)]
-    if coll.task_ids != tasks:
-        raise CodedError(f"{path}: adapters of tasks {coll.task_ids}, not of the suite's "
-                         f"{tasks}", code="bad_suite")
+    _check_collection(cfg, coll, f"{path}: ")
 
 
 def save_suite(suite: TaskSuite, coll: AdapterCollection, container_path, sidecar_path):

@@ -185,27 +185,14 @@ def assemble(basis: DirectionBasis, phi: dict[str, np.ndarray]) -> dict[str, np.
     return out
 
 
-def _check_suite_order(task_ids: list[str], suite) -> None:
-    """Suite calls score row i with suite task i, named "task{i}" by fine-tuning,
-    so a collection must hold the suite's first n tasks in order, n <= N: the
-    pools are the rows suite.adapt_x[:n]."""
-    n = len(task_ids)
-    if n > suite.n_tasks or task_ids != [f"task{i}" for i in range(n)]:
-        raise CodedError(
-            f"tasks {task_ids} are not the first {n} of a suite of {suite.n_tasks} in order",
-            code="task_order",
-        )
-
-
 def compute_anchors(coll: AdapterCollection, suite) -> np.ndarray:
     """z_i: mean entropy on task i's whole adaptation pool with only adapter i
     applied, for all tasks in one scorer call: point i of the scaled adapter stack
-    weights adapter i's columns 1 and the rest 0; z is the (n, n) result's diagonal."""
-    _check_suite_order(coll.task_ids, suite)
-    n, stacks = coll.n_tasks, _adapter_stacks(coll)
-    own = np.arange(n)[:, None]
-    coef = {l: (own == s.owner).astype(np.float64) for l, s in stacks.items()}
-    f, _ = suite.factor_scorer(coll.base, stacks, suite.adapt_x[:n])(coef, None)
+    weights adapter i's columns 1 and the rest 0; z is the (N, N) result's diagonal."""
+    stacks = _adapter_stacks(coll)
+    score = suite.factor_scorer(coll, stacks)
+    own = np.arange(coll.n_tasks)[:, None]
+    f, _ = score({l: (own == s.owner).astype(np.float64) for l, s in stacks.items()}, None)
     return f.diagonal().copy()
 
 
@@ -266,7 +253,7 @@ def stch_value_and_grad(
 ):
     """Objective value, d/dphi, and per-task entropies on the (N, B) pool rows
     idx; row-wise for a (P, K) phi and a (P, N) rho. scorer is the suite's
-    factor_scorer for this basis and the pools, which optimize builds once per run.
+    factor_scorer for this basis, which optimize builds once per run.
 
     rho rows must be simplex vectors of length N; optimize checks them once per run.
     """
@@ -333,28 +320,31 @@ def optimize(
     """Adam loop over a (P, K) phi per layer, one row per preference of the
     (P, N) or (N,) rho; each step scores every row and task on fresh batches in
     one call of the suite's factor-space scorer, built with its pool products
-    once per run.
+    once per run, which refuses a basis other than the suite's tasks and layer
+    (bad_suite).
 
     The objective is the anchored scalarization under rho from phi = PHI_INIT,
     or for an AdaMerging basis the mean entropy from phi = ADAMERGING_PHI_INIT,
     which ignores rho and anchors (P = 1). Every step's batches come from
-    batch_schedule. Aborts before step 0 if an anchor is non-finite, and at the
-    first step where a row's entropy is non-finite, naming row j as point j; as
-    every entropy lies in [0, log C], no objective can diverge. Returns (phi,
-    trace); trace.point(j) is row j's own trace.
+    batch_schedule. Refuses anchors of a shape other than (N,), aborts before
+    step 0 if an anchor is non-finite, and aborts at the first step where a
+    row's entropy is non-finite, naming row j as point j; as every entropy lies
+    in [0, log C], no objective can diverge. Returns (phi, trace);
+    trace.point(j) is row j's own trace.
     """
-    _check_suite_order(basis.task_ids, suite)
+    scorer = suite.factor_scorer(basis, basis.layers)
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
     for row in rho:
         check_simplex(row, n)
     anchors = None if mean_entropy or stch is None else stch.anchors
+    if anchors is not None and np.shape(anchors) != (n,):
+        raise CodedError(f"anchors of shape {np.shape(anchors)} do not give one anchor per "
+                         f"task: ({n},) wanted")
     if anchors is not None and not np.isfinite(anchors).all():
         raise NumericalAbort(f"non-finite anchors {anchors}")
-    pools = suite.adapt_x[:n]
-    schedule = batch_schedule(pools, cfg)
-    scorer = suite.factor_scorer(basis.base, basis.layers, pools)
+    schedule = batch_schedule(suite.adapt_x, cfg)
     init = basis.init_phi(ADAMERGING_PHI_INIT if mean_entropy else PHI_INIT)
     phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
     m = {l: np.zeros_like(phi[l]) for l in phi}

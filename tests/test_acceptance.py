@@ -138,13 +138,13 @@ def test_gradient_correctness():
     coll = harness.finetune_all(suite, rank=4, steps=200, seed=0)
     stch = tara.StchConfig(anchors=tara.compute_anchors(coll, suite))
     rho = np.array([0.3, 0.7])
-    pools, idx = suite.adapt_x, np.tile(np.arange(16), (2, 1))
+    idx = np.tile(np.arange(16), (2, 1))
     worst = {"a": 0.0, "b": 0.0}
     for variant in ("a", "b"):
         basis = tara.build_variant_a(coll) if variant == "a" else tara.build_variant_b(coll)
         layer = basis.layer_ids[0]
         steps = 1e-5 / basis.layers[layer].sigma  # equal weight moves per entry
-        scorer = suite.factor_scorer(basis.base, basis.layers, pools)
+        scorer = suite.factor_scorer(basis, basis.layers)
         for trial in range(50):
             gen = substream(300 + trial, variant)
             phi = {l: gen.normal(0.4, 0.3, basis.counts[l]) for l in basis.layer_ids}

@@ -40,22 +40,25 @@ class TestLoraAdapter:
         [((4, 2), (3, 3), 2), ((4, 2), (3, 2), 5), ((4, 2), (3, 2), 0)],
     )
     def test_rejects_bad_shapes(self, b_shape, a_shape, rank):
-        with pytest.raises(ValueError):
+        with pytest.raises(CodedError, match="^bad_adapter: t/l: ") as exc:
             LoraAdapter("t", "l", np.zeros(b_shape), np.zeros(a_shape), rank=rank)
+        assert exc.value.code == "bad_adapter"
 
     def test_rejects_nonfinite(self):
         b = np.zeros((4, 2))
         b[0, 0] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(CodedError, match="^bad_adapter: t/l: ") as exc:
             LoraAdapter("t", "l", b, np.zeros((3, 2)), rank=2)
+        assert exc.value.code == "bad_adapter"
 
 
 class TestCollection:
     def test_validates_task_order(self):
         coll = random_collection(seed=5)
         coll.adapters["l0"] = coll.adapters["l0"][::-1]
-        with pytest.raises(ValueError):
+        with pytest.raises(CodedError) as exc:
             coll.validate()
+        assert exc.value.code == "bad_collection"
 
 
 class TestContainer:

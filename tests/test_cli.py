@@ -251,8 +251,8 @@ class TestExitCodes:
         elif abort == "entropy":
             real = harness.TaskSuite.factor_scorer
 
-            def nan_entropy(self, *args):
-                score = real(self, *args)
+            def nan_entropy(self, coll, stacks):
+                score = real(self, coll, stacks)
 
                 def nan_scores(coef, idx):
                     f, grads = score(coef, idx)

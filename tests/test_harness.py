@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sub_collection
+from conftest import random_collection
 from loramerge import harness, mergers, tara
 from loramerge.adapters import FactorStack
 from loramerge.checks import CodedError, NumericalAbort
@@ -379,24 +379,25 @@ class _PerTaskSuite:
     task's weight gradient onto the columns."""
 
     def __init__(self, suite):
-        self.suite, self.n_tasks, self.adapt_x = suite, suite.n_tasks, suite.adapt_x
+        self.suite, self.adapt_x = suite, suite.adapt_x
 
     def dense_entropy_and_grad(self, weights, batches):
-        """f (n,) and {"layer0": (n, d, m)} weight gradients of tasks 0..n-1 at
+        """f (N,) and {"layer0": (N, d, m)} weight gradients of the N tasks at
         one (d, m) W, each task on its own batch."""
         out = [_per_task_entropy_and_grad(self.suite.heads[i], weights["layer0"], b)
                for i, b in enumerate(batches)]
         return np.array([f for f, _ in out]), {"layer0": np.stack([g for _, g in out])}
 
-    def factor_scorer(self, base, stacks, pools):
-        s = stacks["layer0"]
+    def factor_scorer(self, coll, stacks):
+        s, pools = stacks["layer0"], self.adapt_x
 
         def score(coef, idx):  # (P, K) coef of sigma-scaled columns; idx None: whole pools
             batches = pools if idx is None else pools[np.arange(len(pools))[:, None], idx]
             f, cols = [], []
             for c in coef["layer0"]:
                 fp, g = self.dense_entropy_and_grad(
-                    {"layer0": base["layer0"] + (s.left * (s.sigma * c)) @ s.right.T}, batches)
+                    {"layer0": coll.base["layer0"] + (s.left * (s.sigma * c)) @ s.right.T},
+                    batches)
                 f.append(fp)
                 cols.append(s.project(g["layer0"]))
             return np.stack(f), {"layer0": np.stack(cols)}
@@ -404,19 +405,19 @@ class _PerTaskSuite:
         return score
 
 
-def reference_factor_scorer(suite, base, stacks, n):
+def reference_factor_scorer(suite, coll, stacks):
     """TaskSuite.factor_scorer as it was before its per-run pool products, with
     sigma folded into H left: its score(coef, batches) multiplies each call's
-    (n, B, m) batches and scores (..., B, C) logits with the log-sum-exp reference
+    (N, B, m) batches and scores (..., B, C) logits with the log-sum-exp reference
     helper. At C < 8 the suite's scorer(coef, idx) must match it bit for bit on
     batches = pools[tasks, idx]."""
-    h, s = suite.heads[:n], stacks["layer0"]
+    h, s = suite.heads, stacks["layer0"]
     hl = h @ (s.left * s.sigma)
-    hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ base["layer0"], -1, -2)
+    hl_t, hw0_t = np.swapaxes(hl, -1, -2), np.swapaxes(h @ coll.base["layer0"], -1, -2)
 
     def score(coef, batches):
-        xr = batches @ s.right                           # (n, B, K)
-        scaled = coef["layer0"][..., None, :, None] * hl_t  # (..., n, K, C)
+        xr = batches @ s.right                           # (N, B, K)
+        scaled = coef["layer0"][..., None, :, None] * hl_t  # (..., N, K, C)
         f, dl = reference_lse_entropy_and_dlogits(batches @ hw0_t + xr @ scaled)
         grad = np.einsum("...nck,nck->...nk", np.swapaxes(dl, -1, -2) @ xr, hl)
         return f, {"layer0": grad}
@@ -526,36 +527,21 @@ class TestEntropyAndGrad:
     def test_matches_per_task_loop(self, default_suite, per_task):
         """The scorer's entropies and column gradients, at one point or at one
         point per task, match the dense per-task loop."""
-        suite, _ = default_suite
+        suite, coll = default_suite
         n, (d, m) = suite.n_tasks, suite.base["layer0"].shape
         gen = substream(31, "weights")
         stack = FactorStack(left=gen.standard_normal((d, 6)), right=gen.standard_normal((m, 6)),
                             sigma=np.ones(6), owner=np.zeros(6, dtype=int))
         coef = {"layer0": 0.1 * gen.standard_normal((n, 6) if per_task else (6,))}
-        pools, idx = suite.adapt_x, np.tile(np.arange(16), (n, 1))
-        f, grads = suite.factor_scorer(suite.base, {"layer0": stack}, pools)(coef, idx)
+        idx = np.tile(np.arange(16), (n, 1))
+        f, grads = suite.factor_scorer(coll, {"layer0": stack})(coef, idx)
         assert f.shape == coef["layer0"].shape[:-1] + (n,)
         assert grads["layer0"].shape == f.shape + (6,)
-        want_f, want_g = _PerTaskSuite(suite).factor_scorer(suite.base, {"layer0": stack}, pools)(
+        want_f, want_g = _PerTaskSuite(suite).factor_scorer(coll, {"layer0": stack})(
             {"layer0": np.atleast_2d(coef["layer0"])}, idx)
         assert np.max(np.abs(f - want_f.reshape(f.shape))) <= 1e-12
         want_g = want_g["layer0"].reshape(grads["layer0"].shape)
         assert np.max(np.abs(grads["layer0"] - want_g)) <= 1e-12 * np.max(np.abs(want_g))
-
-    @pytest.mark.parametrize("tasks", [["task0"], ["task0", "task1"]], ids=["one", "two"])
-    def test_merge_of_fewer_tasks_than_the_suite(self, default_suite, tasks):
-        """A collection of the suite's first n tasks is scored by heads 0..n-1 only."""
-        suite, coll = default_suite
-        sub = sub_collection(coll, tasks)
-        reference = _PerTaskSuite(suite)
-        z = tara.compute_anchors(sub, suite)
-        assert z.shape == (len(tasks),)
-        assert np.max(np.abs(z - tara.compute_anchors(sub, reference))) <= 1e-12
-        rho = np.full(len(tasks), 1.0 / len(tasks))
-        cfg = tara.OptimConfig(iters=20)
-        [(got, _, _)] = tara.merge(sub, suite, [rho], optim=cfg)
-        [(want, _, _)] = tara.merge(sub, reference, [rho], optim=cfg)
-        assert np.max(np.abs(got["layer0"] - want["layer0"])) <= 1e-10
 
     def test_whole_pools_keep_the_bits_of_gathered_rows(self, default_suite):
         """idx None reads every pool row in order from views of the pool
@@ -563,7 +549,7 @@ class TestEntropyAndGrad:
         suite, coll = default_suite
         basis = tara.build_variant_b(coll)
         pools = suite.adapt_x
-        score = suite.factor_scorer(basis.base, basis.layers, pools)
+        score = suite.factor_scorer(basis, basis.layers)
         coef = tara._coefficients(basis, basis.init_phi(0.4))
         f, grads = score(coef, None)
         want_f, want_g = score(coef, np.tile(np.arange(pools.shape[1]), (len(pools), 1)))
@@ -572,10 +558,9 @@ class TestEntropyAndGrad:
 
     def test_missing_head(self):
         suite = harness.generate_suite(seed=0, n_tasks=2, n_train=20, n_eval=10, n_adapt=10)
-        stacks = {"layer0": FactorStack(left=np.ones((32, 1)), right=np.ones((24, 1)),
-                                        sigma=np.ones(1), owner=np.zeros(1, dtype=int))}
+        coll = random_collection(seed=0, n_tasks=2, layers=("layer0",), d=32, m=24, rank=1)
         with pytest.raises(CodedError, match="no trained head"):
-            suite.factor_scorer(suite.base, stacks, suite.adapt_x)
+            suite.factor_scorer(coll, tara._adapter_stacks(coll))
 
 
 @functools.lru_cache(maxsize=1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import assert_weights_close, random_collection, sub_collection
 from test_harness import _PerTaskSuite, _per_task_entropy_and_grad, reference_factor_scorer
 from loramerge import diagnostics, harness, mergers, tara
-from loramerge.adapters import delta_weight
+from loramerge.adapters import AdapterCollection, delta_weight
 from loramerge.checks import CodedError, NumericalAbort
 from loramerge.rng import substream
 from loramerge.tara import (
@@ -33,7 +33,7 @@ _BUILDERS = {"a": build_variant_a, "b": build_variant_b, "adamerging": tara.buil
 
 
 def _scorer(suite, basis):
-    return suite.factor_scorer(basis.base, basis.layers, suite.adapt_x[:basis.n_tasks])
+    return suite.factor_scorer(basis, basis.layers)
 
 
 def _first_rows(n_tasks, rows):
@@ -388,9 +388,8 @@ class TestFactoredStep:
         idx = gen.integers(0, 3 if repeats else pools.shape[1], (coll.n_tasks, 16))
         coef = tara._coefficients(
             basis, {l: gen.normal(0.4, 0.3, (points, basis.counts[l])) for l in basis.layer_ids})
-        f, grad = suite.factor_scorer(basis.base, basis.layers, pools)(coef, idx)
-        want_f, want_grad = reference_factor_scorer(suite, basis.base, basis.layers,
-                                                    coll.n_tasks)(
+        f, grad = _scorer(suite, basis)(coef, idx)
+        want_f, want_grad = reference_factor_scorer(suite, basis, basis.layers)(
             coef, pools[np.arange(coll.n_tasks)[:, None], idx])
         assert np.array_equal(f, want_f)
         assert np.array_equal(grad["layer0"], want_grad["layer0"])
@@ -413,7 +412,7 @@ class TestFactoredStep:
         idx = gen.integers(0, suite.adapt_x.shape[1], (n, 16))
         f, grad = _scorer(suite, basis)(coef, idx)
         unit = {"layer0": dataclasses.replace(stack, sigma=np.ones_like(stack.sigma))}
-        want_f, want_grad = reference_factor_scorer(suite, basis.base, unit, n)(
+        want_f, want_grad = reference_factor_scorer(suite, basis, unit)(
             {"layer0": stack.sigma * coef["layer0"]}, suite.adapt_x[np.arange(n)[:, None], idx])
         want_grad = stack.sigma * want_grad["layer0"]
         assert np.max(np.abs(f - want_f)) <= PHI_FORM_RTOL * np.max(np.abs(want_f))
@@ -430,7 +429,7 @@ class TestFactoredStep:
         coef = tara._coefficients(basis, {l: substream(4, variant).normal(
             0.4, 0.3, (2, basis.counts[l])) for l in basis.layer_ids})
         f, grad = _scorer(suite, basis)(coef, idx)
-        want_f, want_grad = reference_factor_scorer(suite, basis.base, basis.layers, 2)(
+        want_f, want_grad = reference_factor_scorer(suite, basis, basis.layers)(
             coef, pools[np.arange(2)[:, None], idx])
         assert np.max(np.abs(f - want_f)) <= 1e-12 * np.max(np.abs(want_f))
         err = np.max(np.abs(grad["layer0"] - want_grad["layer0"]))
@@ -570,10 +569,10 @@ class TestOptimize:
         suite, coll = small_suite
 
         class NanInRow1:
-            n_tasks, adapt_x = suite.n_tasks, suite.adapt_x
+            adapt_x = suite.adapt_x
 
-            def factor_scorer(self, *args):
-                score = suite.factor_scorer(*args)
+            def factor_scorer(self, coll, stacks):
+                score = suite.factor_scorer(coll, stacks)
 
                 def nan_in_row_1(coef, idx):
                     f, grads = score(coef, idx)
@@ -586,6 +585,16 @@ class TestOptimize:
         stch = StchConfig(anchors=compute_anchors(coll, suite))
         with pytest.raises(NumericalAbort, match="entropy encountered at point 1, step 0"):
             optimize(build_variant_a(coll), NanInRow1(), rhos, OptimConfig(iters=3), stch)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+    def test_anchors_of_another_shape_are_refused(self, small_suite, shape):
+        """A 2-task run takes anchors of shape (2,) only: one of shape (1,)
+        would broadcast over both tasks."""
+        suite, coll = small_suite
+        stch = StchConfig(anchors=np.full(shape, 0.5))
+        with pytest.raises(CodedError, match=r"anchors of shape .* \(2,\) wanted") as exc:
+            optimize(build_variant_a(coll), suite, [0.5, 0.5], OptimConfig(iters=2), stch)
+        assert not isinstance(exc.value, NumericalAbort)
 
     def test_nan_anchors_abort_before_step_0(self):
         """Step 0 would abort on the NaN entropy; the anchors are checked first."""
@@ -636,8 +645,8 @@ def _reference_optimize(basis, suite, rho, cfg, stch):
     n = basis.n_tasks
     mean_entropy = basis.variant == "adamerging"
     rho = np.atleast_2d(np.asarray(np.full(n, 1 / n) if mean_entropy else rho, float))
-    pools = suite.adapt_x[:n]
-    score = reference_factor_scorer(suite, basis.base, basis.layers, n)
+    pools = suite.adapt_x
+    score = reference_factor_scorer(suite, basis, basis.layers)
     init = basis.init_phi(tara.ADAMERGING_PHI_INIT if mean_entropy else tara.PHI_INIT)
     phi = {l: np.tile(p, (len(rho), 1)) for l, p in init.items()}
     m = {l: np.zeros_like(p) for l, p in phi.items()}
@@ -794,13 +803,13 @@ class TestSweep:
 class _ConstantSuite:
     """Suite stand-in whose scorer gives a fixed entropy and zero column gradients."""
 
-    n_tasks, adapt_x = 2, np.zeros((2, 4, 6))
+    adapt_x = np.zeros((2, 4, 6))
 
     def __init__(self, entropy):
         self.entropy = entropy
 
-    def factor_scorer(self, base, stacks, pools):
-        n = len(pools)
+    def factor_scorer(self, coll, stacks):
+        n = coll.n_tasks
 
         def score(coef, idx):
             lead = next(iter(coef.values())).shape[:-1]
@@ -813,7 +822,7 @@ class _ConstantSuite:
 
 class TestSuiteOrder:
     """Suite row i scores suite task i, so TARA and AdaMerging refuse a collection
-    that is not the suite's first n tasks in order, n at most the suite's N."""
+    that is not exactly the suite's N tasks in order."""
 
     @pytest.mark.parametrize("tasks", [["task1"], ["task1", "task0"],
                                        ["task0", "task1", "task2"]],
@@ -832,7 +841,62 @@ class TestSuiteOrder:
         ):
             with pytest.raises(CodedError) as exc:
                 run()
-            assert exc.value.code == "task_order"
+            assert exc.value.code == "bad_suite"
+
+
+def _renamed_layer(coll, layer):
+    """coll with its one layer renamed."""
+    (old,) = coll.layer_ids
+    return AdapterCollection(
+        layer_ids=[layer], task_ids=coll.task_ids, base={layer: coll.base[old]},
+        adapters={layer: [dataclasses.replace(ad, layer_id=layer)
+                          for ad in coll.adapters[old]]})
+
+
+def _two_layers(coll):
+    """coll with a copy of its layer0 as layer1."""
+    extra = _renamed_layer(coll, "layer1")
+    return AdapterCollection(
+        layer_ids=["layer0", "layer1"], task_ids=coll.task_ids,
+        base={**coll.base, **extra.base}, adapters={**coll.adapters, **extra.adapters})
+
+
+_OFF_SUITE = {  # collections the 2-task d=12, m=10 small suite does not score
+    "lone_layer_not_layer0": lambda coll: _renamed_layer(coll, "l0"),
+    "two_layers": _two_layers,
+    "base_of_another_shape": lambda coll: random_collection(
+        seed=0, n_tasks=2, layers=("layer0",), d=12, m=9, rank=4),
+    "subset": lambda coll: sub_collection(coll, ["task0"]),
+    "reordered": lambda coll: sub_collection(coll, ["task1", "task0"]),
+    "extra_task": lambda coll: random_collection(
+        seed=0, n_tasks=3, layers=("layer0",), d=12, m=10, rank=4),
+}
+
+def _one_step_merge(variant, coll, suite):
+    rho = np.full(coll.n_tasks, 1 / coll.n_tasks)
+    return list(tara.merge(coll, suite, [rho], variant, OptimConfig(iters=1)))
+
+
+_ENTRIES = {  # every entry that scores a collection on a suite
+    "compute_anchors": compute_anchors,
+    **{f"merge_{v}": functools.partial(_one_step_merge, v) for v in ("a", "b", "adamerging")},
+    "ta_jacobian": lambda coll, suite: diagnostics.ta_jacobian(
+        coll, suite, coll.layer_ids[0], 0.3),
+}
+
+
+class TestSuiteRule:
+    """One rule decides what a suite scores: exactly its one layer layer0, with a
+    (d, m) base, and exactly its tasks task0 ... task{N-1} in order. Every entry
+    that scores a collection on a suite refuses any other with bad_suite."""
+
+    @pytest.mark.parametrize("case", list(_OFF_SUITE))
+    @pytest.mark.parametrize("entry", list(_ENTRIES))
+    def test_refused(self, small_suite, entry, case):
+        suite, coll = small_suite
+        with pytest.raises(CodedError) as exc:
+            _ENTRIES[entry](_OFF_SUITE[case](coll), suite)
+        assert exc.value.code == "bad_suite"
 
 
 class TestAdamerging:
